@@ -20,8 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .framework import Framework, FrameworkError, load_framework
-from .les import LesReport, _LesContext, _report_from_context, homology_dims
+from .framework import FrameworkError, load_framework
+from .les import LesReport, _LesContext, _report_from_context
 from .linalg import MODE_EXACT, MODE_FLOAT, complement_within, span_rows
 from .svgdraw import render_svg
 
@@ -50,8 +50,9 @@ def _dims_block(dims_f, dims_m, dims_n) -> list[str]:
     return ["homology dimensions", head, row1, row0]
 
 
-def _report_text(path, digest, f: Framework, report: LesReport | None,
-                 dims=None, dims_only=False) -> str:
+def _report_text(path, digest, ctx: _LesContext, report: LesReport | None,
+                 dims_only=False) -> str:
+    f = ctx.f
     lines = [
         f"framehom {__version__} analyze (schema {SCHEMA_VERSION})",
         f"input: {path}",
@@ -61,11 +62,7 @@ def _report_text(path, digest, f: Framework, report: LesReport | None,
         f"connected={'yes' if f.connected() else 'no'}",
         "",
     ]
-    if report is not None:
-        dims_f, dims_m, dims_n = report.dims_force, report.dims_moment, report.dims_anchored
-    else:
-        dims_f, dims_m, dims_n = dims
-    lines += _dims_block(dims_f, dims_m, dims_n)
+    lines += _dims_block(*ctx.dims)
     if dims_only:
         return "\n".join(lines) + "\n"
     lines.append("")
@@ -102,8 +99,9 @@ def _vec_strs(vec) -> list[str]:
     return [_scalar_str(x) for x in vec]
 
 
-def _report_json(path, digest, f: Framework, report: LesReport | None,
-                 dims=None, dims_only=False, ctx: _LesContext | None = None) -> str:
+def _report_json(path, digest, ctx: _LesContext, report: LesReport | None,
+                 dims_only=False) -> str:
+    f = ctx.f
     doc = {
         "schema": SCHEMA_VERSION,
         "tool": f"framehom {__version__}",
@@ -116,10 +114,7 @@ def _report_json(path, digest, f: Framework, report: LesReport | None,
             "connected": f.connected(),
         },
     }
-    if report is not None:
-        dims_f, dims_m, dims_n = report.dims_force, report.dims_moment, report.dims_anchored
-    else:
-        dims_f, dims_m, dims_n = dims
+    dims_f, dims_m, dims_n = ctx.dims
     doc["dims"] = {
         "force": {"h1": dims_f[0], "h0": dims_f[1]},
         "moment": {"h1": dims_m[0], "h0": dims_m[1]},
@@ -143,12 +138,11 @@ def _report_json(path, digest, f: Framework, report: LesReport | None,
              "residual": c.residual}
             for c in report.checks]
         doc["all_passed"] = report.all_passed
-        if ctx is not None:
-            doc["generators"] = {
-                "force_h1": [_vec_strs(v) for v in ctx.h_force.h1.vectors],
-                "anchored_h1": [_vec_strs(v) for v in ctx.h_anch.h1.vectors],
-                "mechanisms": [_vec_strs(v) for v in report.mechanism_basis],
-            }
+        doc["generators"] = {
+            "force_h1": [_vec_strs(v) for v in ctx.h_force.h1.vectors],
+            "anchored_h1": [_vec_strs(v) for v in ctx.h_anch.h1.vectors],
+            "mechanisms": [_vec_strs(v) for v in report.mechanism_basis],
+        }
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -159,21 +153,14 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     digest = _digest(args.input)
+    ctx = _LesContext(f)
     report = None
-    ctx = None
-    dims = None
-    if args.dims_only or not f.connected() or f.num_edges == 0:
-        dims = (homology_dims(f, "force"), homology_dims(f, "moment"),
-                homology_dims(f, "anchored"))
-    else:
-        ctx = _LesContext(f)
+    if not args.dims_only and f.connected() and f.num_edges:
         report = _report_from_context(ctx)
     if args.json:
-        text = _report_json(args.input, digest, f, report,
-                            dims=dims, dims_only=args.dims_only, ctx=ctx)
+        text = _report_json(args.input, digest, ctx, report, args.dims_only)
     else:
-        text = _report_text(args.input, digest, f, report,
-                            dims=dims, dims_only=args.dims_only)
+        text = _report_text(args.input, digest, ctx, report, args.dims_only)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

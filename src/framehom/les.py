@@ -20,23 +20,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .cosheaf import (
-    CosheafMap,
-    HomologyResult,
-    assemble_boundary,
-    check_cosheaf_map,
-    homology,
-)
+from .cosheaf import Cosheaf, CosheafMap, HomologyResult, assemble_boundary, check_cosheaf_map
 from .framework import Framework
 from .linalg import (
     MODE_EXACT,
+    Reduction,
     SubspaceBasis,
     complement_within,
-    image_basis,
     kernel_basis,
     rank,
     solve_gram,
@@ -60,51 +55,40 @@ class InducedMap:
     kernel: SubspaceBasis
     image: SubspaceBasis
 
-
-def _induced_from_matrix(m: np.ndarray) -> InducedMap:
-    return InducedMap(
-        matrix=m,
-        rank=rank(m),
-        kernel=kernel_basis(m),
-        image=span_rows(image_basis(m).vectors, m.shape[0]),
-    )
-
-
-def _h_matrix(h: SubspaceBasis) -> np.ndarray:
-    return h.matrix()
+    @classmethod
+    def of(cls, m: np.ndarray, **extra):
+        """Rank, kernel and image of ``m``, all read from one elimination."""
+        red = Reduction(m)
+        return cls(matrix=m, rank=red.rank, kernel=red.kernel(), image=red.image(), **extra)
 
 
 def induced_map(m: CosheafMap, degree: int, src_h: HomologyResult,
                 tgt_h: HomologyResult) -> InducedMap:
     """Induced map on homology: apply the chain map, re-express in H bases.
 
-    Degree 1 images are automatically cycles of the target; degree 0
-    images are first projected onto the representative space (the
-    orthogonal complement of the target boundary image).  Refuses to run
-    when the commuting condition fails.
+    Degree 1 images are automatically cycles of the target.  Degree 0
+    representatives span (im B)^perp = ker B^T of the target boundary B,
+    so the coordinates of an image class are those of its orthogonal
+    projection onto that span: one solve against the Gram matrix of the
+    representatives.  ``src_h`` / ``tgt_h`` need only ``h1`` / ``h0``
+    bases, so the pipeline passes its lazy ``_Homology`` stages.  Refuses
+    to run when the commuting condition fails.
     """
     chk = check_cosheaf_map(m)
     if not chk.passed:
         raise ValueError(f"cosheaf map does not commute at incidences {chk.failures}")
     if degree == 1:
         src_basis, tgt_basis = src_h.h1, tgt_h.h1
-        apply = m.apply_c1
+        apply, solve = m.apply_c1, solve_in_image
     elif degree == 0:
         src_basis, tgt_basis = src_h.h0, tgt_h.h0
-        apply = m.apply_c0
+        apply, solve = m.apply_c0, solve_gram
     else:
         raise ValueError("degree must be 0 or 1")
     cols = [apply(v) for v in src_basis.vectors]
     if not cols:
-        return _induced_from_matrix(linalg.zeros(tgt_basis.dim, 0, m.source.mode))
-    stacked = np.stack(cols, axis=1)
-    if degree == 0:
-        bdd = assemble_boundary(m.target)
-        im = image_basis(bdd).matrix()
-        if im.shape[1]:
-            stacked = stacked - im @ solve_gram(im, stacked)
-    coords = solve_in_image(_h_matrix(tgt_basis), stacked)
-    return _induced_from_matrix(coords)
+        return InducedMap.of(linalg.zeros(tgt_basis.dim, 0, m.source.mode))
+    return InducedMap.of(solve(tgt_basis.matrix(), np.stack(cols, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -119,43 +103,103 @@ class ConnectingMap(InducedMap):
     resultants: tuple
 
 
+class _Homology:
+    """The boundary of one cosheaf, with its homology read on first use.
+
+    ``h1`` = ker B and ``dims`` come from one elimination of B; ``h0`` =
+    ker B^T = (im B)^perp from one elimination of B^T.  Has the ``h1`` /
+    ``h0`` / ``dims`` reads of a cosheaf.HomologyResult.
+    """
+
+    def __init__(self, k: Cosheaf):
+        self.boundary = assemble_boundary(k)
+
+    @cached_property
+    def _reduction(self) -> Reduction:
+        return Reduction(self.boundary)
+
+    @cached_property
+    def h1(self) -> SubspaceBasis:
+        return self._reduction.kernel()
+
+    @cached_property
+    def h0(self) -> SubspaceBasis:
+        return kernel_basis(self.boundary.T.copy())
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        """(dim H1, dim H0) = (c1 - rank B, c0 - rank B)."""
+        c0, c1 = self.boundary.shape
+        r = self._reduction.rank
+        return (c1 - r, c0 - r)
+
+
 class _LesContext:
-    """Shared computation for one framework: cosheaves, homologies, maps."""
+    """The staged pipeline for one framework, read by every front end.
+
+    The cosheaves and their boundaries are built here.  Each later stage
+    (the reductions, the induced maps, ``theta``, the counting checks) is
+    computed on first read and kept, so a reader pays only for the stages
+    it reads.  The LES stages need a connected framework with an edge;
+    ``theta`` and ``require_les`` raise ValueError otherwise.
+    """
 
     def __init__(self, f: Framework, section_rng: random.Random | None = None):
-        if not f.connected():
-            raise ValueError("the long exact sequence machinery needs a connected framework")
-        if f.num_edges == 0:
-            raise ValueError("framework has no edges")
         self.f = f
+        self.section_rng = section_rng
         self.phi = build_phi(f)
         self.force = self.phi.source
         self.moment = self.phi.target
         self.anch = anchored_from_phi(self.phi)
         self.pi = self.anch.projection
-        self.b_force = assemble_boundary(self.force)
-        self.b_moment = assemble_boundary(self.moment)
-        self.b_anch = assemble_boundary(self.anch.cosheaf)
-        self.h_force = HomologyResult(kernel_basis(self.b_force),
-                                      linalg.image_complement_basis(self.b_force))
-        self.h_moment = HomologyResult(kernel_basis(self.b_moment),
-                                       linalg.image_complement_basis(self.b_moment))
-        self.h_anch = HomologyResult(kernel_basis(self.b_anch),
-                                     linalg.image_complement_basis(self.b_anch))
-        self.rigid = rigid_body_space(f)
-        self.mech = complement_within(self.rigid, self.h_force.h0)
-        self.phi1 = induced_map(self.phi, 1, self.h_force, self.h_moment)
-        self.phi0 = induced_map(self.phi, 0, self.h_force, self.h_moment)
-        self.pi1 = induced_map(self.pi, 1, self.h_moment, self.h_anch)
-        self.theta = self._connecting(section_rng)
+        self.h_force = _Homology(self.force)
+        self.h_moment = _Homology(self.moment)
+        self.h_anch = _Homology(self.anch.cosheaf)
 
-    def _edge_sections(self, rng: random.Random | None):
+    def require_les(self):
+        """Raise ValueError unless the framework is connected and has an edge."""
+        if not self.f.connected():
+            raise ValueError("the long exact sequence machinery needs a connected framework")
+        if self.f.num_edges == 0:
+            raise ValueError("framework has no edges")
+
+    @property
+    def dims(self) -> tuple:
+        """(dim H1, dim H0) of the force, moment and anchored cosheaves."""
+        return self.h_force.dims, self.h_moment.dims, self.h_anch.dims
+
+    @cached_property
+    def rigid(self) -> SubspaceBasis:
+        return rigid_body_space(self.f)
+
+    @cached_property
+    def mech(self) -> SubspaceBasis:
+        return complement_within(self.rigid, self.h_force.h0)
+
+    @cached_property
+    def phi1(self) -> InducedMap:
+        return induced_map(self.phi, 1, self.h_force, self.h_moment)
+
+    @cached_property
+    def phi0(self) -> InducedMap:
+        return induced_map(self.phi, 0, self.h_force, self.h_moment)
+
+    @cached_property
+    def pi1(self) -> InducedMap:
+        return induced_map(self.pi, 1, self.h_moment, self.h_anch)
+
+    @cached_property
+    def counting(self) -> tuple:
+        return _counting_checks(self)
+
+    def _edge_sections(self):
         """Edge-stalk right inverses of the projection.
 
         The canonical section lands in the orthogonal complement of the
         embedded axial line; a randomized one adds an arbitrary axial
         component, which the snake construction must quotient away.
         """
+        rng = self.section_rng
         if rng is None:
             return self.anch.edge_sections
         out = []
@@ -184,35 +228,30 @@ class _LesContext:
         """Vertex force resultants of one anchored C1 cycle.
 
         Lift through the section, apply the frame boundary, and pull the
-        per-vertex couples back through the truss embedding.  The pull-back
-        is exact only when the moment components vanish, which holds for
-        cycles of the anchored boundary; a nonzero residual raises.
+        per-vertex couples back through the truss embedding, which pads a
+        force with a zero moment at every vertex: one solve whose columns
+        are the vertices.  The pull-back is exact only when the moment
+        components vanish, which holds for cycles of the anchored
+        boundary; a nonzero residual raises.
         """
-        y = self.b_moment @ self.lift_to_moment(w, sections)
-        n = self.f.dim
-        out = linalg.zeros(self.f.num_vertices, n, self.f.mode)
-        moff = self.moment.vertex_offsets()
-        for v in range(self.f.num_vertices):
-            block = y[moff[v]:moff[v] + self.moment.vertex_dims[v]]
-            out[v, :] = solve_in_image(self.phi.vertex_maps[v], block)
-        return out
+        y = self.h_moment.boundary @ self.lift_to_moment(w, sections)
+        couples = y.reshape(self.f.num_vertices, -1).T.copy()
+        return solve_in_image(self.phi.vertex_maps[0], couples).T.copy()
 
-    def _connecting(self, section_rng: random.Random | None) -> ConnectingMap:
-        sections = self._edge_sections(section_rng)
-        gens = self.h_anch.h1.vectors
-        resultants = tuple(self.vertex_resultants(w, sections) for w in gens)
-        if not len(gens):
-            base = _induced_from_matrix(linalg.zeros(self.h_force.h0.dim, 0, self.f.mode))
-            return ConnectingMap(matrix=base.matrix, rank=base.rank, kernel=base.kernel,
-                                 image=base.image, resultants=())
-        stacked = np.stack([r.reshape(-1) for r in resultants], axis=1)
-        im = image_basis(self.b_force).matrix()
-        if im.shape[1]:
-            stacked = stacked - im @ solve_gram(im, stacked)
-        coords = solve_in_image(_h_matrix(self.h_force.h0), stacked)
-        base = _induced_from_matrix(coords)
-        return ConnectingMap(matrix=base.matrix, rank=base.rank, kernel=base.kernel,
-                             image=base.image, resultants=resultants)
+    @cached_property
+    def theta(self) -> ConnectingMap:
+        """Resultants of the H1(anchored) generators, in H0(force) coordinates."""
+        self.require_les()
+        sections = self._edge_sections()
+        resultants = tuple(self.vertex_resultants(w, sections)
+                           for w in self.h_anch.h1.vectors)
+        h0 = self.h_force.h0
+        if resultants:
+            coords = solve_gram(h0.matrix(),
+                                np.stack([r.reshape(-1) for r in resultants], axis=1))
+        else:
+            coords = linalg.zeros(h0.dim, 0, self.f.mode)
+        return ConnectingMap.of(coords, resultants=resultants)
 
     def mechanism_basis_ambient(self) -> SubspaceBasis:
         """Image of the connecting map as vectors in the truss C_0 space."""
@@ -247,59 +286,46 @@ class CountCheck:
     note: str = ""
 
 
-def _counting_checks(f: Framework, dims_f, dims_m, dims_n,
-                     rigid_dim, mech_dim) -> tuple:
-    n = f.dim
-    nv, ne = f.num_vertices, f.num_edges
+def _rule(name: str, expected: int, computed: int, note: str) -> CountCheck:
+    return CountCheck(name, True, expected, computed, expected == computed, note)
+
+
+def _not_applicable(name: str, why: str) -> CountCheck:
+    return CountCheck(name, False, None, None, True, f"not applicable: {why}")
+
+
+def _counting_checks(ctx: _LesContext) -> tuple:
+    f = ctx.f
+    if not f.connected():
+        why = "framework is disconnected"
+        return (_not_applicable("maxwell_calladine", why),
+                _not_applicable("moment_circuit_rank", why),
+                _not_applicable("anchored_stress_count", "disconnected"),
+                _not_applicable("anchored_decomposition", "disconnected"),
+                _not_applicable("les_alternating_sum", why))
+    n, nv, ne = f.dim, f.num_vertices, f.num_edges
     k = 3 if n == 2 else 6
-    connected = f.connected()
-    full_span = _affine_span_full(f)
-    checks = []
-
-    if connected:
-        expected = n * nv - ne
-        computed = rigid_dim + mech_dim - dims_f[0]
-        checks.append(CountCheck(
-            "maxwell_calladine", True, expected, computed, expected == computed,
-            f"n|V|-|E| vs rigid + mechanisms - self-stresses"))
-    else:
-        checks.append(CountCheck("maxwell_calladine", False, None, None, True,
-                                 "not applicable: framework is disconnected"))
-
-    if connected:
-        expected = k * (ne - nv + 1)
-        checks.append(CountCheck(
-            "moment_circuit_rank", True, expected, dims_m[0], expected == dims_m[0],
-            f"{k}(|E|-|V|+1) independent stress resultants across the cuts"))
-    else:
-        checks.append(CountCheck("moment_circuit_rank", False, None, None, True,
-                                 "not applicable: framework is disconnected"))
-
-    if connected and full_span:
-        expected = 2 * ne - nv if n == 2 else 5 * ne - 3 * nv
-        checks.append(CountCheck(
-            "anchored_stress_count", True, expected, dims_n[0], expected == dims_n[0],
-            "2|E|-|V|" if n == 2 else "5|E|-3|V|"))
+    (h1f, _), (h1m, _), (h1n, _) = ctx.dims
+    mech = ctx.mech.dim
+    checks = [
+        _rule("maxwell_calladine", n * nv - ne, ctx.rigid.dim + mech - h1f,
+              "n|V|-|E| vs rigid + mechanisms - self-stresses"),
+        _rule("moment_circuit_rank", k * (ne - nv + 1), h1m,
+              f"{k}(|E|-|V|+1) independent stress resultants across the cuts"),
+    ]
+    if _affine_span_full(f):
         reduced_maxwell = ne - n * nv + (3 if n == 2 else 6)
-        expected2 = k * (ne - nv + 1) - reduced_maxwell
-        checks.append(CountCheck(
-            "anchored_decomposition", True, expected2, dims_n[0], expected2 == dims_n[0],
-            "cycle-rule count minus the reduced Maxwell count"))
+        checks += [
+            _rule("anchored_stress_count", 2 * ne - nv if n == 2 else 5 * ne - 3 * nv, h1n,
+                  "2|E|-|V|" if n == 2 else "5|E|-3|V|"),
+            _rule("anchored_decomposition", k * (ne - nv + 1) - reduced_maxwell, h1n,
+                  "cycle-rule count minus the reduced Maxwell count"),
+        ]
     else:
-        why = "disconnected" if not connected else "degenerate affine span"
-        checks.append(CountCheck("anchored_stress_count", False, None, None, True,
-                                 f"not applicable: {why}"))
-        checks.append(CountCheck("anchored_decomposition", False, None, None, True,
-                                 f"not applicable: {why}"))
-
-    if connected:
-        alt = (dims_f[0] - mech_dim) + dims_n[0] - dims_m[0]
-        checks.append(CountCheck(
-            "les_alternating_sum", True, 0, alt, alt == 0,
-            "(self-stresses - mechanisms) + anchored stresses - frame stresses"))
-    else:
-        checks.append(CountCheck("les_alternating_sum", False, None, None, True,
-                                 "not applicable: framework is disconnected"))
+        checks += [_not_applicable("anchored_stress_count", "degenerate affine span"),
+                   _not_applicable("anchored_decomposition", "degenerate affine span")]
+    checks.append(_rule("les_alternating_sum", 0, (h1f - mech) + h1n - h1m,
+                        "(self-stresses - mechanisms) + anchored stresses - frame stresses"))
     return tuple(checks)
 
 
@@ -319,32 +345,7 @@ def counting_rules(f: Framework) -> tuple:
     non-degenerate embedding) are marked not applicable rather than
     failing.
     """
-    dims_f = homology_dims(f, "force")
-    dims_m = homology_dims(f, "moment")
-    dims_n = homology_dims(f, "anchored")
-    if f.connected():
-        from .structural import build_force_cosheaf
-        h0 = linalg.image_complement_basis(assemble_boundary(build_force_cosheaf(f)))
-        rigid = rigid_body_space(f)
-        mech = complement_within(rigid, h0)
-        rigid_dim, mech_dim = rigid.dim, mech.dim
-    else:
-        rigid_dim = mech_dim = 0
-    return _counting_checks(f, dims_f, dims_m, dims_n, rigid_dim, mech_dim)
-
-
-def homology_dims(f: Framework, which: str) -> tuple[int, int]:
-    from .structural import build_force_cosheaf, build_moment_cosheaf, build_anchored_cosheaf
-    if which == "force":
-        k = build_force_cosheaf(f)
-    elif which == "moment":
-        k = build_moment_cosheaf(f)
-    elif which == "anchored":
-        k = build_anchored_cosheaf(f).cosheaf
-    else:
-        raise ValueError(f"unknown cosheaf {which!r}")
-    h = homology(k)
-    return (h.dim_h1, h.dim_h0)
+    return _LesContext(f).counting
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +412,12 @@ def verify_les(f: Framework, section_rng: random.Random | None = None) -> LesRep
 
 
 def _report_from_context(ctx: _LesContext) -> LesReport:
+    ctx.require_les()
     f = ctx.f
     checks = []
 
-    h1f, h1m, h1n = ctx.h_force.h1.dim, ctx.h_moment.h1.dim, ctx.h_anch.h1.dim
+    dims_f, dims_m, dims_n = ctx.dims
+    (h1f, _), (h1m, h0m), (h1n, h0n) = dims_f, dims_m, dims_n
     checks.append(LesCheck(
         "a", "phi* injective on H1", ctx.phi1.rank == h1f,
         f"rank {ctx.phi1.rank} of {h1f}"))
@@ -427,8 +430,7 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
     checks.append(_subspace_check(
         "d", "theta surjective onto the mechanism space", mech_ambient, ctx.mech))
     checks.append(LesCheck(
-        "e", "H0(anchored) vanishes", ctx.h_anch.h0.dim == 0,
-        f"dim {ctx.h_anch.h0.dim}"))
+        "e", "H0(anchored) vanishes", h0n == 0, f"dim {h0n}"))
     alt = (h1f - ctx.mech.dim) + h1n - h1m
     checks.append(LesCheck(
         "f", "alternating dimension sum of the reduced sequence is zero", alt == 0,
@@ -440,15 +442,8 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
     checks.append(_subspace_check(
         "h", "im theta = ker phi0* inside H0(force)", ctx.theta.image, ctx.phi0.kernel))
     checks.append(LesCheck(
-        "i", "phi0* surjective onto H0(moment)", ctx.phi0.rank == ctx.h_moment.h0.dim,
-        f"rank {ctx.phi0.rank} of {ctx.h_moment.h0.dim}"))
-
-    counting = _counting_checks(
-        f,
-        (h1f, ctx.h_force.h0.dim),
-        (h1m, ctx.h_moment.h0.dim),
-        (h1n, ctx.h_anch.h0.dim),
-        ctx.rigid.dim, ctx.mech.dim)
+        "i", "phi0* surjective onto H0(moment)", ctx.phi0.rank == h0m,
+        f"rank {ctx.phi0.rank} of {h0m}"))
 
     return LesReport(
         num_vertices=f.num_vertices,
@@ -456,9 +451,9 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
         dim=f.dim,
         connected=True,
         mode=f.mode,
-        dims_force=(h1f, ctx.h_force.h0.dim),
-        dims_moment=(h1m, ctx.h_moment.h0.dim),
-        dims_anchored=(h1n, ctx.h_anch.h0.dim),
+        dims_force=dims_f,
+        dims_moment=dims_m,
+        dims_anchored=dims_n,
         rigid_dim=ctx.rigid.dim,
         mech_dim=ctx.mech.dim,
         rank_phi1=ctx.phi1.rank,
@@ -466,7 +461,7 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
         rank_theta=ctx.theta.rank,
         rank_phi0=ctx.phi0.rank,
         checks=tuple(checks),
-        counting=counting,
+        counting=ctx.counting,
         mechanism_basis=tuple(mech_ambient.vectors),
     )
 
@@ -500,18 +495,14 @@ def perturbation_scan(f: Framework, magnitudes, seeds) -> tuple:
     for mag in magnitudes:
         for seed in seeds:
             try:
-                g = perturb(f, mag, seed)
-                ctx = _LesContext(g)
+                ctx = _LesContext(perturb(f, mag, seed))
+                ctx.require_les()
+                dims_f, dims_m, dims_n = ctx.dims
+                row = ScanRow(magnitude=mag, seed=seed, valid=True,
+                              dims_force=dims_f, dims_moment=dims_m, dims_anchored=dims_n,
+                              rank_phi1=ctx.phi1.rank, rank_pi1=ctx.pi1.rank,
+                              rank_theta=ctx.theta.rank)
             except ValueError as exc:
-                rows.append(ScanRow(magnitude=mag, seed=seed, valid=False, error=str(exc)))
-                continue
-            rows.append(ScanRow(
-                magnitude=mag, seed=seed, valid=True,
-                dims_force=(ctx.h_force.h1.dim, ctx.h_force.h0.dim),
-                dims_moment=(ctx.h_moment.h1.dim, ctx.h_moment.h0.dim),
-                dims_anchored=(ctx.h_anch.h1.dim, ctx.h_anch.h0.dim),
-                rank_phi1=ctx.phi1.rank,
-                rank_pi1=ctx.pi1.rank,
-                rank_theta=ctx.theta.rank,
-            ))
+                row = ScanRow(magnitude=mag, seed=seed, valid=False, error=str(exc))
+            rows.append(row)
     return tuple(rows)

@@ -128,7 +128,7 @@ def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
             rows[r], rows[pr] = rows[pr], rows[r]
         p = rows[r][c]
         if p != 1:
-            rows[r] = [x / p for x in rows[r]]
+            rows[r] = [x / p if x else x for x in rows[r]]
         top = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:
@@ -142,7 +142,8 @@ def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
 
 
 def _q_rows(a: np.ndarray) -> list[list]:
-    return [[_Q(x.numerator, x.denominator) if x else _Q(0) for x in row] for row in a]
+    zero = _Q(0)
+    return [[_Q(x.numerator, x.denominator) if x else zero for x in row] for row in a]
 
 
 def _from_q(x) -> Fraction:
@@ -177,73 +178,81 @@ def _exact_rows_to_array(vectors: list[list], ncols: int) -> np.ndarray:
     return out
 
 
-def _rref_of(a: np.ndarray) -> tuple[list[list], list[int]]:
-    return _rref(_q_rows(a), a.shape[1])
-
-
 # ---------------------------------------------------------------------------
 # rank / kernel / image / complement
 # ---------------------------------------------------------------------------
 
+class Reduction:
+    """One elimination of a matrix, read for its rank, kernel, image and rows.
+
+    Exact mode keeps the RREF rows and pivot columns (first-nonzero
+    pivoting, so every read is reproducible); float mode keeps the full
+    SVD with the ``EPS_RANK`` cutoff.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.exact = mode_of(a) == MODE_EXACT
+        if self.exact:
+            self.rows, self.pivots = _rref(_q_rows(a), a.shape[1])
+            self.rank = len(self.pivots)
+        elif a.size:
+            self.u, s, self.vh = np.linalg.svd(a, full_matrices=True)
+            self.rank = int(np.count_nonzero(s > EPS_RANK * s[0]))
+        else:
+            self.u, self.vh, self.rank = np.eye(a.shape[0]), np.eye(a.shape[1]), 0
+
+    def kernel(self) -> SubspaceBasis:
+        """Basis of the right nullspace {x : a @ x = 0}.
+
+        Exact mode returns integer vectors with entries of gcd 1, derived
+        from the RREF free columns; float mode the orthonormal rows of V
+        beyond the numerical rank.
+        """
+        ncols = self.a.shape[1]
+        if not self.exact:
+            return SubspaceBasis(ncols, self.vh[self.rank:, :].copy())
+        vecs = []
+        for fc in sorted(set(range(ncols)) - set(self.pivots)):
+            v = [_Q(0)] * ncols
+            v[fc] = _Q(1)
+            for r, pc in enumerate(self.pivots):
+                v[pc] = -self.rows[r][fc]
+            vecs.append(_clear_primitive(v))
+        return SubspaceBasis(ncols, _exact_rows_to_array(vecs, ncols))
+
+    def image(self) -> SubspaceBasis:
+        """Basis of the column space: the pivot columns of ``a`` in exact
+        mode, the leading left singular vectors in float mode."""
+        nrows = self.a.shape[0]
+        if not self.exact:
+            return SubspaceBasis(nrows, self.u[:, :self.rank].T.copy())
+        vecs = [list(self.a[:, c]) for c in self.pivots]
+        return SubspaceBasis(nrows, _exact_rows_to_array(vecs, nrows))
+
+    def row_basis(self) -> np.ndarray:
+        """Canonical independent rows spanning the row space: the nonzero
+        RREF rows cleared to primitive integers in exact mode, orthonormal
+        rows in float mode."""
+        if not self.exact:
+            return self.vh[:self.rank, :].copy()
+        vecs = [_clear_primitive(self.rows[r]) for r in range(self.rank)]
+        return _exact_rows_to_array(vecs, self.a.shape[1])
+
+
 def rank(a: np.ndarray) -> int:
     """Matrix rank: exact over the rationals, SVD cutoff in float mode."""
-    if min(a.shape) == 0:
-        return 0
-    if mode_of(a) == MODE_EXACT:
-        return len(_rref_of(a)[1])
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > EPS_RANK * s[0])) if s.size else 0
+    return Reduction(a).rank
 
 
 def kernel_basis(a: np.ndarray) -> SubspaceBasis:
-    """Basis of the right nullspace {x : a @ x = 0}.
-
-    Exact mode returns integer vectors with entries of gcd 1, derived from
-    the RREF free columns (reproducible).  Float mode returns orthonormal
-    rows of V beyond the numerical rank.
-    """
-    nrows, ncols = a.shape
-    if mode_of(a) == MODE_EXACT:
-        if nrows == 0:
-            return SubspaceBasis(ncols, _exact_rows_to_array(
-                [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)], ncols))
-        red, pivots = _rref_of(a)
-        free = [c for c in range(ncols) if c not in pivots]
-        vecs = []
-        for fc in free:
-            v = [_Q(0)] * ncols
-            v[fc] = _Q(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r][fc]
-            vecs.append(_clear_primitive(v))
-        return SubspaceBasis(ncols, _exact_rows_to_array(vecs, ncols))
-    if ncols == 0:
-        return SubspaceBasis(0, np.zeros((0, 0)))
-    if nrows == 0:
-        return SubspaceBasis(ncols, np.eye(ncols))
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    r = int(np.count_nonzero(s > EPS_RANK * s[0])) if s.size else 0
-    return SubspaceBasis(ncols, vh[r:, :].copy())
+    """Basis of the right nullspace {x : a @ x = 0}; see Reduction.kernel."""
+    return Reduction(a).kernel()
 
 
 def image_basis(a: np.ndarray) -> SubspaceBasis:
-    """Basis of the column space.
-
-    Exact mode returns the pivot columns of ``a`` themselves; float mode the
-    leading left singular vectors.
-    """
-    nrows, ncols = a.shape
-    if mode_of(a) == MODE_EXACT:
-        if min(a.shape) == 0:
-            return SubspaceBasis(nrows, np.zeros((0, nrows), dtype=object))
-        _, pivots = _rref_of(a)
-        vecs = [list(a[:, c]) for c in pivots]
-        return SubspaceBasis(nrows, _exact_rows_to_array(vecs, nrows))
-    if min(a.shape) == 0:
-        return SubspaceBasis(nrows, np.zeros((0, nrows)))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = int(np.count_nonzero(s > EPS_RANK * s[0])) if s.size else 0
-    return SubspaceBasis(nrows, u[:, :r].T.copy())
+    """Basis of the column space; see Reduction.image."""
+    return Reduction(a).image()
 
 
 def image_complement_basis(a: np.ndarray) -> SubspaceBasis:
@@ -275,10 +284,7 @@ def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nrows, ncols = a.shape
     nrhs = bm.shape[1]
     if mode_of(a) == MODE_EXACT:
-        aug = [[_Q(x.numerator, x.denominator) if x else _Q(0) for x in row_a]
-               + [_Q(y.numerator, y.denominator) if y else _Q(0) for y in row_b]
-               for row_a, row_b in zip(a, bm)]
-        red, pivots = _rref(aug, ncols + nrhs)
+        red, pivots = _rref(_q_rows(np.hstack([a, bm])), ncols + nrhs)
         bad = [p for p in pivots if p >= ncols]
         if bad:
             raise ValueError("right-hand side is not in the column space")
@@ -323,22 +329,9 @@ def _check_same_ambient(a: SubspaceBasis, b: SubspaceBasis):
         raise ValueError("mixed exact/float subspaces")
 
 
-def _canonical_rows(vectors: np.ndarray, ncols: int) -> np.ndarray:
-    """Canonicalize a spanning row set: RREF rows, cleared to primitive ints."""
-    if mode_of(vectors) == MODE_EXACT:
-        red, pivots = _rref(_q_rows(vectors), ncols)
-        vecs = [_clear_primitive(red[r]) for r in range(len(pivots))]
-        return _exact_rows_to_array(vecs, ncols)
-    if not vectors.size:
-        return np.zeros((0, ncols))
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    r = int(np.count_nonzero(s > EPS_RANK * s[0])) if s.size else 0
-    return vh[:r, :].copy()
-
-
 def span_rows(vectors: np.ndarray, ambient_dim: int) -> SubspaceBasis:
     """SubspaceBasis spanned by the rows of ``vectors`` (made independent)."""
-    return SubspaceBasis(ambient_dim, _canonical_rows(vectors, ambient_dim))
+    return SubspaceBasis(ambient_dim, Reduction(vectors).row_basis())
 
 
 def project_onto(v: np.ndarray, s: SubspaceBasis) -> np.ndarray:
@@ -392,7 +385,7 @@ def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
     if outer.mode == MODE_EXACT:
         stacked = np.vstack([outer.vectors, inner.vectors])
         return rank(stacked) == outer.dim
-    q = _orthonormal_rows(outer.vectors)
+    q = Reduction(outer.vectors).row_basis()
     resid = inner.vectors - (inner.vectors @ q.T) @ q
     norms = np.linalg.norm(inner.vectors, axis=1)
     norms[norms == 0] = 1.0
@@ -415,19 +408,13 @@ def subspaces_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     return largest_principal_angle(a, b) < EPS_ANGLE
 
 
-def _orthonormal_rows(vectors: np.ndarray) -> np.ndarray:
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    r = int(np.count_nonzero(s > EPS_RANK * s[0])) if s.size else 0
-    return vh[:r, :]
-
-
 def largest_principal_angle(a: SubspaceBasis, b: SubspaceBasis) -> float:
     """Largest principal angle between two float-mode subspaces, radians."""
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return 0.0 if a.dim == b.dim else math.pi / 2
-    qa = _orthonormal_rows(to_float(a.vectors) if a.mode == MODE_EXACT else a.vectors)
-    qb = _orthonormal_rows(to_float(b.vectors) if b.mode == MODE_EXACT else b.vectors)
+    qa = Reduction(to_float(a.vectors) if a.mode == MODE_EXACT else a.vectors).row_basis()
+    qb = Reduction(to_float(b.vectors) if b.mode == MODE_EXACT else b.vectors).row_basis()
     s = np.linalg.svd(qa @ qb.T, compute_uv=False)
     k = min(qa.shape[0], qb.shape[0])
     smin = float(s[k - 1]) if s.size >= k and k > 0 else 0.0

@@ -39,17 +39,6 @@ class Wedge2:
             raise ValueError("bivector needs 1 (planar) or 3 (spatial) components")
 
 
-@dataclass(frozen=True)
-class ForceCouple:
-    """A moment bivector paired with a force vector (one stalk coordinate block)."""
-
-    moment: Wedge2
-    force: tuple
-
-    def flat(self) -> tuple:
-        return self.moment.components + tuple(self.force)
-
-
 def wedge(a, b) -> Wedge2:
     """Exterior product of two vectors: the moment of force a at lever b.
 
@@ -83,24 +72,17 @@ def _force_vertex_labels(n: int) -> tuple:
     return ("Fx", "Fy") if n == 2 else ("Fx", "Fy", "Fz")
 
 
-def _lever_rows(lever, n: int) -> list[list]:
-    """Rows of the map F -> components of F ^ lever."""
-    if n == 2:
-        return [[lever[1], -lever[0]]]
-    lx, ly, lz = lever
-    return [[0, lz, -ly],
-            [-lz, 0, lx],
-            [ly, -lx, 0]]
-
-
 def _couple_transport(lever, n: int, mode: str) -> np.ndarray:
-    """Stalk map (M, F) -> (M + F ^ lever, F) in matrix form."""
+    """Stalk map (M, F) -> (M + F ^ lever, F) in matrix form.
+
+    Column j of the lever block is the unit vector e_j wedged with the lever.
+    """
     w = moment_dim(n)
     out = linalg.identity(w + n, mode)
-    block = _lever_rows(lever, n)
-    for i in range(w):
-        for j in range(n):
-            out[i, w + j] = block[i][j] if mode == MODE_EXACT else float(block[i][j])
+    for j in range(n):
+        unit = [1 if i == j else 0 for i in range(n)]
+        for i, c in enumerate(wedge(unit, lever).components):
+            out[i, w + j] = c if mode == MODE_EXACT else float(c)
     return out
 
 

@@ -1,11 +1,26 @@
 """Command-line interface: reports, exit codes, scan CSV, SVG export."""
 
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from framehom import make_desargues, make_named, save_framework
+from framehom import (
+    build_anchored_cosheaf,
+    build_force_cosheaf,
+    build_moment_cosheaf,
+    counting_rules,
+    homology,
+    make_desargues,
+    make_named,
+    save_framework,
+)
 from framehom.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -219,3 +234,172 @@ def test_svg_desargues_perp_generator_matches_mechanism(desargues_fw, tmp_path):
     code = main(["svg", str(desargues_fw), "--generator", "N:11", "--out", str(out)])
     assert code == 0
     assert out.read_text().count('marker-end="url(#arrow)"') >= 4
+
+
+# ---------------------------------------------------------------------------
+# byte identity of the exact reports
+# ---------------------------------------------------------------------------
+
+# sha256 of the exact-mode `analyze`, `analyze --json` and
+# `analyze --dims-only` output for each framework that
+# scripts/make_corpus.py writes, with the input path replaced by "<input>".
+# Exact reports are byte-identical by contract: a change that moves one of
+# these digests changes a report, and has to say why.
+CORPUS_DIGESTS = {
+    "bar": (
+        "2331d3cd5eb641390ad20ce6f2aaf5785bc0b54254da840a5e50c5bec5c4a0ba",
+        "4893fab4f5b8f8f4937c32e05a44420d40288267cd3cd24bf2baabca89fbcb99",
+        "61e1f4e3fa16509df15ab3ede7c1a66ed144c97ef7c534fc3a07b9ab0ad87395"),
+    "box3d": (
+        "ecc09a7edfdd974f28e55219ab22ea568c79278e03089706a48a33eabd03009b",
+        "2116901eba7d793bc23ca517b4fe94f2cb87094953aa0de6c04746e8a199536e",
+        "35c45ccb6275657cd7aac415d0bacb1a86bbbf0d5a5c6a53d9f9e63025b53de9"),
+    "desargues": (
+        "84144252a520bcb12475e0b7c2703bbf0c9228ccf48ca3ab6098a3e6afd2dfa5",
+        "a857d3f0b87c98b1f10ebe9ea25c97a371db094696e87dc72a75790add876642",
+        "e1d9b9686f08b5cef11a0d3ca4cfcae9708d63dc86454fb8b0da1a2858455091"),
+    "random2d_0": (
+        "fdd6571c53e5b36718ae824b5225f347501f9a506197e6101872ef301f08dc60",
+        "b10341ac18f9404e9554b2dbdaf2d8d12bfada149ba79fc944cffa680ce32415",
+        "521ebdf99a89ea361687297328434d60c5fe75ae3b2e84dd46f0044919014a55"),
+    "random2d_1": (
+        "721983c1632b04ca70c1138f5f0beddc13795d1985a070ca21607f48e4e473fd",
+        "52dcf465070cdf0789ed8fc3cea4fcfa346710913aefa74c05548663a2f4695b",
+        "5826750e4570b3e3a8a7991681f677543a87e176d1a4ea3679fb2cf99b40eb35"),
+    "random2d_2": (
+        "902e0000bf9cc08e822e923a3d55b87aa6f14b268c0a72a5c44d2ae642909356",
+        "a6ad3c09e9d8cc07a2785f201308d7f42483708edb5e1af963c0fedaeab39db5",
+        "0ef66ed4b0097598f6e7979eb7fd03075e912e56ef326441301b76b81ddf44ad"),
+    "random2d_3": (
+        "09b590e3b7bff481bc063f209ddfc98a7879ae4966f996f3e854f29a617d19bf",
+        "4164e5d1f1bf5db845b1ee88397c6841a1f811c02a8b190c36c305513ce333aa",
+        "65eb283a0ede7efdb36bb30151a365a8443cc08b61a9f31ae16d4c5cb2b322b8"),
+    "random2d_4": (
+        "b08b3129934302f13c66faa371456a8233a7c452e0d0e0a918c19d8ce181e197",
+        "f5ae124396b82cc9254ccc6a944d74645244be5d8433e55de3c02012fa70a7ff",
+        "cb75274a87b2c2338d4e283400ea88d6dcc4b0d89abd86afc10efc0d0026baae"),
+    "random3d_0": (
+        "5c727d048865af1cf46a23ff5db956bf2c0711b8eb3d19e3aa90a30b9cec89af",
+        "27a86b159d209eac0da114b2ad52c4be92ac62f3a810ef3f31e902266d471e99",
+        "fbc11e7d3d6a34b043c8aa4fc435cf41969423f5fcbea19d45ba9755851b5eef"),
+    "random3d_1": (
+        "2fdf8351d068385a62822de27bdb1c6faa2e463b1248e024b3912f2e12873202",
+        "160e1642c82a50c86dbc4cf9a9d456444d8964ef8e16c05522aec9d7776e06ba",
+        "9ba802226d24572331940227f919f1757e049e1567f188789a480a05396b54cf"),
+    "random3d_2": (
+        "67005d5a7e2a90508207513c05e1d3b4e000a7337d874f1e3dd809691fb1f464",
+        "9572f76c53a4c661f0e0a7c585d9a0181fbfc9519c32175dfd73b515d4161243",
+        "e84b068ab8644a307b84955219970d743d81f69880103146a215829032755646"),
+    "random3d_3": (
+        "41b7a02e7e69ea701c2a12272b93b133a65218942debe6ba13fffe77737112bd",
+        "21e23f4eef0b94570955271a3d9c08e1aa99b0d6d5fbe2fc8e42a8ce1d4d1e57",
+        "5f8af953e174489991a34c06e57de9e730068f8c442c004cfe3183eda6956e43"),
+    "random3d_4": (
+        "fb0e9017f5adbb1669407534dc5fdee77f7b4aa63dbdd5cf9740b0bc9b116d7f",
+        "bba68c7b3bf723af8b1d7ef3f25fa624c032762db3c40cb62cbed172890169b7",
+        "3146de3cf6d4340a2fcd0813333b2a3d852c685ca06e0b24846e8d70ff222b28"),
+    "square": (
+        "07543620205517c00c5b2c4b43b2b15caec9085bbe26f8445c34c21ddbb6edb9",
+        "91af0c22b20f1682fce7d9377c9e0e4d577c618261f54f7358f9aadf2caec2c3",
+        "e59b96b48cac0c54ce70eb0c74ccac4ac643aef4e61c49d65a1eb96f2caf1434"),
+    "triangle": (
+        "ccf294bf94539112889192c38b906d518befbee27badeea56a300e483fd3c4a8",
+        "715adaa3b174cc33d6d499e29faa34cf6de064bca5edb9822eaf60c3fd3f77a9",
+        "7c261edd76a2df8f8863b02c269110afcf184f2153ddcc4c1a43bd23179bc6f0"),
+}
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "argv", ["make_corpus.py", str(out)])
+        _load_script("make_corpus").main()
+    return out
+
+
+def test_make_corpus_writes_the_digested_frameworks(corpus_dir):
+    assert sorted(p.stem for p in corpus_dir.glob("*.fw")) == sorted(CORPUS_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_DIGESTS))
+def test_exact_reports_are_byte_identical(corpus_dir, capsys, name):
+    path = corpus_dir / f"{name}.fw"
+    digests = []
+    for flags in ([], ["--json"], ["--dims-only"]):
+        main(["analyze", str(path), *flags])
+        out = capsys.readouterr().out.replace(str(path), "<input>")
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == CORPUS_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# front ends reading one pipeline
+# ---------------------------------------------------------------------------
+
+def _json_dims(capsys, path, *flags):
+    assert main(["analyze", str(path), "--json", *flags]) == 0
+    d = json.loads(capsys.readouterr().out)["dims"]
+    return tuple((d[c]["h1"], d[c]["h0"]) for c in ("force", "moment", "anchored"))
+
+
+def test_dims_only_counting_rules_and_verify_les_agree(corpus, corpus_reports,
+                                                       tmp_path, capsys):
+    # the pipeline reads dims off the boundary ranks; cosheaf.homology counts
+    # the basis vectors of ker B and ker B^T
+    for label, f in corpus:
+        report = corpus_reports[label]
+        dims = (report.dims_force, report.dims_moment, report.dims_anchored)
+        cosheaves = (build_force_cosheaf(f), build_moment_cosheaf(f),
+                     build_anchored_cosheaf(f).cosheaf)
+        assert tuple(homology(k).dims for k in cosheaves) == dims, label
+        path = tmp_path / f"{label}.fw"
+        save_framework(f, path)
+        assert _json_dims(capsys, path, "--dims-only") == dims, label
+        counting = counting_rules(f)
+        assert counting == report.counting, label
+        computed = {c.name: c.computed for c in counting}
+        assert computed["moment_circuit_rank"] == dims[1][0], label
+
+
+@pytest.mark.parametrize("text, dims", [
+    # three vertices and no edge: every vertex is its own component
+    ("dim 2\nv 0 0 0\nv 1 1 0\nv 2 0 2\n", ((0, 6), (0, 9), (0, 3))),
+    # a triangle and a separate bar in space; the bar keeps H0(N) = 1
+    ("dim 3\nv 0 0 0 0\nv 1 1 0 0\nv 2 0 1 0\nv 3 5 5 5\nv 4 6 5 7\n"
+     "e 0 1\ne 1 2\ne 0 2\ne 3 4\n", ((0, 11), (6, 12), (6, 1))),
+])
+def test_analyze_and_dims_only_on_disconnected_frameworks(tmp_path, capsys, text, dims):
+    path = tmp_path / "parts.fw"
+    path.write_text(text)
+    assert _json_dims(capsys, path, "--dims-only") == dims
+    assert _json_dims(capsys, path) == dims
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "connected=no" in out
+    assert f"{'m; dim H0':12s} {dims[0][1]:>6d} {dims[1][1]:>6d} {dims[2][1]:>6d}" in out
+    assert "reported not applicable" in out
+
+
+def test_benchmark_span_hooks_see_the_pipeline(square_fw, capsys, monkeypatch):
+    # the benchmark wraps les._LesContext.__init__ and les._report_from_context
+    # by name; a rename in les has to fail here, not only in a traced run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["analyze", str(square_fw)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span[0] for span in tracer.spans}
+    assert {"les._LesContext", "les._report_from_context"} <= names
+    assert not spans.installed()

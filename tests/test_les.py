@@ -105,6 +105,12 @@ def test_connecting_section_independence():
             assert (base.matrix == other.matrix).all(), name
 
 
+def test_connecting_map_requires_connected():
+    f = parse_framework("dim 2\nv 0 0 0\nv 1 1 0\nv 2 5 5\nv 3 6 5\ne 0 1\ne 2 3\n")
+    with pytest.raises(ValueError, match="connected"):
+        connecting_map(f)
+
+
 def test_resultants_sum_to_zero_and_kill_rigid_motions():
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f)
