@@ -17,7 +17,7 @@ from .cosheaf import (
     Cosheaf,
     CosheafMap,
     Chain,
-    HomologyResult,
+    Homology,
     assemble_boundary,
     homology,
     check_cosheaf_map,

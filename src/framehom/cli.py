@@ -67,8 +67,10 @@ def _report_text(path, digest, ctx: _LesContext, report: LesReport | None,
         return "\n".join(lines) + "\n"
     lines.append("")
     if report is None:
-        lines.append("framework is disconnected: counting rules and the long exact")
-        lines.append("sequence assume connectivity and are reported not applicable.")
+        why, need = (("is disconnected", "assume connectivity") if not f.connected()
+                     else ("has no edges", "need an edge"))
+        lines.append(f"framework {why}: counting rules and the long exact")
+        lines.append(f"sequence {need} and are reported not applicable.")
         return "\n".join(lines) + "\n"
     lines.append(f"rigid-body DOF: {report.rigid_dim}")
     lines.append(f"mechanisms:     {report.mech_dim}")
@@ -316,12 +318,8 @@ def _cmd_svg(args) -> int:
                   file=sys.stderr)
             return 1
         gen = gens[idx]
-        aoff = ctx.anch.cosheaf.edge_offsets()
-        edge_texts = {}
-        for e in range(f.num_edges):
-            ad = ctx.anch.cosheaf.edge_dims[e]
-            couple = ctx.anch.edge_sections[e] @ gen[aoff[e]:aoff[e] + ad]
-            edge_texts[e] = _shear_value(ctx, e, couple)
+        couples = ctx.section.apply_c1(gen).reshape(f.num_edges, -1)
+        edge_texts = {e: _shear_value(ctx, e, couples[e]) for e in range(f.num_edges)}
         res = ctx.vertex_resultants(gen)
         arrows = {v: tuple(res[v, :]) for v in range(f.num_vertices)
                   if any(float(x) != 0.0 for x in res[v, :])}

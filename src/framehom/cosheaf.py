@@ -11,7 +11,8 @@ and the orthogonal complement of its image represents degree-0 homology
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,9 +20,9 @@ from . import linalg
 from .framework import Framework
 from .linalg import (
     MODE_EXACT,
+    Reduction,
     SubspaceBasis,
     image_complement_basis,
-    kernel_basis,
     rank,
     solve_in_image,
 )
@@ -40,8 +41,6 @@ class Cosheaf:
     edge_dims: tuple
     tail_maps: tuple
     head_maps: tuple
-    vertex_labels: tuple = None
-    edge_labels: tuple = None
 
     def __post_init__(self):
         f = self.base
@@ -56,19 +55,6 @@ class Cosheaf:
                     raise ValueError(
                         f"stalk map of edge {k} at vertex {v} has shape {m.shape}, "
                         f"expected {want}")
-        if self.vertex_labels is None:
-            object.__setattr__(self, "vertex_labels",
-                               tuple(tuple(f"c{i}" for i in range(d))
-                                     for d in self.vertex_dims))
-        if self.edge_labels is None:
-            object.__setattr__(self, "edge_labels",
-                               tuple(tuple(f"c{i}" for i in range(d))
-                                     for d in self.edge_dims))
-        for labels, dims, kind in ((self.vertex_labels, self.vertex_dims, "vertex"),
-                                   (self.edge_labels, self.edge_dims, "edge")):
-            for i, (lab, d) in enumerate(zip(labels, dims)):
-                if len(lab) != d:
-                    raise ValueError(f"{kind} {i} has {len(lab)} labels for a dim-{d} stalk")
 
     @property
     def mode(self) -> str:
@@ -82,20 +68,6 @@ class Cosheaf:
     def c1_dim(self) -> int:
         return sum(self.edge_dims)
 
-    def vertex_offsets(self) -> list[int]:
-        offs, total = [], 0
-        for d in self.vertex_dims:
-            offs.append(total)
-            total += d
-        return offs
-
-    def edge_offsets(self) -> list[int]:
-        offs, total = [], 0
-        for d in self.edge_dims:
-            offs.append(total)
-            total += d
-        return offs
-
     def stalk_map(self, k: int, v: int) -> np.ndarray:
         """Stalk map of edge k into endpoint vertex v."""
         t, h = self.base.edges[k]
@@ -104,6 +76,15 @@ class Cosheaf:
         if v == h:
             return self.head_maps[k]
         raise ValueError(f"vertex {v} is not an endpoint of edge {k}")
+
+
+def _offsets(dims) -> list[int]:
+    """Start of each cell's block in a flat chain whose stalks have ``dims``."""
+    offs, total = [], 0
+    for d in dims:
+        offs.append(total)
+        total += d
+    return offs
 
 
 @dataclass(frozen=True)
@@ -158,7 +139,7 @@ def assemble_boundary(k: Cosheaf) -> np.ndarray:
     when v is the head of e and -(stalk map) when v is the tail.
     """
     out = linalg.zeros(k.c0_dim, k.c1_dim, k.mode)
-    voff, eoff = k.vertex_offsets(), k.edge_offsets()
+    voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
     for e, (t, h) in enumerate(k.base.edges):
         c0, c1 = eoff[e], eoff[e] + k.edge_dims[e]
         out[voff[h]:voff[h] + k.vertex_dims[h], c0:c1] += k.head_maps[e]
@@ -166,34 +147,49 @@ def assemble_boundary(k: Cosheaf) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HomologyResult:
-    """Concrete bases for the two homology spaces of a cosheaf.
+class Homology:
+    """Homology of one cosheaf, read off its boundary B on first use.
 
-    h1 lives in C_1 (cycles of the boundary matrix); h0 holds
-    representatives in C_0 lying in the orthogonal complement of the
-    boundary image.
+    ``h1`` = ker B (cycles in C_1) and the rank of B come from one
+    elimination of B; ``h0`` holds representatives in C_0 spanning
+    ker B^T = (im B)^perp, from one elimination of B^T.  The dimensions
+    need only the rank.
     """
 
-    h1: SubspaceBasis
-    h0: SubspaceBasis
+    def __init__(self, k: Cosheaf):
+        self.boundary = assemble_boundary(k)
 
-    @property
-    def dim_h1(self) -> int:
-        return self.h1.dim
+    @cached_property
+    def _reduction(self) -> Reduction:
+        return Reduction(self.boundary)
 
-    @property
-    def dim_h0(self) -> int:
-        return self.h0.dim
+    @cached_property
+    def h1(self) -> SubspaceBasis:
+        return self._reduction.kernel()
+
+    @cached_property
+    def h0(self) -> SubspaceBasis:
+        return image_complement_basis(self.boundary)
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (self.h1.dim, self.h0.dim)
+        """(dim H1, dim H0) = (c1 - rank B, c0 - rank B)."""
+        c0, c1 = self.boundary.shape
+        r = self._reduction.rank
+        return (c1 - r, c0 - r)
+
+    @property
+    def dim_h1(self) -> int:
+        return self.dims[0]
+
+    @property
+    def dim_h0(self) -> int:
+        return self.dims[1]
 
 
-def homology(k: Cosheaf) -> HomologyResult:
-    bdd = assemble_boundary(k)
-    return HomologyResult(h1=kernel_basis(bdd), h0=image_complement_basis(bdd))
+def homology(k: Cosheaf) -> Homology:
+    """The homology of ``k``: its boundary now, every reduction on first read."""
+    return Homology(k)
 
 
 def constant_cosheaf(f: Framework, dim: int = 1) -> Cosheaf:
@@ -241,23 +237,27 @@ class CosheafMap:
             if m.shape != want:
                 raise ValueError(f"edge map {e} has shape {m.shape}, expected {want}")
 
-    def apply_c1(self, flat: np.ndarray) -> np.ndarray:
-        """Apply the block-diagonal edge maps to a flat C_1 vector."""
-        out = linalg.zeros(self.target.c1_dim, 1, self.source.mode)[:, 0]
-        soff, toff = self.source.edge_offsets(), self.target.edge_offsets()
-        for e in range(self.source.base.num_edges):
-            sd, td = self.source.edge_dims[e], self.target.edge_dims[e]
-            out[toff[e]:toff[e] + td] = self.edge_maps[e] @ flat[soff[e]:soff[e] + sd]
-        return out
+    def apply_c1(self, x: np.ndarray) -> np.ndarray:
+        """Apply the edge maps to a flat C_1 chain or to one chain per column."""
+        return _apply_blocks(self.edge_maps, x)
 
-    def apply_c0(self, flat: np.ndarray) -> np.ndarray:
-        """Apply the block-diagonal vertex maps to a flat C_0 vector."""
-        out = linalg.zeros(self.target.c0_dim, 1, self.source.mode)[:, 0]
-        soff, toff = self.source.vertex_offsets(), self.target.vertex_offsets()
-        for v in range(self.source.base.num_vertices):
-            sd, td = self.source.vertex_dims[v], self.target.vertex_dims[v]
-            out[toff[v]:toff[v] + td] = self.vertex_maps[v] @ flat[soff[v]:soff[v] + sd]
-        return out
+    def apply_c0(self, x: np.ndarray) -> np.ndarray:
+        """Apply the vertex maps to a flat C_0 chain or to one chain per column."""
+        return _apply_blocks(self.vertex_maps, x)
+
+
+def _apply_blocks(maps, x: np.ndarray) -> np.ndarray:
+    """Apply the block-diagonal matrix with diagonal blocks ``maps`` to ``x``.
+
+    ``x`` is one flat chain or a matrix holding one chain per column; each
+    block's rows of the result are its map times the block's rows of ``x``.
+    """
+    rows = [m.shape[0] for m in maps]
+    cols = [m.shape[1] for m in maps]
+    out = np.zeros((sum(rows),) + x.shape[1:], dtype=np.result_type(x, *maps))
+    for m, r, c in zip(maps, _offsets(rows), _offsets(cols)):
+        out[r:r + m.shape[0]] = m @ x[c:c + m.shape[1]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -356,7 +356,3 @@ def quotient_cosheaf(m: CosheafMap) -> QuotientCosheaf:
     return QuotientCosheaf(cosheaf=q, projection=proj_map,
                            vertex_sections=tuple(v_sections),
                            edge_sections=tuple(e_sections))
-
-
-def with_labels(k: Cosheaf, vertex_labels, edge_labels) -> Cosheaf:
-    return replace(k, vertex_labels=vertex_labels, edge_labels=edge_labels)

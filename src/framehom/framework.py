@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
-from .linalg import MODE_EXACT, MODE_FLOAT, exact_matrix, rank as _matrix_rank
+from .linalg import MODE_EXACT, MODE_FLOAT, exact_matrix, float_matrix, rank as _matrix_rank
 
 EPS_GEOM = 1e-9  # float mode: zero-length threshold, relative to the bbox diagonal
 
@@ -301,6 +301,13 @@ _CUBE_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0),
                (0, 4), (1, 5), (2, 6), (3, 7))
 
 
+def affine_span_full(dim: int, positions, mode: str = MODE_EXACT) -> bool:
+    """True when the points' affine span is all of R^dim."""
+    rel = [[p[i] - positions[0][i] for i in range(dim)] for p in positions[1:]]
+    matrix = exact_matrix if mode == MODE_EXACT else float_matrix
+    return _matrix_rank(matrix(rel, dim)) == dim
+
+
 def _random_framework(dim: int, seed: int, max_vertices: int) -> Framework:
     rng = random.Random(f"framehom:random{dim}d:{seed}")
     while True:
@@ -311,8 +318,7 @@ def _random_framework(dim: int, seed: int, max_vertices: int) -> Framework:
             continue
         # affine span must be full dimensional (collinear/coplanar sets break
         # the rigid-body DOF count the counting rules presume)
-        rel = [[p[i] - pos[0][i] for i in range(dim)] for p in pos[1:]]
-        if _matrix_rank(exact_matrix(rel)) < dim:
+        if not affine_span_full(dim, pos):
             continue
         edges = [(rng.randrange(i), i) for i in range(1, nv)]  # random spanning tree
         undirected = {(min(t, h), max(t, h)) for t, h in edges}

@@ -20,11 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-try:  # gmpy2 rationals are a few times faster inside the elimination loops
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
 MODE_EXACT = "exact"
 MODE_FLOAT = "float"
 
@@ -142,12 +137,14 @@ def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
 
 
 def _q_rows(a: np.ndarray) -> list[list]:
-    zero = _Q(0)
-    return [[_Q(x.numerator, x.denominator) if x else zero for x in row] for row in a]
+    """Rows of ``a`` as lists of Fractions, so that division stays exact.
 
-
-def _from_q(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
+    Zeros become one shared object.  Nonzero Fractions are immutable and
+    are shared as they are; only ints are converted.
+    """
+    zero = Fraction(0)
+    return [[(x if isinstance(x, Fraction) else Fraction(x)) if x else zero for x in row]
+            for row in a]
 
 
 def _clear_primitive(vec: list) -> list[int]:
@@ -214,8 +211,8 @@ class Reduction:
             return SubspaceBasis(ncols, self.vh[self.rank:, :].copy())
         vecs = []
         for fc in sorted(set(range(ncols)) - set(self.pivots)):
-            v = [_Q(0)] * ncols
-            v[fc] = _Q(1)
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
             for r, pc in enumerate(self.pivots):
                 v[pc] = -self.rows[r][fc]
             vecs.append(_clear_primitive(v))
@@ -283,6 +280,8 @@ def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: {a.shape} vs {bm.shape}")
     nrows, ncols = a.shape
     nrhs = bm.shape[1]
+    if nrhs == 0:  # nothing to solve for; skip the elimination of ``a``
+        return zeros(ncols, 0, mode_of(a))
     if mode_of(a) == MODE_EXACT:
         red, pivots = _rref(_q_rows(np.hstack([a, bm])), ncols + nrhs)
         bad = [p for p in pivots if p >= ncols]
@@ -291,7 +290,7 @@ def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         x = [[Fraction(0)] * nrhs for _ in range(ncols)]
         for r, pc in enumerate(pivots):
             for j in range(nrhs):
-                x[pc][j] = _from_q(red[r][ncols + j])
+                x[pc][j] = red[r][ncols + j]
         out = _exact_rows_to_array(x, nrhs) if ncols else np.zeros((0, nrhs), dtype=object)
     else:
         if ncols == 0:
@@ -334,30 +333,6 @@ def span_rows(vectors: np.ndarray, ambient_dim: int) -> SubspaceBasis:
     return SubspaceBasis(ambient_dim, Reduction(vectors).row_basis())
 
 
-def project_onto(v: np.ndarray, s: SubspaceBasis) -> np.ndarray:
-    """Orthogonal projection of vector ``v`` onto span(s)."""
-    if v.shape[0] != s.ambient_dim:
-        raise ValueError(f"vector length {v.shape[0]} vs ambient {s.ambient_dim}")
-    if s.dim == 0:
-        return np.zeros(s.ambient_dim, dtype=object) if mode_of(v) == MODE_EXACT \
-            else np.zeros(s.ambient_dim)
-    bmat = s.matrix()
-    return bmat @ solve_gram(bmat, v)
-
-
-def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Basis of span(a) ∩ span(b)."""
-    _check_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        empty = np.zeros((0, a.ambient_dim),
-                         dtype=object if MODE_EXACT in (a.mode, b.mode) else float)
-        return SubspaceBasis(a.ambient_dim, empty)
-    stacked = np.hstack([a.matrix(), -b.matrix()])
-    null = kernel_basis(stacked)
-    vecs = null.vectors[:, :a.dim] @ a.vectors
-    return span_rows(vecs, a.ambient_dim)
-
-
 def complement_within(sub: SubspaceBasis, ambient_sub: SubspaceBasis) -> SubspaceBasis:
     """Orthogonal complement of span(sub) inside span(ambient_sub).
 
@@ -395,8 +370,9 @@ def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
 def subspaces_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     """True when span(a) = span(b).
 
-    Exact mode certifies mutual containment through rank identities; float
-    mode requires equal dimensions and largest principal angle < EPS_ANGLE.
+    Exact mode certifies, for equal dimensions, that span(a) contains
+    span(b) through one rank identity; float mode requires equal dimensions
+    and largest principal angle < EPS_ANGLE.
     """
     _check_same_ambient(a, b)
     if a.dim != b.dim:
@@ -404,7 +380,7 @@ def subspaces_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     if a.dim == 0:
         return True
     if a.mode == MODE_EXACT:
-        return subspace_contains(a, b) and subspace_contains(b, a)
+        return subspace_contains(a, b)
     return largest_principal_angle(a, b) < EPS_ANGLE
 
 

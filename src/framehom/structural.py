@@ -11,9 +11,13 @@
   axial forces: mid-member sliding joints kill axial force, pinned vertex
   anchors absorb net force, so only moments and transverse shears remain.
 
-Stalk coordinate order is (M, Fx, Fy) in the plane and
-(Myz, Mzx, Mxy, Fx, Fy, Fz) in space.  Bar directions are used
-unnormalized (head - tail) so exact rational arithmetic survives.
+Moment stalk coordinate order is (M, Fx, Fy) in the plane and
+(Myz, Mzx, Mxy, Fx, Fy, Fz) in space.  Force vertex stalks are (Fx, Fy)
+or (Fx, Fy, Fz) and force edge stalks the axial scalar t.  Anchored
+stalks are coordinates in a basis of the complement of the axial forces:
+the moments at a vertex, the moments and transverse shears (V, or V1, V2
+in space) on an edge.  Bar directions are used unnormalized (head - tail)
+so exact rational arithmetic survives.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .cosheaf import Cosheaf, CosheafMap, QuotientCosheaf, quotient_cosheaf, with_labels
+from .cosheaf import Cosheaf, CosheafMap, QuotientCosheaf, quotient_cosheaf
 from .framework import Framework
 from .linalg import MODE_EXACT, SubspaceBasis, span_rows
 
@@ -64,14 +68,6 @@ def couple_dim(n: int) -> int:
     return moment_dim(n) + n
 
 
-def _moment_labels(n: int) -> tuple:
-    return ("M", "Fx", "Fy") if n == 2 else ("Myz", "Mzx", "Mxy", "Fx", "Fy", "Fz")
-
-
-def _force_vertex_labels(n: int) -> tuple:
-    return ("Fx", "Fy") if n == 2 else ("Fx", "Fy", "Fz")
-
-
 def _couple_transport(lever, n: int, mode: str) -> np.ndarray:
     """Stalk map (M, F) -> (M + F ^ lever, F) in matrix form.
 
@@ -107,8 +103,6 @@ def build_force_cosheaf(f: Framework) -> Cosheaf:
         edge_dims=(1,) * f.num_edges,
         tail_maps=tuple(cols),
         head_maps=tuple(cols),
-        vertex_labels=(_force_vertex_labels(n),) * f.num_vertices,
-        edge_labels=(("t",),) * f.num_edges,
     )
 
 
@@ -125,15 +119,12 @@ def build_moment_cosheaf(f: Framework) -> Cosheaf:
         half = f.edge_geometry(k).half_lever
         heads.append(_couple_transport(half, n, f.mode))
         tails.append(_couple_transport(tuple(-x for x in half), n, f.mode))
-    labels = (_moment_labels(n),)
     return Cosheaf(
         base=f,
         vertex_dims=(couple_dim(n),) * f.num_vertices,
         edge_dims=(couple_dim(n),) * f.num_edges,
         tail_maps=tuple(tails),
         head_maps=tuple(heads),
-        vertex_labels=labels * f.num_vertices,
-        edge_labels=labels * f.num_edges,
     )
 
 
@@ -167,21 +158,6 @@ def build_phi(f: Framework) -> CosheafMap:
     )
 
 
-def _anchored_labels(q: QuotientCosheaf, n: int) -> QuotientCosheaf:
-    w = moment_dim(n)
-    vlab = ("M",) if n == 2 else ("Myz", "Mzx", "Mxy")
-    elab = ("M", "V") if n == 2 else ("Myz", "Mzx", "Mxy", "V1", "V2")
-    k = with_labels(q.cosheaf,
-                    (vlab,) * q.cosheaf.base.num_vertices,
-                    (elab,) * q.cosheaf.base.num_edges)
-    proj = CosheafMap(source=q.projection.source, target=k,
-                      vertex_maps=q.projection.vertex_maps,
-                      edge_maps=q.projection.edge_maps)
-    return QuotientCosheaf(cosheaf=k, projection=proj,
-                           vertex_sections=q.vertex_sections,
-                           edge_sections=q.edge_sections)
-
-
 def build_anchored_cosheaf(f: Framework) -> QuotientCosheaf:
     """Anchored cosheaf: the moment cosheaf modulo embedded axial forces.
 
@@ -190,11 +166,7 @@ def build_anchored_cosheaf(f: Framework) -> QuotientCosheaf:
     pinned anchors absorbing residual force.  Returns the quotient with
     its projection and sections.
     """
-    return anchored_from_phi(build_phi(f))
-
-
-def anchored_from_phi(phi: CosheafMap) -> QuotientCosheaf:
-    return _anchored_labels(quotient_cosheaf(phi), phi.source.base.dim)
+    return quotient_cosheaf(build_phi(f))
 
 
 def rigid_body_space(f: Framework) -> SubspaceBasis:

@@ -359,7 +359,9 @@ def test_dims_only_counting_rules_and_verify_les_agree(corpus, corpus_reports,
         dims = (report.dims_force, report.dims_moment, report.dims_anchored)
         cosheaves = (build_force_cosheaf(f), build_moment_cosheaf(f),
                      build_anchored_cosheaf(f).cosheaf)
-        assert tuple(homology(k).dims for k in cosheaves) == dims, label
+        hs = tuple(homology(k) for k in cosheaves)
+        assert tuple(h.dims for h in hs) == dims, label
+        assert all((h.h1.dim, h.h0.dim) == h.dims for h in hs), label
         path = tmp_path / f"{label}.fw"
         save_framework(f, path)
         assert _json_dims(capsys, path, "--dims-only") == dims, label
@@ -388,14 +390,29 @@ def test_analyze_and_dims_only_on_disconnected_frameworks(tmp_path, capsys, text
     assert "reported not applicable" in out
 
 
+def test_analyze_one_vertex_frame_names_the_missing_edges(tmp_path, capsys):
+    path = tmp_path / "point.fw"
+    path.write_text("dim 3\nv 0 0 0 0\n")
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "connected=yes" in out
+    assert "disconnected" not in out
+    assert "framework has no edges" in out
+
+
 def test_benchmark_span_hooks_see_the_pipeline(square_fw, capsys, monkeypatch):
-    # the benchmark wraps les._LesContext.__init__ and les._report_from_context
-    # by name; a rename in les has to fail here, not only in a traced run
+    # the benchmark wraps les._LesContext.__init__, les._report_from_context
+    # and the CosheafMap apply methods, and rebinds les.kernel_basis, all by
+    # name; a rename has to fail here, not only in a traced run
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import spans
     tracer = spans.Tracer()
     tracer.install()
     try:
+        import framehom.les
+        from framehom.cosheaf import CosheafMap
+        for obj in (framehom.les.kernel_basis, CosheafMap.apply_c0, CosheafMap.apply_c1):
+            assert hasattr(obj, "perfbench_span")
         assert main(["analyze", str(square_fw)]) == 0
     finally:
         tracer.uninstall()

@@ -199,6 +199,32 @@ def test_map_shape_validation():
                    edge_maps=(identity(2, f.mode),))
 
 
+@pytest.mark.parametrize("ncols", [0, 1, 3])
+def test_apply_on_stacked_chains_matches_block_products(ncols):
+    # phi changes every stalk dimension (2 -> 3 at vertices, 1 -> 3 on
+    # edges), so source and target blocks start at different offsets
+    f = make_named("triangle")
+    phi = build_phi(f)
+    rng = random.Random(ncols)
+    for maps, apply in ((phi.vertex_maps, phi.apply_c0), (phi.edge_maps, phi.apply_c1)):
+        n = sum(m.shape[1] for m in maps)
+        x = exact_matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                           for _ in range(ncols)] for _ in range(n)], ncols)
+        # reference: each column, block by block
+        want = []
+        for j in range(ncols):
+            col, pos = [], 0
+            for m in maps:
+                col.extend(m @ x[pos:pos + m.shape[1], j])
+                pos += m.shape[1]
+            want.append(col)
+        got = apply(x)
+        assert got.shape == (sum(m.shape[0] for m in maps), ncols)
+        assert [list(got[:, j]) for j in range(ncols)] == want
+        for j in range(ncols):
+            assert list(apply(x[:, j])) == want[j]
+
+
 # ---------------------------------------------------------------------------
 # quotients
 # ---------------------------------------------------------------------------

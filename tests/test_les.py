@@ -21,6 +21,7 @@ from framehom.cosheaf import assemble_boundary
 from framehom.les import _LesContext
 from framehom.linalg import (
     complement_within,
+    identity,
     image_basis,
     solve_gram,
     span_rows,
@@ -103,6 +104,25 @@ def test_connecting_section_independence():
         for seed in (11, 23):
             other = connecting_map(fw, random.Random(seed))
             assert (base.matrix == other.matrix).all(), name
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_section_lifts_edge_by_edge(seed):
+    f = make_desargues(Fraction(1, 2))
+    ctx = _LesContext(f, None if seed is None else random.Random(seed))
+    sections = ctx.section.edge_maps
+    assert (seed is None) == all((a == b).all() for a, b in
+                                 zip(sections, ctx.anch.edge_sections))
+    for e, sec in enumerate(sections):
+        assert (ctx.pi.edge_maps[e] @ sec == identity(sec.shape[1], f.mode)).all()
+    dims = ctx.anch.cosheaf.edge_dims
+    for w in ctx.h_anch.h1.vectors[:4]:
+        # reference: lift each edge's component through its own section
+        want, pos = [], 0
+        for e, d in enumerate(dims):
+            want.extend(sections[e] @ w[pos:pos + d])
+            pos += d
+        assert list(ctx.section.apply_c1(w)) == want
 
 
 def test_connecting_map_requires_connected():

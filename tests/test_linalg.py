@@ -15,9 +15,7 @@ from framehom.linalg import (
     float_matrix,
     image_basis,
     image_complement_basis,
-    intersect,
     kernel_basis,
-    project_onto,
     rank,
     solve_in_image,
     span_rows,
@@ -115,21 +113,6 @@ def test_solve_multiple_rhs():
     x = solve_in_image(m, b)
     assert x.shape == (2, 2)
     assert (m @ x == b).all()
-
-
-def test_intersect_coordinate_planes():
-    xy = span_rows(exact_matrix([[1, 0, 0], [0, 1, 0]]), 3)
-    xz = span_rows(exact_matrix([[1, 0, 0], [0, 0, 1]]), 3)
-    both = intersect(xy, xz)
-    assert both.dim == 1
-    v = both.vectors[0]
-    assert v[1] == 0 and v[2] == 0 and v[0] != 0
-
-
-def test_project_onto_axis():
-    s = span_rows(exact_matrix([[1, 0]]), 2)
-    p = project_onto(np.array([1, 1], dtype=object), s)
-    assert list(p) == [1, 0]
 
 
 def test_complement_within():

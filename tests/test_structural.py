@@ -107,7 +107,6 @@ def test_moment_stalk_dims_3d():
     k = build_moment_cosheaf(make_named("box3d"))
     assert set(k.vertex_dims) == {6}
     assert set(k.edge_dims) == {6}
-    assert k.vertex_labels[0] == ("Myz", "Mzx", "Mxy", "Fx", "Fy", "Fz")
 
 
 def test_moment_transport_3d_shear():
@@ -160,12 +159,6 @@ def test_stalk_dimension_decomposition(name):
         assert moment.vertex_dims[v] == force.vertex_dims[v] + anch.vertex_dims[v]
     for e in range(f.num_edges):
         assert moment.edge_dims[e] == force.edge_dims[e] + anch.edge_dims[e]
-
-
-def test_anchored_labels():
-    anch = build_anchored_cosheaf(make_named("square")).cosheaf
-    assert anch.vertex_labels[0] == ("M",)
-    assert anch.edge_labels[0] == ("M", "V")
 
 
 # ---------------------------------------------------------------------------
