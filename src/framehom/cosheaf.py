@@ -213,7 +213,8 @@ class CosheafMap:
     """Stalk-wise linear maps between two cosheaves over the same framework.
 
     Valid maps commute with the stalk maps at every incidence; call
-    check_cosheaf_map to verify.
+    check_cosheaf_map to verify, or read ``check`` for that verdict
+    computed once per map.
     """
 
     source: Cosheaf
@@ -236,6 +237,10 @@ class CosheafMap:
             want = (self.target.edge_dims[e], self.source.edge_dims[e])
             if m.shape != want:
                 raise ValueError(f"edge map {e} has shape {m.shape}, expected {want}")
+
+    @cached_property
+    def check(self) -> MapCheck:
+        return check_cosheaf_map(self)
 
     def apply_c1(self, x: np.ndarray) -> np.ndarray:
         """Apply the edge maps to a flat C_1 chain or to one chain per column."""

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .cosheaf import CosheafMap, Homology, check_cosheaf_map, homology, quotient_cosheaf
+from .cosheaf import CosheafMap, Homology, homology, quotient_cosheaf
 from .framework import Framework, affine_span_full
 from .linalg import (
     MODE_EXACT,
@@ -74,9 +74,8 @@ def induced_map(m: CosheafMap, degree: int, src_h: Homology,
     projection onto that span: one solve against the Gram matrix of the
     representatives.  Refuses to run when the commuting condition fails.
     """
-    chk = check_cosheaf_map(m)
-    if not chk.passed:
-        raise ValueError(f"cosheaf map does not commute at incidences {chk.failures}")
+    if not m.check.passed:
+        raise ValueError(f"cosheaf map does not commute at incidences {m.check.failures}")
     if degree == 1:
         src_basis, tgt_basis = src_h.h1, tgt_h.h1
         apply, solve = m.apply_c1, solve_in_image

@@ -1,21 +1,27 @@
-"""Dense linear algebra over exact rationals, with a floating fallback.
+"""Linear algebra over exact rationals, with a floating fallback.
 
 Matrices are plain 2-D numpy arrays.  ``dtype=object`` entries are exact
 rationals (``fractions.Fraction`` or int) and make up "exact" mode;
 ``dtype=float64`` is "float" mode.  A computation never mixes modes: the
 mode of every derived matrix is the mode of its inputs.
 
-Exact mode reduces with deterministic pivoting (first nonzero entry in
-column order), so ranks, kernels and complements are reproducible
-bit-for-bit.  Float mode ranks are SVD-based with a relative singular
-value cutoff of ``EPS_RANK``; subspace comparisons use principal angles
-with threshold ``EPS_ANGLE``.
+Exact mode eliminates on sparse integer rows: each row becomes a
+{column: int} map, cleared of its denominators once, and rows are
+reduced fraction-free with gcd normalisation (Bareiss, Math. Comp. 22,
+1968).  The rank is read off the forward echelon; back-substitution runs
+only when a kernel, row basis or solution is first read.  The pivot
+columns and the RREF of a matrix do not depend on the elimination order,
+so ranks, kernels, row bases and solutions are those of a Gauss-Jordan
+RREF over the rationals, bit-for-bit.  Float mode ranks are SVD-based
+with a relative singular value cutoff of ``EPS_RANK``; subspace
+comparisons use principal angles with threshold ``EPS_ANGLE``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -103,67 +109,82 @@ class SubspaceBasis:
 
 
 # ---------------------------------------------------------------------------
-# exact kernel: reduced row echelon form with first-nonzero pivoting
+# exact elimination: sparse integer rows, fraction-free
 # ---------------------------------------------------------------------------
 
-def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """In-place RREF over exact rationals. Returns (rows, pivot columns)."""
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        if p != 1:
-            rows[r] = [x / p if x else x for x in rows[r]]
-        top = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], top)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _int_rows(a: np.ndarray) -> list[dict]:
+    """Rows of ``a`` as sparse {column: int} maps, each cleared of denominators.
 
-
-def _q_rows(a: np.ndarray) -> list[list]:
-    """Rows of ``a`` as lists of Fractions, so that division stays exact.
-
-    Zeros become one shared object.  Nonzero Fractions are immutable and
-    are shared as they are; only ints are converted.
+    Every row is scaled by the lcm of its denominators, which changes no
+    pivot, kernel or reduced row.  Ints carry ``numerator``/``denominator``
+    too, so one loop serves both entry types.
     """
-    zero = Fraction(0)
-    return [[(x if isinstance(x, Fraction) else Fraction(x)) if x else zero for x in row]
-            for row in a]
+    out = []
+    for row in a.tolist():
+        nz = {j: x for j, x in enumerate(row) if x}
+        den = math.lcm(*(x.denominator for x in nz.values()))
+        out.append({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
+    return out
 
 
-def _clear_primitive(vec: list) -> list[int]:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
+def _eliminate(row: dict, piv: dict, c: int) -> dict:
+    """Clear column c of ``row`` with ``piv``: (p_c/g) row - (r_c/g) piv, content-free.
+
+    ``piv[c]`` is positive, so the leading entry of ``row`` keeps its sign
+    whenever ``piv`` is zero there.
+    """
+    g = math.gcd(row[c], piv[c])
+    a, b = piv[c] // g, row[c] // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in piv.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    g = math.gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out
+
+
+def _echelon(rows: list[dict]) -> dict[int, dict]:
+    """Forward elimination: {leading column: row}, rows content-free, leads positive.
+
+    Each row is reduced against the pivot at its current leading column
+    until it is zero or leads at a new column.
+    """
+    piv: dict[int, dict] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            p = piv.get(c)
+            if p is None:
+                g = math.gcd(*row.values()) * (1 if row[c] > 0 else -1)
+                piv[c] = {j: v // g for j, v in row.items()} if g != 1 else row
+                break
+            row = _eliminate(row, p, c)
+    return piv
+
+
+def _back_substitute(echelon: dict[int, dict]) -> dict[int, dict]:
+    """Clear each pivot row at every other pivot column, last pivot first.
+
+    Every row is reduced against rows already cleared, so each result is
+    its RREF row times a positive integer, content-free.
+    """
+    out: dict[int, dict] = {}
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        for k in [k for k in row if k != c and k in out]:
+            row = _eliminate(row, out[k], k)
+        out[c] = row
+    return out
+
+
+def _dense(row: dict, n: int) -> list:
+    v = [0] * n
+    for j, x in row.items():
+        v[j] = x
+    return v
 
 
 def _exact_rows_to_array(vectors: list[list], ncols: int) -> np.ndarray:
@@ -182,16 +203,18 @@ def _exact_rows_to_array(vectors: list[list], ncols: int) -> np.ndarray:
 class Reduction:
     """One elimination of a matrix, read for its rank, kernel, image and rows.
 
-    Exact mode keeps the RREF rows and pivot columns (first-nonzero
-    pivoting, so every read is reproducible); float mode keeps the full
-    SVD with the ``EPS_RANK`` cutoff.
+    Exact mode keeps the forward echelon of the matrix's sparse integer
+    rows (the rank is its number of pivots) and back-substitutes once, on
+    the first read of the kernel, the row basis or a solve.  Float mode
+    keeps the full SVD with the ``EPS_RANK`` cutoff.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self.exact = mode_of(a) == MODE_EXACT
         if self.exact:
-            self.rows, self.pivots = _rref(_q_rows(a), a.shape[1])
+            self._echelon = _echelon(_int_rows(a))
+            self.pivots = sorted(self._echelon)
             self.rank = len(self.pivots)
         elif a.size:
             self.u, s, self.vh = np.linalg.svd(a, full_matrices=True)
@@ -199,23 +222,44 @@ class Reduction:
         else:
             self.u, self.vh, self.rank = np.eye(a.shape[0]), np.eye(a.shape[1]), 0
 
+    @cached_property
+    def _reduced(self) -> dict[int, dict]:
+        """The echelon cleared at every other pivot column; kept when already so."""
+        ech = self._echelon
+        if any(k != c and k in ech for c, row in ech.items() for k in row):
+            return _back_substitute(ech)
+        return ech
+
     def kernel(self) -> SubspaceBasis:
         """Basis of the right nullspace {x : a @ x = 0}.
 
-        Exact mode returns integer vectors with entries of gcd 1, derived
-        from the RREF free columns; float mode the orthonormal rows of V
-        beyond the numerical rank.
+        Exact mode returns one integer vector per free column, with entries
+        of gcd 1 and a positive first nonzero entry; float mode the
+        orthonormal rows of V beyond the numerical rank.
         """
         ncols = self.a.shape[1]
         if not self.exact:
             return SubspaceBasis(ncols, self.vh[self.rank:, :].copy())
+        red = self._reduced
+        touching: dict[int, list] = {}   # free column -> pivot rows with a nonzero there
+        for c, row in red.items():
+            for k in row:
+                if k != c:
+                    touching.setdefault(k, []).append(c)
         vecs = []
-        for fc in sorted(set(range(ncols)) - set(self.pivots)):
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(self.pivots):
-                v[pc] = -self.rows[r][fc]
-            vecs.append(_clear_primitive(v))
+        for fc in range(ncols):
+            if fc in red:
+                continue
+            pcs = touching.get(fc, [])
+            lcm = math.lcm(*(red[c][c] for c in pcs))
+            v = [0] * ncols
+            v[fc] = lcm
+            for c in pcs:
+                v[c] = -red[c][fc] * (lcm // red[c][c])
+            g = math.gcd(lcm, *(v[c] for c in pcs)) * (-1 if pcs and v[min(pcs)] < 0 else 1)
+            for j in (fc, *pcs):
+                v[j] //= g
+            vecs.append(v)
         return SubspaceBasis(ncols, _exact_rows_to_array(vecs, ncols))
 
     def image(self) -> SubspaceBasis:
@@ -229,12 +273,13 @@ class Reduction:
 
     def row_basis(self) -> np.ndarray:
         """Canonical independent rows spanning the row space: the nonzero
-        RREF rows cleared to primitive integers in exact mode, orthonormal
-        rows in float mode."""
+        RREF rows as primitive integers with positive leading entries in
+        exact mode, orthonormal rows in float mode."""
         if not self.exact:
             return self.vh[:self.rank, :].copy()
-        vecs = [_clear_primitive(self.rows[r]) for r in range(self.rank)]
-        return _exact_rows_to_array(vecs, self.a.shape[1])
+        ncols = self.a.shape[1]
+        return _exact_rows_to_array([_dense(self._reduced[c], ncols) for c in self.pivots],
+                                    ncols)
 
 
 def rank(a: np.ndarray) -> int:
@@ -283,15 +328,15 @@ def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if nrhs == 0:  # nothing to solve for; skip the elimination of ``a``
         return zeros(ncols, 0, mode_of(a))
     if mode_of(a) == MODE_EXACT:
-        red, pivots = _rref(_q_rows(np.hstack([a, bm])), ncols + nrhs)
-        bad = [p for p in pivots if p >= ncols]
-        if bad:
+        red = Reduction(np.hstack([a, bm]))
+        if red.pivots and red.pivots[-1] >= ncols:
             raise ValueError("right-hand side is not in the column space")
         x = [[Fraction(0)] * nrhs for _ in range(ncols)]
-        for r, pc in enumerate(pivots):
-            for j in range(nrhs):
-                x[pc][j] = red[r][ncols + j]
-        out = _exact_rows_to_array(x, nrhs) if ncols else np.zeros((0, nrhs), dtype=object)
+        for c, row in red._reduced.items():
+            for k, v in row.items():
+                if k >= ncols:
+                    x[c][k - ncols] = Fraction(v, row[c])
+        out = _exact_rows_to_array(x, nrhs)
     else:
         if ncols == 0:
             if bm.size and np.linalg.norm(bm) > EPS_SOLVE * max(1.0, float(np.abs(a).sum())):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from framehom import (
+    Framework,
     build_anchored_cosheaf,
     build_force_cosheaf,
     build_moment_cosheaf,
@@ -18,6 +19,7 @@ from framehom import (
     make_named,
     save_framework,
 )
+from framehom import linalg
 from framehom.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -420,3 +422,30 @@ def test_benchmark_span_hooks_see_the_pipeline(square_fw, capsys, monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"les._LesContext", "les._report_from_context"} <= names
     assert not spans.installed()
+
+
+def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monkeypatch):
+    # dims come from the forward echelon of each boundary; only the kernels,
+    # row bases and solves of a full analyze back-substitute
+    n = 3
+    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
+    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
+    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
+    path = tmp_path / "grid3.fw"
+    save_framework(Framework(2, tuple((i, j) for j in range(n) for i in range(n)),
+                             tuple(edges)), path)
+    calls = []
+    original = linalg._back_substitute
+
+    def counting(echelon):
+        calls.append(len(echelon))
+        return original(echelon)
+
+    monkeypatch.setattr(linalg, "_back_substitute", counting)
+    assert main(["analyze", str(path), "--dims-only"]) == 0
+    # |E| - 2|V| + 3 truss, 3(|E| - |V| + 1) frame and 2|E| - |V| anchored stresses
+    assert f"{'s; dim H1':12s} {1:>6d} {24:>6d} {23:>6d}" in capsys.readouterr().out
+    assert calls == []
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert calls

@@ -1,5 +1,6 @@
 """Exact and float linear algebra kernel tests."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -212,3 +213,105 @@ def test_largest_principal_angle_identical_spans():
     a = span_rows(float_matrix([[1.0, 0.0], [0.0, 1.0]]), 2)
     b = span_rows(float_matrix([[1.0, 1.0], [1.0, -1.0]]), 2)
     assert linalg.largest_principal_angle(a, b) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: sympy DomainMatrix over QQ
+# ---------------------------------------------------------------------------
+
+def _perturbed_entry(rng):
+    # a coordinate moved like framework.perturb at magnitude 1/1000, times a lever
+    shift = Fraction(1, 1000) * Fraction(rng.randint(-4096, 4096), 4096)
+    return (Fraction(rng.randint(-3, 3), 2) + shift) * (Fraction(rng.randint(-5, 5), 4) + shift)
+
+
+def _random_sparse(rng, nrows, ncols, density=0.3, large=False):
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if large:
+            return _perturbed_entry(rng)
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _oracle_cases():
+    rng = random.Random(20261018)
+    cases = [("empty rows", [], 5), ("empty cols", [[]] * 4, 0), ("empty", [], 0),
+             ("zero", [[0] * 6 for _ in range(4)], 6)]
+    for i in range(6):
+        cases.append((f"tall {i}", _random_sparse(rng, 14, 6), 6))
+        cases.append((f"wide {i}", _random_sparse(rng, 5, 15), 15))
+        cases.append((f"large denominators {i}", _random_sparse(rng, 8, 10, 0.5, True), 10))
+        base = _random_sparse(rng, 4, 9, 0.4)
+        mult = Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice([-1, 1])
+        rows = base + [list(base[1]), [mult * x for x in base[0]], base[3]]
+        rng.shuffle(rows)
+        cases.append((f"repeated rows {i}", rows, 9))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+def _as_matrix(rows, ncols):
+    return exact_matrix(rows, ncols) if rows else linalg.zeros(0, ncols, "exact")
+
+
+def _domain(rows, ncols):
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix([[QQ(Fraction(x).numerator, Fraction(x).denominator) for x in r]
+                         for r in rows], (len(rows), ncols), QQ)
+
+
+def _fractions(dm):
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in dm.to_list()]
+
+
+@pytest.mark.parametrize("label, rows, ncols", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_exact_reduction_matches_sympy_domain_matrix(label, rows, ncols):
+    m, dm = _as_matrix(rows, ncols), _domain(rows, ncols)
+    red = linalg.Reduction(m)
+    rref, pivots = dm.rref()
+    assert red.rank == rank(m) == dm.rank() == len(pivots)
+    assert red.pivots == list(pivots)
+    # RREF: the row basis scaled to leading entries of 1
+    ours = [[Fraction(x, r[p]) for x in r] for r, p in zip(red.row_basis().tolist(), pivots)]
+    assert ours == _fractions(rref)[:len(pivots)]
+    # kernel: integer, primitive, positive first nonzero entry, same span as sympy's
+    kern = kernel_basis(m)
+    assert kern.dim == ncols - len(pivots)
+    for v in kern.vectors:
+        assert all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1
+        assert next(x for x in v if x) > 0
+        assert all(x == 0 for x in m @ v)
+    if kern.dim:
+        nulls = _fractions(dm.nullspace())
+        assert _domain(kern.vectors.tolist() + nulls, ncols).rank() == kern.dim == len(nulls)
+
+
+@pytest.mark.parametrize("label, rows, ncols", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_exact_solve_matches_sympy_domain_matrix(label, rows, ncols):
+    rng = random.Random(label)
+    m = _as_matrix(rows, ncols)
+    nrows = m.shape[0]
+    x0 = exact_matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
+                       for _ in range(ncols)], 2) if ncols else linalg.zeros(0, 2, "exact")
+    b = m @ x0 if ncols else linalg.zeros(nrows, 2, "exact")
+    x = solve_in_image(m, b)
+    assert (m @ x == b).all()
+    assert all(type(v) is Fraction for v in x.flat)
+    # the solution of the RREF of [A | b] with every free variable set to zero
+    rref, pivots = _domain(np.hstack([m, b]).tolist(), ncols + 2).rref()
+    want = [[Fraction(0)] * 2 for _ in range(ncols)]
+    for r, p in enumerate(pivots):
+        want[p] = _fractions(rref)[r][ncols:]
+    assert x.tolist() == want
+    # a right-hand side with a component in (im A)^perp = ker A^T is refused
+    for off in _fractions(_domain(m.T.tolist(), nrows).nullspace()):
+        bad = b.copy()
+        bad[:, 1] = bad[:, 1] + np.array(off, dtype=object)
+        with pytest.raises(ValueError, match="not in the column space"):
+            solve_in_image(m, bad)
