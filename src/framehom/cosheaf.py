@@ -23,6 +23,7 @@ from .linalg import (
     Reduction,
     SubspaceBasis,
     image_complement_basis,
+    product,
     rank,
     solve_in_image,
 )
@@ -332,23 +333,36 @@ def quotient_cosheaf(m: CosheafMap) -> QuotientCosheaf:
     Returns the quotient cosheaf, the projection map from the target, and
     the canonical sections.  Stalk-wise exactness holds by construction:
     proj . m = 0 on every cell and [m | section] spans each target stalk.
+
+    Each distinct stalk map (shape and entries) is quotiented once and its
+    cells share the result: one quotient for all vertices of the structural
+    phi, one per bar direction (head - tail).  A non-injective stalk raises
+    at its first cell.  Quotient stalk maps are one linalg.product each.
     """
     src, tgt = m.source, m.target
     f = src.base
+    quotients = {}
+
+    def stalk_quotient(phi: np.ndarray, where: str):
+        key = (phi.shape, tuple(phi.ravel().tolist()))
+        if key not in quotients:
+            quotients[key] = _stalk_quotient(phi, where)
+        return quotients[key]
+
     v_sections, v_projs = [], []
     for v in range(f.num_vertices):
-        s, p = _stalk_quotient(m.vertex_maps[v], f"vertex {v}")
+        s, p = stalk_quotient(m.vertex_maps[v], f"vertex {v}")
         v_sections.append(s)
         v_projs.append(p)
     e_sections, e_projs = [], []
     for e in range(f.num_edges):
-        s, p = _stalk_quotient(m.edge_maps[e], f"edge {e}")
+        s, p = stalk_quotient(m.edge_maps[e], f"edge {e}")
         e_sections.append(s)
         e_projs.append(p)
     tails, heads = [], []
     for e, (t, h) in enumerate(f.edges):
-        tails.append(v_projs[t] @ tgt.tail_maps[e] @ e_sections[e])
-        heads.append(v_projs[h] @ tgt.head_maps[e] @ e_sections[e])
+        tails.append(product(v_projs[t], tgt.tail_maps[e], e_sections[e]))
+        heads.append(product(v_projs[h], tgt.head_maps[e], e_sections[e]))
     q = Cosheaf(
         base=f,
         vertex_dims=tuple(s.shape[1] for s in v_sections),

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import MODE_EXACT, MODE_FLOAT, exact_matrix, float_matrix, rank as _matrix_rank
 
@@ -126,17 +127,21 @@ class Framework:
         return len(seen) == self.num_vertices
 
     def edge_geometry(self, k: int) -> EdgeGeometry:
-        t, h = self.edges[k]
-        d = tuple(self.positions[h][i] - self.positions[t][i] for i in range(self.dim))
-        if self.mode == MODE_EXACT:
-            half = tuple(Fraction(x) / 2 for x in d)
-        else:
-            half = tuple(x / 2.0 for x in d)
-        return EdgeGeometry(
-            direction=d,
-            half_lever=half,
-            length=math.sqrt(sum(float(x) ** 2 for x in d)),
-        )
+        return self._edge_geometries[k]
+
+    @cached_property
+    def _edge_geometries(self) -> tuple:
+        """Every edge's geometry, computed on first read and kept per instance."""
+        out = []
+        for t, h in self.edges:
+            d = tuple(self.positions[h][i] - self.positions[t][i] for i in range(self.dim))
+            if self.mode == MODE_EXACT:
+                half = tuple(Fraction(x) / 2 for x in d)
+            else:
+                half = tuple(x / 2.0 for x in d)
+            length = math.sqrt(sum(float(x) ** 2 for x in d))
+            out.append(EdgeGeometry(direction=d, half_lever=half, length=length))
+        return tuple(out)
 
     def as_float(self) -> Framework:
         """The same framework with float coordinates."""
@@ -240,7 +245,7 @@ def load_framework(path, mode: str = MODE_EXACT) -> Framework:
 
 
 def _format_scalar(x) -> str:
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, int)):
         return str(x)
     return repr(float(x))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +71,26 @@ def identity(n: int, mode: str) -> np.ndarray:
     for i in range(n):
         out[i, i] = 1 if mode == MODE_EXACT else 1.0
     return out
+
+
+def product(*factors: np.ndarray) -> np.ndarray:
+    """Left-to-right product of matrices of one mode; float mode uses ``@``.
+
+    Exact mode clears each factor of its denominators once (one lcm per
+    factor), multiplies Python ints and divides by the product of the lcms
+    once: integral entries come back as ``int``, others as reduced ``Fraction``.
+    """
+    if mode_of(factors[0]) == MODE_FLOAT:
+        return reduce(np.matmul, factors)
+    out, den = None, 1
+    for a in factors:
+        flat = a.ravel().tolist()
+        d = math.lcm(*(x.denominator for x in flat))
+        ints = np.array([x.numerator * (d // x.denominator) for x in flat],
+                        dtype=object).reshape(a.shape)
+        out, den = (ints if out is None else out @ ints), den * d
+    flat = [x // den if x % den == 0 else Fraction(x, den) for x in out.ravel().tolist()]
+    return np.array(flat, dtype=object).reshape(out.shape)
 
 
 def to_float(a: np.ndarray) -> np.ndarray:

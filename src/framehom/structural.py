@@ -23,6 +23,7 @@ so exact rational arithmetic survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -111,14 +112,15 @@ def build_moment_cosheaf(f: Framework) -> Cosheaf:
 
     The stalk map into an endpoint transports the couple from the edge
     center: the lever is +half_lever into the head and -half_lever into
-    the tail.
+    the tail.  Edge ends with equal levers share one matrix.
     """
     n = f.dim
+    transport = cache(lambda lever: _couple_transport(lever, n, f.mode))
     tails, heads = [], []
     for k in range(f.num_edges):
         half = f.edge_geometry(k).half_lever
-        heads.append(_couple_transport(half, n, f.mode))
-        tails.append(_couple_transport(tuple(-x for x in half), n, f.mode))
+        heads.append(transport(half))
+        tails.append(transport(tuple(-x for x in half)))
     return Cosheaf(
         base=f,
         vertex_dims=(couple_dim(n),) * f.num_vertices,

@@ -19,7 +19,7 @@ from framehom import (
     make_named,
     save_framework,
 )
-from framehom import linalg
+from framehom import cosheaf, linalg
 from framehom.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -243,71 +243,88 @@ def test_svg_desargues_perp_generator_matches_mechanism(desargues_fw, tmp_path):
 # ---------------------------------------------------------------------------
 
 # sha256 of the exact-mode `analyze`, `analyze --json` and
-# `analyze --dims-only` output for each framework that
-# scripts/make_corpus.py writes, with the input path replaced by "<input>".
-# Exact reports are byte-identical by contract: a change that moves one of
-# these digests changes a report, and has to say why.
+# `analyze --dims-only` output, and of the float-mode `analyze --dims-only`
+# output, for each framework that scripts/make_corpus.py writes, with the
+# input path replaced by "<input>".  Exact reports are byte-identical by
+# contract: a change that moves one of these digests changes a report, and
+# has to say why.  Dims are integers, so the float digest does not depend on
+# BLAS round-off.
 CORPUS_DIGESTS = {
     "bar": (
         "2331d3cd5eb641390ad20ce6f2aaf5785bc0b54254da840a5e50c5bec5c4a0ba",
         "4893fab4f5b8f8f4937c32e05a44420d40288267cd3cd24bf2baabca89fbcb99",
-        "61e1f4e3fa16509df15ab3ede7c1a66ed144c97ef7c534fc3a07b9ab0ad87395"),
+        "61e1f4e3fa16509df15ab3ede7c1a66ed144c97ef7c534fc3a07b9ab0ad87395",
+        "90c3af1d0c7bb30f4dc0cbd33bf6bec65915b63502aba5f5b4547cf92b5b92fd"),
     "box3d": (
         "ecc09a7edfdd974f28e55219ab22ea568c79278e03089706a48a33eabd03009b",
         "2116901eba7d793bc23ca517b4fe94f2cb87094953aa0de6c04746e8a199536e",
-        "35c45ccb6275657cd7aac415d0bacb1a86bbbf0d5a5c6a53d9f9e63025b53de9"),
+        "35c45ccb6275657cd7aac415d0bacb1a86bbbf0d5a5c6a53d9f9e63025b53de9",
+        "913569465c04b7e26e68ddb46b1452458309220ea87233cee3d2dd81375d9a40"),
     "desargues": (
         "84144252a520bcb12475e0b7c2703bbf0c9228ccf48ca3ab6098a3e6afd2dfa5",
         "a857d3f0b87c98b1f10ebe9ea25c97a371db094696e87dc72a75790add876642",
-        "e1d9b9686f08b5cef11a0d3ca4cfcae9708d63dc86454fb8b0da1a2858455091"),
+        "e1d9b9686f08b5cef11a0d3ca4cfcae9708d63dc86454fb8b0da1a2858455091",
+        "c42652c3807497ea98abd616de6f168b94c7fe42144af0ef0015ab1a57c03cf7"),
     "random2d_0": (
         "fdd6571c53e5b36718ae824b5225f347501f9a506197e6101872ef301f08dc60",
         "b10341ac18f9404e9554b2dbdaf2d8d12bfada149ba79fc944cffa680ce32415",
-        "521ebdf99a89ea361687297328434d60c5fe75ae3b2e84dd46f0044919014a55"),
+        "521ebdf99a89ea361687297328434d60c5fe75ae3b2e84dd46f0044919014a55",
+        "171dfc93c4305c4246a50053e7c4a3a3631ec4d3536ab70d4f60d62d33e0ea35"),
     "random2d_1": (
         "721983c1632b04ca70c1138f5f0beddc13795d1985a070ca21607f48e4e473fd",
         "52dcf465070cdf0789ed8fc3cea4fcfa346710913aefa74c05548663a2f4695b",
-        "5826750e4570b3e3a8a7991681f677543a87e176d1a4ea3679fb2cf99b40eb35"),
+        "5826750e4570b3e3a8a7991681f677543a87e176d1a4ea3679fb2cf99b40eb35",
+        "a2eeb32becaa4c56dccc2bc24fb135ff0270cc872061a404abb5f0f9cb86ef4a"),
     "random2d_2": (
         "902e0000bf9cc08e822e923a3d55b87aa6f14b268c0a72a5c44d2ae642909356",
         "a6ad3c09e9d8cc07a2785f201308d7f42483708edb5e1af963c0fedaeab39db5",
-        "0ef66ed4b0097598f6e7979eb7fd03075e912e56ef326441301b76b81ddf44ad"),
+        "0ef66ed4b0097598f6e7979eb7fd03075e912e56ef326441301b76b81ddf44ad",
+        "1d7d9d97e4895fe1d8f6b18acc4bf0fea5132558b334cddd06111e92cc7dcbdc"),
     "random2d_3": (
         "09b590e3b7bff481bc063f209ddfc98a7879ae4966f996f3e854f29a617d19bf",
         "4164e5d1f1bf5db845b1ee88397c6841a1f811c02a8b190c36c305513ce333aa",
-        "65eb283a0ede7efdb36bb30151a365a8443cc08b61a9f31ae16d4c5cb2b322b8"),
+        "65eb283a0ede7efdb36bb30151a365a8443cc08b61a9f31ae16d4c5cb2b322b8",
+        "b0aa3dcddf7b8eb3e80f05acdc1b4acc8d2d4b89638840b27af992e19695be84"),
     "random2d_4": (
         "b08b3129934302f13c66faa371456a8233a7c452e0d0e0a918c19d8ce181e197",
         "f5ae124396b82cc9254ccc6a944d74645244be5d8433e55de3c02012fa70a7ff",
-        "cb75274a87b2c2338d4e283400ea88d6dcc4b0d89abd86afc10efc0d0026baae"),
+        "cb75274a87b2c2338d4e283400ea88d6dcc4b0d89abd86afc10efc0d0026baae",
+        "d061c8375858029da81dd4c7a1fcb5a2823b449cb9463168d6d3d6da880e5a5c"),
     "random3d_0": (
         "5c727d048865af1cf46a23ff5db956bf2c0711b8eb3d19e3aa90a30b9cec89af",
         "27a86b159d209eac0da114b2ad52c4be92ac62f3a810ef3f31e902266d471e99",
-        "fbc11e7d3d6a34b043c8aa4fc435cf41969423f5fcbea19d45ba9755851b5eef"),
+        "fbc11e7d3d6a34b043c8aa4fc435cf41969423f5fcbea19d45ba9755851b5eef",
+        "72dd310dcd03542428df79caba8772746ac256d31097c9a0c3bb9750610368a8"),
     "random3d_1": (
         "2fdf8351d068385a62822de27bdb1c6faa2e463b1248e024b3912f2e12873202",
         "160e1642c82a50c86dbc4cf9a9d456444d8964ef8e16c05522aec9d7776e06ba",
-        "9ba802226d24572331940227f919f1757e049e1567f188789a480a05396b54cf"),
+        "9ba802226d24572331940227f919f1757e049e1567f188789a480a05396b54cf",
+        "6984236f9686a186e21067084bb0eb260e55e00a88421561a73cfea9b6b030dd"),
     "random3d_2": (
         "67005d5a7e2a90508207513c05e1d3b4e000a7337d874f1e3dd809691fb1f464",
         "9572f76c53a4c661f0e0a7c585d9a0181fbfc9519c32175dfd73b515d4161243",
-        "e84b068ab8644a307b84955219970d743d81f69880103146a215829032755646"),
+        "e84b068ab8644a307b84955219970d743d81f69880103146a215829032755646",
+        "7cda5c58507161fb0467207f0e1bdaef5f9a6e6f8758ce2c758b259df39a5fbc"),
     "random3d_3": (
         "41b7a02e7e69ea701c2a12272b93b133a65218942debe6ba13fffe77737112bd",
         "21e23f4eef0b94570955271a3d9c08e1aa99b0d6d5fbe2fc8e42a8ce1d4d1e57",
-        "5f8af953e174489991a34c06e57de9e730068f8c442c004cfe3183eda6956e43"),
+        "5f8af953e174489991a34c06e57de9e730068f8c442c004cfe3183eda6956e43",
+        "d6f7784d28518e0aee56bbb5784ec19a99b9a16b8bed0e3607fd80db9d97db42"),
     "random3d_4": (
         "fb0e9017f5adbb1669407534dc5fdee77f7b4aa63dbdd5cf9740b0bc9b116d7f",
         "bba68c7b3bf723af8b1d7ef3f25fa624c032762db3c40cb62cbed172890169b7",
-        "3146de3cf6d4340a2fcd0813333b2a3d852c685ca06e0b24846e8d70ff222b28"),
+        "3146de3cf6d4340a2fcd0813333b2a3d852c685ca06e0b24846e8d70ff222b28",
+        "df9c80097868bca8ff81125b1f2224830d2522bc4925b3101fccd6eb82be38cd"),
     "square": (
         "07543620205517c00c5b2c4b43b2b15caec9085bbe26f8445c34c21ddbb6edb9",
         "91af0c22b20f1682fce7d9377c9e0e4d577c618261f54f7358f9aadf2caec2c3",
-        "e59b96b48cac0c54ce70eb0c74ccac4ac643aef4e61c49d65a1eb96f2caf1434"),
+        "e59b96b48cac0c54ce70eb0c74ccac4ac643aef4e61c49d65a1eb96f2caf1434",
+        "ba618433d643fb9bfbc4ef04979aabc8c57328e75a9f7105e33029840b5b95a8"),
     "triangle": (
         "ccf294bf94539112889192c38b906d518befbee27badeea56a300e483fd3c4a8",
         "715adaa3b174cc33d6d499e29faa34cf6de064bca5edb9822eaf60c3fd3f77a9",
-        "7c261edd76a2df8f8863b02c269110afcf184f2153ddcc4c1a43bd23179bc6f0"),
+        "7c261edd76a2df8f8863b02c269110afcf184f2153ddcc4c1a43bd23179bc6f0",
+        "78ff4cced4748df99c38831d382306a63feb14f0c460fa9408da39fa0a93ad39"),
 }
 
 
@@ -335,7 +352,7 @@ def test_make_corpus_writes_the_digested_frameworks(corpus_dir):
 def test_exact_reports_are_byte_identical(corpus_dir, capsys, name):
     path = corpus_dir / f"{name}.fw"
     digests = []
-    for flags in ([], ["--json"], ["--dims-only"]):
+    for flags in ([], ["--json"], ["--dims-only"], ["--dims-only", "--mode", "float"]):
         main(["analyze", str(path), *flags])
         out = capsys.readouterr().out.replace(str(path), "<input>")
         digests.append(hashlib.sha256(out.encode()).hexdigest())
@@ -424,9 +441,8 @@ def test_benchmark_span_hooks_see_the_pipeline(square_fw, capsys, monkeypatch):
     assert not spans.installed()
 
 
-def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monkeypatch):
-    # dims come from the forward echelon of each boundary; only the kernels,
-    # row bases and solves of a full analyze back-substitute
+def _grid3(tmp_path):
+    """A triangulated 3x3 grid file: three member directions, every edge one way."""
     n = 3
     edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
     edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
@@ -434,6 +450,13 @@ def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monke
     path = tmp_path / "grid3.fw"
     save_framework(Framework(2, tuple((i, j) for j in range(n) for i in range(n)),
                              tuple(edges)), path)
+    return path
+
+
+def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monkeypatch):
+    # dims come from the forward echelon of each boundary; only the kernels,
+    # row bases and solves of a full analyze back-substitute
+    path = _grid3(tmp_path)
     calls = []
     original = linalg._back_substitute
 
@@ -449,3 +472,19 @@ def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monke
     assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
     assert calls
+
+
+def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch):
+    # all vertices share one stalk map and the edges have three directions
+    path = _grid3(tmp_path)
+    calls = []
+    original = cosheaf._stalk_quotient
+
+    def counting(phi, where):
+        calls.append(where)
+        return original(phi, where)
+
+    monkeypatch.setattr(cosheaf, "_stalk_quotient", counting)
+    assert main(["analyze", str(path), "--dims-only"]) == 0
+    capsys.readouterr()
+    assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12"]

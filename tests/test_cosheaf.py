@@ -9,6 +9,7 @@ import pytest
 from framehom import (
     Chain,
     CosheafMap,
+    Framework,
     assemble_boundary,
     chain_pack,
     chain_unpack,
@@ -18,9 +19,10 @@ from framehom import (
     make_desargues,
     make_named,
     parse_framework,
+    perturb,
     quotient_cosheaf,
 )
-from framehom.cosheaf import Cosheaf
+from framehom.cosheaf import Cosheaf, _stalk_quotient
 from framehom.linalg import exact_matrix, identity, rank, zeros
 from framehom.structural import build_force_cosheaf, build_moment_cosheaf, build_phi
 
@@ -278,6 +280,45 @@ def test_quotient_stalkwise_exactness():
         assert rank(stacked) == phi.target.edge_dims[e]
         prod = q.projection.edge_maps[e] @ phi.edge_maps[e]
         assert all(x == 0 for x in prod.flat)
+
+
+def _flipped_grid(n, flips):
+    """A triangulated n x n grid with the edges ``flips`` reoriented."""
+    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
+    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
+    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
+    f = Framework(2, tuple((Fraction(i), Fraction(j)) for j in range(n) for i in range(n)),
+                  tuple(edges))
+    for k in flips:
+        f = f.with_flipped_edge(k)
+    return f
+
+
+def _same(a, b):
+    return a.shape == b.shape and (a == b).all()
+
+
+@pytest.mark.parametrize("f", [
+    _flipped_grid(4, (0, 4, 7, 13, 20)),
+    _flipped_grid(4, (0, 4, 7, 13, 20)).as_float(),
+    perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 1),
+], ids=["grid4-flipped", "grid4-flipped-float", "desargues-perturbed"])
+def test_quotient_stalks_match_per_stalk_quotients(f):
+    # cells with equal stalk maps share one quotient; every stalk must still
+    # be what its own quotient gives
+    phi = build_phi(f)
+    moment = phi.target
+    q = quotient_cosheaf(phi)
+    vertex = [_stalk_quotient(m, "") for m in phi.vertex_maps]
+    for v, (s, p) in enumerate(vertex):
+        assert _same(q.vertex_sections[v], s)
+        assert _same(q.projection.vertex_maps[v], p)
+    for e, (t, h) in enumerate(f.edges):
+        s, p = _stalk_quotient(phi.edge_maps[e], "")
+        assert _same(q.edge_sections[e], s)
+        assert _same(q.projection.edge_maps[e], p)
+        assert _same(q.cosheaf.tail_maps[e], vertex[t][1] @ moment.tail_maps[e] @ s)
+        assert _same(q.cosheaf.head_maps[e], vertex[h][1] @ moment.head_maps[e] @ s)
 
 
 def test_quotient_projection_commutes():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from framehom import (
+    Framework,
     FrameworkError,
     format_framework,
     load_framework,
@@ -97,6 +98,17 @@ def test_roundtrip_is_bit_exact(tmp_path):
     assert g == f
     save_framework(g, tmp_path / "d2.fw")
     assert (tmp_path / "d.fw").read_bytes() == (tmp_path / "d2.fw").read_bytes()
+
+
+def test_int_coordinates_roundtrip_exactly(tmp_path):
+    # ints are written as integers, not through float: 2**53 + 1 has no
+    # float64 and would come back as 2**53
+    big = 2 ** 53 + 1
+    f = Framework(2, ((0, 0), (big, 1), (1, -big)), ((0, 1), (1, 2)))
+    path = tmp_path / "big.fw"
+    save_framework(f, path)
+    assert "v 1 9007199254740993 1\n" in path.read_text()
+    assert load_framework(path) == f
 
 
 def test_float_mode_parsing(tmp_path):
@@ -248,3 +260,18 @@ def test_transform_rigid_motion():
         d1 = f.edge_geometry(k).direction
         d2 = g.edge_geometry(k).direction
         assert sum(x * x for x in d1) == sum(x * x for x in d2)
+
+
+def test_edge_geometry_is_kept_per_instance():
+    # each derived framework computes its own geometry, even when the one
+    # it came from has filled its cache already
+    f = make_named("random3d", 2)
+    assert f.edge_geometry(0) is f.edge_geometry(0)
+    rot = [[Fraction(3, 5), Fraction(-4, 5), 0], [Fraction(4, 5), Fraction(3, 5), 0], [0, 0, 1]]
+    for g in (f.with_flipped_edge(1), perturb(f, Fraction(1, 10), 3),
+              f.transformed(rot, (Fraction(1), Fraction(2), Fraction(-1)))):
+        for k, (t, h) in enumerate(g.edges):
+            d = tuple(a - b for a, b in zip(g.positions[h], g.positions[t]))
+            geom = g.edge_geometry(k)
+            assert geom.direction == d
+            assert geom.half_lever == tuple(Fraction(x, 2) for x in d)

@@ -17,6 +17,7 @@ from framehom.linalg import (
     image_basis,
     image_complement_basis,
     kernel_basis,
+    product,
     rank,
     solve_in_image,
     span_rows,
@@ -315,3 +316,31 @@ def test_exact_solve_matches_sympy_domain_matrix(label, rows, ncols):
         bad[:, 1] = bad[:, 1] + np.array(off, dtype=object)
         with pytest.raises(ValueError, match="not in the column space"):
             solve_in_image(m, bad)
+
+
+def _random_rational(rng, shape, den_bits, zero=False):
+    rows = [[0 if zero or rng.random() < 0.3 else
+             Fraction(rng.randint(-50, 50), rng.randint(1, 2 ** den_bits))
+             for _ in range(shape[1])] for _ in range(shape[0])]
+    return exact_matrix(rows, shape[1])
+
+
+@pytest.mark.parametrize("dims, den_bits, zero", [
+    ((3, 4, 2), 4, None), ((2, 5, 5, 3), 8, None), ((4, 4, 4), 80, None),
+    ((0, 3, 2), 4, None), ((3, 0, 2), 4, None), ((3, 2, 0), 4, None),
+    ((3, 3, 4), 6, 0), ((2, 3, 3, 2), 6, 2), ((1, 1), 3, None),
+])
+def test_product_matches_object_matmul(dims, den_bits, zero):
+    # zero: index of an all-zero factor, if any
+    rng = random.Random(f"{dims}:{den_bits}:{zero}")
+    for _ in range(5):
+        factors = [_random_rational(rng, (r, c), den_bits, zero=(i == zero))
+                   for i, (r, c) in enumerate(zip(dims, dims[1:]))]
+        want = factors[0]
+        for a in factors[1:]:
+            want = want @ a
+        got = product(*factors)
+        assert got.dtype == object and got.shape == want.shape
+        assert (got == want).all()
+        for x in got.flat:
+            assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
