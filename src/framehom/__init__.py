@@ -16,15 +16,12 @@ from .framework import (
 from .cosheaf import (
     Cosheaf,
     CosheafMap,
-    Chain,
     Homology,
     assemble_boundary,
     homology,
     check_cosheaf_map,
     quotient_cosheaf,
     constant_cosheaf,
-    chain_pack,
-    chain_unpack,
 )
 from .structural import (
     wedge,

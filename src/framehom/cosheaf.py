@@ -6,7 +6,9 @@ endpoints.  The boundary operator stacks the stalk maps into one block
 matrix with orientation signs (+ into the head, - out of the tail); its
 kernel is degree-1 homology (self-stresses for the structural cosheaves)
 and the orthogonal complement of its image represents degree-0 homology
-(degrees of freedom).
+(degrees of freedom).  The eliminations read the boundary as sparse rows
+built edge block by edge block; the dense block matrix is assembled only
+for the connecting map, which multiplies chains by it.
 """
 
 from __future__ import annotations
@@ -88,56 +90,12 @@ def _offsets(dims) -> list[int]:
     return offs
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Per-cell stalk components of one element of C_0 or C_1."""
-
-    degree: int
-    components: tuple
-
-    def __post_init__(self):
-        if self.degree not in (0, 1):
-            raise ValueError("degree must be 0 or 1")
-
-
-def chain_pack(k: Cosheaf, chain: Chain) -> np.ndarray:
-    """Concatenate per-cell components into one flat vector.
-
-    The ordering matches assemble_boundary: cells in list order, stalk
-    coordinates within each cell.
-    """
-    dims = k.vertex_dims if chain.degree == 0 else k.edge_dims
-    if len(chain.components) != len(dims):
-        raise ValueError("component count does not match the cell count")
-    parts = []
-    for i, (comp, d) in enumerate(zip(chain.components, dims)):
-        if len(comp) != d:
-            raise ValueError(f"component {i} has length {len(comp)}, stalk dim is {d}")
-        parts.extend(comp)
-    if k.mode == MODE_EXACT:
-        out = np.empty(len(parts), dtype=object)
-        out[:] = parts
-        return out
-    return np.asarray(parts, dtype=float)
-
-
-def chain_unpack(k: Cosheaf, degree: int, flat: np.ndarray) -> Chain:
-    """Split a flat C_0/C_1 vector back into per-cell components."""
-    dims = k.vertex_dims if degree == 0 else k.edge_dims
-    if len(flat) != sum(dims):
-        raise ValueError(f"vector length {len(flat)} does not match chain space {sum(dims)}")
-    comps, pos = [], 0
-    for d in dims:
-        comps.append(tuple(flat[pos:pos + d]))
-        pos += d
-    return Chain(degree, tuple(comps))
-
-
 def assemble_boundary(k: Cosheaf) -> np.ndarray:
     """Block boundary matrix C_1 -> C_0.
 
     The block in the rows of vertex v and columns of edge e is +(stalk map)
-    when v is the head of e and -(stalk map) when v is the tail.
+    when v is the head of e and -(stalk map) when v is the tail.  Cells are
+    in list order, stalk coordinates within each cell.
     """
     out = linalg.zeros(k.c0_dim, k.c1_dim, k.mode)
     voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
@@ -148,21 +106,43 @@ def assemble_boundary(k: Cosheaf) -> np.ndarray:
     return out
 
 
+def boundary_rows(k: Cosheaf, transpose: bool = False) -> list[dict]:
+    """The rows of B = ``assemble_boundary(k)``, or of B^T when ``transpose``,
+    as sparse {column: nonzero entry} maps built one edge block at a time
+    from the stalk maps: +head map, -tail map."""
+    voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
+    rows = [{} for _ in range(k.c1_dim if transpose else k.c0_dim)]
+    for e, (t, h) in enumerate(k.base.edges):
+        for v, m, neg in ((h, k.head_maps[e], False), (t, k.tail_maps[e], True)):
+            for i, mrow in enumerate(m.tolist(), voff[v]):
+                for j, x in enumerate(mrow, eoff[e]):
+                    if x:
+                        r, c = (j, i) if transpose else (i, j)
+                        rows[r][c] = -x if neg else x
+    return rows
+
+
 class Homology:
     """Homology of one cosheaf, read off its boundary B on first use.
 
     ``h1`` = ker B (cycles in C_1) and the rank of B come from one
-    elimination of B; ``h0`` holds representatives in C_0 spanning
-    ker B^T = (im B)^perp, from one elimination of B^T.  The dimensions
-    need only the rank.
+    elimination of B's sparse rows, ``h0`` (representatives in C_0
+    spanning ker B^T = (im B)^perp) from one of B^T's.  The dimensions
+    need only the rank.  The dense ``boundary`` is assembled on first
+    read, for the connecting map alone.
     """
 
     def __init__(self, k: Cosheaf):
-        self.boundary = assemble_boundary(k)
+        self.cosheaf = k
+
+    @cached_property
+    def boundary(self) -> np.ndarray:
+        return assemble_boundary(self.cosheaf)
 
     @cached_property
     def _reduction(self) -> Reduction:
-        return Reduction(self.boundary)
+        k = self.cosheaf
+        return Reduction.of_rows(boundary_rows(k), k.c1_dim, k.mode)
 
     @cached_property
     def h1(self) -> SubspaceBasis:
@@ -170,14 +150,14 @@ class Homology:
 
     @cached_property
     def h0(self) -> SubspaceBasis:
-        return image_complement_basis(self.boundary)
+        k = self.cosheaf
+        return Reduction.of_rows(boundary_rows(k, transpose=True), k.c0_dim, k.mode).kernel()
 
     @property
     def dims(self) -> tuple[int, int]:
         """(dim H1, dim H0) = (c1 - rank B, c0 - rank B)."""
-        c0, c1 = self.boundary.shape
         r = self._reduction.rank
-        return (c1 - r, c0 - r)
+        return (self.cosheaf.c1_dim - r, self.cosheaf.c0_dim - r)
 
     @property
     def dim_h1(self) -> int:
@@ -189,7 +169,7 @@ class Homology:
 
 
 def homology(k: Cosheaf) -> Homology:
-    """The homology of ``k``: its boundary now, every reduction on first read."""
+    """The homology of ``k``: every boundary and reduction is built on first read."""
     return Homology(k)
 
 
@@ -272,26 +252,21 @@ class MapCheck:
     failures: tuple  # (edge index, vertex id, residual) per failing incidence
 
 
-def _residual(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(max(abs(float(x)) for x in m.flat))
-
-
 def check_cosheaf_map(m: CosheafMap) -> MapCheck:
     """Verify the commuting condition at every incidence.
 
     At each incidence the target stalk map composed with the edge map must
-    equal the vertex map composed with the source stalk map (exactly in
-    exact mode).
+    equal the vertex map composed with the source stalk map.  Exact mode
+    fails on any nonzero entry of the difference and reports its largest
+    |entry| exactly; float mode tolerates 1e-9.
     """
     failures = []
-    tol = 0.0 if m.source.mode == MODE_EXACT else 1e-9
+    tol = 0 if m.source.mode == MODE_EXACT else 1e-9
     for e, (t, h) in enumerate(m.source.base.edges):
         for v in (t, h):
-            lhs = m.target.stalk_map(e, v) @ m.edge_maps[e]
-            rhs = m.vertex_maps[v] @ m.source.stalk_map(e, v)
-            res = _residual(lhs - rhs)
+            diff = (product(m.target.stalk_map(e, v), m.edge_maps[e])
+                    - product(m.vertex_maps[v], m.source.stalk_map(e, v)))
+            res = max((abs(x) for x in diff.ravel().tolist()), default=0)
             if res > tol:
                 failures.append((e, v, res))
     return MapCheck(passed=not failures, failures=tuple(failures))
@@ -337,17 +312,25 @@ def quotient_cosheaf(m: CosheafMap) -> QuotientCosheaf:
     Each distinct stalk map (shape and entries) is quotiented once and its
     cells share the result: one quotient for all vertices of the structural
     phi, one per bar direction (head - tail).  A non-injective stalk raises
-    at its first cell.  Quotient stalk maps are one linalg.product each.
+    at its first cell.  Each distinct triple of factors of a quotient stalk
+    map is one linalg.product.
     """
     src, tgt = m.source, m.target
     f = src.base
-    quotients = {}
+    quotients, products = {}, {}
 
     def stalk_quotient(phi: np.ndarray, where: str):
-        key = (phi.shape, tuple(phi.ravel().tolist()))
+        key = (phi.shape, tuple(x.as_integer_ratio() for x in phi.ravel().tolist()))
         if key not in quotients:
             quotients[key] = _stalk_quotient(phi, where)
         return quotients[key]
+
+    def stalk_map(proj, transport, section):
+        # every factor stays referenced until the return, so no id is reused
+        key = (id(proj), id(transport), id(section))
+        if key not in products:
+            products[key] = product(proj, transport, section)
+        return products[key]
 
     v_sections, v_projs = [], []
     for v in range(f.num_vertices):
@@ -361,8 +344,8 @@ def quotient_cosheaf(m: CosheafMap) -> QuotientCosheaf:
         e_projs.append(p)
     tails, heads = [], []
     for e, (t, h) in enumerate(f.edges):
-        tails.append(product(v_projs[t], tgt.tail_maps[e], e_sections[e]))
-        heads.append(product(v_projs[h], tgt.head_maps[e], e_sections[e]))
+        tails.append(stalk_map(v_projs[t], tgt.tail_maps[e], e_sections[e]))
+        heads.append(stalk_map(v_projs[h], tgt.head_maps[e], e_sections[e]))
     q = Cosheaf(
         base=f,
         vertex_dims=tuple(s.shape[1] for s in v_sections),

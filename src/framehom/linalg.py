@@ -8,8 +8,10 @@ mode of every derived matrix is the mode of its inputs.
 Exact mode eliminates on sparse integer rows: each row becomes a
 {column: int} map, cleared of its denominators once, and rows are
 reduced fraction-free with gcd normalisation (Bareiss, Math. Comp. 22,
-1968).  The rank is read off the forward echelon; back-substitution runs
-only when a kernel, row basis or solution is first read.  The pivot
+1968); a caller with sparse rows, such as a cosheaf boundary, hands them
+to ``Reduction.of_rows`` and no dense matrix is formed.  The rank is read
+off the forward echelon; back-substitution runs only when a kernel, row
+basis or solution is first read.  The pivot
 columns and the RREF of a matrix do not depend on the elimination order,
 so ranks, kernels, row bases and solutions are those of a Gauss-Jordan
 RREF over the rationals, bit-for-bit.  Float mode ranks are SVD-based
@@ -132,19 +134,17 @@ class SubspaceBasis:
 # exact elimination: sparse integer rows, fraction-free
 # ---------------------------------------------------------------------------
 
-def _int_rows(a: np.ndarray) -> list[dict]:
-    """Rows of ``a`` as sparse {column: int} maps, each cleared of denominators.
+def _sparse_rows(a: np.ndarray) -> list[dict]:
+    """Rows of a dense matrix as sparse {column: entry} maps of its nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a.tolist()]
 
-    Every row is scaled by the lcm of its denominators, which changes no
-    pivot, kernel or reduced row.  Ints carry ``numerator``/``denominator``
-    too, so one loop serves both entry types.
-    """
-    out = []
-    for row in a.tolist():
-        nz = {j: x for j, x in enumerate(row) if x}
-        den = math.lcm(*(x.denominator for x in nz.values()))
-        out.append({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
-    return out
+
+def _cleared(row: dict) -> dict:
+    """A sparse row of nonzero rationals times the lcm of its denominators:
+    integers, with the same pivots, kernel and reduced row.  Ints carry
+    ``numerator``/``denominator`` too, so one loop serves both entry types."""
+    den = math.lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
 
 
 def _eliminate(row: dict, piv: dict, c: int) -> dict:
@@ -223,24 +223,43 @@ def _exact_rows_to_array(vectors: list[list], ncols: int) -> np.ndarray:
 class Reduction:
     """One elimination of a matrix, read for its rank, kernel, image and rows.
 
-    Exact mode keeps the forward echelon of the matrix's sparse integer
-    rows (the rank is its number of pivots) and back-substitutes once, on
-    the first read of the kernel, the row basis or a solve.  Float mode
-    keeps the full SVD with the ``EPS_RANK`` cutoff.
+    Exact mode keeps the sparse rows (from a dense matrix or ``of_rows``)
+    and the forward echelon of their integer multiples (the rank is its
+    number of pivots), and back-substitutes once, on the first read of the
+    kernel, the row basis or a solve.  Float mode keeps the full SVD.
     """
 
     def __init__(self, a: np.ndarray):
-        self.a = a
+        self.shape = a.shape
         self.exact = mode_of(a) == MODE_EXACT
         if self.exact:
-            self._echelon = _echelon(_int_rows(a))
-            self.pivots = sorted(self._echelon)
-            self.rank = len(self.pivots)
+            self._forward(_sparse_rows(a))
         elif a.size:
             self.u, s, self.vh = np.linalg.svd(a, full_matrices=True)
             self.rank = int(np.count_nonzero(s > EPS_RANK * s[0]))
         else:
             self.u, self.vh, self.rank = np.eye(a.shape[0]), np.eye(a.shape[1]), 0
+
+    @classmethod
+    def of_rows(cls, rows: list[dict], ncols: int, mode: str) -> Reduction:
+        """One elimination of the matrix whose rows are the sparse {column:
+        nonzero entry} maps ``rows``: exact mode eliminates them as they are,
+        float mode writes them into a dense array for the SVD."""
+        if mode != MODE_EXACT:
+            a = zeros(len(rows), ncols, mode)
+            for i, row in enumerate(rows):
+                a[i, list(row)] = list(row.values())
+            return cls(a)
+        red = cls.__new__(cls)
+        red.shape, red.exact = (len(rows), ncols), True
+        red._forward(rows)
+        return red
+
+    def _forward(self, rows: list[dict]):
+        self.rows = rows
+        self._echelon = _echelon([_cleared(r) for r in rows])
+        self.pivots = sorted(self._echelon)
+        self.rank = len(self.pivots)
 
     @cached_property
     def _reduced(self) -> dict[int, dict]:
@@ -257,7 +276,7 @@ class Reduction:
         of gcd 1 and a positive first nonzero entry; float mode the
         orthonormal rows of V beyond the numerical rank.
         """
-        ncols = self.a.shape[1]
+        ncols = self.shape[1]
         if not self.exact:
             return SubspaceBasis(ncols, self.vh[self.rank:, :].copy())
         red = self._reduced
@@ -283,12 +302,12 @@ class Reduction:
         return SubspaceBasis(ncols, _exact_rows_to_array(vecs, ncols))
 
     def image(self) -> SubspaceBasis:
-        """Basis of the column space: the pivot columns of ``a`` in exact
-        mode, the leading left singular vectors in float mode."""
-        nrows = self.a.shape[0]
+        """Basis of the column space: the pivot columns of the matrix in
+        exact mode, the leading left singular vectors in float mode."""
+        nrows = self.shape[0]
         if not self.exact:
             return SubspaceBasis(nrows, self.u[:, :self.rank].T.copy())
-        vecs = [list(self.a[:, c]) for c in self.pivots]
+        vecs = [[row.get(c, 0) for row in self.rows] for c in self.pivots]
         return SubspaceBasis(nrows, _exact_rows_to_array(vecs, nrows))
 
     def row_basis(self) -> np.ndarray:
@@ -297,7 +316,7 @@ class Reduction:
         exact mode, orthonormal rows in float mode."""
         if not self.exact:
             return self.vh[:self.rank, :].copy()
-        ncols = self.a.shape[1]
+        ncols = self.shape[1]
         return _exact_rows_to_array([_dense(self._reduced[c], ncols) for c in self.pivots],
                                     ncols)
 
@@ -379,7 +398,7 @@ def solve_gram(basis_matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     onto span(B).
     """
     bt = basis_matrix.T.copy()
-    return solve_in_image(bt @ basis_matrix, bt @ rhs)
+    return solve_in_image(product(bt, basis_matrix), product(bt, rhs))
 
 
 # ---------------------------------------------------------------------------

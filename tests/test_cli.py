@@ -441,22 +441,33 @@ def test_benchmark_span_hooks_see_the_pipeline(square_fw, capsys, monkeypatch):
     assert not spans.installed()
 
 
-def _grid3(tmp_path):
-    """A triangulated 3x3 grid file: three member directions, every edge one way."""
-    n = 3
+def _grid(tmp_path, n=3):
+    """A triangulated n x n grid file: three member directions, every edge one way."""
     edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
     edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
     edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
-    path = tmp_path / "grid3.fw"
+    path = tmp_path / f"grid{n}.fw"
     save_framework(Framework(2, tuple((i, j) for j in range(n) for i in range(n)),
                              tuple(edges)), path)
+    return path
+
+
+def _lattice(tmp_path, n=3):
+    """An n x n x n lattice file with the diagonal of every unit face square
+    from its lowest corner, every edge one way."""
+    points = [(i, j, k) for k in range(n) for j in range(n) for i in range(n)]
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+    edges = [(points.index(p), points.index(q)) for p in points for d in steps
+             if max(q := tuple(a + b for a, b in zip(p, d))) < n]
+    path = tmp_path / f"lattice{n}.fw"
+    save_framework(Framework(3, tuple(points), tuple(edges)), path)
     return path
 
 
 def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monkeypatch):
     # dims come from the forward echelon of each boundary; only the kernels,
     # row bases and solves of a full analyze back-substitute
-    path = _grid3(tmp_path)
+    path = _grid(tmp_path)
     calls = []
     original = linalg._back_substitute
 
@@ -476,7 +487,7 @@ def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monke
 
 def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch):
     # all vertices share one stalk map and the edges have three directions
-    path = _grid3(tmp_path)
+    path = _grid(tmp_path)
     calls = []
     original = cosheaf._stalk_quotient
 
@@ -485,6 +496,48 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
         return original(phi, where)
 
     monkeypatch.setattr(cosheaf, "_stalk_quotient", counting)
+    products = []
+    original_product = cosheaf.product
+    monkeypatch.setattr(cosheaf, "product",
+                        lambda *fs: products.append(len(fs)) or original_product(*fs))
     assert main(["analyze", str(path), "--dims-only"]) == 0
     capsys.readouterr()
     assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12"]
+    # one anchored stalk map per direction and edge end, not one per incidence
+    assert products == [3] * 6
+
+
+def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, monkeypatch):
+    # eliminations read sparse boundary rows; theta multiplies by the dense
+    # moment boundary
+    path = _grid(tmp_path)
+    calls = []
+    original = cosheaf.assemble_boundary
+    monkeypatch.setattr(cosheaf, "assemble_boundary",
+                        lambda k: calls.append(k.c0_dim) or original(k))
+    assert main(["analyze", str(path), "--dims-only"]) == 0
+    assert calls == []
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == [9 * 3]
+
+
+# sha256 of the exact `analyze --dims-only --json` and `analyze --json`
+# output, input path replaced by "<input>", on frames larger than the corpus
+LARGE_DIGESTS = {
+    "grid6": ("7bd0de45ac876c3886a0a2d63e7f7f07f8c439d22bd4b2201e7968fc4fdc6aec",
+              "9f3c4dbcbb08f5ca97ac1aa1b0c287f171f7757bc65c47c83049a696d9aba160"),
+    "lattice3": ("688d2142f5edad2efa6edd0234a6f706318972bba09f6f46c761d67e9c394cb0",
+                 "5c946b0a6dd418c8b4822a806cc41de0955434e67b3778fef1a470b988fb861d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_DIGESTS))
+def test_exact_reports_on_larger_frames_are_byte_identical(tmp_path, capsys, name):
+    path = _grid(tmp_path, 6) if name == "grid6" else _lattice(tmp_path, 3)
+    digests = []
+    for flags in (["--dims-only", "--json"], ["--json"]):
+        assert main(["analyze", str(path), *flags]) == 0
+        out = capsys.readouterr().out.replace(str(path), "<input>")
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == LARGE_DIGESTS[name]

@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from framehom import (
-    Chain,
     CosheafMap,
     Framework,
     assemble_boundary,
-    chain_pack,
-    chain_unpack,
     check_cosheaf_map,
     constant_cosheaf,
     homology,
@@ -22,8 +19,15 @@ from framehom import (
     perturb,
     quotient_cosheaf,
 )
-from framehom.cosheaf import Cosheaf, _stalk_quotient
-from framehom.linalg import exact_matrix, identity, rank, zeros
+from framehom.cosheaf import Cosheaf, _stalk_quotient, boundary_rows
+from framehom.linalg import (
+    exact_matrix,
+    identity,
+    image_complement_basis,
+    kernel_basis,
+    rank,
+    zeros,
+)
 from framehom.structural import build_force_cosheaf, build_moment_cosheaf, build_phi
 
 
@@ -109,6 +113,27 @@ def test_homology_result_invariants():
         assert all(x == 0 for x in b.T @ v)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
+    # every other edge flipped, so head and tail blocks trade signs; the
+    # homology read off the sparse rows is the one read off the dense matrix
+    for label, f in corpus:
+        for e in range(0, f.num_edges, 2):
+            f = f.with_flipped_edge(e)
+        if mode == "float":
+            f = f.as_float()
+        cosheaves = (build_force_cosheaf(f), build_moment_cosheaf(f),
+                     quotient_cosheaf(build_phi(f)).cosheaf, constant_cosheaf(f))
+        for k in cosheaves:
+            b = assemble_boundary(k)
+            for rows, dense in ((boundary_rows(k), b), (boundary_rows(k, transpose=True), b.T)):
+                want = [{j: x for j, x in enumerate(r) if x} for r in dense.tolist()]
+                assert rows == want, label
+            h = homology(k)
+            assert np.array_equal(h.h1.vectors, kernel_basis(b).vectors), label
+            assert np.array_equal(h.h0.vectors, image_complement_basis(b).vectors), label
+
+
 @pytest.mark.parametrize("name", ["bar", "triangle", "square", "box3d"])
 def test_euler_characteristic_identity(name):
     f = make_named(name)
@@ -121,32 +146,20 @@ def test_euler_characteristic_identity(name):
 # chains
 # ---------------------------------------------------------------------------
 
-def test_chain_pack_unpack_roundtrip():
-    f = make_named("square")
-    k = build_moment_cosheaf(f)
-    flat = np.array([Fraction(i, 3) for i in range(k.c1_dim)], dtype=object)
-    chain = chain_unpack(k, 1, flat)
-    assert len(chain.components) == f.num_edges
-    again = chain_pack(k, chain)
-    assert (again == flat).all()
-
-
 def test_unit_chain_boundary_matches_column():
+    # a unit moment on edge 0 has boundary +head map column at the head
+    # vertex block, -tail map column at the tail block, zero elsewhere
     f = make_named("square")
     k = build_moment_cosheaf(f)
     b = assemble_boundary(k)
-    comps = [[0] * d for d in k.edge_dims]
-    comps[0][0] = 1  # unit moment at edge 0
-    flat = chain_pack(k, Chain(1, tuple(tuple(c) for c in comps)))
-    assert (b @ flat == b[:, 0]).all()
-
-
-def test_chain_dimension_mismatch():
-    k = build_force_cosheaf(make_named("bar"))
-    with pytest.raises(ValueError):
-        chain_pack(k, Chain(1, ((1, 2),)))
-    with pytest.raises(ValueError):
-        chain_unpack(k, 0, np.array([1, 2, 3], dtype=object))
+    unit = np.zeros(k.c1_dim, dtype=object)
+    unit[0] = 1
+    t, h = f.edges[0]
+    want = [0] * k.c0_dim
+    for v, m, sign in ((h, k.head_maps[0], 1), (t, k.tail_maps[0], -1)):
+        for i in range(k.vertex_dims[v]):
+            want[sum(k.vertex_dims[:v]) + i] = sign * m[i, 0]
+    assert list(b @ unit) == want
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +203,19 @@ def test_corrupted_lever_sign_fails_at_that_incidence():
     chk = check_cosheaf_map(bad_pi)
     assert not chk.passed
     assert [(e, v) for e, v, _ in chk.failures] == [(2, f.edges[2][1])]
+
+
+@pytest.mark.parametrize("defect", [Fraction(1, 10**400), 10**400])
+def test_exact_map_check_decides_on_exact_entries(defect):
+    # as floats, a defect of 1/10**400 reads 0.0 and one of 10**400 overflows
+    f = make_named("bar")
+    k = constant_cosheaf(f)
+    one = identity(1, f.mode)
+    bent = CosheafMap(source=k, target=k, vertex_maps=(one, exact_matrix([[1 + defect]])),
+                      edge_maps=(one,))
+    chk = check_cosheaf_map(bent)
+    assert not chk.passed
+    assert chk.failures == ((0, 1, defect),)
 
 
 def test_map_shape_validation():
