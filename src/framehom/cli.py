@@ -18,11 +18,13 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .framework import FrameworkError, load_framework
 from .les import LesReport, _LesContext, _report_from_context
 from .linalg import MODE_EXACT, MODE_FLOAT, complement_within, span_rows
+from .structural import moment_dim
 from .svgdraw import render_svg
 
 SCHEMA_VERSION = 1
@@ -262,7 +264,7 @@ def _anchored_generator_list(ctx: _LesContext):
 def _shear_value(ctx: _LesContext, e: int, couple) -> str:
     """Annotation for one anchored edge value: moment and transverse shear."""
     n = ctx.f.dim
-    w = 1 if n == 2 else 3
+    w = moment_dim(n)
     moment = couple[:w]
     force = [float(x) for x in couple[w:]]
     if n == 2:
@@ -280,6 +282,9 @@ def _cmd_svg(args) -> int:
         f = load_framework(args.input, args.mode)
     except (OSError, FrameworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if f.dim > 3:
+        print("error: svg export needs a 2- or 3-dimensional framework", file=sys.stderr)
         return 1
     try:
         space, idx_s = args.generator.split(":", 1)
@@ -334,7 +339,9 @@ def _cmd_svg(args) -> int:
 # entry points
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every ``main`` call."""
     p = argparse.ArgumentParser(prog="framehom",
                                 description="cosheaf homology of trusses and frames")
     p.add_argument("--version", action="version", version=f"framehom {__version__}")

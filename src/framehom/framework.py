@@ -1,11 +1,13 @@
-"""Geometric frameworks: straight-line graph embeddings in the plane or space.
+"""Geometric frameworks: straight-line graph embeddings in R^n, n >= 2.
 
-A framework is an ordered vertex list with positions in R^2 or R^3 plus a
-list of oriented edges (tail -> head).  Coordinates are exact rationals by
-default; a floating mode exists for tolerance experiments.  Frameworks are
-immutable; every generator is a deterministic function of its arguments.
+A framework is an ordered vertex list with positions in R^n (coordinates
+0 .. n-1: x, y in the plane, x, y, z in space) plus a list of oriented
+edges (tail -> head).  Coordinates are exact rationals by default; a
+floating mode exists for tolerance experiments.  Frameworks are immutable;
+every generator is a deterministic function of its arguments.
 
-File format (line oriented, ``#`` starts a comment)::
+File format (line oriented, ``#`` starts a comment; ``dim N`` with N >= 2,
+then one ``v`` record of an id and N coordinates per vertex)::
 
     dim 2
     v 0 0 0
@@ -64,8 +66,8 @@ class Framework:
     mode: str = MODE_EXACT
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise FrameworkError(f"ambient dimension must be 2 or 3, got {self.dim}")
+        if not isinstance(self.dim, int) or self.dim < 2:
+            raise FrameworkError(f"ambient dimension must be an integer >= 2, got {self.dim!r}")
         if self.mode not in (MODE_EXACT, MODE_FLOAT):
             raise FrameworkError(f"unknown mode {self.mode!r}")
         if not self.positions:
@@ -73,6 +75,8 @@ class Framework:
         for i, p in enumerate(self.positions):
             if len(p) != self.dim:
                 raise FrameworkError(f"vertex {i} has {len(p)} coordinates, expected {self.dim}")
+            if any(isinstance(x, float) and not math.isfinite(x) for x in p):
+                raise FrameworkError(f"vertex {i} has a non-finite coordinate")
         eps = self._zero_length_threshold()
         seen = set()
         for k, (t, h) in enumerate(self.edges):
@@ -205,8 +209,8 @@ def parse_framework(text: str, mode: str = MODE_EXACT) -> Framework:
         if toks[0] == "dim":
             if dim is not None:
                 raise FrameworkError(f"{where}: repeated dim header")
-            if len(toks) != 2 or toks[1] not in ("2", "3"):
-                raise FrameworkError(f"{where}: expected 'dim 2' or 'dim 3'")
+            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 2:
+                raise FrameworkError(f"{where}: expected 'dim N' with an integer N >= 2")
             dim = int(toks[1])
         elif toks[0] == "v":
             if dim is None:

@@ -41,7 +41,7 @@ from .linalg import (
 # not called here: the benchmark's self-test checks that its tracer rebinds
 # framehom.les.kernel_basis, so the name stays importable from this module
 from .linalg import kernel_basis  # noqa: F401
-from .structural import build_phi, rigid_body_space
+from .structural import build_phi, moment_dim, rigid_body_space
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,8 @@ def _counting_checks(ctx: _LesContext) -> tuple:
                 _not_applicable("anchored_decomposition", "disconnected"),
                 _not_applicable("les_alternating_sum", why))
     n, nv, ne = f.dim, f.num_vertices, f.num_edges
-    k = 3 if n == 2 else 6
+    w = moment_dim(n)
+    k = n + w
     (h1f, _), (h1m, _), (h1n, _) = ctx.dims
     mech = ctx.mech.dim
     checks = [
@@ -275,10 +276,10 @@ def _counting_checks(ctx: _LesContext) -> tuple:
               f"{k}(|E|-|V|+1) independent stress resultants across the cuts"),
     ]
     if affine_span_full(f.dim, f.positions, f.mode):
-        reduced_maxwell = ne - n * nv + (3 if n == 2 else 6)
+        reduced_maxwell = ne - n * nv + k
         checks += [
-            _rule("anchored_stress_count", 2 * ne - nv if n == 2 else 5 * ne - 3 * nv, h1n,
-                  "2|E|-|V|" if n == 2 else "5|E|-3|V|"),
+            _rule("anchored_stress_count", (k - 1) * ne - w * nv, h1n,
+                  f"{k - 1}|E|-{w if w != 1 else ''}|V|"),
             _rule("anchored_decomposition", k * (ne - nv + 1) - reduced_maxwell, h1n,
                   "cycle-rule count minus the reduced Maxwell count"),
         ]

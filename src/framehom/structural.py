@@ -11,18 +11,20 @@
   axial forces: mid-member sliding joints kill axial force, pinned vertex
   anchors absorb net force, so only moments and transverse shears remain.
 
-Moment stalk coordinate order is (M, Fx, Fy) in the plane and
-(Myz, Mzx, Mxy, Fx, Fy, Fz) in space.  Force vertex stalks are (Fx, Fy)
-or (Fx, Fy, Fz) and force edge stalks the axial scalar t.  Anchored
-stalks are coordinates in a basis of the complement of the axial forces:
-the moments at a vertex, the moments and transverse shears (V, or V1, V2
-in space) on an edge.  Bar directions are used unnormalized (head - tail)
-so exact rational arithmetic survives.
+In R^n a moment has one coordinate M_ij per pair of ``bivector_pairs(n)``:
+lexicographic i < j, except the cross-product order (yz, zx, xy) in space.
+Moment stalks list those n(n-1)/2 moments, then the force (F_0, ..., F_n-1):
+(M, Fx, Fy) in the plane, (Myz, Mzx, Mxy, Fx, Fy, Fz) in space,
+(M01, M02, M03, M12, M13, M23, F0, F1, F2, F3) in R^4.  Force vertex stalks
+are the n force components and force edge stalks the axial scalar t.
+Anchored stalks are coordinates in a basis of the complement of the axial
+forces: the moments at a vertex, the moments and the n - 1 transverse
+shears on an edge.  Bar directions are used unnormalized (head - tail) so
+exact rational arithmetic survives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -33,36 +35,31 @@ from .framework import Framework
 from .linalg import MODE_EXACT, SubspaceBasis, span_rows
 
 
-@dataclass(frozen=True)
-class Wedge2:
-    """A bivector in Lambda^2 R^n: 1 component (n=2) or 3 components (n=3)."""
+@cache
+def bivector_pairs(n: int) -> tuple:
+    """The coordinate pairs (i, j) that index bivectors in Lambda^2 R^n.
 
-    components: tuple
+    Lexicographic i < j, except in space, where the cross-product order
+    (yz, zx, xy) makes the moment coordinates those of the moment vector.
+    """
+    if n == 3:
+        return ((1, 2), (2, 0), (0, 1))
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
-    def __post_init__(self):
-        if len(self.components) not in (1, 3):
-            raise ValueError("bivector needs 1 (planar) or 3 (spatial) components")
 
-
-def wedge(a, b) -> Wedge2:
+def wedge(a, b) -> tuple:
     """Exterior product of two vectors: the moment of force a at lever b.
 
-    In the plane this is the single x^y coefficient a_x b_y - a_y b_x; in
-    space the three components (yz, zx, xy), matching the cross product.
+    One component a_i b_j - a_j b_i per pair of ``bivector_pairs``: the
+    single x^y coefficient in the plane, the cross product in space.
     """
     if len(a) != len(b):
         raise ValueError("wedge needs two vectors of the same dimension")
-    if len(a) == 2:
-        return Wedge2((a[0] * b[1] - a[1] * b[0],))
-    if len(a) == 3:
-        return Wedge2((a[1] * b[2] - a[2] * b[1],
-                       a[2] * b[0] - a[0] * b[2],
-                       a[0] * b[1] - a[1] * b[0]))
-    raise ValueError("only 2- and 3-dimensional vectors are supported")
+    return tuple(a[i] * b[j] - a[j] * b[i] for i, j in bivector_pairs(len(a)))
 
 
 def moment_dim(n: int) -> int:
-    return 1 if n == 2 else 3
+    return n * (n - 1) // 2
 
 
 def couple_dim(n: int) -> int:
@@ -72,14 +69,13 @@ def couple_dim(n: int) -> int:
 def _couple_transport(lever, n: int, mode: str) -> np.ndarray:
     """Stalk map (M, F) -> (M + F ^ lever, F) in matrix form.
 
-    Column j of the lever block is the unit vector e_j wedged with the lever.
+    Moment row r = (i, j) picks up lever_j F_i - lever_i F_j.
     """
     w = moment_dim(n)
     out = linalg.identity(w + n, mode)
-    for j in range(n):
-        unit = [1 if i == j else 0 for i in range(n)]
-        for i, c in enumerate(wedge(unit, lever).components):
-            out[i, w + j] = c if mode == MODE_EXACT else float(c)
+    for r, (i, j) in enumerate(bivector_pairs(n)):
+        out[r, w + i] = lever[j]
+        out[r, w + j] = -lever[i]
     return out
 
 
@@ -163,10 +159,10 @@ def build_phi(f: Framework) -> CosheafMap:
 def build_anchored_cosheaf(f: Framework) -> QuotientCosheaf:
     """Anchored cosheaf: the moment cosheaf modulo embedded axial forces.
 
-    Edge stalks keep the moment plus the transverse shear (dim 2 in the
-    plane, 5 in space); vertex stalks keep only moments (dim 1 / 3), the
-    pinned anchors absorbing residual force.  Returns the quotient with
-    its projection and sections.
+    Edge stalks keep the moments plus the transverse shears (dim
+    n(n+1)/2 - 1: 2 in the plane, 5 in space); vertex stalks keep only the
+    n(n-1)/2 moments, the pinned anchors absorbing residual force.
+    Returns the quotient with its projection and sections.
     """
     return quotient_cosheaf(build_phi(f))
 
@@ -190,32 +186,16 @@ def rigid_body_space(f: Framework) -> SubspaceBasis:
         for v in range(f.num_vertices):
             row[v * n + axis] = one
         gens.append(row)
-    for field in _rotation_fields(f):
-        gens.append(field)
-    stacked = np.vstack([g.reshape(1, -1) for g in gens])
-    return span_rows(stacked, ambient)
+    gens.extend(_rotation_fields(f))
+    return span_rows(np.vstack(gens), ambient)
 
 
 def _rotation_fields(f: Framework):
+    """One infinitesimal rotation per coordinate plane (i, j): v_i = -p_j, v_j = p_i."""
     n = f.dim
-    ambient = n * f.num_vertices
-    if n == 2:
-        row = linalg.zeros(1, ambient, f.mode)[0]
+    for i, j in bivector_pairs(n):
+        row = linalg.zeros(1, n * f.num_vertices, f.mode)[0]
         for v, p in enumerate(f.positions):
-            row[v * n] = -p[1]
-            row[v * n + 1] = p[0]
-        yield row
-        return
-    for omega in range(3):
-        row = linalg.zeros(1, ambient, f.mode)[0]
-        for v, p in enumerate(f.positions):
-            if omega == 0:                       # about x: (0, -z, y)
-                row[v * n + 1] = -p[2]
-                row[v * n + 2] = p[1]
-            elif omega == 1:                     # about y: (z, 0, -x)
-                row[v * n] = p[2]
-                row[v * n + 2] = -p[0]
-            else:                                # about z: (-y, x, 0)
-                row[v * n] = -p[1]
-                row[v * n + 1] = p[0]
+            row[v * n + i] = -p[j]
+            row[v * n + j] = p[i]
         yield row

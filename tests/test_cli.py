@@ -19,7 +19,7 @@ from framehom import (
     make_named,
     save_framework,
 )
-from framehom import cosheaf, linalg
+from framehom import cli, cosheaf, linalg
 from framehom.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,6 +102,24 @@ def test_analyze_invalid_file(tmp_path, capsys):
     code = main(["analyze", str(path)])
     assert code == 1
     assert "zero-length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["nan", "inf"])
+def test_analyze_float_rejects_non_finite_coordinates(tmp_path, capsys, literal):
+    path = tmp_path / "nonfinite.fw"
+    path.write_text(f"dim 3\nv 0 0 0 0\nv 1 {literal} 0 0\nv 2 0 1 0\ne 0 1\ne 1 2\n")
+    code = main(["analyze", str(path), "--mode", "float"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: vertex 1 has a non-finite coordinate\n"
+
+
+def test_main_builds_the_parser_once(square_fw, capsys):
+    cli.build_parser.cache_clear()
+    assert main(["analyze", str(square_fw), "--dims-only"]) == 0
+    assert main(["analyze", str(square_fw), "--dims-only", "--json"]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    capsys.readouterr()
 
 
 def test_analyze_check_failure_exit_2(tmp_path, capsys):
@@ -206,6 +224,33 @@ def test_svg_index_out_of_range(square_fw, tmp_path, capsys):
     code = main(["svg", str(square_fw), "--generator", "N:99", "--out", str(out)])
     assert code == 1
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def simplex4_fw(tmp_path):
+    """The complete graph on the origin and the four unit points of R^4."""
+    path = tmp_path / "simplex4.fw"
+    path.write_text("dim 4\nv 0 0 0 0 0\nv 1 1 0 0 0\nv 2 0 1 0 0\nv 3 0 0 1 0\n"
+                    "v 4 0 0 0 1\n" + "".join(f"e {a} {b}\n" for a in range(5)
+                                              for b in range(a + 1, 5)))
+    return path
+
+
+def test_svg_refuses_four_dimensional_frameworks(simplex4_fw, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_LesContext", None)  # refused before any homology
+    code = main(["svg", str(simplex4_fw), "--generator", "N:0",
+                 "--out", str(tmp_path / "s.svg")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: svg export needs a 2- or 3-dimensional framework\n"
+    assert not (tmp_path / "s.svg").exists()
+
+
+def test_analyze_four_dimensional_simplex_passes(simplex4_fw, capsys):
+    assert main(["analyze", str(simplex4_fw)]) == 0
+    out = capsys.readouterr().out
+    assert f"{'s; dim H1':12s} {0:>6d} {60:>6d} {60:>6d}" in out
+    assert "9|E|-6|V|" in out
+    assert "CHECK FAILURES" not in out
 
 
 def test_svg_bad_generator_spec(square_fw, tmp_path, capsys):

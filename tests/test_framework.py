@@ -79,6 +79,33 @@ def test_missing_dim_rejected():
         parse_framework("v 0 0 0\n")
 
 
+@pytest.mark.parametrize("token", ["1", "0", "-3", "x", "2.5", "\u00b2"])
+def test_dim_below_two_or_not_an_integer_rejected(token):
+    with pytest.raises(FrameworkError, match="line 1: expected 'dim N'"):
+        parse_framework(f"dim {token}\nv 0 0 0\nv 1 1 0\ne 0 1\n")
+
+
+@pytest.mark.parametrize("dim", [1, 0, -3, "x"])
+def test_framework_rejects_dim_below_two(dim):
+    with pytest.raises(FrameworkError, match="ambient dimension"):
+        Framework(dim, ((0,),), ())
+
+
+def test_parse_four_dimensional_framework(tmp_path):
+    text = "dim 4\nv 0 0 0 0 0\nv 1 1 0 0 1/2\ne 0 1\n"
+    f = parse_framework(text)
+    assert f.dim == 4
+    assert f.edge_geometry(0).direction == (1, 0, 0, Fraction(1, 2))
+    assert format_framework(f) == text
+
+
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+def test_float_mode_rejects_non_finite_coordinates(literal):
+    text = f"dim 2\nv 0 0 0\nv 1 {literal} 0\nv 2 1 1\ne 0 1\ne 1 2\n"
+    with pytest.raises(FrameworkError, match="vertex 1 has a non-finite coordinate"):
+        parse_framework(text, mode="float")
+
+
 def test_bad_literal_reports_line():
     with pytest.raises(FrameworkError, match="line 2"):
         parse_framework("dim 2\nv 0 zero 0\nv 1 1 0\ne 0 1\n")
