@@ -9,10 +9,16 @@ and the orthogonal complement of its image represents degree-0 homology
 (degrees of freedom).  The eliminations read the boundary as sparse rows
 built edge block by edge block; the dense block matrix is assembled only
 for the connecting map, which multiplies chains by it.
+
+In exact mode the chain-map work runs on integers: maps are applied to
+chains, and checked to commute, on their integer forms (one lcm per
+matrix), and the H1 coordinates of a cycle are read at the free columns
+of the boundary's reduction, with no further elimination.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,9 +30,9 @@ from .linalg import (
     MODE_EXACT,
     Reduction,
     SubspaceBasis,
-    image_complement_basis,
+    from_integer_form,
+    integer_form,
     product,
-    rank,
     solve_in_image,
 )
 
@@ -128,7 +134,8 @@ class Homology:
     ``h1`` = ker B (cycles in C_1) and the rank of B come from one
     elimination of B's sparse rows, ``h0`` (representatives in C_0
     spanning ker B^T = (im B)^perp) from one of B^T's.  The dimensions
-    need only the rank.  The dense ``boundary`` is assembled on first
+    need only the rank.  ``h1_coordinates`` reads cycles in the ``h1``
+    basis off B's reduction.  The dense ``boundary`` is assembled on first
     read, for the connecting map alone.
     """
 
@@ -152,6 +159,30 @@ class Homology:
     def h0(self) -> SubspaceBasis:
         k = self.cosheaf
         return Reduction.of_rows(boundary_rows(k, transpose=True), k.c0_dim, k.mode).kernel()
+
+    def h1_coordinates(self, chains: np.ndarray) -> np.ndarray:
+        """Coordinates in the ``h1`` basis of the cycles held one per column of
+        the matrix ``chains``.
+
+        Exact mode runs no elimination.  Each ``h1`` vector v_j is the kernel
+        vector of one free column fc_j of B's RREF and is zero at every other
+        free column, so coordinate j of a cycle y is y[fc_j] / v_j[fc_j].  The
+        columns are first checked to be cycles, B @ chains = 0, on B's rows
+        and the chains cleared to integers.  Float mode solves by least
+        squares.  Raises ValueError when a column is not a cycle.
+        """
+        red = self._reduction
+        if not red.exact:
+            return solve_in_image(self.h1.matrix(), chains)
+        ints, den = integer_form(chains)
+        if not red.annihilates(ints):
+            raise ValueError("right-hand side is not in the column space")
+        pivots = set(red.pivots)
+        free = [c for c in range(self.cosheaf.c1_dim) if c not in pivots]
+        diag = self.h1.vectors[range(len(free)), free].tolist()
+        lcm = math.lcm(*diag)
+        scale = np.array([lcm // d for d in diag], dtype=object).reshape(-1, 1)
+        return from_integer_form(ints[free] * scale, den * lcm)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -223,27 +254,49 @@ class CosheafMap:
     def check(self) -> MapCheck:
         return check_cosheaf_map(self)
 
+    @cached_property
+    def _forms(self) -> dict:
+        return _integer_forms(self.vertex_maps + self.edge_maps)
+
     def apply_c1(self, x: np.ndarray) -> np.ndarray:
         """Apply the edge maps to a flat C_1 chain or to one chain per column."""
-        return _apply_blocks(self.edge_maps, x)
+        return self._apply_blocks(self.edge_maps, x)
 
     def apply_c0(self, x: np.ndarray) -> np.ndarray:
         """Apply the vertex maps to a flat C_0 chain or to one chain per column."""
-        return _apply_blocks(self.vertex_maps, x)
+        return self._apply_blocks(self.vertex_maps, x)
+
+    def _apply_blocks(self, maps, x: np.ndarray) -> np.ndarray:
+        """Apply the block-diagonal matrix with diagonal blocks ``maps`` to ``x``.
+
+        ``x`` is one flat chain or a matrix holding one chain per column; each
+        block's rows of the result are its map times the block's rows of
+        ``x``.  Exact mode multiplies integer forms: each distinct map is
+        cleared of its denominators once per cosheaf map and ``x`` once per
+        call, every block is brought to one common denominator, and the
+        result is divided by it once.
+        """
+        rows = [m.shape[0] for m in maps]
+        cols = [m.shape[1] for m in maps]
+        forms = self._forms
+        den = math.lcm(*(forms[id(m)][1] for m in maps))
+        xi, xd = integer_form(x)
+        out = np.zeros((sum(rows),) + x.shape[1:], dtype=np.result_type(x, *maps))
+        for m, r, c in zip(maps, _offsets(rows), _offsets(cols)):
+            mi, md = forms[id(m)]
+            y = mi @ xi[c:c + m.shape[1]]
+            out[r:r + m.shape[0]] = y if md == den else y * (den // md)
+        return from_integer_form(out, den * xd)
 
 
-def _apply_blocks(maps, x: np.ndarray) -> np.ndarray:
-    """Apply the block-diagonal matrix with diagonal blocks ``maps`` to ``x``.
-
-    ``x`` is one flat chain or a matrix holding one chain per column; each
-    block's rows of the result are its map times the block's rows of ``x``.
-    """
-    rows = [m.shape[0] for m in maps]
-    cols = [m.shape[1] for m in maps]
-    out = np.zeros((sum(rows),) + x.shape[1:], dtype=np.result_type(x, *maps))
-    for m, r, c in zip(maps, _offsets(rows), _offsets(cols)):
-        out[r:r + m.shape[0]] = m @ x[c:c + m.shape[1]]
-    return out
+def _integer_forms(mats) -> dict:
+    """``linalg.integer_form`` of each distinct matrix in ``mats``, keyed on its id;
+    valid while the matrices are referenced."""
+    forms = {}
+    for a in mats:
+        if id(a) not in forms:
+            forms[id(a)] = integer_form(a)
+    return forms
 
 
 @dataclass(frozen=True)
@@ -257,15 +310,30 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
 
     At each incidence the target stalk map composed with the edge map must
     equal the vertex map composed with the source stalk map.  Exact mode
-    fails on any nonzero entry of the difference and reports its largest
-    |entry| exactly; float mode tolerates 1e-9.
+    clears each distinct factor once per check and compares the two sides
+    by integer cross-multiplication; only a failing incidence forms the
+    difference, and reports its largest |entry| exactly.  Float mode
+    tolerates 1e-9.
     """
+    exact = m.source.mode == MODE_EXACT
+    if exact:
+        src, tgt = m.source, m.target
+        forms = m._forms | _integer_forms(
+            src.tail_maps + src.head_maps + tgt.tail_maps + tgt.head_maps)
+
+    def commutes(a, b, c, d) -> bool:
+        (ai, ad), (bi, bd), (ci, cd), (di, dd) = (forms[id(x)] for x in (a, b, c, d))
+        return not np.any((ai @ bi) * (cd * dd) != (ci @ di) * (ad * bd))
+
     failures = []
-    tol = 0 if m.source.mode == MODE_EXACT else 1e-9
+    tol = 0 if exact else 1e-9
     for e, (t, h) in enumerate(m.source.base.edges):
         for v in (t, h):
-            diff = (product(m.target.stalk_map(e, v), m.edge_maps[e])
-                    - product(m.vertex_maps[v], m.source.stalk_map(e, v)))
+            sides = (m.target.stalk_map(e, v), m.edge_maps[e],
+                     m.vertex_maps[v], m.source.stalk_map(e, v))
+            if exact and commutes(*sides):
+                continue
+            diff = product(*sides[:2]) - product(*sides[2:])
             res = max((abs(x) for x in diff.ravel().tolist()), default=0)
             if res > tol:
                 failures.append((e, v, res))
@@ -293,10 +361,11 @@ class QuotientCosheaf:
 
 
 def _stalk_quotient(phi: np.ndarray, where: str):
-    t_dim, s_dim = phi.shape
-    if rank(phi) != s_dim:
+    # one elimination of phi^T: its rank is rank phi, its kernel (im phi)^perp
+    red = Reduction(phi.T.copy())
+    if red.rank != phi.shape[1]:
         raise ValueError(f"map is not injective on the {where} stalk")
-    section = image_complement_basis(phi).matrix()        # t_dim x q
+    section = red.kernel().matrix()                       # t_dim x q
     gram = section.T.copy() @ section
     proj = solve_in_image(gram, section.T.copy())          # q x t_dim
     return section, proj

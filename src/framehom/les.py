@@ -49,26 +49,37 @@ class InducedMap:
     """A map between homology spaces, expressed in their basis coordinates.
 
     ``matrix`` has shape (dim target H, dim source H); kernel and image are
-    subspaces of the source / target coordinate spaces.
+    subspaces of the source / target coordinate spaces.  Rank, kernel and
+    image come from one elimination of ``matrix``, each on first read: the
+    rank needs only the forward echelon, the kernel back-substitutes.
     """
 
     matrix: np.ndarray
-    rank: int
-    kernel: SubspaceBasis
-    image: SubspaceBasis
 
-    @classmethod
-    def of(cls, m: np.ndarray, **extra):
-        """Rank, kernel and image of ``m``, all read from one elimination."""
-        red = Reduction(m)
-        return cls(matrix=m, rank=red.rank, kernel=red.kernel(), image=red.image(), **extra)
+    @cached_property
+    def _reduction(self) -> Reduction:
+        return Reduction(self.matrix)
+
+    @property
+    def rank(self) -> int:
+        return self._reduction.rank
+
+    @cached_property
+    def kernel(self) -> SubspaceBasis:
+        return self._reduction.kernel()
+
+    @cached_property
+    def image(self) -> SubspaceBasis:
+        return self._reduction.image()
 
 
 def induced_map(m: CosheafMap, degree: int, src_h: Homology,
                 tgt_h: Homology) -> InducedMap:
     """Induced map on homology: apply the chain map, re-express in H bases.
 
-    Degree 1 images are automatically cycles of the target.  Degree 0
+    Degree 1 images are automatically cycles of the target; their
+    coordinates are read by ``Homology.h1_coordinates``, in exact mode at
+    the free columns of the target boundary with no elimination.  Degree 0
     representatives span (im B)^perp = ker B^T of the target boundary B,
     so the coordinates of an image class are those of its orthogonal
     projection onto that span: one solve against the Gram matrix of the
@@ -77,14 +88,10 @@ def induced_map(m: CosheafMap, degree: int, src_h: Homology,
     if not m.check.passed:
         raise ValueError(f"cosheaf map does not commute at incidences {m.check.failures}")
     if degree == 1:
-        src_basis, tgt_basis = src_h.h1, tgt_h.h1
-        apply, solve = m.apply_c1, solve_in_image
-    elif degree == 0:
-        src_basis, tgt_basis = src_h.h0, tgt_h.h0
-        apply, solve = m.apply_c0, solve_gram
-    else:
-        raise ValueError("degree must be 0 or 1")
-    return InducedMap.of(solve(tgt_basis.matrix(), apply(src_basis.matrix())))
+        return InducedMap(tgt_h.h1_coordinates(m.apply_c1(src_h.h1.matrix())))
+    if degree == 0:
+        return InducedMap(solve_gram(tgt_h.h0.matrix(), m.apply_c0(src_h.h0.matrix())))
+    raise ValueError("degree must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -212,7 +219,7 @@ class _LesContext:
                                 np.stack([r.reshape(-1) for r in resultants], axis=1))
         else:
             coords = linalg.zeros(h0.dim, 0, self.f.mode)
-        return ConnectingMap.of(coords, resultants=resultants)
+        return ConnectingMap(coords, resultants=resultants)
 
     def mechanism_basis_ambient(self) -> SubspaceBasis:
         """Image of the connecting map as vectors in the truss C_0 space."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -76,23 +76,39 @@ def identity(n: int, mode: str) -> np.ndarray:
 
 
 def product(*factors: np.ndarray) -> np.ndarray:
-    """Left-to-right product of matrices of one mode; float mode uses ``@``.
+    """Left-to-right product of matrices of one mode.
 
     Exact mode clears each factor of its denominators once (one lcm per
     factor), multiplies Python ints and divides by the product of the lcms
     once: integral entries come back as ``int``, others as reduced ``Fraction``.
+    Float mode multiplies the factors as they are.
     """
-    if mode_of(factors[0]) == MODE_FLOAT:
-        return reduce(np.matmul, factors)
     out, den = None, 1
     for a in factors:
-        flat = a.ravel().tolist()
-        d = math.lcm(*(x.denominator for x in flat))
-        ints = np.array([x.numerator * (d // x.denominator) for x in flat],
-                        dtype=object).reshape(a.shape)
+        ints, d = integer_form(a)
         out, den = (ints if out is None else out @ ints), den * d
-    flat = [x // den if x % den == 0 else Fraction(x, den) for x in out.ravel().tolist()]
-    return np.array(flat, dtype=object).reshape(out.shape)
+    return from_integer_form(out, den)
+
+
+def integer_form(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """A matrix as (integer matrix, d) with ``a`` = ints / d: in exact mode d
+    is the lcm of the denominators of its entries; a float matrix is its own
+    form, over 1."""
+    if mode_of(a) == MODE_FLOAT:
+        return a, 1
+    flat = a.ravel().tolist()
+    d = math.lcm(*(x.denominator for x in flat))
+    ints = np.array([x.numerator * (d // x.denominator) for x in flat], dtype=object)
+    return ints.reshape(a.shape), d
+
+
+def from_integer_form(ints: np.ndarray, den: int) -> np.ndarray:
+    """The matrix ints / den: integral entries as ``int``, others as reduced
+    ``Fraction``."""
+    if den == 1:
+        return ints
+    flat = [x // den if x % den == 0 else Fraction(x, den) for x in ints.ravel().tolist()]
+    return np.array(flat, dtype=object).reshape(ints.shape)
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
@@ -300,6 +316,14 @@ class Reduction:
                 v[j] //= g
             vecs.append(v)
         return SubspaceBasis(ncols, _exact_rows_to_array(vecs, ncols))
+
+    def annihilates(self, ints: np.ndarray) -> bool:
+        """True when the exact matrix times the integer matrix ``ints`` is
+        zero; each sparse row is cleared to integers, so no ``Fraction`` is
+        formed."""
+        return not ints.size or not any(
+            row and np.any(sum(v * ints[j] for j, v in _cleared(row).items()))
+            for row in self.rows)
 
     def image(self) -> SubspaceBasis:
         """Basis of the column space: the pivot columns of the matrix in

@@ -166,6 +166,17 @@ def test_scan_csv(desargues_fw, capsys):
     assert len(lines) == 7
 
 
+# sha256 of the exact `scan` CSV on Desargues over three magnitudes and
+# five seeds: the scan is byte-identical by the same contract as `analyze`
+SCAN_DIGEST = "982e198ef976cd9965d32cd285da839ed75c76dd95e858f77641ad0bd244b531"
+
+
+def test_exact_scan_is_byte_identical(desargues_fw, capsys):
+    assert main(["scan", str(desargues_fw), "-m", "0,1/100,1/1000", "-s", "1..5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_DIGEST
+
+
 def test_scan_bad_seed_spec(desargues_fw, capsys):
     code = main(["scan", str(desargues_fw), "-m", "0", "-s", "x"])
     assert code == 1

@@ -19,12 +19,14 @@ from framehom import (
     perturb,
     quotient_cosheaf,
 )
+from framehom import cosheaf, linalg
 from framehom.cosheaf import Cosheaf, _stalk_quotient, boundary_rows
 from framehom.linalg import (
     exact_matrix,
     identity,
     image_complement_basis,
     kernel_basis,
+    product,
     rank,
     zeros,
 )
@@ -218,6 +220,44 @@ def test_exact_map_check_decides_on_exact_entries(defect):
     assert chk.failures == ((0, 1, defect),)
 
 
+def _product_failures(m):
+    """(edge, vertex, largest |entry|) of each incidence whose two products differ."""
+    out = []
+    for e, (t, h) in enumerate(m.source.base.edges):
+        for v in (t, h):
+            diff = (product(m.target.stalk_map(e, v), m.edge_maps[e])
+                    - product(m.vertex_maps[v], m.source.stalk_map(e, v)))
+            res = max((abs(x) for x in diff.ravel().tolist()), default=0)
+            if res:
+                out.append((e, v, res))
+    return tuple(out)
+
+
+def test_exact_map_check_reports_the_product_difference(monkeypatch):
+    # the check compares integer forms and forms the products of a failing
+    # incidence only, which must still report the exact residual of the
+    # Fraction products, with the same types
+    f = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 4)
+    pi = quotient_cosheaf(build_phi(f)).projection
+    products = []
+    monkeypatch.setattr(cosheaf, "product", lambda *fs: products.append(1) or product(*fs))
+    assert check_cosheaf_map(pi).passed
+    assert products == []
+    vertex_maps, edge_maps = list(pi.vertex_maps), list(pi.edge_maps)
+    vertex_maps[3] = vertex_maps[3].copy()
+    vertex_maps[3][0, 2] += Fraction(1, 7)
+    edge_maps[5] = edge_maps[5] * 2
+    broken = CosheafMap(source=pi.source, target=pi.target,
+                        vertex_maps=tuple(vertex_maps), edge_maps=tuple(edge_maps))
+    want = _product_failures(broken)
+    assert len(want) >= 3
+    chk = check_cosheaf_map(broken)
+    assert not chk.passed
+    assert len(products) == 2 * len(want)
+    assert chk.failures == want
+    assert repr(chk.failures) == repr(want)
+
+
 def test_map_shape_validation():
     f = make_named("bar")
     k = build_force_cosheaf(f)
@@ -360,8 +400,21 @@ def test_quotient_rejects_non_injective_map():
         source=k, target=k,
         vertex_maps=tuple(zeros(2, 2, f.mode) for _ in range(2)),
         edge_maps=tuple(zeros(1, 1, f.mode) for _ in range(1)))
-    with pytest.raises(ValueError, match="not injective"):
+    with pytest.raises(ValueError, match="not injective on the vertex 0 stalk"):
         quotient_cosheaf(collapse)
+
+
+def test_stalk_quotient_eliminates_twice(monkeypatch):
+    # one elimination of phi^T gives the injectivity rank and the section,
+    # one more solves for the projection
+    calls = []
+    original = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or original(rows))
+    phi = build_phi(make_named("box3d"))
+    section, proj = _stalk_quotient(phi.edge_maps[0], "edge 0")
+    assert len(calls) == 2
+    assert section.shape == (6, 5) and proj.shape == (5, 6)
+    assert (proj @ section == identity(5, "exact")).all()
 
 
 def _random_invertible(n, rng):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framehom import (
     connecting_map,
@@ -13,17 +15,21 @@ from framehom import (
     make_desargues,
     make_named,
     parse_framework,
+    perturb,
     perturbation_scan,
     rigid_body_space,
     verify_les,
 )
+from framehom import cosheaf, les, linalg
 from framehom.cosheaf import assemble_boundary
-from framehom.les import _LesContext
+from framehom.les import InducedMap, _LesContext
 from framehom.linalg import (
     complement_within,
+    exact_matrix,
     identity,
     image_basis,
     solve_gram,
+    solve_in_image,
     span_rows,
     subspaces_equal,
 )
@@ -72,6 +78,78 @@ def test_phi0_surjective_with_mechanism_kernel():
         ctx = _LesContext(make_named(name))
         assert ctx.phi0.rank == ctx.h_moment.h0.dim
         assert ctx.phi0.kernel.dim == ctx.mech.dim
+
+
+def _assert_h1_coordinates_match_solve(f):
+    # phi1 and pi1 read their coordinates at the free columns; the old
+    # elimination of [basis | image] must give the same matrix
+    ctx = _LesContext(f)
+    for h, chains in ((ctx.h_moment, ctx.phi.apply_c1(ctx.h_force.h1.matrix())),
+                      (ctx.h_anch, ctx.pi.apply_c1(ctx.h_moment.h1.matrix()))):
+        got = h.h1_coordinates(chains)
+        want = solve_in_image(h.h1.matrix(), chains)
+        assert got.shape == want.shape == (h.h1.dim, chains.shape[1])
+        assert (got == want).all()
+        assert (h.h1.matrix() @ got == chains).all()
+
+
+def test_h1_coordinates_match_solve_in_image_on_corpus(corpus):
+    for _, f in corpus:
+        _assert_h1_coordinates_match_solve(f)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["random2d", "random3d"]), st.integers(0, 10**6),
+       st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(3, 1000)]))
+def test_h1_coordinates_match_solve_in_image_on_random_frames(name, seed, magnitude):
+    _assert_h1_coordinates_match_solve(perturb(make_named(name, seed), magnitude, seed))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_h1_coordinates_reject_a_chain_that_is_not_a_cycle(mode):
+    f = make_desargues(Fraction(1, 2))
+    h = homology(build_moment_cosheaf(f if mode == "exact" else f.as_float()))
+    chains = h.h1.matrix()
+    assert h.h1_coordinates(chains).shape == (h.h1.dim, h.h1.dim)
+    chains[0, 1] += 1  # column 0 of the boundary is nonzero
+    with pytest.raises(ValueError, match="not in the column space"):
+        h.h1_coordinates(chains)
+
+
+def test_exact_degree1_induced_maps_make_no_solve_in_image_call(monkeypatch):
+    ctx = _LesContext(perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 1))
+    for k in (ctx.phi, ctx.pi):  # the map checks run before any induced map
+        assert k.check.passed
+    calls = []
+    for module in (cosheaf, les, linalg):
+        original = module.solve_in_image
+        monkeypatch.setattr(module, "solve_in_image",
+                            lambda *a, _f=original: calls.append(1) or _f(*a))
+    assert (ctx.phi1.rank, ctx.pi1.rank) == (0, 12)
+    assert calls == []
+    assert ctx.phi0.rank == 3
+    assert calls  # the degree-0 Gram solve still goes through solve_in_image
+
+
+def test_induced_rank_is_read_without_back_substitution(monkeypatch):
+    calls = []
+    original = linalg._back_substitute
+    monkeypatch.setattr(linalg, "_back_substitute",
+                        lambda ech: calls.append(1) or original(ech))
+    m = InducedMap(exact_matrix([[1, 1, 0], [0, 1, 1]]))
+    assert m.rank == 2
+    assert calls == []
+    assert m.kernel.vectors.tolist() == [[1, -1, 1]]
+    assert m.image.dim == 2
+    assert len(calls) == 1
+
+
+def test_scan_row_reads_ranks_only():
+    ctx = _LesContext(perturb(make_desargues(Fraction(1, 2)), Fraction(1, 1000), 2))
+    assert (ctx.phi1.rank, ctx.pi1.rank, ctx.theta.rank) == (0, 12, 0)
+    for m in (ctx.phi1, ctx.pi1, ctx.theta):
+        assert "kernel" not in vars(m) and "image" not in vars(m)
+    assert ctx.theta.kernel.dim == 12
 
 
 # ---------------------------------------------------------------------------
