@@ -17,13 +17,12 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .framework import FrameworkError, load_framework
-from .les import LesReport, _LesContext, _report_from_context
-from .linalg import MODE_EXACT, MODE_FLOAT, complement_within, span_rows
+from .framework import FrameworkError, _format_scalar, _parse_scalar, load_framework
+from .les import LesReport, _LesContext, _report_from_context, perturbation_scan
+from .linalg import MODE_EXACT, MODE_FLOAT
 from .structural import moment_dim
 from .svgdraw import render_svg
 
@@ -35,10 +34,16 @@ def _digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _scalar_str(x) -> str:
-    if isinstance(x, Fraction) or isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+def _write(path, text: str) -> int:
+    """Write ``text`` to ``path``: 0, or 1 after an ``error:`` line on stderr
+    when the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +105,7 @@ def _report_text(path, digest, ctx: _LesContext, report: LesReport | None,
 
 
 def _vec_strs(vec) -> list[str]:
-    return [_scalar_str(x) for x in vec]
+    return [_format_scalar(x) for x in vec]
 
 
 def _report_json(path, digest, ctx: _LesContext, report: LesReport | None,
@@ -165,9 +170,8 @@ def _cmd_analyze(args) -> int:
         text = _report_json(args.input, digest, ctx, report, args.dims_only)
     else:
         text = _report_text(args.input, digest, ctx, report, args.dims_only)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.out and _write(args.out, text):
+        return 1
     print(text, end="")
     if report is not None and not report.all_passed:
         return 2
@@ -184,7 +188,7 @@ def _parse_magnitudes(spec: str, mode: str) -> list:
         tok = tok.strip()
         if not tok:
             continue
-        out.append(Fraction(tok) if mode == MODE_EXACT else float(tok))
+        out.append(_parse_scalar(tok, mode, "--magnitudes"))
     if not out:
         raise ValueError("no magnitudes given")
     return out
@@ -211,7 +215,6 @@ SCAN_COLUMNS = ("magnitude", "seed", "h1_force", "h0_force", "h1_moment", "h0_mo
 
 
 def _cmd_scan(args) -> int:
-    from .les import perturbation_scan
     try:
         f = load_framework(args.input, args.mode)
         magnitudes = _parse_magnitudes(args.magnitudes, args.mode)
@@ -238,28 +241,14 @@ def _cmd_scan(args) -> int:
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+        return _write(args.out, text)
+    print(text, end="")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # svg
 # ---------------------------------------------------------------------------
-
-def _anchored_generator_list(ctx: _LesContext):
-    """H1(anchored) generators: frame-stress images first, then the
-    complement orthogonal to im pi* (the anchored-only stresses)."""
-    h1n = ctx.h_anch.h1
-    if ctx.pi1.image.dim:
-        im_ambient = span_rows(ctx.pi1.image.vectors @ h1n.vectors, h1n.ambient_dim)
-    else:
-        im_ambient = span_rows(h1n.vectors[:0], h1n.ambient_dim)
-    perp = complement_within(im_ambient, h1n)
-    return list(im_ambient.vectors) + list(perp.vectors)
-
 
 def _shear_value(ctx: _LesContext, e: int, couple) -> str:
     """Annotation for one anchored edge value: moment and transverse shear."""
@@ -300,39 +289,29 @@ def _cmd_svg(args) -> int:
         return 1
     ctx = _LesContext(f)
     show = not args.no_svg_values
+    gens = ctx.h_force.h1.vectors if space == "F" else ctx.anchored_generators
+    if not len(gens):
+        which = "force" if space == "F" else "anchored"
+        print(f"error: no generators -- dim H1({which}) = 0", file=sys.stderr)
+        return 1
+    if not 0 <= idx < len(gens):
+        print(f"error: generator index {idx} out of range 0..{len(gens) - 1}",
+              file=sys.stderr)
+        return 1
+    gen = gens[idx].reshape(-1, 1)
     if space == "F":
-        gens = list(ctx.h_force.h1.vectors)
-        if not gens:
-            print("error: no generators -- dim H1(force) = 0", file=sys.stderr)
-            return 1
-        if not 0 <= idx < len(gens):
-            print(f"error: generator index {idx} out of range 0..{len(gens) - 1}",
-                  file=sys.stderr)
-            return 1
-        gen = gens[idx]
-        edge_texts = {e: f"t={float(gen[e]):.4g}" for e in range(f.num_edges)}
+        edge_texts = {e: f"t={float(gen[e, 0]):.4g}" for e in range(f.num_edges)}
         svg = render_svg(f, title=f"axial self-stress F:{idx}",
                          edge_texts=edge_texts, show_values=show)
     else:
-        gens = _anchored_generator_list(ctx)
-        if not gens:
-            print("error: no generators -- dim H1(anchored) = 0", file=sys.stderr)
-            return 1
-        if not 0 <= idx < len(gens):
-            print(f"error: generator index {idx} out of range 0..{len(gens) - 1}",
-                  file=sys.stderr)
-            return 1
-        gen = gens[idx]
         couples = ctx.section.apply_c1(gen).reshape(f.num_edges, -1)
         edge_texts = {e: _shear_value(ctx, e, couples[e]) for e in range(f.num_edges)}
-        res = ctx.vertex_resultants(gen)
+        res = ctx.resultants(gen).reshape(f.num_vertices, -1)
         arrows = {v: tuple(res[v, :]) for v in range(f.num_vertices)
                   if any(float(x) != 0.0 for x in res[v, :])}
         svg = render_svg(f, title=f"anchored self-stress N:{idx}",
                          edge_texts=edge_texts, vertex_arrows=arrows, show_values=show)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return 0
+    return _write(args.out, svg)
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def _parse_scalar(tok: str, mode: str, where: str):
             return float(num) / float(den)
         return float(tok)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FrameworkError(f"{where}: bad coordinate literal {tok!r}") from exc
+        raise FrameworkError(f"{where}: bad number literal {tok!r}") from exc
 
 
 def parse_framework(text: str, mode: str = MODE_EXACT) -> Framework:

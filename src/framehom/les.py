@@ -8,7 +8,9 @@ with the middle arrow into degree 0 given by the snake-lemma connecting
 homomorphism: lift an anchored self-stress through the section, take the
 frame boundary, and read off the resultant shear forces at the vertices.
 Its image, projected to homology representatives, is exactly the space of
-truss mechanisms.
+truss mechanisms.  It is built in one pass: all H1(anchored) basis cycles
+are lifted and pulled back together, then projected onto the H0(force)
+representatives in one Gram solve.
 
 This module computes the induced maps and the connecting homomorphism,
 verifies exactness at every node, evaluates the counting rules
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .cosheaf import CosheafMap, Homology, homology, quotient_cosheaf
-from .framework import Framework, affine_span_full
+from .framework import Framework, affine_span_full, perturb
 from .linalg import (
     MODE_EXACT,
     Reduction,
@@ -94,23 +96,12 @@ def induced_map(m: CosheafMap, degree: int, src_h: Homology,
     raise ValueError("degree must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class ConnectingMap(InducedMap):
-    """The connecting homomorphism H1(anchored) -> H0(force).
-
-    ``resultants[j]`` holds, for the j-th H1(anchored) basis cycle, the
-    raw vertex force resultants (num_vertices x dim) read off before
-    projection to homology representatives: the green force arrows.
-    """
-
-    resultants: tuple
-
-
 class _LesContext:
     """The staged pipeline for one framework, read by every front end.
 
     The cosheaves and their boundaries are built here.  Each later stage
-    (the reductions, the induced maps, ``theta``, the counting checks) is
+    (the reductions, the induced maps, ``theta``, the counting checks, the
+    svg generator list) is
     computed on first read and kept, so a reader pays only for the stages
     it reads.  The LES stages need a connected framework with an edge;
     ``theta`` and ``require_les`` raise ValueError otherwise.
@@ -164,6 +155,13 @@ class _LesContext:
     def counting(self) -> tuple:
         return _counting_checks(self)
 
+    @property
+    def alternating_sum(self) -> int:
+        """The alternating dimension sum of the reduced sequence, zero when it is
+        exact: (self-stresses - mechanisms) + anchored stresses - frame stresses."""
+        (h1f, _), (h1m, _), (h1n, _) = self.dims
+        return (h1f - self.mech.dim) + h1n - h1m
+
     def _edge_sections(self):
         """Edge-stalk right inverses of the projection.
 
@@ -194,48 +192,55 @@ class _LesContext:
                           vertex_maps=self.anch.vertex_sections,
                           edge_maps=self._edge_sections())
 
-    def vertex_resultants(self, w: np.ndarray) -> np.ndarray:
-        """Vertex force resultants of one anchored C1 cycle.
+    def resultants(self, chains: np.ndarray) -> np.ndarray:
+        """Vertex force resultants of the anchored C1 cycles held one per
+        column of ``chains``: an (n|V| x k) matrix, rows vertex-major.
 
-        Lift through the section, apply the frame boundary, and pull the
-        per-vertex couples back through the truss embedding, which pads a
-        force with a zero moment at every vertex: one solve whose columns
-        are the vertices.  The pull-back is exact only when the moment
-        components vanish, which holds for cycles of the anchored
-        boundary; a nonzero residual raises.
+        One lift through the section and one product with the frame boundary
+        serve every cycle; one solve against the truss embedding (which pads
+        a force with a zero moment) pulls back every vertex couple of every
+        cycle.  That is exact only when the moment components vanish, as for
+        cycles of the anchored boundary; otherwise it raises ValueError.
         """
-        y = self.h_moment.boundary @ self.section.apply_c1(w)
-        couples = y.reshape(self.f.num_vertices, -1).T.copy()
-        return solve_in_image(self.phi.vertex_maps[0], couples).T.copy()
+        pad = self.phi.vertex_maps[0]
+        (rows, n), nv, k = pad.shape, self.f.num_vertices, chains.shape[1]
+        y = self.h_moment.boundary @ self.section.apply_c1(chains)
+        couples = y.reshape(nv, rows, k).transpose(1, 0, 2).reshape(rows, nv * k)
+        forces = solve_in_image(pad, couples)
+        return forces.reshape(n, nv, k).transpose(1, 0, 2).reshape(nv * n, k)
 
     @cached_property
-    def theta(self) -> ConnectingMap:
-        """Resultants of the H1(anchored) generators, in H0(force) coordinates."""
+    def theta(self) -> InducedMap:
+        """The connecting map: resultants of the H1(anchored) generators, in
+        H0(force) coordinates."""
         self.require_les()
-        resultants = tuple(self.vertex_resultants(w) for w in self.h_anch.h1.vectors)
-        h0 = self.h_force.h0
-        if resultants:
-            coords = solve_gram(h0.matrix(),
-                                np.stack([r.reshape(-1) for r in resultants], axis=1))
-        else:
-            coords = linalg.zeros(h0.dim, 0, self.f.mode)
-        return ConnectingMap(coords, resultants=resultants)
+        return InducedMap(solve_gram(self.h_force.h0.matrix(),
+                                     self.resultants(self.h_anch.h1.matrix())))
 
     def mechanism_basis_ambient(self) -> SubspaceBasis:
         """Image of the connecting map as vectors in the truss C_0 space."""
-        if self.theta.image.dim == 0:
-            return SubspaceBasis(self.h_force.h0.ambient_dim,
-                                 linalg.zeros(0, self.h_force.h0.ambient_dim, self.f.mode))
         vecs = self.theta.image.vectors @ self.h_force.h0.vectors
         return span_rows(vecs, self.h_force.h0.ambient_dim)
 
+    @cached_property
+    def anchored_generators(self) -> np.ndarray:
+        """H1(anchored) generators, one per row, in the order svg numbers
+        them: the frame-stress images (im pi*) first, then the complement
+        orthogonal to im pi* (the anchored-only stresses)."""
+        h1n = self.h_anch.h1
+        im_ambient = span_rows(self.pi1.image.vectors @ h1n.vectors, h1n.ambient_dim)
+        return np.vstack([im_ambient.vectors, complement_within(im_ambient, h1n).vectors])
 
-def connecting_map(f: Framework, section_rng: random.Random | None = None) -> ConnectingMap:
-    """Snake-lemma connecting homomorphism H1(anchored) -> H0(force).
+
+def connecting_map(f: Framework, section_rng: random.Random | None = None) -> InducedMap:
+    """Snake-lemma connecting homomorphism H1(anchored) -> H0(force), as the
+    induced map whose column j holds the H0(force) coordinates of the
+    resultants of the j-th H1(anchored) basis cycle.
 
     A custom ``section_rng`` randomizes the lifting section; the resulting
     map on homology is identical (well-definedness of the construction),
-    though the raw resultants may differ by boundary terms.
+    though the raw resultants (``_LesContext.resultants``) may differ by
+    boundary terms.
     """
     return _LesContext(f, section_rng).theta
 
@@ -293,7 +298,7 @@ def _counting_checks(ctx: _LesContext) -> tuple:
     else:
         checks += [_not_applicable("anchored_stress_count", "degenerate affine span"),
                    _not_applicable("anchored_decomposition", "degenerate affine span")]
-    checks.append(_rule("les_alternating_sum", 0, (h1f - mech) + h1n - h1m,
+    checks.append(_rule("les_alternating_sum", 0, ctx.alternating_sum,
                         "(self-stresses - mechanisms) + anchored stresses - frame stresses"))
     return tuple(checks)
 
@@ -377,7 +382,7 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
     checks = []
 
     dims_f, dims_m, dims_n = ctx.dims
-    (h1f, _), (h1m, h0m), (h1n, h0n) = dims_f, dims_m, dims_n
+    (h1f, _), (_, h0m), (h1n, h0n) = dims_f, dims_m, dims_n
     checks.append(LesCheck(
         "a", "phi* injective on H1", ctx.phi1.rank == h1f,
         f"rank {ctx.phi1.rank} of {h1f}"))
@@ -391,7 +396,7 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
         "d", "theta surjective onto the mechanism space", mech_ambient, ctx.mech))
     checks.append(LesCheck(
         "e", "H0(anchored) vanishes", h0n == 0, f"dim {h0n}"))
-    alt = (h1f - ctx.mech.dim) + h1n - h1m
+    alt = ctx.alternating_sum
     checks.append(LesCheck(
         "f", "alternating dimension sum of the reduced sequence is zero", alt == 0,
         f"sum {alt}"))
@@ -450,7 +455,6 @@ def perturbation_scan(f: Framework, magnitudes, seeds) -> tuple:
     One row per (magnitude, seed); rows whose perturbation breaks the
     framework (a zero-length edge) are flagged invalid instead of raising.
     """
-    from .framework import perturb
     rows = []
     for mag in magnitudes:
         for seed in seeds:

@@ -189,6 +189,36 @@ def test_scan_out_file(desargues_fw, tmp_path, capsys):
     assert out_path.read_text().startswith("magnitude,seed")
 
 
+def test_float_scan_parses_rational_magnitudes(desargues_fw, capsys):
+    # the example of --help, in float mode: literals parse as in .fw files
+    code = main(["scan", str(desargues_fw), "-m", "0,1/100", "-s", "1", "--mode", "float"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    lines = captured.out.strip().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0.0", "1"], ["0.01", "1"]]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_scan_rejects_a_bad_magnitude_literal(desargues_fw, capsys, mode):
+    code = main(["scan", str(desargues_fw), "-m", "0,1/0", "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --magnitudes: bad number literal '1/0'\n"
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["scan", "-m", "0"],
+                                  ["svg", "--generator", "N:0"]])
+def test_unwritable_out_path_is_an_input_error(desargues_fw, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x"
+    code = main([argv[0], str(desargues_fw), *argv[1:], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # svg
 # ---------------------------------------------------------------------------
@@ -561,6 +591,19 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
     assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12"]
     # one anchored stalk map per direction and edge end, not one per incidence
     assert products == [3] * 6
+
+
+def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypatch):
+    # theta pulls every vertex of every anchored cycle back in one solve, so
+    # the padding map is eliminated once, not once per cycle (76 before)
+    path = _grid(tmp_path, 4)
+    calls = []
+    original = linalg.Reduction._forward
+    monkeypatch.setattr(linalg.Reduction, "_forward",
+                        lambda self, rows: calls.append(1) or original(self, rows))
+    assert main(["analyze", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 28
 
 
 def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, monkeypatch):

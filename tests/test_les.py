@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framehom import (
+    Framework,
     connecting_map,
     counting_rules,
     homology,
@@ -24,7 +26,6 @@ from framehom import cosheaf, les, linalg
 from framehom.cosheaf import assemble_boundary
 from framehom.les import InducedMap, _LesContext
 from framehom.linalg import (
-    complement_within,
     exact_matrix,
     identity,
     image_basis,
@@ -213,8 +214,7 @@ def test_resultants_sum_to_zero_and_kill_rigid_motions():
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f)
     rigid = rigid_body_space(f)
-    for res in ctx.theta.resultants:
-        flat = res.reshape(-1)
+    for flat in ctx.resultants(ctx.h_anch.h1.matrix()).T:
         for gen in rigid.vectors:
             assert sum(a * b for a, b in zip(flat, gen)) == 0
 
@@ -224,11 +224,9 @@ def test_desargues_perp_generator_maps_onto_the_unique_mechanism():
     # its homology class lands on (a multiple of) the sole mechanism
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f)
-    h1n = ctx.h_anch.h1
-    im_ambient = span_rows(ctx.pi1.image.vectors @ h1n.vectors, h1n.ambient_dim)
-    perp = complement_within(im_ambient, h1n)
-    assert perp.dim == 1
-    res = ctx.vertex_resultants(perp.vectors[0]).reshape(-1)
+    gens = ctx.anchored_generators  # im pi* first, then its complement
+    assert len(gens) - ctx.pi1.image.dim == 1
+    res = ctx.resultants(gens[-1:].T)[:, 0]
     b_force = assemble_boundary(build_force_cosheaf(f))
     im = image_basis(b_force).matrix()
     rep = res - im @ solve_gram(im, res)
@@ -236,6 +234,70 @@ def test_desargues_perp_generator_maps_onto_the_unique_mechanism():
     assert mech.dim == 1
     assert any(x != 0 for x in rep)
     assert subspaces_equal(span_rows(rep.reshape(1, -1), len(rep)), mech)
+
+
+def _per_cycle_resultants(ctx, chains):
+    # reference: one lift, boundary product and padding solve per cycle
+    padding = ctx.phi.vertex_maps[0]
+    b_moment = assemble_boundary(ctx.moment)
+    cols = []
+    for w in chains.T:
+        y = b_moment @ ctx.section.apply_c1(w)
+        couples = y.reshape(ctx.f.num_vertices, -1).T.copy()
+        cols.append(solve_in_image(padding, couples).T.reshape(-1))
+    return np.array(cols).T.reshape(ctx.f.num_vertices * ctx.f.dim, chains.shape[1])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_batched_resultants_match_one_cycle_at_a_time(corpus, mode):
+    for label, f in corpus:
+        ctx = _LesContext(f if mode == "exact" else f.as_float())
+        chains = ctx.h_anch.h1.matrix()
+        got, want = ctx.resultants(chains), _per_cycle_resultants(ctx, chains)
+        assert got.shape == want.shape == (f.num_vertices * f.dim, chains.shape[1]), label
+        if mode == "exact":
+            assert (got == want).all(), label
+        else:
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max(initial=1.0)), label
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_resultants_reject_a_chain_that_is_not_an_anchored_cycle(mode):
+    f = make_desargues(Fraction(1, 2))
+    ctx = _LesContext(f if mode == "exact" else f.as_float())
+    chains = ctx.h_anch.h1.matrix()
+    assert ctx.resultants(chains).shape == (f.num_vertices * 2, chains.shape[1])
+    chains[0, 1] += 1
+    with pytest.raises(ValueError, match="not in the column space"):
+        ctx.resultants(chains)
+
+
+def test_theta_makes_two_solves_on_grid4(monkeypatch):
+    # one padding solve for every vertex of every cycle, one Gram solve
+    n = 4
+    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
+    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
+    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
+    ctx = _LesContext(Framework(2, tuple((i, j) for j in range(n) for i in range(n)),
+                                tuple(edges)))
+    calls = []
+    for module in (cosheaf, les, linalg):
+        original = module.solve_in_image
+        monkeypatch.setattr(module, "solve_in_image",
+                            lambda *a, _f=original: calls.append(1) or _f(*a))
+    assert ctx.h_anch.h1.dim == 50
+    assert ctx.theta.rank == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_theta_on_a_bar_is_an_empty_map(mode):
+    f = make_named("bar")
+    ctx = _LesContext(f if mode == "exact" else f.as_float())
+    assert ctx.h_anch.h1.dim == 0
+    assert ctx.theta.matrix.shape == (ctx.h_force.h0.dim, 0)
+    assert ctx.theta.rank == 0
+    assert ctx.mechanism_basis_ambient().dim == 0
 
 
 def test_theta_image_orthogonal_to_rigid_space():
@@ -374,14 +436,14 @@ def test_scan_square_dims_are_perturbation_stable():
 def test_scan_flags_invalid_rows(monkeypatch):
     from framehom import framework as fw_mod
 
-    real = fw_mod.perturb
+    real = les.perturb
 
     def sometimes_broken(f, magnitude, seed):
         if seed == 2:
             raise fw_mod.FrameworkError("zero-length edge 0: (0, 1)")
         return real(f, magnitude, seed)
 
-    monkeypatch.setattr(fw_mod, "perturb", sometimes_broken)
+    monkeypatch.setattr(les, "perturb", sometimes_broken)
     rows = perturbation_scan(make_named("square"), [Fraction(1, 100)], [1, 2, 3])
     flags = [(r.seed, r.valid) for r in rows]
     assert flags == [(1, True), (2, False), (3, True)]
