@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from functools import cache
 
@@ -188,7 +189,10 @@ def _parse_magnitudes(spec: str, mode: str) -> list:
         tok = tok.strip()
         if not tok:
             continue
-        out.append(_parse_scalar(tok, mode, "--magnitudes"))
+        mag = _parse_scalar(tok, mode, "--magnitudes")
+        if mag < 0:
+            raise ValueError(f"--magnitudes: magnitude must be nonnegative, got {tok!r}")
+        out.append(mag)
     if not out:
         raise ValueError("no magnitudes given")
     return out
@@ -233,12 +237,9 @@ def _cmd_scan(args) -> int:
                   file=sys.stderr)
             lines.append(f"{r.magnitude},{r.seed},,,,,,,,,")
             continue
-        cells = [str(r.magnitude), str(r.seed),
-                 str(r.dims_force[0]), str(r.dims_force[1]),
-                 str(r.dims_moment[0]), str(r.dims_moment[1]),
-                 str(r.dims_anchored[0]), str(r.dims_anchored[1]),
-                 str(r.rank_phi1), str(r.rank_pi1), str(r.rank_theta)]
-        lines.append(",".join(cells))
+        cells = (r.magnitude, r.seed, *r.dims_force, *r.dims_moment, *r.dims_anchored,
+                 r.rank_phi1, r.rank_pi1, r.rank_theta)
+        lines.append(",".join(map(str, cells)))
     text = "\n".join(lines) + "\n"
     if args.out:
         return _write(args.out, text)
@@ -261,8 +262,8 @@ def _shear_value(ctx: _LesContext, e: int, couple) -> str:
         dl = (float(d[0]) ** 2 + float(d[1]) ** 2) ** 0.5
         shear = (force[0] * -float(d[1]) + force[1] * float(d[0])) / dl
         return f"M={float(moment[0]):.4g} V={shear:.4g}"
-    mag = sum(c * c for c in force) ** 0.5
-    mm = sum(float(c) ** 2 for c in moment) ** 0.5
+    mag = math.hypot(*force)
+    mm = math.hypot(*(float(c) for c in moment))
     return f"|M|={mm:.4g} |V|={mag:.4g}"
 
 

@@ -190,14 +190,6 @@ class Homology:
         r = self._reduction.rank
         return (self.cosheaf.c1_dim - r, self.cosheaf.c0_dim - r)
 
-    @property
-    def dim_h1(self) -> int:
-        return self.dims[0]
-
-    @property
-    def dim_h0(self) -> int:
-        return self.dims[1]
-
 
 def homology(k: Cosheaf) -> Homology:
     """The homology of ``k``: every boundary and reduction is built on first read."""

@@ -49,7 +49,6 @@ class EdgeGeometry:
 
     direction: tuple   # p_head - p_tail
     half_lever: tuple  # direction / 2, the lever from the edge center to the head
-    length: float      # Euclidean length (informational; float even in exact mode)
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,8 @@ class Framework:
                 raise FrameworkError(f"vertex {i} has {len(p)} coordinates, expected {self.dim}")
             if any(isinstance(x, float) and not math.isfinite(x) for x in p):
                 raise FrameworkError(f"vertex {i} has a non-finite coordinate")
-        eps = self._zero_length_threshold()
+        if self.mode == MODE_FLOAT:
+            eps = EPS_GEOM * max(self.bbox_diagonal(), 1e-300)
         seen = set()
         for k, (t, h) in enumerate(self.edges):
             if not (0 <= t < len(self.positions)) or not (0 <= h < len(self.positions)):
@@ -95,11 +95,6 @@ class Framework:
             elif math.sqrt(sum(float(x) * float(x) for x in d)) <= eps:
                 raise FrameworkError(f"zero-length edge {k}: ({t}, {h})")
 
-    def _zero_length_threshold(self) -> float:
-        if self.mode == MODE_EXACT:
-            return 0.0
-        return EPS_GEOM * max(self.bbox_diagonal(), 1e-300)
-
     @property
     def num_vertices(self) -> int:
         return len(self.positions)
@@ -114,8 +109,6 @@ class Framework:
         return math.sqrt(sum((b - a) ** 2 for a, b in zip(lo, hi)))
 
     def connected(self) -> bool:
-        if self.num_vertices == 0:
-            return False
         adj = {i: [] for i in range(self.num_vertices)}
         for t, h in self.edges:
             adj[t].append(h)
@@ -143,8 +136,7 @@ class Framework:
                 half = tuple(Fraction(x) / 2 for x in d)
             else:
                 half = tuple(x / 2.0 for x in d)
-            length = math.sqrt(sum(float(x) ** 2 for x in d))
-            out.append(EdgeGeometry(direction=d, half_lever=half, length=length))
+            out.append(EdgeGeometry(direction=d, half_lever=half))
         return tuple(out)
 
     def as_float(self) -> Framework:

@@ -20,7 +20,6 @@ the anchored stress count), and runs perturbation scans.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,9 +106,8 @@ class _LesContext:
     ``theta`` and ``require_les`` raise ValueError otherwise.
     """
 
-    def __init__(self, f: Framework, section_rng: random.Random | None = None):
+    def __init__(self, f: Framework):
         self.f = f
-        self.section_rng = section_rng
         self.phi = build_phi(f)
         self.force = self.phi.source
         self.moment = self.phi.target
@@ -162,35 +160,18 @@ class _LesContext:
         (h1f, _), (h1m, _), (h1n, _) = self.dims
         return (h1f - self.mech.dim) + h1n - h1m
 
-    def _edge_sections(self):
-        """Edge-stalk right inverses of the projection.
-
-        The canonical section lands in the orthogonal complement of the
-        embedded axial line; a randomized one adds an arbitrary axial
-        component, which the snake construction must quotient away.
-        """
-        rng = self.section_rng
-        if rng is None:
-            return self.anch.edge_sections
-        out = []
-        for e, sec in enumerate(self.anch.edge_sections):
-            r = linalg.zeros(self.force.edge_dims[e], sec.shape[1], self.f.mode)
-            for i in range(r.shape[0]):
-                for j in range(r.shape[1]):
-                    r[i, j] = rng.randint(-3, 3)
-            out.append(sec + self.phi.edge_maps[e] @ r)
-        return tuple(out)
-
     @cached_property
     def section(self) -> CosheafMap:
         """Stalk-wise section N -> M of the projection, used to lift chains.
 
         A right inverse of ``pi`` on every stalk, not a cosheaf map: it
-        need not commute with the stalk maps.
+        need not commute with the stalk maps.  The canonical sections land
+        in the orthogonal complement of the embedded image; by the snake
+        lemma any other right inverse gives the same ``theta``.
         """
         return CosheafMap(source=self.anch.cosheaf, target=self.moment,
                           vertex_maps=self.anch.vertex_sections,
-                          edge_maps=self._edge_sections())
+                          edge_maps=self.anch.edge_sections)
 
     def resultants(self, chains: np.ndarray) -> np.ndarray:
         """Vertex force resultants of the anchored C1 cycles held one per
@@ -232,17 +213,12 @@ class _LesContext:
         return np.vstack([im_ambient.vectors, complement_within(im_ambient, h1n).vectors])
 
 
-def connecting_map(f: Framework, section_rng: random.Random | None = None) -> InducedMap:
+def connecting_map(f: Framework) -> InducedMap:
     """Snake-lemma connecting homomorphism H1(anchored) -> H0(force), as the
     induced map whose column j holds the H0(force) coordinates of the
     resultants of the j-th H1(anchored) basis cycle.
-
-    A custom ``section_rng`` randomizes the lifting section; the resulting
-    map on homology is identical (well-definedness of the construction),
-    though the raw resultants (``_LesContext.resultants``) may differ by
-    boundary terms.
     """
-    return _LesContext(f, section_rng).theta
+    return _LesContext(f).theta
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +343,13 @@ def _subspace_check(code, desc, a: SubspaceBasis, b: SubspaceBasis) -> LesCheck:
     return LesCheck(code, desc, same, residual)
 
 
-def verify_les(f: Framework, section_rng: random.Random | None = None) -> LesReport:
+def verify_les(f: Framework) -> LesReport:
     """Compute the long exact sequence and verify exactness at every node.
 
     Checks (a)-(g) plus the degree-0 tail; each verdict carries residual
     evidence.  Counting-rule results are embedded in the report.
     """
-    return _report_from_context(_LesContext(f, section_rng))
+    return _report_from_context(_LesContext(f))
 
 
 def _report_from_context(ctx: _LesContext) -> LesReport:

@@ -111,11 +111,6 @@ def from_integer_form(ints: np.ndarray, den: int) -> np.ndarray:
     return np.array(flat, dtype=object).reshape(ints.shape)
 
 
-def to_float(a: np.ndarray) -> np.ndarray:
-    return np.asarray([[float(x) for x in row] for row in a], dtype=float) if a.size \
-        else np.zeros(a.shape)
-
-
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Linearly independent spanning vectors of a subspace of R^ambient_dim.
@@ -223,15 +218,6 @@ def _dense(row: dict, n: int) -> list:
     return v
 
 
-def _exact_rows_to_array(vectors: list[list], ncols: int) -> np.ndarray:
-    if not vectors:
-        return np.zeros((0, ncols), dtype=object)
-    out = np.empty((len(vectors), ncols), dtype=object)
-    for i, v in enumerate(vectors):
-        out[i, :] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rank / kernel / image / complement
 # ---------------------------------------------------------------------------
@@ -315,7 +301,7 @@ class Reduction:
             for j in (fc, *pcs):
                 v[j] //= g
             vecs.append(v)
-        return SubspaceBasis(ncols, _exact_rows_to_array(vecs, ncols))
+        return SubspaceBasis(ncols, exact_matrix(vecs, ncols))
 
     def annihilates(self, ints: np.ndarray) -> bool:
         """True when the exact matrix times the integer matrix ``ints`` is
@@ -332,7 +318,7 @@ class Reduction:
         if not self.exact:
             return SubspaceBasis(nrows, self.u[:, :self.rank].T.copy())
         vecs = [[row.get(c, 0) for row in self.rows] for c in self.pivots]
-        return SubspaceBasis(nrows, _exact_rows_to_array(vecs, nrows))
+        return SubspaceBasis(nrows, exact_matrix(vecs, nrows))
 
     def row_basis(self) -> np.ndarray:
         """Canonical independent rows spanning the row space: the nonzero
@@ -341,8 +327,7 @@ class Reduction:
         if not self.exact:
             return self.vh[:self.rank, :].copy()
         ncols = self.shape[1]
-        return _exact_rows_to_array([_dense(self._reduced[c], ncols) for c in self.pivots],
-                                    ncols)
+        return exact_matrix([_dense(self._reduced[c], ncols) for c in self.pivots], ncols)
 
 
 def rank(a: np.ndarray) -> int:
@@ -353,20 +338,6 @@ def rank(a: np.ndarray) -> int:
 def kernel_basis(a: np.ndarray) -> SubspaceBasis:
     """Basis of the right nullspace {x : a @ x = 0}; see Reduction.kernel."""
     return Reduction(a).kernel()
-
-
-def image_basis(a: np.ndarray) -> SubspaceBasis:
-    """Basis of the column space; see Reduction.image."""
-    return Reduction(a).image()
-
-
-def image_complement_basis(a: np.ndarray) -> SubspaceBasis:
-    """Basis of the orthogonal complement of the column space of ``a``.
-
-    This realizes the cokernel concretely: (im a)^perp = ker(a^T), of
-    dimension rows - rank(a).
-    """
-    return kernel_basis(a.transpose().copy())
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +370,7 @@ def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for k, v in row.items():
                 if k >= ncols:
                     x[c][k - ncols] = Fraction(v, row[c])
-        out = _exact_rows_to_array(x, nrhs)
+        out = exact_matrix(x, nrhs)
     else:
         if ncols == 0:
             if bm.size and np.linalg.norm(bm) > EPS_SOLVE * max(1.0, float(np.abs(a).sum())):
@@ -497,8 +468,8 @@ def largest_principal_angle(a: SubspaceBasis, b: SubspaceBasis) -> float:
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return 0.0 if a.dim == b.dim else math.pi / 2
-    qa = Reduction(to_float(a.vectors) if a.mode == MODE_EXACT else a.vectors).row_basis()
-    qb = Reduction(to_float(b.vectors) if b.mode == MODE_EXACT else b.vectors).row_basis()
+    qa = Reduction(a.vectors).row_basis()
+    qb = Reduction(b.vectors).row_basis()
     s = np.linalg.svd(qa @ qb.T, compute_uv=False)
     k = min(qa.shape[0], qb.shape[0])
     smin = float(s[k - 1]) if s.size >= k and k > 0 else 0.0

@@ -79,6 +79,13 @@ def _couple_transport(lever, n: int, mode: str) -> np.ndarray:
     return out
 
 
+def _column(pad: int, d, mode: str) -> np.ndarray:
+    """The column vector of ``pad`` zeros followed by the entries of ``d``."""
+    col = linalg.zeros(pad + len(d), 1, mode)
+    col[pad:, 0] = d
+    return col
+
+
 def build_force_cosheaf(f: Framework) -> Cosheaf:
     """Axial force cosheaf: edge stalks R, vertex stalks R^n.
 
@@ -87,19 +94,14 @@ def build_force_cosheaf(f: Framework) -> Cosheaf:
     bar.
     """
     n = f.dim
-    cols = []
-    for k in range(f.num_edges):
-        d = f.edge_geometry(k).direction
-        col = linalg.zeros(n, 1, f.mode)
-        for i in range(n):
-            col[i, 0] = d[i]
-        cols.append(col)
+    cols = tuple(_column(0, f.edge_geometry(k).direction, f.mode)
+                 for k in range(f.num_edges))
     return Cosheaf(
         base=f,
         vertex_dims=(n,) * f.num_vertices,
         edge_dims=(1,) * f.num_edges,
-        tail_maps=tuple(cols),
-        head_maps=tuple(cols),
+        tail_maps=cols,
+        head_maps=cols,
     )
 
 
@@ -141,18 +143,13 @@ def build_phi(f: Framework) -> CosheafMap:
     vmap = linalg.zeros(w + n, n, f.mode)
     for i in range(n):
         vmap[w + i, i] = 1 if f.mode == MODE_EXACT else 1.0
-    emaps = []
-    for k in range(f.num_edges):
-        d = f.edge_geometry(k).direction
-        col = linalg.zeros(w + n, 1, f.mode)
-        for i in range(n):
-            col[w + i, 0] = d[i]
-        emaps.append(col)
+    emaps = tuple(_column(w, f.edge_geometry(k).direction, f.mode)
+                  for k in range(f.num_edges))
     return CosheafMap(
         source=force,
         target=moment,
         vertex_maps=(vmap,) * f.num_vertices,
-        edge_maps=tuple(emaps),
+        edge_maps=emaps,
     )
 
 
@@ -183,8 +180,7 @@ def rigid_body_space(f: Framework) -> SubspaceBasis:
     one = 1 if f.mode == MODE_EXACT else 1.0
     for axis in range(n):
         row = linalg.zeros(1, ambient, f.mode)[0]
-        for v in range(f.num_vertices):
-            row[v * n + axis] = one
+        row[axis::n] = one
         gens.append(row)
     gens.extend(_rotation_fields(f))
     return span_rows(np.vstack(gens), ambient)
@@ -195,7 +191,6 @@ def _rotation_fields(f: Framework):
     n = f.dim
     for i, j in bivector_pairs(n):
         row = linalg.zeros(1, n * f.num_vertices, f.mode)[0]
-        for v, p in enumerate(f.positions):
-            row[v * n + i] = -p[j]
-            row[v * n + j] = p[i]
+        row[i::n] = [-p[j] for p in f.positions]
+        row[j::n] = [p[i] for p in f.positions]
         yield row

@@ -44,7 +44,6 @@ class _Mapper:
         span = max(w, h, 1e-9)
         self.scale = (CANVAS - 2 * MARGIN) / span
         self.x0, self.y0 = min(xs), min(ys)
-        self.h = h
 
     def __call__(self, p) -> tuple[float, float]:
         x, y = _project(p)
@@ -87,13 +86,13 @@ def render_svg(f: Framework, *, title: str = "",
                        f'{edge_texts[k]}</text>')
     arrow_scale = 0.0
     if vertex_arrows:
-        longest = max(math.sqrt(sum(float(c) ** 2 for c in vec))
+        longest = max(math.hypot(*(float(c) for c in vec))
                       for vec in vertex_arrows.values())
         if longest > 0:
             arrow_scale = ARROW_PX / longest
     if vertex_arrows and arrow_scale:
         for v, vec in sorted(vertex_arrows.items()):
-            norm = math.sqrt(sum(float(c) ** 2 for c in vec))
+            norm = math.hypot(*(float(c) for c in vec))
             if norm * arrow_scale < 1e-6:
                 continue
             ux, uy = _project([float(c) for c in vec])

@@ -1,6 +1,8 @@
 import pytest
 
-from framehom import make_desargues, make_named, verify_les
+from framehom import linalg, make_desargues, make_named, verify_les
+from framehom.cosheaf import CosheafMap
+from framehom.les import _LesContext
 
 RANDOM_2D_SEEDS = range(10)
 RANDOM_3D_SEEDS = range(10)
@@ -31,3 +33,29 @@ def corpus():
 def corpus_reports(corpus):
     """verify_les on the whole corpus, computed once per session."""
     return {label: verify_les(f) for label, f in corpus}
+
+
+def random_section(ctx, rng):
+    """A randomized lifting section N -> M for the pipeline ``ctx``.
+
+    Each edge map is the canonical section plus an axial component phi_e @ r
+    with entries of r drawn from ``rng.randint(-3, 3)``, edge by edge, row by
+    row.  It is still a right inverse of the projection, and the snake
+    construction must quotient the axial component away.
+    """
+    edge_maps = []
+    for e, sec in enumerate(ctx.anch.edge_sections):
+        r = linalg.zeros(ctx.force.edge_dims[e], sec.shape[1], ctx.f.mode)
+        for i in range(r.shape[0]):
+            for j in range(r.shape[1]):
+                r[i, j] = rng.randint(-3, 3)
+        edge_maps.append(sec + ctx.phi.edge_maps[e] @ r)
+    return CosheafMap(source=ctx.anch.cosheaf, target=ctx.moment,
+                      vertex_maps=ctx.anch.vertex_sections, edge_maps=tuple(edge_maps))
+
+
+def theta_with_random_section(f, rng):
+    """The connecting map of ``f`` computed through ``random_section``."""
+    ctx = _LesContext(f)
+    ctx.section = random_section(ctx, rng)
+    return ctx.theta

@@ -10,8 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import theta_with_random_section
 from framehom import (
-    connecting_map,
     counting_rules,
     make_desargues,
     make_named,
@@ -171,8 +171,8 @@ def test_criterion_7_float_exact_rank_oracle_equivalence(corpus, capsys):
 def test_criterion_8_section_independence(corpus, capsys):
     bad = []
     for label, f in corpus:
-        a = connecting_map(f, random.Random(1000))
-        b = connecting_map(f, random.Random(2000))
+        a = theta_with_random_section(f, random.Random(1000))
+        b = theta_with_random_section(f, random.Random(2000))
         if a.matrix.shape != b.matrix.shape or not (a.matrix == b.matrix).all():
             bad.append(label)
     ok = not bad

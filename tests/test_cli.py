@@ -207,6 +207,16 @@ def test_scan_rejects_a_bad_magnitude_literal(desargues_fw, capsys, mode):
     assert captured.err == "error: --magnitudes: bad number literal '1/0'\n"
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_scan_rejects_a_negative_magnitude(square_fw, capsys, mode):
+    code = main(["scan", str(square_fw), "-m=-1/100", "-s", "1..2", "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: --magnitudes: magnitude must be nonnegative, "
+                            "got '-1/100'\n")
+
+
 @pytest.mark.parametrize("argv", [["analyze", "--json"], ["scan", "-m", "0"],
                                   ["svg", "--generator", "N:0"]])
 def test_unwritable_out_path_is_an_input_error(desargues_fw, tmp_path, capsys, argv):
@@ -265,6 +275,18 @@ def test_svg_index_out_of_range(square_fw, tmp_path, capsys):
     code = main(["svg", str(square_fw), "--generator", "N:99", "--out", str(out)])
     assert code == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_exact_svg_of_a_generator_past_the_float_square_range(tmp_path, capsys):
+    # the last anchored generator of random3d-4 lifts to exact couple entries
+    # past 1e154, whose float squares overflow; the norms must not square them
+    f = make_named("random3d", 4)
+    path, out = tmp_path / "random3d_4.fw", tmp_path / "r.svg"
+    save_framework(f, path)
+    last = homology(build_anchored_cosheaf(f).cosheaf).dims[0] - 1
+    code = main(["svg", str(path), "--generator", f"N:{last}", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert out.read_text().endswith("</svg>\n")
 
 
 @pytest.fixture()

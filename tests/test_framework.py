@@ -159,7 +159,6 @@ def test_edge_geometry_consistency():
     for k in range(f.num_edges):
         g = f.edge_geometry(k)
         assert tuple(2 * x for x in g.half_lever) == tuple(g.direction)
-        assert g.length > 0
 
 
 # ---------------------------------------------------------------------------

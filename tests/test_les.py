@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_section, theta_with_random_section
 from framehom import (
     Framework,
     connecting_map,
@@ -26,9 +27,9 @@ from framehom import cosheaf, les, linalg
 from framehom.cosheaf import assemble_boundary
 from framehom.les import InducedMap, _LesContext
 from framehom.linalg import (
+    Reduction,
     exact_matrix,
     identity,
-    image_basis,
     solve_gram,
     solve_in_image,
     span_rows,
@@ -181,14 +182,28 @@ def test_connecting_section_independence():
                      ("random2d-3", make_named("random2d", 3))):
         base = connecting_map(fw)
         for seed in (11, 23):
-            other = connecting_map(fw, random.Random(seed))
+            other = theta_with_random_section(fw, random.Random(seed))
             assert (base.matrix == other.matrix).all(), name
+
+
+@pytest.mark.parametrize("name", ["desargues", "square"])
+def test_random_section_moves_resultants_but_not_theta(name):
+    # the section check above has teeth: the randomized section lifts the
+    # anchored cycles differently, and only their homology classes agree
+    f = make_desargues(Fraction(1, 2)) if name == "desargues" else make_named("square")
+    base, ctx = _LesContext(f), _LesContext(f)
+    ctx.section = random_section(ctx, random.Random(11))
+    chains = base.h_anch.h1.matrix()
+    assert not (base.resultants(chains) == ctx.resultants(chains)).all()
+    assert (base.theta.matrix == ctx.theta.matrix).all()
 
 
 @pytest.mark.parametrize("seed", [None, 5])
 def test_section_lifts_edge_by_edge(seed):
     f = make_desargues(Fraction(1, 2))
-    ctx = _LesContext(f, None if seed is None else random.Random(seed))
+    ctx = _LesContext(f)
+    if seed is not None:
+        ctx.section = random_section(ctx, random.Random(seed))
     sections = ctx.section.edge_maps
     assert (seed is None) == all((a == b).all() for a, b in
                                  zip(sections, ctx.anch.edge_sections))
@@ -228,7 +243,7 @@ def test_desargues_perp_generator_maps_onto_the_unique_mechanism():
     assert len(gens) - ctx.pi1.image.dim == 1
     res = ctx.resultants(gens[-1:].T)[:, 0]
     b_force = assemble_boundary(build_force_cosheaf(f))
-    im = image_basis(b_force).matrix()
+    im = Reduction(b_force).image().matrix()
     rep = res - im @ solve_gram(im, res)
     mech = ctx.mech
     assert mech.dim == 1

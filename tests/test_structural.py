@@ -222,7 +222,7 @@ def test_force_self_stress_equilibrates_each_vertex():
     # the signed sum of axial force times bar direction vanishes
     f = make_desargues(Fraction(1, 2))
     h = homology(build_force_cosheaf(f))
-    assert h.dim_h1 == 1
+    assert h.dims[0] == 1
     w = h.h1.vectors[0]
     for v in range(f.num_vertices):
         total = [Fraction(0)] * 2
