@@ -16,9 +16,7 @@ from .framework import (
 from .cosheaf import (
     Cosheaf,
     CosheafMap,
-    Homology,
     assemble_boundary,
-    homology,
     check_cosheaf_map,
     quotient_cosheaf,
     constant_cosheaf,

@@ -149,8 +149,8 @@ def _report_json(path, digest, ctx: _LesContext, report: LesReport | None,
             for c in report.checks]
         doc["all_passed"] = report.all_passed
         doc["generators"] = {
-            "force_h1": [_vec_strs(v) for v in ctx.h_force.h1.vectors],
-            "anchored_h1": [_vec_strs(v) for v in ctx.h_anch.h1.vectors],
+            "force_h1": [_vec_strs(v) for v in ctx.force.h1.vectors],
+            "anchored_h1": [_vec_strs(v) for v in ctx.anch.h1.vectors],
             "mechanisms": [_vec_strs(v) for v in report.mechanism_basis],
         }
     return json.dumps(doc, indent=2) + "\n"
@@ -204,11 +204,14 @@ def _parse_seeds(spec: str) -> list[int]:
         tok = tok.strip()
         if not tok:
             continue
-        if ".." in tok:
-            lo, hi = tok.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(tok))
+        lo, sep, hi = tok.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if sep else lo)
+        except ValueError:
+            raise ValueError(f"--seeds: bad seed {tok!r}") from None
+        if hi < lo:
+            raise ValueError(f"--seeds: empty range {tok!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError("no seeds given")
     return out
@@ -290,7 +293,7 @@ def _cmd_svg(args) -> int:
         return 1
     ctx = _LesContext(f)
     show = not args.no_svg_values
-    gens = ctx.h_force.h1.vectors if space == "F" else ctx.anchored_generators
+    gens = ctx.force.h1.vectors if space == "F" else ctx.anchored_generators
     if not len(gens):
         which = "force" if space == "F" else "anchored"
         print(f"error: no generators -- dim H1({which}) = 0", file=sys.stderr)

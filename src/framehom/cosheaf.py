@@ -6,7 +6,8 @@ endpoints.  The boundary operator stacks the stalk maps into one block
 matrix with orientation signs (+ into the head, - out of the tail); its
 kernel is degree-1 homology (self-stresses for the structural cosheaves)
 and the orthogonal complement of its image represents degree-0 homology
-(degrees of freedom).  The eliminations read the boundary as sparse rows
+(degrees of freedom).  Each cosheaf carries its own homology, computed
+on first read and kept.  The eliminations read the boundary as sparse rows
 built edge block by edge block; the dense block matrix is assembled only
 for the connecting map, which multiplies chains by it.
 
@@ -39,10 +40,17 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class Cosheaf:
-    """Stalk dimensions and stalk maps over a framework's graph.
+    """Stalk dimensions and stalk maps over a framework's graph, and the
+    homology read off the boundary B on first use.
 
     ``tail_maps[k]`` / ``head_maps[k]`` are the two stalk maps of edge k,
-    each of shape (vertex stalk dim, edge stalk dim).
+    each of shape (vertex stalk dim, edge stalk dim).  ``h1`` = ker B
+    (cycles in C_1) and the rank of B come from one elimination of B's
+    sparse rows, ``h0`` (representatives in C_0 spanning ker B^T =
+    (im B)^perp) from one of B^T's.  The dimensions need only the rank.
+    ``h1_coordinates`` reads cycles in the ``h1`` basis off B's reduction.
+    The dense ``boundary`` is assembled on first read, for the connecting
+    map alone.
     """
 
     base: Framework
@@ -86,6 +94,53 @@ class Cosheaf:
             return self.head_maps[k]
         raise ValueError(f"vertex {v} is not an endpoint of edge {k}")
 
+    @cached_property
+    def boundary(self) -> np.ndarray:
+        return assemble_boundary(self)
+
+    @cached_property
+    def _reduction(self) -> Reduction:
+        return Reduction.of_rows(boundary_rows(self), self.c1_dim, self.mode)
+
+    @cached_property
+    def h1(self) -> SubspaceBasis:
+        return self._reduction.kernel()
+
+    @cached_property
+    def h0(self) -> SubspaceBasis:
+        return Reduction.of_rows(boundary_rows(self, transpose=True), self.c0_dim,
+                                self.mode).kernel()
+
+    def h1_coordinates(self, chains: np.ndarray) -> np.ndarray:
+        """Coordinates in the ``h1`` basis of the cycles held one per column of
+        the matrix ``chains``.
+
+        Exact mode runs no elimination.  Each ``h1`` vector v_j is the kernel
+        vector of one free column fc_j of B's RREF and is zero at every other
+        free column, so coordinate j of a cycle y is y[fc_j] / v_j[fc_j].  The
+        columns are first checked to be cycles, B @ chains = 0, on B's rows
+        and the chains cleared to integers.  Float mode solves by least
+        squares.  Raises ValueError when a column is not a cycle.
+        """
+        red = self._reduction
+        if not red.exact:
+            return solve_in_image(self.h1.matrix(), chains)
+        ints, den = integer_form(chains)
+        if not red.annihilates(ints):
+            raise ValueError("right-hand side is not in the column space")
+        pivots = set(red.pivots)
+        free = [c for c in range(self.c1_dim) if c not in pivots]
+        diag = self.h1.vectors[range(len(free)), free].tolist()
+        lcm = math.lcm(*diag)
+        scale = np.array([lcm // d for d in diag], dtype=object).reshape(-1, 1)
+        return from_integer_form(ints[free] * scale, den * lcm)
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        """(dim H1, dim H0) = (c1 - rank B, c0 - rank B)."""
+        r = self._reduction.rank
+        return (self.c1_dim - r, self.c0_dim - r)
+
 
 def _offsets(dims) -> list[int]:
     """Start of each cell's block in a flat chain whose stalks have ``dims``."""
@@ -126,74 +181,6 @@ def boundary_rows(k: Cosheaf, transpose: bool = False) -> list[dict]:
                         r, c = (j, i) if transpose else (i, j)
                         rows[r][c] = -x if neg else x
     return rows
-
-
-class Homology:
-    """Homology of one cosheaf, read off its boundary B on first use.
-
-    ``h1`` = ker B (cycles in C_1) and the rank of B come from one
-    elimination of B's sparse rows, ``h0`` (representatives in C_0
-    spanning ker B^T = (im B)^perp) from one of B^T's.  The dimensions
-    need only the rank.  ``h1_coordinates`` reads cycles in the ``h1``
-    basis off B's reduction.  The dense ``boundary`` is assembled on first
-    read, for the connecting map alone.
-    """
-
-    def __init__(self, k: Cosheaf):
-        self.cosheaf = k
-
-    @cached_property
-    def boundary(self) -> np.ndarray:
-        return assemble_boundary(self.cosheaf)
-
-    @cached_property
-    def _reduction(self) -> Reduction:
-        k = self.cosheaf
-        return Reduction.of_rows(boundary_rows(k), k.c1_dim, k.mode)
-
-    @cached_property
-    def h1(self) -> SubspaceBasis:
-        return self._reduction.kernel()
-
-    @cached_property
-    def h0(self) -> SubspaceBasis:
-        k = self.cosheaf
-        return Reduction.of_rows(boundary_rows(k, transpose=True), k.c0_dim, k.mode).kernel()
-
-    def h1_coordinates(self, chains: np.ndarray) -> np.ndarray:
-        """Coordinates in the ``h1`` basis of the cycles held one per column of
-        the matrix ``chains``.
-
-        Exact mode runs no elimination.  Each ``h1`` vector v_j is the kernel
-        vector of one free column fc_j of B's RREF and is zero at every other
-        free column, so coordinate j of a cycle y is y[fc_j] / v_j[fc_j].  The
-        columns are first checked to be cycles, B @ chains = 0, on B's rows
-        and the chains cleared to integers.  Float mode solves by least
-        squares.  Raises ValueError when a column is not a cycle.
-        """
-        red = self._reduction
-        if not red.exact:
-            return solve_in_image(self.h1.matrix(), chains)
-        ints, den = integer_form(chains)
-        if not red.annihilates(ints):
-            raise ValueError("right-hand side is not in the column space")
-        pivots = set(red.pivots)
-        free = [c for c in range(self.cosheaf.c1_dim) if c not in pivots]
-        diag = self.h1.vectors[range(len(free)), free].tolist()
-        lcm = math.lcm(*diag)
-        scale = np.array([lcm // d for d in diag], dtype=object).reshape(-1, 1)
-        return from_integer_form(ints[free] * scale, den * lcm)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        """(dim H1, dim H0) = (c1 - rank B, c0 - rank B)."""
-        r = self._reduction.rank
-        return (self.cosheaf.c1_dim - r, self.cosheaf.c0_dim - r)
-
-
-def homology(k: Cosheaf) -> Homology:
-    """The homology of ``k``: every boundary and reduction is built on first read."""
-    return Homology(k)
 
 
 def constant_cosheaf(f: Framework, dim: int = 1) -> Cosheaf:
@@ -336,22 +323,6 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
 # quotient cosheaves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientCosheaf:
-    """Quotient of an injective cosheaf map, with projection and section.
-
-    The quotient stalk at each cell is realized concretely as the
-    orthogonal complement of the embedded image inside the target stalk.
-    ``vertex_sections``/``edge_sections`` are right inverses of the
-    projection whose columns span those complements.
-    """
-
-    cosheaf: Cosheaf
-    projection: CosheafMap
-    vertex_sections: tuple
-    edge_sections: tuple
-
-
 def _stalk_quotient(phi: np.ndarray, where: str):
     # one elimination of phi^T: its rank is rank phi, its kernel (im phi)^perp
     red = Reduction(phi.T.copy())
@@ -363,12 +334,17 @@ def _stalk_quotient(phi: np.ndarray, where: str):
     return section, proj
 
 
-def quotient_cosheaf(m: CosheafMap) -> QuotientCosheaf:
+def quotient_cosheaf(m: CosheafMap) -> tuple[CosheafMap, CosheafMap]:
     """Quotient target/im(m) for a stalk-wise injective cosheaf map.
 
-    Returns the quotient cosheaf, the projection map from the target, and
-    the canonical sections.  Stalk-wise exactness holds by construction:
-    proj . m = 0 on every cell and [m | section] spans each target stalk.
+    Returns ``(projection, section)``: the projection target -> q and the
+    canonical section q -> target, two maps that share the quotient
+    cosheaf q.  Each quotient stalk is realized as the orthogonal
+    complement of the embedded image inside the target stalk, and the
+    section's columns span it.  The section is a stalk-wise right inverse
+    of the projection, not a cosheaf map: it need not commute with the
+    stalk maps.  Stalk-wise exactness holds by construction: proj . m = 0
+    on every cell and [m | section] spans each target stalk.
 
     Each distinct stalk map (shape and entries) is quotiented once and its
     cells share the result: one quotient for all vertices of the structural
@@ -414,8 +390,7 @@ def quotient_cosheaf(m: CosheafMap) -> QuotientCosheaf:
         tail_maps=tuple(tails),
         head_maps=tuple(heads),
     )
-    proj_map = CosheafMap(source=tgt, target=q,
-                          vertex_maps=tuple(v_projs), edge_maps=tuple(e_projs))
-    return QuotientCosheaf(cosheaf=q, projection=proj_map,
-                           vertex_sections=tuple(v_sections),
-                           edge_sections=tuple(e_sections))
+    return (CosheafMap(source=tgt, target=q,
+                       vertex_maps=tuple(v_projs), edge_maps=tuple(e_projs)),
+            CosheafMap(source=q, target=tgt,
+                       vertex_maps=tuple(v_sections), edge_maps=tuple(e_sections)))

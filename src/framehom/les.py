@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .cosheaf import CosheafMap, Homology, homology, quotient_cosheaf
+from .cosheaf import CosheafMap, quotient_cosheaf
 from .framework import Framework, affine_span_full, perturb
 from .linalg import (
     MODE_EXACT,
@@ -74,12 +74,12 @@ class InducedMap:
         return self._reduction.image()
 
 
-def induced_map(m: CosheafMap, degree: int, src_h: Homology,
-                tgt_h: Homology) -> InducedMap:
-    """Induced map on homology: apply the chain map, re-express in H bases.
+def induced_map(m: CosheafMap, degree: int) -> InducedMap:
+    """Induced map on homology: apply the chain map to the homology basis of
+    ``m.source`` and re-express the images in that of ``m.target``.
 
     Degree 1 images are automatically cycles of the target; their
-    coordinates are read by ``Homology.h1_coordinates``, in exact mode at
+    coordinates are read by ``Cosheaf.h1_coordinates``, in exact mode at
     the free columns of the target boundary with no elimination.  Degree 0
     representatives span (im B)^perp = ker B^T of the target boundary B,
     so the coordinates of an image class are those of its orthogonal
@@ -88,17 +88,18 @@ def induced_map(m: CosheafMap, degree: int, src_h: Homology,
     """
     if not m.check.passed:
         raise ValueError(f"cosheaf map does not commute at incidences {m.check.failures}")
+    src, tgt = m.source, m.target
     if degree == 1:
-        return InducedMap(tgt_h.h1_coordinates(m.apply_c1(src_h.h1.matrix())))
+        return InducedMap(tgt.h1_coordinates(m.apply_c1(src.h1.matrix())))
     if degree == 0:
-        return InducedMap(solve_gram(tgt_h.h0.matrix(), m.apply_c0(src_h.h0.matrix())))
+        return InducedMap(solve_gram(tgt.h0.matrix(), m.apply_c0(src.h0.matrix())))
     raise ValueError("degree must be 0 or 1")
 
 
 class _LesContext:
     """The staged pipeline for one framework, read by every front end.
 
-    The cosheaves and their boundaries are built here.  Each later stage
+    The cosheaves and the maps joining them are built here.  Each later stage
     (the reductions, the induced maps, ``theta``, the counting checks, the
     svg generator list) is
     computed on first read and kept, so a reader pays only for the stages
@@ -111,11 +112,10 @@ class _LesContext:
         self.phi = build_phi(f)
         self.force = self.phi.source
         self.moment = self.phi.target
-        self.anch = quotient_cosheaf(self.phi)
-        self.pi = self.anch.projection
-        self.h_force = homology(self.force)
-        self.h_moment = homology(self.moment)
-        self.h_anch = homology(self.anch.cosheaf)
+        # the canonical section lifts chains; by the snake lemma any right
+        # inverse of pi gives the same theta
+        self.pi, self.section = quotient_cosheaf(self.phi)
+        self.anch = self.pi.target
 
     def require_les(self):
         """Raise ValueError unless the framework is connected and has an edge."""
@@ -127,7 +127,7 @@ class _LesContext:
     @property
     def dims(self) -> tuple:
         """(dim H1, dim H0) of the force, moment and anchored cosheaves."""
-        return self.h_force.dims, self.h_moment.dims, self.h_anch.dims
+        return self.force.dims, self.moment.dims, self.anch.dims
 
     @cached_property
     def rigid(self) -> SubspaceBasis:
@@ -135,19 +135,19 @@ class _LesContext:
 
     @cached_property
     def mech(self) -> SubspaceBasis:
-        return complement_within(self.rigid, self.h_force.h0)
+        return complement_within(self.rigid, self.force.h0)
 
     @cached_property
     def phi1(self) -> InducedMap:
-        return induced_map(self.phi, 1, self.h_force, self.h_moment)
+        return induced_map(self.phi, 1)
 
     @cached_property
     def phi0(self) -> InducedMap:
-        return induced_map(self.phi, 0, self.h_force, self.h_moment)
+        return induced_map(self.phi, 0)
 
     @cached_property
     def pi1(self) -> InducedMap:
-        return induced_map(self.pi, 1, self.h_moment, self.h_anch)
+        return induced_map(self.pi, 1)
 
     @cached_property
     def counting(self) -> tuple:
@@ -159,19 +159,6 @@ class _LesContext:
         exact: (self-stresses - mechanisms) + anchored stresses - frame stresses."""
         (h1f, _), (h1m, _), (h1n, _) = self.dims
         return (h1f - self.mech.dim) + h1n - h1m
-
-    @cached_property
-    def section(self) -> CosheafMap:
-        """Stalk-wise section N -> M of the projection, used to lift chains.
-
-        A right inverse of ``pi`` on every stalk, not a cosheaf map: it
-        need not commute with the stalk maps.  The canonical sections land
-        in the orthogonal complement of the embedded image; by the snake
-        lemma any other right inverse gives the same ``theta``.
-        """
-        return CosheafMap(source=self.anch.cosheaf, target=self.moment,
-                          vertex_maps=self.anch.vertex_sections,
-                          edge_maps=self.anch.edge_sections)
 
     def resultants(self, chains: np.ndarray) -> np.ndarray:
         """Vertex force resultants of the anchored C1 cycles held one per
@@ -185,7 +172,7 @@ class _LesContext:
         """
         pad = self.phi.vertex_maps[0]
         (rows, n), nv, k = pad.shape, self.f.num_vertices, chains.shape[1]
-        y = self.h_moment.boundary @ self.section.apply_c1(chains)
+        y = self.moment.boundary @ self.section.apply_c1(chains)
         couples = y.reshape(nv, rows, k).transpose(1, 0, 2).reshape(rows, nv * k)
         forces = solve_in_image(pad, couples)
         return forces.reshape(n, nv, k).transpose(1, 0, 2).reshape(nv * n, k)
@@ -195,20 +182,20 @@ class _LesContext:
         """The connecting map: resultants of the H1(anchored) generators, in
         H0(force) coordinates."""
         self.require_les()
-        return InducedMap(solve_gram(self.h_force.h0.matrix(),
-                                     self.resultants(self.h_anch.h1.matrix())))
+        return InducedMap(solve_gram(self.force.h0.matrix(),
+                                     self.resultants(self.anch.h1.matrix())))
 
     def mechanism_basis_ambient(self) -> SubspaceBasis:
         """Image of the connecting map as vectors in the truss C_0 space."""
-        vecs = self.theta.image.vectors @ self.h_force.h0.vectors
-        return span_rows(vecs, self.h_force.h0.ambient_dim)
+        vecs = self.theta.image.vectors @ self.force.h0.vectors
+        return span_rows(vecs, self.force.h0.ambient_dim)
 
     @cached_property
     def anchored_generators(self) -> np.ndarray:
         """H1(anchored) generators, one per row, in the order svg numbers
         them: the frame-stress images (im pi*) first, then the complement
         orthogonal to im pi* (the anchored-only stresses)."""
-        h1n = self.h_anch.h1
+        h1n = self.anch.h1
         im_ambient = span_rows(self.pi1.image.vectors @ h1n.vectors, h1n.ambient_dim)
         return np.vstack([im_ambient.vectors, complement_within(im_ambient, h1n).vectors])
 
@@ -305,11 +292,6 @@ class LesCheck:
 class LesReport:
     """Everything verify_les knows about one framework."""
 
-    num_vertices: int
-    num_edges: int
-    dim: int
-    connected: bool
-    mode: str
     dims_force: tuple[int, int]
     dims_moment: tuple[int, int]
     dims_anchored: tuple[int, int]
@@ -354,7 +336,6 @@ def verify_les(f: Framework) -> LesReport:
 
 def _report_from_context(ctx: _LesContext) -> LesReport:
     ctx.require_les()
-    f = ctx.f
     checks = []
 
     dims_f, dims_m, dims_n = ctx.dims
@@ -387,11 +368,6 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
         f"rank {ctx.phi0.rank} of {h0m}"))
 
     return LesReport(
-        num_vertices=f.num_vertices,
-        num_edges=f.num_edges,
-        dim=f.dim,
-        connected=True,
-        mode=f.mode,
         dims_force=dims_f,
         dims_moment=dims_m,
         dims_anchored=dims_n,

@@ -30,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from . import linalg
-from .cosheaf import Cosheaf, CosheafMap, QuotientCosheaf, quotient_cosheaf
+from .cosheaf import Cosheaf, CosheafMap, quotient_cosheaf
 from .framework import Framework
 from .linalg import MODE_EXACT, SubspaceBasis, span_rows
 
@@ -153,15 +153,15 @@ def build_phi(f: Framework) -> CosheafMap:
     )
 
 
-def build_anchored_cosheaf(f: Framework) -> QuotientCosheaf:
+def build_anchored_cosheaf(f: Framework) -> Cosheaf:
     """Anchored cosheaf: the moment cosheaf modulo embedded axial forces.
 
     Edge stalks keep the moments plus the transverse shears (dim
     n(n+1)/2 - 1: 2 in the plane, 5 in space); vertex stalks keep only the
     n(n-1)/2 moments, the pinned anchors absorbing residual force.
-    Returns the quotient with its projection and sections.
     """
-    return quotient_cosheaf(build_phi(f))
+    projection, _ = quotient_cosheaf(build_phi(f))
+    return projection.target
 
 
 def rigid_body_space(f: Framework) -> SubspaceBasis:

@@ -44,14 +44,14 @@ def random_section(ctx, rng):
     construction must quotient the axial component away.
     """
     edge_maps = []
-    for e, sec in enumerate(ctx.anch.edge_sections):
+    for e, sec in enumerate(ctx.section.edge_maps):
         r = linalg.zeros(ctx.force.edge_dims[e], sec.shape[1], ctx.f.mode)
         for i in range(r.shape[0]):
             for j in range(r.shape[1]):
                 r[i, j] = rng.randint(-3, 3)
         edge_maps.append(sec + ctx.phi.edge_maps[e] @ r)
-    return CosheafMap(source=ctx.anch.cosheaf, target=ctx.moment,
-                      vertex_maps=ctx.anch.vertex_sections, edge_maps=tuple(edge_maps))
+    return CosheafMap(source=ctx.anch, target=ctx.moment,
+                      vertex_maps=ctx.section.vertex_maps, edge_maps=tuple(edge_maps))
 
 
 def theta_with_random_section(f, rng):

@@ -149,7 +149,7 @@ def test_criterion_7_float_exact_rank_oracle_equivalence(corpus, capsys):
     for label, f in corpus:
         g = f.as_float()
         for build in (build_force_cosheaf, build_moment_cosheaf,
-                      lambda x: build_anchored_cosheaf(x).cosheaf):
+                      build_anchored_cosheaf):
             exact_rank = rank(assemble_boundary(build(f)))
             float_rank = rank(assemble_boundary(build(g)))
             if exact_rank != float_rank:

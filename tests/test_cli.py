@@ -14,7 +14,6 @@ from framehom import (
     build_force_cosheaf,
     build_moment_cosheaf,
     counting_rules,
-    homology,
     make_desargues,
     make_named,
     save_framework,
@@ -177,9 +176,19 @@ def test_exact_scan_is_byte_identical(desargues_fw, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_DIGEST
 
 
-def test_scan_bad_seed_spec(desargues_fw, capsys):
-    code = main(["scan", str(desargues_fw), "-m", "0", "-s", "x"])
+@pytest.mark.parametrize("spec, err", [
+    ("x", "bad seed 'x'"),
+    ("1..", "bad seed '1..'"),
+    ("1.5", "bad seed '1.5'"),
+    ("5..1", "empty range '5..1'"),
+    ("5..1,3", "empty range '5..1'"),
+], ids=["x", "1..", "1.5", "5..1", "5..1,3"])
+def test_scan_bad_seed_spec(desargues_fw, capsys, spec, err):
+    code = main(["scan", str(desargues_fw), "-m", "0", "-s", spec])
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --seeds: {err}\n"
 
 
 def test_scan_out_file(desargues_fw, tmp_path, capsys):
@@ -283,7 +292,7 @@ def test_exact_svg_of_a_generator_past_the_float_square_range(tmp_path, capsys):
     f = make_named("random3d", 4)
     path, out = tmp_path / "random3d_4.fw", tmp_path / "r.svg"
     save_framework(f, path)
-    last = homology(build_anchored_cosheaf(f).cosheaf).dims[0] - 1
+    last = build_anchored_cosheaf(f).dims[0] - 1
     code = main(["svg", str(path), "--generator", f"N:{last}", "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     assert out.read_text().endswith("</svg>\n")
@@ -479,14 +488,12 @@ def _json_dims(capsys, path, *flags):
 
 def test_dims_only_counting_rules_and_verify_les_agree(corpus, corpus_reports,
                                                        tmp_path, capsys):
-    # the pipeline reads dims off the boundary ranks; cosheaf.homology counts
-    # the basis vectors of ker B and ker B^T
+    # the pipeline reads dims off the boundary ranks; a fresh cosheaf's h1 and
+    # h0 count the basis vectors of ker B and ker B^T
     for label, f in corpus:
         report = corpus_reports[label]
         dims = (report.dims_force, report.dims_moment, report.dims_anchored)
-        cosheaves = (build_force_cosheaf(f), build_moment_cosheaf(f),
-                     build_anchored_cosheaf(f).cosheaf)
-        hs = tuple(homology(k) for k in cosheaves)
+        hs = (build_force_cosheaf(f), build_moment_cosheaf(f), build_anchored_cosheaf(f))
         assert tuple(h.dims for h in hs) == dims, label
         assert all((h.h1.dim, h.h0.dim) == h.dims for h in hs), label
         path = tmp_path / f"{label}.fw"

@@ -12,7 +12,6 @@ from framehom import (
     assemble_boundary,
     check_cosheaf_map,
     constant_cosheaf,
-    homology,
     make_desargues,
     make_named,
     parse_framework,
@@ -29,7 +28,12 @@ from framehom.linalg import (
     rank,
     zeros,
 )
-from framehom.structural import build_force_cosheaf, build_moment_cosheaf, build_phi
+from framehom.structural import (
+    build_anchored_cosheaf,
+    build_force_cosheaf,
+    build_moment_cosheaf,
+    build_phi,
+)
 
 
 def classical_betti(f):
@@ -92,14 +96,14 @@ def test_constant_cosheaf_is_signed_incidence():
 @pytest.mark.parametrize("name", ["triangle", "square", "box3d"])
 def test_constant_cosheaf_homology_equals_betti(name):
     f = make_named(name)
-    h = homology(constant_cosheaf(f))
+    h = constant_cosheaf(f)
     b0, b1 = classical_betti(f)
     assert (h.dims[1], h.dims[0]) == (b0, b1)
 
 
 def test_constant_cosheaf_on_disconnected_graph():
     f = parse_framework("dim 2\nv 0 0 0\nv 1 1 0\nv 2 5 5\nv 3 6 5\ne 0 1\ne 2 3\n")
-    h = homology(constant_cosheaf(f))
+    h = constant_cosheaf(f)
     assert (h.dims[1], h.dims[0]) == (2, 0)
 
 
@@ -107,10 +111,9 @@ def test_homology_result_invariants():
     f = make_desargues(Fraction(1, 2))
     k = build_force_cosheaf(f)
     b = assemble_boundary(k)
-    h = homology(k)
-    for v in h.h1.vectors:
+    for v in k.h1.vectors:
         assert all(x == 0 for x in b @ v)
-    for v in h.h0.vectors:
+    for v in k.h0.vectors:
         assert all(x == 0 for x in b.T @ v)
 
 
@@ -124,23 +127,21 @@ def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
         if mode == "float":
             f = f.as_float()
         cosheaves = (build_force_cosheaf(f), build_moment_cosheaf(f),
-                     quotient_cosheaf(build_phi(f)).cosheaf, constant_cosheaf(f))
+                     build_anchored_cosheaf(f), constant_cosheaf(f))
         for k in cosheaves:
             b = assemble_boundary(k)
             for rows, dense in ((boundary_rows(k), b), (boundary_rows(k, transpose=True), b.T)):
                 want = [{j: x for j, x in enumerate(r) if x} for r in dense.tolist()]
                 assert rows == want, label
-            h = homology(k)
-            assert np.array_equal(h.h1.vectors, kernel_basis(b).vectors), label
-            assert np.array_equal(h.h0.vectors, kernel_basis(b.T.copy()).vectors), label
+            assert np.array_equal(k.h1.vectors, kernel_basis(b).vectors), label
+            assert np.array_equal(k.h0.vectors, kernel_basis(b.T.copy()).vectors), label
 
 
 @pytest.mark.parametrize("name", ["bar", "triangle", "square", "box3d"])
 def test_euler_characteristic_identity(name):
     f = make_named(name)
     for k in (build_force_cosheaf(f), build_moment_cosheaf(f), constant_cosheaf(f)):
-        h = homology(k)
-        assert k.c0_dim - k.c1_dim == h.dims[1] - h.dims[0]
+        assert k.c0_dim - k.c1_dim == k.dims[1] - k.dims[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,7 @@ def test_corrupted_lever_sign_fails_at_that_incidence():
     f = make_named("square")
     phi = build_phi(f)
     assert check_cosheaf_map(phi).passed
-    q = quotient_cosheaf(phi)
+    pi, _ = quotient_cosheaf(phi)
     moment = phi.target
     bad_map = moment.head_maps[2].copy()
     bad_map[0, 1] = -bad_map[0, 1]
@@ -198,9 +199,8 @@ def test_corrupted_lever_sign_fails_at_that_incidence():
     bad_phi = CosheafMap(source=phi.source, target=corrupted,
                          vertex_maps=phi.vertex_maps, edge_maps=phi.edge_maps)
     assert check_cosheaf_map(bad_phi).passed  # axial forces cannot see it
-    bad_pi = CosheafMap(source=corrupted, target=q.cosheaf,
-                        vertex_maps=q.projection.vertex_maps,
-                        edge_maps=q.projection.edge_maps)
+    bad_pi = CosheafMap(source=corrupted, target=pi.target,
+                        vertex_maps=pi.vertex_maps, edge_maps=pi.edge_maps)
     chk = check_cosheaf_map(bad_pi)
     assert not chk.passed
     assert [(e, v) for e, v, _ in chk.failures] == [(2, f.edges[2][1])]
@@ -237,7 +237,7 @@ def test_exact_map_check_reports_the_product_difference(monkeypatch):
     # incidence only, which must still report the exact residual of the
     # Fraction products, with the same types
     f = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 4)
-    pi = quotient_cosheaf(build_phi(f)).projection
+    pi, _ = quotient_cosheaf(build_phi(f))
     products = []
     monkeypatch.setattr(cosheaf, "product", lambda *fs: products.append(1) or product(*fs))
     assert check_cosheaf_map(pi).passed
@@ -313,37 +313,51 @@ def test_quotient_by_zero_is_identity():
         source=z, target=moment,
         vertex_maps=tuple(zeros(d, 0, f.mode) for d in moment.vertex_dims),
         edge_maps=tuple(zeros(d, 0, f.mode) for d in moment.edge_dims))
-    q = quotient_cosheaf(emb)
-    assert q.cosheaf.vertex_dims == moment.vertex_dims
-    assert q.cosheaf.edge_dims == moment.edge_dims
-    for pm in q.projection.vertex_maps + q.projection.edge_maps:
+    pi, _ = quotient_cosheaf(emb)
+    assert pi.target.vertex_dims == moment.vertex_dims
+    assert pi.target.edge_dims == moment.edge_dims
+    for pm in pi.vertex_maps + pi.edge_maps:
         assert (pm == identity(pm.shape[0], f.mode)).all()
-    h1 = homology(q.cosheaf)
-    h2 = homology(moment)
-    assert h1.dims == h2.dims
+    assert pi.target.dims == moment.dims
 
 
 @pytest.mark.parametrize("name,edims,vdims", [("square", 2, 1), ("box3d", 5, 3)])
 def test_anchored_quotient_stalk_dims(name, edims, vdims):
     f = make_named(name)
-    q = quotient_cosheaf(build_phi(f))
-    assert set(q.cosheaf.edge_dims) == {edims}
-    assert set(q.cosheaf.vertex_dims) == {vdims}
+    pi, _ = quotient_cosheaf(build_phi(f))
+    assert set(pi.target.edge_dims) == {edims}
+    assert set(pi.target.vertex_dims) == {vdims}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_projection_and_section_share_the_quotient_and_invert_on_every_stalk(corpus, mode):
+    for label, f in corpus:
+        phi = build_phi(f if mode == "exact" else f.as_float())
+        pi, section = quotient_cosheaf(phi)
+        assert pi.target is section.source, label
+        assert section.target is phi.target, label
+        for p, s in zip(pi.vertex_maps + pi.edge_maps,
+                        section.vertex_maps + section.edge_maps):
+            err = p @ s - identity(s.shape[1], mode)
+            if mode == "exact":
+                assert not err.any(), label
+            else:
+                assert np.abs(err).max(initial=0.0) <= 1e-12, label
 
 
 def test_quotient_stalkwise_exactness():
     f = make_desargues(Fraction(1, 2))
     phi = build_phi(f)
-    q = quotient_cosheaf(phi)
+    pi, section = quotient_cosheaf(phi)
     for v in range(f.num_vertices):
-        stacked = np.hstack([phi.vertex_maps[v], q.vertex_sections[v]])
+        stacked = np.hstack([phi.vertex_maps[v], section.vertex_maps[v]])
         assert rank(stacked) == phi.target.vertex_dims[v]
-        prod = q.projection.vertex_maps[v] @ phi.vertex_maps[v]
+        prod = pi.vertex_maps[v] @ phi.vertex_maps[v]
         assert all(x == 0 for x in prod.flat)
     for e in range(f.num_edges):
-        stacked = np.hstack([phi.edge_maps[e], q.edge_sections[e]])
+        stacked = np.hstack([phi.edge_maps[e], section.edge_maps[e]])
         assert rank(stacked) == phi.target.edge_dims[e]
-        prod = q.projection.edge_maps[e] @ phi.edge_maps[e]
+        prod = pi.edge_maps[e] @ phi.edge_maps[e]
         assert all(x == 0 for x in prod.flat)
 
 
@@ -373,23 +387,23 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
     # be what its own quotient gives
     phi = build_phi(f)
     moment = phi.target
-    q = quotient_cosheaf(phi)
+    pi, section = quotient_cosheaf(phi)
     vertex = [_stalk_quotient(m, "") for m in phi.vertex_maps]
     for v, (s, p) in enumerate(vertex):
-        assert _same(q.vertex_sections[v], s)
-        assert _same(q.projection.vertex_maps[v], p)
+        assert _same(section.vertex_maps[v], s)
+        assert _same(pi.vertex_maps[v], p)
     for e, (t, h) in enumerate(f.edges):
         s, p = _stalk_quotient(phi.edge_maps[e], "")
-        assert _same(q.edge_sections[e], s)
-        assert _same(q.projection.edge_maps[e], p)
-        assert _same(q.cosheaf.tail_maps[e], vertex[t][1] @ moment.tail_maps[e] @ s)
-        assert _same(q.cosheaf.head_maps[e], vertex[h][1] @ moment.head_maps[e] @ s)
+        assert _same(section.edge_maps[e], s)
+        assert _same(pi.edge_maps[e], p)
+        assert _same(pi.target.tail_maps[e], vertex[t][1] @ moment.tail_maps[e] @ s)
+        assert _same(pi.target.head_maps[e], vertex[h][1] @ moment.head_maps[e] @ s)
 
 
 def test_quotient_projection_commutes():
     f = make_named("box3d")
-    q = quotient_cosheaf(build_phi(f))
-    assert check_cosheaf_map(q.projection).passed
+    pi, _ = quotient_cosheaf(build_phi(f))
+    assert check_cosheaf_map(pi).passed
 
 
 def test_quotient_rejects_non_injective_map():
@@ -445,6 +459,6 @@ def test_quotient_homology_invariant_under_stalk_change_of_basis():
         vertex_maps=tuple(t_v[v] @ phi.vertex_maps[v] for v in range(f.num_vertices)),
         edge_maps=tuple(t_e[e] @ phi.edge_maps[e] for e in range(f.num_edges)))
     assert check_cosheaf_map(twisted_phi).passed
-    q0 = quotient_cosheaf(phi)
-    q1 = quotient_cosheaf(twisted_phi)
-    assert homology(q0.cosheaf).dims == homology(q1.cosheaf).dims
+    pi0, _ = quotient_cosheaf(phi)
+    pi1, _ = quotient_cosheaf(twisted_phi)
+    assert pi0.target.dims == pi1.target.dims

@@ -13,7 +13,6 @@ from framehom import (
     Framework,
     connecting_map,
     counting_rules,
-    homology,
     induced_map,
     make_desargues,
     make_named,
@@ -51,9 +50,7 @@ def signature(report):
 def test_induced_ranks_on_desargues():
     f = make_desargues(Fraction(1, 2))
     phi = build_phi(f)
-    h_f = homology(phi.source)
-    h_m = homology(phi.target)
-    phi1 = induced_map(phi, 1, h_f, h_m)
+    phi1 = induced_map(phi, 1)
     assert phi1.rank == 1
     assert phi1.kernel.dim == 0  # injective
     ctx = _LesContext(f)
@@ -72,13 +69,13 @@ def test_induced_map_requires_commuting():
                      edge_maps=tuple(-m for m in phi.edge_maps))
     bad.vertex_maps[0][1, 0] = 5  # break commuting at vertex 0
     with pytest.raises(ValueError, match="commute"):
-        induced_map(bad, 1, homology(force), homology(moment))
+        induced_map(bad, 1)
 
 
 def test_phi0_surjective_with_mechanism_kernel():
     for name in ("square", "triangle", "box3d"):
         ctx = _LesContext(make_named(name))
-        assert ctx.phi0.rank == ctx.h_moment.h0.dim
+        assert ctx.phi0.rank == ctx.moment.h0.dim
         assert ctx.phi0.kernel.dim == ctx.mech.dim
 
 
@@ -86,8 +83,8 @@ def _assert_h1_coordinates_match_solve(f):
     # phi1 and pi1 read their coordinates at the free columns; the old
     # elimination of [basis | image] must give the same matrix
     ctx = _LesContext(f)
-    for h, chains in ((ctx.h_moment, ctx.phi.apply_c1(ctx.h_force.h1.matrix())),
-                      (ctx.h_anch, ctx.pi.apply_c1(ctx.h_moment.h1.matrix()))):
+    for h, chains in ((ctx.moment, ctx.phi.apply_c1(ctx.force.h1.matrix())),
+                      (ctx.anch, ctx.pi.apply_c1(ctx.moment.h1.matrix()))):
         got = h.h1_coordinates(chains)
         want = solve_in_image(h.h1.matrix(), chains)
         assert got.shape == want.shape == (h.h1.dim, chains.shape[1])
@@ -110,7 +107,7 @@ def test_h1_coordinates_match_solve_in_image_on_random_frames(name, seed, magnit
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_h1_coordinates_reject_a_chain_that_is_not_a_cycle(mode):
     f = make_desargues(Fraction(1, 2))
-    h = homology(build_moment_cosheaf(f if mode == "exact" else f.as_float()))
+    h = build_moment_cosheaf(f if mode == "exact" else f.as_float())
     chains = h.h1.matrix()
     assert h.h1_coordinates(chains).shape == (h.h1.dim, h.h1.dim)
     chains[0, 1] += 1  # column 0 of the boundary is nonzero
@@ -172,7 +169,7 @@ def test_connecting_zero_on_triangle():
     cm = connecting_map(f)
     assert cm.rank == 0
     ctx = _LesContext(f)
-    assert ctx.h_anch.h1.dim == 3
+    assert ctx.anch.h1.dim == 3
     assert ctx.pi1.rank == 3
 
 
@@ -193,7 +190,7 @@ def test_random_section_moves_resultants_but_not_theta(name):
     f = make_desargues(Fraction(1, 2)) if name == "desargues" else make_named("square")
     base, ctx = _LesContext(f), _LesContext(f)
     ctx.section = random_section(ctx, random.Random(11))
-    chains = base.h_anch.h1.matrix()
+    chains = base.anch.h1.matrix()
     assert not (base.resultants(chains) == ctx.resultants(chains)).all()
     assert (base.theta.matrix == ctx.theta.matrix).all()
 
@@ -202,15 +199,15 @@ def test_random_section_moves_resultants_but_not_theta(name):
 def test_section_lifts_edge_by_edge(seed):
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f)
+    canonical = ctx.section.edge_maps
     if seed is not None:
         ctx.section = random_section(ctx, random.Random(seed))
     sections = ctx.section.edge_maps
-    assert (seed is None) == all((a == b).all() for a, b in
-                                 zip(sections, ctx.anch.edge_sections))
+    assert (seed is None) == all((a == b).all() for a, b in zip(sections, canonical))
     for e, sec in enumerate(sections):
         assert (ctx.pi.edge_maps[e] @ sec == identity(sec.shape[1], f.mode)).all()
-    dims = ctx.anch.cosheaf.edge_dims
-    for w in ctx.h_anch.h1.vectors[:4]:
+    dims = ctx.anch.edge_dims
+    for w in ctx.anch.h1.vectors[:4]:
         # reference: lift each edge's component through its own section
         want, pos = [], 0
         for e, d in enumerate(dims):
@@ -229,7 +226,7 @@ def test_resultants_sum_to_zero_and_kill_rigid_motions():
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f)
     rigid = rigid_body_space(f)
-    for flat in ctx.resultants(ctx.h_anch.h1.matrix()).T:
+    for flat in ctx.resultants(ctx.anch.h1.matrix()).T:
         for gen in rigid.vectors:
             assert sum(a * b for a, b in zip(flat, gen)) == 0
 
@@ -267,7 +264,7 @@ def _per_cycle_resultants(ctx, chains):
 def test_batched_resultants_match_one_cycle_at_a_time(corpus, mode):
     for label, f in corpus:
         ctx = _LesContext(f if mode == "exact" else f.as_float())
-        chains = ctx.h_anch.h1.matrix()
+        chains = ctx.anch.h1.matrix()
         got, want = ctx.resultants(chains), _per_cycle_resultants(ctx, chains)
         assert got.shape == want.shape == (f.num_vertices * f.dim, chains.shape[1]), label
         if mode == "exact":
@@ -280,7 +277,7 @@ def test_batched_resultants_match_one_cycle_at_a_time(corpus, mode):
 def test_resultants_reject_a_chain_that_is_not_an_anchored_cycle(mode):
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f if mode == "exact" else f.as_float())
-    chains = ctx.h_anch.h1.matrix()
+    chains = ctx.anch.h1.matrix()
     assert ctx.resultants(chains).shape == (f.num_vertices * 2, chains.shape[1])
     chains[0, 1] += 1
     with pytest.raises(ValueError, match="not in the column space"):
@@ -300,7 +297,7 @@ def test_theta_makes_two_solves_on_grid4(monkeypatch):
         original = module.solve_in_image
         monkeypatch.setattr(module, "solve_in_image",
                             lambda *a, _f=original: calls.append(1) or _f(*a))
-    assert ctx.h_anch.h1.dim == 50
+    assert ctx.anch.h1.dim == 50
     assert ctx.theta.rank == 0
     assert len(calls) == 2
 
@@ -309,8 +306,8 @@ def test_theta_makes_two_solves_on_grid4(monkeypatch):
 def test_theta_on_a_bar_is_an_empty_map(mode):
     f = make_named("bar")
     ctx = _LesContext(f if mode == "exact" else f.as_float())
-    assert ctx.h_anch.h1.dim == 0
-    assert ctx.theta.matrix.shape == (ctx.h_force.h0.dim, 0)
+    assert ctx.anch.h1.dim == 0
+    assert ctx.theta.matrix.shape == (ctx.force.h0.dim, 0)
     assert ctx.theta.rank == 0
     assert ctx.mechanism_basis_ambient().dim == 0
 
@@ -420,7 +417,7 @@ def test_counting_rules_3d_formula():
     # anchored boundary, already verified against homology inside the rule
     from framehom import build_anchored_cosheaf
     from framehom.linalg import kernel_basis
-    b = assemble_boundary(build_anchored_cosheaf(f).cosheaf)
+    b = assemble_boundary(build_anchored_cosheaf(f))
     assert kernel_basis(b).dim == expected
 
 
