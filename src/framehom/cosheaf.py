@@ -11,10 +11,12 @@ on first read and kept.  The eliminations read the boundary as sparse rows
 built edge block by edge block; the dense block matrix is assembled only
 for the connecting map, which multiplies chains by it.
 
-In exact mode the chain-map work runs on integers: maps are applied to
-chains, and checked to commute, on their integer forms (one lcm per
-matrix), and the H1 coordinates of a cycle are read at the free columns
-of the boundary's reduction, with no further elimination.
+In exact mode the build and the chain-map work run on integers.  Each
+cosheaf and each map keeps the integer forms of its matrices (one lcm
+per matrix).  The eliminations read the integer rows of d B, d > 0, which
+has the rank, pivots and kernel of B; maps are applied to chains, and
+checked to commute, on integer forms; and the H1 coordinates of a cycle
+are read at the free columns of the boundary's reduction.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ class Cosheaf:
         return assemble_boundary(self)
 
     @cached_property
+    def _forms(self) -> dict:
+        return _integer_forms(self.tail_maps + self.head_maps)
+
+    @cached_property
     def _reduction(self) -> Reduction:
         return Reduction.of_rows(boundary_rows(self), self.c1_dim, self.mode)
 
@@ -118,8 +124,8 @@ class Cosheaf:
         Exact mode runs no elimination.  Each ``h1`` vector v_j is the kernel
         vector of one free column fc_j of B's RREF and is zero at every other
         free column, so coordinate j of a cycle y is y[fc_j] / v_j[fc_j].  The
-        columns are first checked to be cycles, B @ chains = 0, on B's rows
-        and the chains cleared to integers.  Float mode solves by least
+        columns are first checked to be cycles, B @ chains = 0, on the rows
+        of d B and the chains cleared to integers.  Float mode solves by least
         squares.  Raises ValueError when a column is not a cycle.
         """
         red = self._reduction
@@ -168,18 +174,22 @@ def assemble_boundary(k: Cosheaf) -> np.ndarray:
 
 
 def boundary_rows(k: Cosheaf, transpose: bool = False) -> list[dict]:
-    """The rows of B = ``assemble_boundary(k)``, or of B^T when ``transpose``,
-    as sparse {column: nonzero entry} maps built one edge block at a time
-    from the stalk maps: +head map, -tail map."""
+    """The rows of d B, B = ``assemble_boundary(k)``, or of d B^T when
+    ``transpose``, as sparse {column: nonzero entry} maps built one edge
+    block at a time from the stalk maps: +head map, -tail map.  d is the
+    lcm of the stalk maps' denominators (1 in float mode), so exact entries
+    are ``int``; each distinct stalk map is listed once as its entries."""
+    d = math.lcm(*(md for _, md in k._forms.values()))
+    entries = {key: [(j, i, x * (d // md)) if transpose else (i, j, x * (d // md))
+                     for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
+               for key, (mi, md) in k._forms.items()}
     voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
     rows = [{} for _ in range(k.c1_dim if transpose else k.c0_dim)]
     for e, (t, h) in enumerate(k.base.edges):
-        for v, m, neg in ((h, k.head_maps[e], False), (t, k.tail_maps[e], True)):
-            for i, mrow in enumerate(m.tolist(), voff[v]):
-                for j, x in enumerate(mrow, eoff[e]):
-                    if x:
-                        r, c = (j, i) if transpose else (i, j)
-                        rows[r][c] = -x if neg else x
+        for v, m, sign in ((h, k.head_maps[e], 1), (t, k.tail_maps[e], -1)):
+            r, c = (eoff[e], voff[v]) if transpose else (voff[v], eoff[e])
+            for i, j, x in entries[id(m)]:
+                rows[r + i][c + j] = sign * x
     return rows
 
 
@@ -289,16 +299,14 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
 
     At each incidence the target stalk map composed with the edge map must
     equal the vertex map composed with the source stalk map.  Exact mode
-    clears each distinct factor once per check and compares the two sides
-    by integer cross-multiplication; only a failing incidence forms the
-    difference, and reports its largest |entry| exactly.  Float mode
-    tolerates 1e-9.
+    reads the integer forms that the map and both cosheaves keep and
+    compares the two sides by integer cross-multiplication; only a failing
+    incidence forms the difference, and reports its largest |entry|
+    exactly.  Float mode tolerates 1e-9.
     """
     exact = m.source.mode == MODE_EXACT
     if exact:
-        src, tgt = m.source, m.target
-        forms = m._forms | _integer_forms(
-            src.tail_maps + src.head_maps + tgt.tail_maps + tgt.head_maps)
+        forms = m._forms | m.source._forms | m.target._forms
 
     def commutes(a, b, c, d) -> bool:
         (ai, ad), (bi, bd), (ci, cd), (di, dd) = (forms[id(x)] for x in (a, b, c, d))

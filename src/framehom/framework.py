@@ -2,9 +2,9 @@
 
 A framework is an ordered vertex list with positions in R^n (coordinates
 0 .. n-1: x, y in the plane, x, y, z in space) plus a list of oriented
-edges (tail -> head).  Coordinates are exact rationals by default; a
-floating mode exists for tolerance experiments.  Frameworks are immutable;
-every generator is a deterministic function of its arguments.
+edges (tail -> head).  Exact coordinates are ``int`` where integral, else
+``Fraction``; a floating mode exists for tolerance experiments.  Frameworks
+are immutable; every generator is a deterministic function of its arguments.
 
 File format (line oriented, ``#`` starts a comment; ``dim N`` with N >= 2,
 then one ``v`` record of an id and N coordinates per vertex)::
@@ -43,6 +43,11 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _integral(x):
+    """An exact rational as ``int`` when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class EdgeGeometry:
     """Derived geometry of one oriented edge."""
@@ -71,6 +76,9 @@ class Framework:
             raise FrameworkError(f"unknown mode {self.mode!r}")
         if not self.positions:
             raise FrameworkError("framework has no vertices")
+        if self.mode == MODE_EXACT:  # once, so parser, generators and transforms agree
+            object.__setattr__(self, "positions", tuple(
+                tuple(_integral(x) for x in p) for p in self.positions))
         for i, p in enumerate(self.positions):
             if len(p) != self.dim:
                 raise FrameworkError(f"vertex {i} has {len(p)} coordinates, expected {self.dim}")
@@ -128,12 +136,13 @@ class Framework:
 
     @cached_property
     def _edge_geometries(self) -> tuple:
-        """Every edge's geometry, computed on first read and kept per instance."""
+        """Every edge's geometry, integral exact components as ``int``, kept."""
         out = []
         for t, h in self.edges:
             d = tuple(self.positions[h][i] - self.positions[t][i] for i in range(self.dim))
             if self.mode == MODE_EXACT:
-                half = tuple(Fraction(x) / 2 for x in d)
+                d = tuple(_integral(x) for x in d)
+                half = tuple(_integral(Fraction(x, 2)) for x in d)
             else:
                 half = tuple(x / 2.0 for x in d)
             out.append(EdgeGeometry(direction=d, half_lever=half))
@@ -264,9 +273,7 @@ def save_framework(f: Framework, path) -> None:
 # generators
 # ---------------------------------------------------------------------------
 
-_DESARGUES_OUTER = ((Fraction(0), Fraction(4)),
-                    (Fraction(-3), Fraction(-2)),
-                    (Fraction(3), Fraction(-2)))
+_DESARGUES_OUTER = ((0, 4), (-3, -2), (3, -2))
 
 
 def make_desargues(t) -> Framework:
@@ -293,7 +300,7 @@ def _cube_positions():
     pts = []
     for z in (0, 1):
         for x, y in ((0, 0), (1, 0), (1, 1), (0, 1)):
-            pts.append((Fraction(x), Fraction(y), Fraction(z)))
+            pts.append((x, y, z))
     return tuple(pts)
 
 
@@ -345,15 +352,11 @@ def make_named(name: str, seed: int = 0) -> Framework:
     coordinates and full-dimensional affine span.
     """
     if name == "bar":
-        return Framework(2, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))),
-                         ((0, 1),))
+        return Framework(2, ((0, 0), (1, 0)), ((0, 1),))
     if name == "triangle":
-        return Framework(2, ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)),
-                             (Fraction(1), Fraction(2))),
-                         ((0, 1), (1, 2), (2, 0)))
+        return Framework(2, ((0, 0), (2, 0), (1, 2)), ((0, 1), (1, 2), (2, 0)))
     if name == "square":
-        return Framework(2, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                             (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))),
+        return Framework(2, ((0, 0), (1, 0), (1, 1), (0, 1)),
                          ((0, 1), (1, 2), (2, 3), (3, 0)))
     if name == "box3d":
         return Framework(3, _cube_positions(), _CUBE_EDGES)

@@ -42,7 +42,7 @@ from .linalg import (
 # not called here: the benchmark's self-test checks that its tracer rebinds
 # framehom.les.kernel_basis, so the name stays importable from this module
 from .linalg import kernel_basis  # noqa: F401
-from .structural import build_phi, moment_dim, rigid_body_space
+from .structural import build_phi, couple_dim, moment_dim, rigid_body_space
 
 
 @dataclass(frozen=True)
@@ -340,6 +340,10 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
 
     dims_f, dims_m, dims_n = ctx.dims
     (h1f, _), (_, h0m), (h1n, h0n) = dims_f, dims_m, dims_n
+    # (e) and (i) need all k = n(n+1)/2 rigid motions; a collinear frame in space lacks one
+    k = couple_dim(ctx.f.dim)
+    na = (f"not applicable: rigid-body space of dimension {ctx.rigid.dim} < {k}"
+          if ctx.rigid.dim < k else "")
     checks.append(LesCheck(
         "a", "phi* injective on H1", ctx.phi1.rank == h1f,
         f"rank {ctx.phi1.rank} of {h1f}"))
@@ -352,7 +356,7 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
     checks.append(_subspace_check(
         "d", "theta surjective onto the mechanism space", mech_ambient, ctx.mech))
     checks.append(LesCheck(
-        "e", "H0(anchored) vanishes", h0n == 0, f"dim {h0n}"))
+        "e", "H0(anchored) vanishes", bool(na) or h0n == 0, na or f"dim {h0n}"))
     alt = ctx.alternating_sum
     checks.append(LesCheck(
         "f", "alternating dimension sum of the reduced sequence is zero", alt == 0,
@@ -364,8 +368,8 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
     checks.append(_subspace_check(
         "h", "im theta = ker phi0* inside H0(force)", ctx.theta.image, ctx.phi0.kernel))
     checks.append(LesCheck(
-        "i", "phi0* surjective onto H0(moment)", ctx.phi0.rank == h0m,
-        f"rank {ctx.phi0.rank} of {h0m}"))
+        "i", "phi0* surjective onto H0(moment)", bool(na) or ctx.phi0.rank == h0m,
+        na or f"rank {ctx.phi0.rank} of {h0m}"))
 
     return LesReport(
         dims_force=dims_f,

@@ -5,18 +5,19 @@ rationals (``fractions.Fraction`` or int) and make up "exact" mode;
 ``dtype=float64`` is "float" mode.  A computation never mixes modes: the
 mode of every derived matrix is the mode of its inputs.
 
-Exact mode eliminates on sparse integer rows: each row becomes a
-{column: int} map, cleared of its denominators once, and rows are
-reduced fraction-free with gcd normalisation (Bareiss, Math. Comp. 22,
-1968); a caller with sparse rows, such as a cosheaf boundary, hands them
-to ``Reduction.of_rows`` and no dense matrix is formed.  The rank is read
-off the forward echelon; back-substitution runs only when a kernel, row
-basis or solution is first read.  The pivot
-columns and the RREF of a matrix do not depend on the elimination order,
-so ranks, kernels, row bases and solutions are those of a Gauss-Jordan
-RREF over the rationals, bit-for-bit.  Float mode ranks are SVD-based
-with a relative singular value cutoff of ``EPS_RANK``; subspace
-comparisons use principal angles with threshold ``EPS_ANGLE``.
+Exact mode eliminates on sparse integer rows: each row of a dense matrix
+becomes a {column: int} map, cleared of its denominators once, and rows
+are reduced fraction-free with gcd normalisation (Bareiss, Math. Comp.
+22, 1968); a caller with integer rows, such as a cosheaf boundary, hands
+them to ``Reduction.of_rows``.  Rows enter the echelon in decreasing
+order of their leading column, for low fill.  The rank is read off the
+forward echelon; back-substitution runs only when a kernel, row basis or
+solution is first read.  Pivot columns and RREF depend neither on the
+elimination order nor on positive row scalings, so ranks, kernels, row
+bases and solutions are those of a Gauss-Jordan RREF over the rationals,
+bit-for-bit.  Float mode ranks are SVD-based with a relative singular
+value cutoff of ``EPS_RANK``; subspace comparisons use principal angles
+with threshold ``EPS_ANGLE``.
 """
 
 from __future__ import annotations
@@ -180,11 +181,12 @@ def _eliminate(row: dict, piv: dict, c: int) -> dict:
 def _echelon(rows: list[dict]) -> dict[int, dict]:
     """Forward elimination: {leading column: row}, rows content-free, leads positive.
 
-    Each row is reduced against the pivot at its current leading column
-    until it is zero or leads at a new column.
+    Rows enter in decreasing order of their leading column, which keeps
+    fill low; each is reduced against the pivot at its current leading
+    column until it is zero or leads at a new column.
     """
     piv: dict[int, dict] = {}
-    for row in rows:
+    for row in sorted(filter(None, rows), key=min, reverse=True):
         while row:
             c = min(row)
             p = piv.get(c)
@@ -225,17 +227,18 @@ def _dense(row: dict, n: int) -> list:
 class Reduction:
     """One elimination of a matrix, read for its rank, kernel, image and rows.
 
-    Exact mode keeps the sparse rows (from a dense matrix or ``of_rows``)
-    and the forward echelon of their integer multiples (the rank is its
-    number of pivots), and back-substitutes once, on the first read of the
-    kernel, the row basis or a solve.  Float mode keeps the full SVD.
+    Exact mode keeps the sparse rows (from a dense matrix or ``of_rows``),
+    their integer multiples and the forward echelon of those (the rank is
+    its number of pivots), and back-substitutes once, on the first read of
+    the kernel, the row basis or a solve.  Float mode keeps the full SVD.
     """
 
     def __init__(self, a: np.ndarray):
         self.shape = a.shape
         self.exact = mode_of(a) == MODE_EXACT
         if self.exact:
-            self._forward(_sparse_rows(a))
+            self.rows = _sparse_rows(a)
+            self._forward([_cleared(r) for r in self.rows])
         elif a.size:
             self.u, s, self.vh = np.linalg.svd(a, full_matrices=True)
             self.rank = int(np.count_nonzero(s > EPS_RANK * s[0]))
@@ -245,21 +248,21 @@ class Reduction:
     @classmethod
     def of_rows(cls, rows: list[dict], ncols: int, mode: str) -> Reduction:
         """One elimination of the matrix whose rows are the sparse {column:
-        nonzero entry} maps ``rows``: exact mode eliminates them as they are,
-        float mode writes them into a dense array for the SVD."""
+        nonzero entry} maps ``rows``: exact mode eliminates integer rows as
+        they are, float mode writes them into a dense array for the SVD."""
         if mode != MODE_EXACT:
             a = zeros(len(rows), ncols, mode)
             for i, row in enumerate(rows):
                 a[i, list(row)] = list(row.values())
             return cls(a)
         red = cls.__new__(cls)
-        red.shape, red.exact = (len(rows), ncols), True
+        red.shape, red.exact, red.rows = (len(rows), ncols), True, rows
         red._forward(rows)
         return red
 
-    def _forward(self, rows: list[dict]):
-        self.rows = rows
-        self._echelon = _echelon([_cleared(r) for r in rows])
+    def _forward(self, ints: list[dict]):
+        self._int_rows = ints
+        self._echelon = _echelon(ints)
         self.pivots = sorted(self._echelon)
         self.rank = len(self.pivots)
 
@@ -305,11 +308,11 @@ class Reduction:
 
     def annihilates(self, ints: np.ndarray) -> bool:
         """True when the exact matrix times the integer matrix ``ints`` is
-        zero; each sparse row is cleared to integers, so no ``Fraction`` is
-        formed."""
+        zero; read on the integer multiples of its rows, so no ``Fraction``
+        is formed."""
         return not ints.size or not any(
-            row and np.any(sum(v * ints[j] for j, v in _cleared(row).items()))
-            for row in self.rows)
+            row and np.any(sum(v * ints[j] for j, v in row.items()))
+            for row in self._int_rows)
 
     def image(self) -> SubspaceBasis:
         """Basis of the column space: the pivot columns of the matrix in

@@ -91,11 +91,11 @@ def build_force_cosheaf(f: Framework) -> Cosheaf:
 
     Both stalk maps of an edge are the single column spanned by the bar
     direction head - tail, so an axial scalar becomes a force along the
-    bar.
+    bar.  Edges with equal directions share one matrix.
     """
     n = f.dim
-    cols = tuple(_column(0, f.edge_geometry(k).direction, f.mode)
-                 for k in range(f.num_edges))
+    column = cache(lambda d: _column(0, d, f.mode))
+    cols = tuple(column(f.edge_geometry(k).direction) for k in range(f.num_edges))
     return Cosheaf(
         base=f,
         vertex_dims=(n,) * f.num_vertices,
@@ -134,7 +134,7 @@ def build_phi(f: Framework) -> CosheafMap:
     Edge maps send an axial scalar t to the zero-moment couple
     (0, t * direction); vertex maps pad nodal forces with a zero moment.
     The commuting condition holds because the bar direction wedged with
-    its own half lever vanishes.
+    its own half lever vanishes.  Equal directions share one edge map.
     """
     n = f.dim
     w = moment_dim(n)
@@ -143,8 +143,8 @@ def build_phi(f: Framework) -> CosheafMap:
     vmap = linalg.zeros(w + n, n, f.mode)
     for i in range(n):
         vmap[w + i, i] = 1 if f.mode == MODE_EXACT else 1.0
-    emaps = tuple(_column(w, f.edge_geometry(k).direction, f.mode)
-                  for k in range(f.num_edges))
+    column = cache(lambda d: _column(w, d, f.mode))
+    emaps = tuple(column(f.edge_geometry(k).direction) for k in range(f.num_edges))
     return CosheafMap(
         source=force,
         target=moment,

@@ -1,6 +1,6 @@
 import pytest
 
-from framehom import linalg, make_desargues, make_named, verify_les
+from framehom import Framework, linalg, make_desargues, make_named, verify_les
 from framehom.cosheaf import CosheafMap
 from framehom.les import _LesContext
 
@@ -8,14 +8,35 @@ RANDOM_2D_SEEDS = range(10)
 RANDOM_3D_SEEDS = range(10)
 
 
+def grid(n=3):
+    """A triangulated n x n grid: three member directions, every edge one way."""
+    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
+    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
+    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
+    return Framework(2, tuple((i, j) for j in range(n) for i in range(n)), tuple(edges))
+
+
+def lattice(n=3):
+    """An n x n x n lattice with the diagonal of every unit face square from
+    its lowest corner, every edge one way."""
+    points = [(i, j, k) for k in range(n) for j in range(n) for i in range(n)]
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+    edges = [(points.index(p), points.index(q)) for p in points for d in steps
+             if max(q := tuple(a + b for a, b in zip(p, d))) < n]
+    return Framework(3, tuple(points), tuple(edges))
+
+
 def build_corpus():
-    """The standard test corpus: named frameworks, Desargues, 20 randoms."""
+    """The standard test corpus: named frameworks, Desargues, a triangulated
+    4 x 4 grid (16 vertices), the 2 x 2 x 2 lattice, 20 randoms."""
     frameworks = [
         ("bar", make_named("bar")),
         ("triangle", make_named("triangle")),
         ("square", make_named("square")),
         ("box3d", make_named("box3d")),
         ("desargues", make_desargues("1/2")),
+        ("grid4", grid(4)),
+        ("lattice2", lattice(2)),
     ]
     for seed in RANDOM_2D_SEEDS:
         frameworks.append((f"random2d-{seed}", make_named("random2d", seed)))

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, scan CSV, SVG export."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import grid, lattice
 from framehom import (
-    Framework,
     build_anchored_cosheaf,
     build_force_cosheaf,
     build_moment_cosheaf,
@@ -121,14 +122,34 @@ def test_main_builds_the_parser_once(square_fw, capsys):
     capsys.readouterr()
 
 
-def test_analyze_check_failure_exit_2(tmp_path, capsys):
-    # a single spatial bar fails the anchored-vanishing check
-    path = tmp_path / "bar3d.fw"
-    path.write_text("dim 3\nv 0 0 0 0\nv 1 1 0 0\ne 0 1\n")
-    code = main(["analyze", str(path)])
+def test_analyze_check_failure_exit_2(square_fw, capsys, monkeypatch):
+    # a report with one failing check exits 2 and still prints the report
+    original = cli._report_from_context
+
+    def failing(ctx):
+        report = original(ctx)
+        bad = dataclasses.replace(report.checks[-1], passed=False)
+        return dataclasses.replace(report, checks=report.checks[:-1] + (bad,))
+
+    monkeypatch.setattr(cli, "_report_from_context", failing)
+    code = main(["analyze", str(square_fw)])
     out = capsys.readouterr().out
     assert code == 2
+    assert "[FAIL ] (i)" in out
     assert "CHECK FAILURES" in out
+
+
+def test_analyze_single_bar_in_space_passes(tmp_path, capsys):
+    # rotation about the bar's axis moves no vertex: the rigid-body space has
+    # dimension 5 < 6, and checks (e) and (i), which need all 6, do not apply
+    path = tmp_path / "bar3d.fw"
+    path.write_text("dim 3\nv 0 0 0 0\nv 1 1 0 0\ne 0 1\n")
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    na = "[not applicable: rigid-body space of dimension 5 < 6]"
+    assert f"(e) H0(anchored) vanishes {na}" in out
+    assert f"(i) phi0* surjective onto H0(moment) {na}" in out
+    assert "result: all checks passed" in out
 
 
 def test_analyze_disconnected_reports_na(tmp_path, capsys):
@@ -556,33 +577,16 @@ def test_benchmark_span_hooks_see_the_pipeline(square_fw, capsys, monkeypatch):
     assert not spans.installed()
 
 
-def _grid(tmp_path, n=3):
-    """A triangulated n x n grid file: three member directions, every edge one way."""
-    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
-    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
-    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
-    path = tmp_path / f"grid{n}.fw"
-    save_framework(Framework(2, tuple((i, j) for j in range(n) for i in range(n)),
-                             tuple(edges)), path)
-    return path
-
-
-def _lattice(tmp_path, n=3):
-    """An n x n x n lattice file with the diagonal of every unit face square
-    from its lowest corner, every edge one way."""
-    points = [(i, j, k) for k in range(n) for j in range(n) for i in range(n)]
-    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
-    edges = [(points.index(p), points.index(q)) for p in points for d in steps
-             if max(q := tuple(a + b for a, b in zip(p, d))) < n]
-    path = tmp_path / f"lattice{n}.fw"
-    save_framework(Framework(3, tuple(points), tuple(edges)), path)
+def _saved(tmp_path, name, f):
+    path = tmp_path / f"{name}.fw"
+    save_framework(f, path)
     return path
 
 
 def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monkeypatch):
     # dims come from the forward echelon of each boundary; only the kernels,
     # row bases and solves of a full analyze back-substitute
-    path = _grid(tmp_path)
+    path = _saved(tmp_path, "grid3", grid(3))
     calls = []
     original = linalg._back_substitute
 
@@ -602,7 +606,7 @@ def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monke
 
 def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch):
     # all vertices share one stalk map and the edges have three directions
-    path = _grid(tmp_path)
+    path = _saved(tmp_path, "grid3", grid(3))
     calls = []
     original = cosheaf._stalk_quotient
 
@@ -625,7 +629,7 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
 def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypatch):
     # theta pulls every vertex of every anchored cycle back in one solve, so
     # the padding map is eliminated once, not once per cycle (76 before)
-    path = _grid(tmp_path, 4)
+    path = _saved(tmp_path, "grid4", grid(4))
     calls = []
     original = linalg.Reduction._forward
     monkeypatch.setattr(linalg.Reduction, "_forward",
@@ -638,7 +642,7 @@ def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypat
 def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, monkeypatch):
     # eliminations read sparse boundary rows; theta multiplies by the dense
     # moment boundary
-    path = _grid(tmp_path)
+    path = _saved(tmp_path, "grid3", grid(3))
     calls = []
     original = cosheaf.assemble_boundary
     monkeypatch.setattr(cosheaf, "assemble_boundary",
@@ -662,7 +666,7 @@ LARGE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(LARGE_DIGESTS))
 def test_exact_reports_on_larger_frames_are_byte_identical(tmp_path, capsys, name):
-    path = _grid(tmp_path, 6) if name == "grid6" else _lattice(tmp_path, 3)
+    path = _saved(tmp_path, name, grid(6) if name == "grid6" else lattice(3))
     digests = []
     for flags in (["--dims-only", "--json"], ["--json"]):
         assert main(["analyze", str(path), *flags]) == 0

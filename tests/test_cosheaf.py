@@ -1,14 +1,15 @@
 """Generic cosheaf machinery: boundary assembly, homology, maps, quotients."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import grid
 from framehom import (
     CosheafMap,
-    Framework,
     assemble_boundary,
     check_cosheaf_map,
     constant_cosheaf,
@@ -119,8 +120,9 @@ def test_homology_result_invariants():
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
-    # every other edge flipped, so head and tail blocks trade signs; the
-    # homology read off the sparse rows is the one read off the dense matrix
+    # every other edge flipped, so head and tail blocks trade signs; the rows
+    # are those of d B, d the lcm of B's denominators (1 in float mode), and
+    # the homology read off them is the one read off the dense matrix
     for label, f in corpus:
         for e in range(0, f.num_edges, 2):
             f = f.with_flipped_edge(e)
@@ -130,9 +132,12 @@ def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
                      build_anchored_cosheaf(f), constant_cosheaf(f))
         for k in cosheaves:
             b = assemble_boundary(k)
+            d = math.lcm(*(x.denominator for x in b.ravel())) if mode == "exact" else 1
             for rows, dense in ((boundary_rows(k), b), (boundary_rows(k, transpose=True), b.T)):
-                want = [{j: x for j, x in enumerate(r) if x} for r in dense.tolist()]
+                want = [{j: d * x for j, x in enumerate(r) if x} for r in dense.tolist()]
                 assert rows == want, label
+                if mode == "exact":
+                    assert all(type(x) is int for row in rows for x in row.values()), label
             assert np.array_equal(k.h1.vectors, kernel_basis(b).vectors), label
             assert np.array_equal(k.h0.vectors, kernel_basis(b.T.copy()).vectors), label
 
@@ -363,11 +368,7 @@ def test_quotient_stalkwise_exactness():
 
 def _flipped_grid(n, flips):
     """A triangulated n x n grid with the edges ``flips`` reoriented."""
-    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
-    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
-    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
-    f = Framework(2, tuple((Fraction(i), Fraction(j)) for j in range(n) for i in range(n)),
-                  tuple(edges))
+    f = grid(n)
     for k in flips:
         f = f.with_flipped_edge(k)
     return f

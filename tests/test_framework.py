@@ -138,6 +138,43 @@ def test_int_coordinates_roundtrip_exactly(tmp_path):
     assert load_framework(path) == f
 
 
+@pytest.mark.parametrize("token, value, text", [
+    ("4/2", 2, "2"),
+    ("-0", 0, "0"),
+    ("1.50", Fraction(3, 2), "3/2"),
+    ("1e3", 1000, "1000"),
+    (str(2 ** 60 + 1), 2 ** 60 + 1, str(2 ** 60 + 1)),
+    ("-6/4", Fraction(-3, 2), "-3/2"),
+])
+def test_exact_tokens_parse_to_int_where_integral_and_round_trip(token, value, text):
+    f = parse_framework(f"dim 2\nv 0 0 0\nv 1 {token} 1\ne 0 1\n")
+    x = f.positions[1][0]
+    assert x == value
+    assert type(x) is (int if value.denominator == 1 else Fraction)
+    out = format_framework(f)
+    assert f"v 1 {text} 1\n" in out
+    g = parse_framework(out)
+    assert g == f and type(g.positions[1][0]) is type(x)
+
+
+def test_integral_coordinates_are_int_from_every_constructor():
+    f = Framework(2, ((Fraction(2), Fraction(1, 2)), (Fraction(0), 3)), ((0, 1),))
+    assert f.positions == ((2, Fraction(1, 2)), (0, 3))
+    assert [type(x) for p in f.positions for x in p] == [int, Fraction, int, int]
+    g = f.transformed([[Fraction(1, 2), 0], [0, 2]], (Fraction(1, 1), Fraction(1, 2)))
+    assert [type(x) for p in g.positions for x in p] == [int, Fraction, int, Fraction]
+    assert all(type(x) is int for p in make_named("box3d").positions for x in p)
+    geo = make_desargues(Fraction(1, 2)).edge_geometry(0)   # (0, 4) -> (-3, -2)
+    assert geo.direction == (-3, -6) and geo.half_lever == (Fraction(-3, 2), -3)
+    assert [type(x) for x in geo.direction + geo.half_lever] == [int, int, Fraction, int]
+
+
+def test_framework_equality_and_hash_ignore_int_or_fraction():
+    a = Framework(2, ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 3))), ((0, 1),))
+    b = Framework(2, ((2, 0), (0, Fraction(1, 3))), ((0, 1),))
+    assert a == b and hash(a) == hash(b)
+
+
 def test_float_mode_parsing(tmp_path):
     path = tmp_path / "s.fw"
     path.write_text(SQUARE_TEXT)
@@ -193,7 +230,9 @@ def test_random_frameworks_valid_and_deterministic(name, seed):
     g = make_named(name, seed)
     assert f == g
     assert f.connected()
-    assert all(isinstance(x, Fraction) for p in f.positions for x in p)
+    # exact coordinates: int where integral, Fraction otherwise
+    assert all(type(x) is (int if x.denominator == 1 else Fraction)
+               for p in f.positions for x in p)
     assert make_named(name, seed + 1) != f
 
 

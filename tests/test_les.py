@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_section, theta_with_random_section
+from conftest import build_corpus, grid, random_section, theta_with_random_section
 from framehom import (
-    Framework,
     connecting_map,
     counting_rules,
     induced_map,
@@ -286,12 +285,7 @@ def test_resultants_reject_a_chain_that_is_not_an_anchored_cycle(mode):
 
 def test_theta_makes_two_solves_on_grid4(monkeypatch):
     # one padding solve for every vertex of every cycle, one Gram solve
-    n = 4
-    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
-    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
-    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
-    ctx = _LesContext(Framework(2, tuple((i, j) for j in range(n) for i in range(n)),
-                                tuple(edges)))
+    ctx = _LesContext(grid(4))
     calls = []
     for module in (cosheaf, les, linalg):
         original = module.solve_in_image
@@ -330,6 +324,27 @@ def test_verify_les_passes_on_corpus(corpus_reports):
         assert report.all_passed, (label, [c for c in report.checks if not c.passed])
 
 
+# Frames where float mode reads rank theta off round-off: exact theta is zero,
+# so every float singular value is noise and the relative cutoff keeps them all
+# (float rank theta 3 in the plane, 6 in space).  Strict, so a fix shows up as
+# a failure until its mark is removed.
+FLOAT_THETA_DEFECT = {"triangle", "grid4", "lattice2", "random2d-5", "random2d-6",
+                      "random2d-7"}
+
+
+@pytest.mark.parametrize("label", [
+    pytest.param(label, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="float rank theta counts round-off (exact rank 0)"))
+    if label in FLOAT_THETA_DEFECT else label
+    for label, _ in build_corpus()])
+def test_float_induced_ranks_match_exact(corpus, corpus_reports, label):
+    ctx = _LesContext(dict(corpus)[label].as_float())
+    r = corpus_reports[label]
+    assert (ctx.phi1.rank, ctx.pi1.rank, ctx.theta.rank) == \
+        (r.rank_phi1, r.rank_pi1, r.rank_theta)
+
+
 def test_verify_les_golden_square(corpus_reports):
     r = corpus_reports["square"]
     assert signature(r) == (((0, 4)), (3, 3), (4, 0), 3, 1, 0, 3, 1)
@@ -358,13 +373,17 @@ def test_verify_les_requires_connected():
 
 def test_verify_les_flags_degenerate_3d_bar():
     # a single bar in space has only 5 rigid DOF, so phi0* cannot reach all
-    # six frame DOF and H0(anchored) survives: checks (e) and (i) fail
-    # honestly while the rest of the report stays coherent
+    # six frame DOF and H0(anchored) survives: checks (e) and (i), which need
+    # k = 6 rigid motions, are reported not applicable, and every other check
+    # is evaluated and passes
     f = parse_framework("dim 3\nv 0 0 0 0\nv 1 1 0 0\ne 0 1\n")
     r = verify_les(f)
-    assert not r.all_passed
-    failing = {c.code for c in r.checks if not c.passed}
-    assert failing == {"e", "i"}
+    assert r.all_passed
+    na = {c.code for c in r.checks if c.residual.startswith("not applicable")}
+    assert na == {"e", "i"}
+    assert {c.residual for c in r.checks if c.code in na} == {
+        "not applicable: rigid-body space of dimension 5 < 6"}
+    assert (r.rank_phi0, r.dims_moment[1]) == (5, 6)
     assert r.dims_anchored == (0, 1)
     assert r.rigid_dim == 5
     counting = {c.name: c for c in r.counting}

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grid, lattice
 from framehom import linalg
+from framehom.cosheaf import boundary_rows
 from framehom.linalg import (
     complement_within,
     exact_matrix,
@@ -22,6 +24,7 @@ from framehom.linalg import (
     subspace_contains,
     subspaces_equal,
 )
+from framehom.structural import build_force_cosheaf, build_moment_cosheaf
 
 
 def small_int_matrices(max_rows=6, max_cols=6, lo=-10, hi=10):
@@ -246,6 +249,11 @@ def _oracle_cases():
         rows = base + [list(base[1]), [mult * x for x in base[0]], base[3]]
         rng.shuffle(rows)
         cases.append((f"repeated rows {i}", rows, 9))
+    # the integer boundary rows the benchmark eliminates, in the insertion
+    # order that keeps their fill low
+    for label, k in (("grid6 moment boundary", build_moment_cosheaf(grid(6))),
+                     ("lattice3 force boundary", build_force_cosheaf(lattice(3)))):
+        cases.append((label, [linalg._dense(r, k.c1_dim) for r in boundary_rows(k)], k.c1_dim))
     return cases
 
 
@@ -304,8 +312,9 @@ def test_exact_solve_matches_sympy_domain_matrix(label, rows, ncols):
     # the solution of the RREF of [A | b] with every free variable set to zero
     rref, pivots = _domain(np.hstack([m, b]).tolist(), ncols + 2).rref()
     want = [[Fraction(0)] * 2 for _ in range(ncols)]
+    rref = _fractions(rref)
     for r, p in enumerate(pivots):
-        want[p] = _fractions(rref)[r][ncols:]
+        want[p] = rref[r][ncols:]
     assert x.tolist() == want
     # a right-hand side with a component in (im A)^perp = ker A^T is refused
     for off in _fractions(_domain(m.T.tolist(), nrows).nullspace()):
