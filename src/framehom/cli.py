@@ -22,7 +22,7 @@ from functools import cache
 
 from . import __version__
 from .framework import FrameworkError, _format_scalar, _parse_scalar, load_framework
-from .les import LesReport, _LesContext, _report_from_context, perturbation_scan
+from .les import LesReport, _LesContext, _report_from_context, les_obstacle, perturbation_scan
 from .linalg import MODE_EXACT, MODE_FLOAT
 from .structural import moment_dim
 from .svgdraw import render_svg
@@ -33,6 +33,18 @@ SCHEMA_VERSION = 1
 def _digest(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _load(args):
+    """The framework in ``args.input`` read in ``args.mode``, or None after an error line."""
+    try:
+        return load_framework(args.input, args.mode)
+    except (OSError, FrameworkError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+_LES_NEEDS = {"disconnected": "a connected framework", "no edges": "a framework with an edge"}
 
 
 def _write(path, text: str) -> int:
@@ -75,8 +87,8 @@ def _report_text(path, digest, ctx: _LesContext, report: LesReport | None,
         return "\n".join(lines) + "\n"
     lines.append("")
     if report is None:
-        why, need = (("is disconnected", "assume connectivity") if not f.connected()
-                     else ("has no edges", "need an edge"))
+        why, need = {"disconnected": ("is disconnected", "assume connectivity"),
+                     "no edges": ("has no edges", "need an edge")}[les_obstacle(f)]
         lines.append(f"framework {why}: counting rules and the long exact")
         lines.append(f"sequence {need} and are reported not applicable.")
         return "\n".join(lines) + "\n"
@@ -157,15 +169,12 @@ def _report_json(path, digest, ctx: _LesContext, report: LesReport | None,
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        f = load_framework(args.input, args.mode)
-    except (OSError, FrameworkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if (f := _load(args)) is None:
         return 1
     digest = _digest(args.input)
     ctx = _LesContext(f)
     report = None
-    if not args.dims_only and f.connected() and f.num_edges:
+    if not args.dims_only and les_obstacle(f) is None:
         report = _report_from_context(ctx)
     if args.json:
         text = _report_json(args.input, digest, ctx, report, args.dims_only)
@@ -222,15 +231,16 @@ SCAN_COLUMNS = ("magnitude", "seed", "h1_force", "h0_force", "h1_moment", "h0_mo
 
 
 def _cmd_scan(args) -> int:
+    if (f := _load(args)) is None:
+        return 1
     try:
-        f = load_framework(args.input, args.mode)
         magnitudes = _parse_magnitudes(args.magnitudes, args.mode)
         seeds = _parse_seeds(args.seeds)
-    except (OSError, FrameworkError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not f.connected():
-        print("error: perturbation scans need a connected framework", file=sys.stderr)
+    if why := les_obstacle(f):
+        print(f"error: perturbation scans need {_LES_NEEDS[why]}", file=sys.stderr)
         return 1
     rows = perturbation_scan(f, magnitudes, seeds)
     lines = [",".join(SCAN_COLUMNS)]
@@ -271,10 +281,7 @@ def _shear_value(ctx: _LesContext, e: int, couple) -> str:
 
 
 def _cmd_svg(args) -> int:
-    try:
-        f = load_framework(args.input, args.mode)
-    except (OSError, FrameworkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if (f := _load(args)) is None:
         return 1
     if f.dim > 3:
         print("error: svg export needs a 2- or 3-dimensional framework", file=sys.stderr)
@@ -288,8 +295,8 @@ def _cmd_svg(args) -> int:
     except ValueError:
         print("error: --generator must look like F:0 or N:3", file=sys.stderr)
         return 1
-    if not f.connected() or f.num_edges == 0:
-        print("error: svg export needs a connected framework", file=sys.stderr)
+    if why := les_obstacle(f):
+        print(f"error: svg export needs {_LES_NEEDS[why]}", file=sys.stderr)
         return 1
     ctx = _LesContext(f)
     show = not args.no_svg_values
@@ -329,19 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="cosheaf homology of trusses and frames")
     p.add_argument("--version", action="version", version=f"framehom {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input")
+    common.add_argument("--mode", choices=(MODE_EXACT, MODE_FLOAT), default=MODE_EXACT)
 
-    pa = sub.add_parser("analyze", help="full homology / LES / counting report")
-    pa.add_argument("input")
-    pa.add_argument("--mode", choices=(MODE_EXACT, MODE_FLOAT), default=MODE_EXACT)
+    pa = sub.add_parser("analyze", parents=[common], help="full homology / LES / counting report")
     pa.add_argument("--json", action="store_true", help="machine-readable report")
     pa.add_argument("--dims-only", action="store_true",
                     help="homology dimension table only")
     pa.add_argument("--out", help="also write the report to this file")
     pa.set_defaults(func=_cmd_analyze)
 
-    ps = sub.add_parser("scan", help="perturbation scan (CSV)")
-    ps.add_argument("input")
-    ps.add_argument("--mode", choices=(MODE_EXACT, MODE_FLOAT), default=MODE_EXACT)
+    ps = sub.add_parser("scan", parents=[common], help="perturbation scan (CSV)")
     ps.add_argument("-m", "--magnitudes", required=True,
                     help="comma-separated magnitudes, e.g. 0,1/100")
     ps.add_argument("-s", "--seeds", default="1",
@@ -349,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", help="write CSV here instead of stdout")
     ps.set_defaults(func=_cmd_scan)
 
-    pv = sub.add_parser("svg", help="draw a self-stress generator")
-    pv.add_argument("input")
-    pv.add_argument("--mode", choices=(MODE_EXACT, MODE_FLOAT), default=MODE_EXACT)
+    pv = sub.add_parser("svg", parents=[common], help="draw a self-stress generator")
     pv.add_argument("--generator", required=True,
                     help="SPACE:INDEX with SPACE one of F, N; anchored generators "
                          "list the frame-stress images first, then the anchored-only "

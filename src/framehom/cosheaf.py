@@ -12,10 +12,10 @@ built edge block by edge block; the dense block matrix is assembled only
 for the connecting map, which multiplies chains by it.
 
 In exact mode the build and the chain-map work run on integers.  Each
-cosheaf and each map keeps the integer forms of its matrices (one lcm
-per matrix).  The eliminations read the integer rows of d B, d > 0, which
-has the rank, pivots and kernel of B; maps are applied to chains, and
-checked to commute, on integer forms; and the H1 coordinates of a cycle
+cosheaf and each map keeps its matrices as integers over one common
+denominator d.  The eliminations read the integer rows of d B, which has
+the rank, pivots and kernel of B; maps are applied to chains, and checked
+to commute, on these forms as they are; and the H1 coordinates of a cycle
 are read at the free columns of the boundary's reduction.
 """
 
@@ -101,7 +101,7 @@ class Cosheaf:
         return assemble_boundary(self)
 
     @cached_property
-    def _forms(self) -> dict:
+    def _forms(self) -> tuple[dict, int]:
         return _integer_forms(self.tail_maps + self.head_maps)
 
     @cached_property
@@ -134,8 +134,7 @@ class Cosheaf:
         ints, den = integer_form(chains)
         if not red.annihilates(ints):
             raise ValueError("right-hand side is not in the column space")
-        pivots = set(red.pivots)
-        free = [c for c in range(self.c1_dim) if c not in pivots]
+        free = red.free_columns
         diag = self.h1.vectors[range(len(free)), free].tolist()
         lcm = math.lcm(*diag)
         scale = np.array([lcm // d for d in diag], dtype=object).reshape(-1, 1)
@@ -158,31 +157,20 @@ def _offsets(dims) -> list[int]:
 
 
 def assemble_boundary(k: Cosheaf) -> np.ndarray:
-    """Block boundary matrix C_1 -> C_0.
-
-    The block in the rows of vertex v and columns of edge e is +(stalk map)
-    when v is the head of e and -(stalk map) when v is the tail.  Cells are
-    in list order, stalk coordinates within each cell.
-    """
-    out = linalg.zeros(k.c0_dim, k.c1_dim, k.mode)
-    voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
-    for e, (t, h) in enumerate(k.base.edges):
-        c0, c1 = eoff[e], eoff[e] + k.edge_dims[e]
-        out[voff[h]:voff[h] + k.vertex_dims[h], c0:c1] += k.head_maps[e]
-        out[voff[t]:voff[t] + k.vertex_dims[t], c0:c1] -= k.tail_maps[e]
-    return out
+    """Block boundary matrix C_1 -> C_0: the rows of ``boundary_rows(k)``
+    written out densely over the cosheaf's common denominator."""
+    return from_integer_form(linalg.from_rows(boundary_rows(k), k.c1_dim, k.mode), k._forms[1])
 
 
 def boundary_rows(k: Cosheaf, transpose: bool = False) -> list[dict]:
-    """The rows of d B, B = ``assemble_boundary(k)``, or of d B^T when
-    ``transpose``, as sparse {column: nonzero entry} maps built one edge
-    block at a time from the stalk maps: +head map, -tail map.  d is the
-    lcm of the stalk maps' denominators (1 in float mode), so exact entries
-    are ``int``; each distinct stalk map is listed once as its entries."""
-    d = math.lcm(*(md for _, md in k._forms.values()))
-    entries = {key: [(j, i, x * (d // md)) if transpose else (i, j, x * (d // md))
+    """The rows of d B, or of d B^T when ``transpose``, as sparse {column:
+    nonzero entry} maps of the stalk maps' integer form over d (d = 1 in
+    float mode).  The block in the rows of vertex v and columns of edge e
+    is +(stalk map) when v is the head of e and -(stalk map) when v is the
+    tail; cells are in list order, stalk coordinates within each cell."""
+    entries = {key: [(j, i, x) if transpose else (i, j, x)
                      for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
-               for key, (mi, md) in k._forms.items()}
+               for key, mi in k._forms[0].items()}
     voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
     rows = [{} for _ in range(k.c1_dim if transpose else k.c0_dim)]
     for e, (t, h) in enumerate(k.base.edges):
@@ -244,7 +232,7 @@ class CosheafMap:
         return check_cosheaf_map(self)
 
     @cached_property
-    def _forms(self) -> dict:
+    def _forms(self) -> tuple[dict, int]:
         return _integer_forms(self.vertex_maps + self.edge_maps)
 
     def apply_c1(self, x: np.ndarray) -> np.ndarray:
@@ -260,32 +248,29 @@ class CosheafMap:
 
         ``x`` is one flat chain or a matrix holding one chain per column; each
         block's rows of the result are its map times the block's rows of
-        ``x``.  Exact mode multiplies integer forms: each distinct map is
-        cleared of its denominators once per cosheaf map and ``x`` once per
-        call, every block is brought to one common denominator, and the
-        result is divided by it once.
+        ``x``.  Exact mode multiplies the map's integer form by ``x`` cleared
+        of its denominators, and divides by both denominators once.
         """
         rows = [m.shape[0] for m in maps]
         cols = [m.shape[1] for m in maps]
-        forms = self._forms
-        den = math.lcm(*(forms[id(m)][1] for m in maps))
+        forms, den = self._forms
         xi, xd = integer_form(x)
         out = np.zeros((sum(rows),) + x.shape[1:], dtype=np.result_type(x, *maps))
         for m, r, c in zip(maps, _offsets(rows), _offsets(cols)):
-            mi, md = forms[id(m)]
-            y = mi @ xi[c:c + m.shape[1]]
-            out[r:r + m.shape[0]] = y if md == den else y * (den // md)
+            out[r:r + m.shape[0]] = forms[id(m)] @ xi[c:c + m.shape[1]]
         return from_integer_form(out, den * xd)
 
 
-def _integer_forms(mats) -> dict:
-    """``linalg.integer_form`` of each distinct matrix in ``mats``, keyed on its id;
-    valid while the matrices are referenced."""
+def _integer_forms(mats) -> tuple[dict, int]:
+    """The distinct matrices of ``mats`` over one common denominator: ({id:
+    ints}, d), each matrix = ints / d (a float matrix is its own ints, over
+    1); valid while the matrices are referenced."""
     forms = {}
     for a in mats:
         if id(a) not in forms:
             forms[id(a)] = integer_form(a)
-    return forms
+    d = math.lcm(*(md for _, md in forms.values()))
+    return {key: ints if md == d else ints * (d // md) for key, (ints, md) in forms.items()}, d
 
 
 @dataclass(frozen=True)
@@ -297,28 +282,22 @@ class MapCheck:
 def check_cosheaf_map(m: CosheafMap) -> MapCheck:
     """Verify the commuting condition at every incidence.
 
-    At each incidence the target stalk map composed with the edge map must
-    equal the vertex map composed with the source stalk map.  Exact mode
-    reads the integer forms that the map and both cosheaves keep and
-    compares the two sides by integer cross-multiplication; only a failing
-    incidence forms the difference, and reports its largest |entry|
-    exactly.  Float mode tolerates 1e-9.
+    At each incidence the target stalk map T composed with the edge map E
+    must equal the vertex map V composed with the source stalk map S: on
+    the integer forms of the map and both cosheaves, (T E) d_S = (V S) d_T
+    (the map's own d cancels).  Only a failing incidence forms the
+    difference of the products and reports its largest |entry|, exactly in
+    exact mode; float mode tolerates 1e-9.
     """
-    exact = m.source.mode == MODE_EXACT
-    if exact:
-        forms = m._forms | m.source._forms | m.target._forms
-
-    def commutes(a, b, c, d) -> bool:
-        (ai, ad), (bi, bd), (ci, cd), (di, dd) = (forms[id(x)] for x in (a, b, c, d))
-        return not np.any((ai @ bi) * (cd * dd) != (ci @ di) * (ad * bd))
-
+    (fm, _), (fs, ds), (ft, dt) = m._forms, m.source._forms, m.target._forms
+    tol = 0 if m.source.mode == MODE_EXACT else 1e-9
     failures = []
-    tol = 0 if exact else 1e-9
     for e, (t, h) in enumerate(m.source.base.edges):
         for v in (t, h):
             sides = (m.target.stalk_map(e, v), m.edge_maps[e],
                      m.vertex_maps[v], m.source.stalk_map(e, v))
-            if exact and commutes(*sides):
+            if np.array_equal((ft[id(sides[0])] @ fm[id(sides[1])]) * ds,
+                              (fm[id(sides[2])] @ fs[id(sides[3])]) * dt):
                 continue
             diff = product(*sides[:2]) - product(*sides[2:])
             res = max((abs(x) for x in diff.ravel().tolist()), default=0)
@@ -354,24 +333,23 @@ def quotient_cosheaf(m: CosheafMap) -> tuple[CosheafMap, CosheafMap]:
     stalk maps.  Stalk-wise exactness holds by construction: proj . m = 0
     on every cell and [m | section] spans each target stalk.
 
-    Each distinct stalk map (shape and entries) is quotiented once and its
-    cells share the result: one quotient for all vertices of the structural
-    phi, one per bar direction (head - tail).  A non-injective stalk raises
-    at its first cell.  Each distinct triple of factors of a quotient stalk
-    map is one linalg.product.
+    Each distinct stalk-map object is quotiented once and the cells that
+    share it share the result: one quotient for all vertices of the
+    structural phi, one per bar direction (head - tail).  A non-injective
+    stalk raises at its first cell.  Each distinct triple of factors of a
+    quotient stalk map is one linalg.product.
     """
     src, tgt = m.source, m.target
     f = src.base
     quotients, products = {}, {}
 
+    # every stalk map and factor stays referenced until the return, so no id is reused
     def stalk_quotient(phi: np.ndarray, where: str):
-        key = (phi.shape, tuple(x.as_integer_ratio() for x in phi.ravel().tolist()))
-        if key not in quotients:
-            quotients[key] = _stalk_quotient(phi, where)
-        return quotients[key]
+        if id(phi) not in quotients:
+            quotients[id(phi)] = _stalk_quotient(phi, where)
+        return quotients[id(phi)]
 
     def stalk_map(proj, transport, section):
-        # every factor stays referenced until the return, so no id is reused
         key = (id(proj), id(transport), id(section))
         if key not in products:
             products[key] = product(proj, transport, section)

@@ -96,6 +96,12 @@ def induced_map(m: CosheafMap, degree: int) -> InducedMap:
     raise ValueError("degree must be 0 or 1")
 
 
+def les_obstacle(f: Framework) -> str | None:
+    """Why the long exact sequence cannot run on ``f``: "disconnected", "no
+    edges" (connected, without an edge), or None when it can."""
+    return "disconnected" if not f.connected() else None if f.num_edges else "no edges"
+
+
 class _LesContext:
     """The staged pipeline for one framework, read by every front end.
 
@@ -119,10 +125,9 @@ class _LesContext:
 
     def require_les(self):
         """Raise ValueError unless the framework is connected and has an edge."""
-        if not self.f.connected():
-            raise ValueError("the long exact sequence machinery needs a connected framework")
-        if self.f.num_edges == 0:
-            raise ValueError("framework has no edges")
+        if why := les_obstacle(self.f):
+            raise ValueError("framework has no edges" if why == "no edges" else
+                             "the long exact sequence machinery needs a connected framework")
 
     @property
     def dims(self) -> tuple:
@@ -240,8 +245,7 @@ def _counting_checks(ctx: _LesContext) -> tuple:
                 _not_applicable("anchored_decomposition", "disconnected"),
                 _not_applicable("les_alternating_sum", why))
     n, nv, ne = f.dim, f.num_vertices, f.num_edges
-    w = moment_dim(n)
-    k = n + w
+    w, k = moment_dim(n), couple_dim(n)
     (h1f, _), (h1m, _), (h1n, _) = ctx.dims
     mech = ctx.mech.dim
     checks = [

@@ -5,12 +5,13 @@ rationals (``fractions.Fraction`` or int) and make up "exact" mode;
 ``dtype=float64`` is "float" mode.  A computation never mixes modes: the
 mode of every derived matrix is the mode of its inputs.
 
-Exact mode eliminates on sparse integer rows: each row of a dense matrix
-becomes a {column: int} map, cleared of its denominators once, and rows
-are reduced fraction-free with gcd normalisation (Bareiss, Math. Comp.
-22, 1968); a caller with integer rows, such as a cosheaf boundary, hands
-them to ``Reduction.of_rows``.  Rows enter the echelon in decreasing
-order of their leading column, for low fill.  The rank is read off the
+Exact mode eliminates on sparse integer rows: a dense matrix is cleared
+to ``integer_form`` ints / d once, and each row of the ints becomes a
+{column: int} map; a caller with integer rows, such as a cosheaf
+boundary, hands them to ``Reduction.of_rows``.  Rows are reduced
+fraction-free with gcd normalisation (Bareiss, Math. Comp. 22, 1968) and
+enter the echelon in decreasing order of their leading column, for low
+fill.  The rank is read off the
 forward echelon; back-substitution runs only when a kernel, row basis or
 solution is first read.  Pivot columns and RREF depend neither on the
 elimination order nor on positive row scalings, so ranks, kernels, row
@@ -67,6 +68,14 @@ def float_matrix(rows, cols: int | None = None) -> np.ndarray:
 
 def zeros(rows: int, cols: int, mode: str) -> np.ndarray:
     return np.zeros((rows, cols), dtype=object if mode == MODE_EXACT else float)
+
+
+def from_rows(rows: list[dict], ncols: int, mode: str) -> np.ndarray:
+    """The dense matrix whose rows are the sparse {column: entry} maps ``rows``."""
+    out = zeros(len(rows), ncols, mode)
+    for i, row in enumerate(rows):
+        out[i, list(row)] = list(row.values())
+    return out
 
 
 def identity(n: int, mode: str) -> np.ndarray:
@@ -146,19 +155,6 @@ class SubspaceBasis:
 # exact elimination: sparse integer rows, fraction-free
 # ---------------------------------------------------------------------------
 
-def _sparse_rows(a: np.ndarray) -> list[dict]:
-    """Rows of a dense matrix as sparse {column: entry} maps of its nonzero entries."""
-    return [{j: x for j, x in enumerate(row) if x} for row in a.tolist()]
-
-
-def _cleared(row: dict) -> dict:
-    """A sparse row of nonzero rationals times the lcm of its denominators:
-    integers, with the same pivots, kernel and reduced row.  Ints carry
-    ``numerator``/``denominator`` too, so one loop serves both entry types."""
-    den = math.lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-
-
 def _eliminate(row: dict, piv: dict, c: int) -> dict:
     """Clear column c of ``row`` with ``piv``: (p_c/g) row - (r_c/g) piv, content-free.
 
@@ -227,18 +223,18 @@ def _dense(row: dict, n: int) -> list:
 class Reduction:
     """One elimination of a matrix, read for its rank, kernel, image and rows.
 
-    Exact mode keeps the sparse rows (from a dense matrix or ``of_rows``),
-    their integer multiples and the forward echelon of those (the rank is
-    its number of pivots), and back-substitutes once, on the first read of
-    the kernel, the row basis or a solve.  Float mode keeps the full SVD.
+    Exact mode keeps the sparse integer rows of the matrix times d (d = 1
+    for ``of_rows``), their forward echelon and its pivot and free columns,
+    and back-substitutes once, on the first read of the kernel, the row
+    basis or a solve.  Float mode keeps the full SVD.
     """
 
     def __init__(self, a: np.ndarray):
         self.shape = a.shape
         self.exact = mode_of(a) == MODE_EXACT
         if self.exact:
-            self.rows = _sparse_rows(a)
-            self._forward([_cleared(r) for r in self.rows])
+            ints, self.den = integer_form(a)
+            self._forward([{j: x for j, x in enumerate(row) if x} for row in ints.tolist()])
         elif a.size:
             self.u, s, self.vh = np.linalg.svd(a, full_matrices=True)
             self.rank = int(np.count_nonzero(s > EPS_RANK * s[0]))
@@ -251,12 +247,9 @@ class Reduction:
         nonzero entry} maps ``rows``: exact mode eliminates integer rows as
         they are, float mode writes them into a dense array for the SVD."""
         if mode != MODE_EXACT:
-            a = zeros(len(rows), ncols, mode)
-            for i, row in enumerate(rows):
-                a[i, list(row)] = list(row.values())
-            return cls(a)
+            return cls(from_rows(rows, ncols, mode))
         red = cls.__new__(cls)
-        red.shape, red.exact, red.rows = (len(rows), ncols), True, rows
+        red.shape, red.exact, red.den = (len(rows), ncols), True, 1
         red._forward(rows)
         return red
 
@@ -265,6 +258,7 @@ class Reduction:
         self._echelon = _echelon(ints)
         self.pivots = sorted(self._echelon)
         self.rank = len(self.pivots)
+        self.free_columns = [c for c in range(self.shape[1]) if c not in self._echelon]
 
     @cached_property
     def _reduced(self) -> dict[int, dict]:
@@ -291,9 +285,7 @@ class Reduction:
                 if k != c:
                     touching.setdefault(k, []).append(c)
         vecs = []
-        for fc in range(ncols):
-            if fc in red:
-                continue
+        for fc in self.free_columns:
             pcs = touching.get(fc, [])
             lcm = math.lcm(*(red[c][c] for c in pcs))
             v = [0] * ncols
@@ -315,13 +307,14 @@ class Reduction:
             for row in self._int_rows)
 
     def image(self) -> SubspaceBasis:
-        """Basis of the column space: the pivot columns of the matrix in
-        exact mode, the leading left singular vectors in float mode."""
+        """Basis of the column space: the pivot columns of the matrix (its
+        integer rows over d) in exact mode, the leading left singular
+        vectors in float mode."""
         nrows = self.shape[0]
         if not self.exact:
             return SubspaceBasis(nrows, self.u[:, :self.rank].T.copy())
-        vecs = [[row.get(c, 0) for row in self.rows] for c in self.pivots]
-        return SubspaceBasis(nrows, exact_matrix(vecs, nrows))
+        vecs = [[row.get(c, 0) for row in self._int_rows] for c in self.pivots]
+        return SubspaceBasis(nrows, from_integer_form(exact_matrix(vecs, nrows), self.den))
 
     def row_basis(self) -> np.ndarray:
         """Canonical independent rows spanning the row space: the nonzero

@@ -555,6 +555,25 @@ def test_analyze_one_vertex_frame_names_the_missing_edges(tmp_path, capsys):
     assert "framework has no edges" in out
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("dim 2\nv 0 0 0\n", "a framework with an edge"),
+    ("dim 2\nv 0 0 0\nv 1 1 0\nv 2 5 5\nv 3 6 5\ne 0 1\ne 2 3\n", "a connected framework"),
+], ids=["one vertex", "two bars"])
+@pytest.mark.parametrize("command", ["scan", "svg"])
+def test_scan_and_svg_name_what_the_frame_lacks(tmp_path, capsys, text, missing, command):
+    path = tmp_path / "frame.fw"
+    path.write_text(text)
+    if command == "scan":
+        argv, what = ["scan", str(path), "-m", "0", "-s", "1..2"], "perturbation scans need"
+    else:
+        argv = ["svg", str(path), "--generator", "F:0", "--out", str(tmp_path / "f.svg")]
+        what = "svg export needs"
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {what} {missing}\n")
+    assert not (tmp_path / "f.svg").exists()
+
+
 def test_benchmark_span_hooks_see_the_pipeline(square_fw, capsys, monkeypatch):
     # the benchmark wraps les._LesContext.__init__, les._report_from_context
     # and the CosheafMap apply methods, and rebinds les.kernel_basis, all by

@@ -118,11 +118,24 @@ def test_homology_result_invariants():
         assert all(x == 0 for x in b.T @ v)
 
 
+def _block_boundary(k):
+    """B written block by block: +head map in the head vertex's rows, -tail map
+    in the tail's, in the edge's columns; cells in list order."""
+    b = zeros(k.c0_dim, k.c1_dim, k.mode)
+    voff = [sum(k.vertex_dims[:v]) for v in range(len(k.vertex_dims))]
+    for e, (t, h) in enumerate(k.base.edges):
+        cols = slice(sum(k.edge_dims[:e]), sum(k.edge_dims[:e + 1]))
+        b[voff[h]:voff[h] + k.vertex_dims[h], cols] += k.head_maps[e]
+        b[voff[t]:voff[t] + k.vertex_dims[t], cols] -= k.tail_maps[e]
+    return b
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
-    # every other edge flipped, so head and tail blocks trade signs; the rows
-    # are those of d B, d the lcm of B's denominators (1 in float mode), and
-    # the homology read off them is the one read off the dense matrix
+    # every other edge flipped, so head and tail blocks trade signs; the dense
+    # boundary is the block matrix, its rows those of d B, d the lcm of B's
+    # denominators (1 in float mode), and the homology read off them is the
+    # one read off the dense matrix
     for label, f in corpus:
         for e in range(0, f.num_edges, 2):
             f = f.with_flipped_edge(e)
@@ -131,7 +144,8 @@ def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
         cosheaves = (build_force_cosheaf(f), build_moment_cosheaf(f),
                      build_anchored_cosheaf(f), constant_cosheaf(f))
         for k in cosheaves:
-            b = assemble_boundary(k)
+            b = _block_boundary(k)
+            assert np.array_equal(assemble_boundary(k), b), label
             d = math.lcm(*(x.denominator for x in b.ravel())) if mode == "exact" else 1
             for rows, dense in ((boundary_rows(k), b), (boundary_rows(k, transpose=True), b.T)):
                 want = [{j: d * x for j, x in enumerate(r) if x} for r in dense.tolist()]
@@ -140,6 +154,22 @@ def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
                     assert all(type(x) is int for row in rows for x in row.values()), label
             assert np.array_equal(k.h1.vectors, kernel_basis(b).vectors), label
             assert np.array_equal(k.h0.vectors, kernel_basis(b.T.copy()).vectors), label
+
+
+def test_integer_forms_put_every_stalk_map_over_one_denominator():
+    # the anchored stalk maps of a perturbed Desargues frame have many denominators
+    f = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 4)
+    k = build_anchored_cosheaf(f)
+    maps = k.tail_maps + k.head_maps
+    dens = {math.lcm(*(x.denominator for x in m.ravel().tolist())) for m in maps}
+    assert len(dens) > 1
+    forms, d = cosheaf._integer_forms(maps)
+    assert d == math.lcm(*dens)
+    assert set(forms) == {id(m) for m in maps}
+    for m in maps:
+        ints = forms[id(m)]
+        assert all(type(x) is int for x in ints.ravel().tolist())
+        assert np.array_equal(ints, m * d)
 
 
 @pytest.mark.parametrize("name", ["bar", "triangle", "square", "box3d"])

@@ -239,7 +239,9 @@ def _random_sparse(rng, nrows, ncols, density=0.3, large=False):
 def _oracle_cases():
     rng = random.Random(20261018)
     cases = [("empty rows", [], 5), ("empty cols", [[]] * 4, 0), ("empty", [], 0),
-             ("zero", [[0] * 6 for _ in range(4)], 6)]
+             ("zero", [[0] * 6 for _ in range(4)], 6),
+             ("row denominators 1, 2, 21", [[1, 2, 0, 3], [Fraction(1, 2), 0, 1, Fraction(1, 2)],
+                                            [Fraction(2, 3), Fraction(4, 7), 0, 0]], 4)]
     for i in range(6):
         cases.append((f"tall {i}", _random_sparse(rng, 14, 6), 6))
         cases.append((f"wide {i}", _random_sparse(rng, 5, 15), 15))
@@ -285,6 +287,8 @@ def test_exact_reduction_matches_sympy_domain_matrix(label, rows, ncols):
     # RREF: the row basis scaled to leading entries of 1
     ours = [[Fraction(x, r[p]) for x in r] for r, p in zip(red.row_basis().tolist(), pivots)]
     assert ours == _fractions(rref)[:len(pivots)]
+    # image: the pivot columns of the matrix itself, whatever its rows' denominators
+    assert red.image().vectors.tolist() == [[r[p] for r in rows] for p in pivots]
     # kernel: integer, primitive, positive first nonzero entry, same span as sympy's
     kern = kernel_basis(m)
     assert kern.dim == ncols - len(pivots)
