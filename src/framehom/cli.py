@@ -199,6 +199,8 @@ def _parse_magnitudes(spec: str, mode: str) -> list:
         if not tok:
             continue
         mag = _parse_scalar(tok, mode, "--magnitudes")
+        if isinstance(mag, float) and not math.isfinite(mag):
+            raise ValueError(f"--magnitudes: magnitude must be finite, got {tok!r}")
         if mag < 0:
             raise ValueError(f"--magnitudes: magnitude must be nonnegative, got {tok!r}")
         out.append(mag)

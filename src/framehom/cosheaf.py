@@ -14,9 +14,15 @@ for the connecting map, which multiplies chains by it.
 In exact mode the build and the chain-map work run on integers.  Each
 cosheaf and each map keeps its matrices as integers over one common
 denominator d.  The eliminations read the integer rows of d B, which has
-the rank, pivots and kernel of B; maps are applied to chains, and checked
-to commute, on these forms as they are; and the H1 coordinates of a cycle
-are read at the free columns of the boundary's reduction.
+the rank, pivots and kernel of B; maps are checked to commute on these
+forms as they are.  Chains travel between stages as forms too:
+``CosheafMap.apply_form`` takes chains as (ints, d) and returns their
+image as a form, and ``Cosheaf.h1_coordinates_form`` reads the H1
+coordinates of such cycles at the free columns of the boundary's
+reduction and returns a form.  ``apply_c0``, ``apply_c1`` and
+``h1_coordinates`` wrap them for callers holding matrices.  A stalk
+quotient's section is an integer kernel basis, so the solve for its
+projection eliminates integer rows.
 """
 
 from __future__ import annotations
@@ -118,27 +124,34 @@ class Cosheaf:
                                 self.mode).kernel()
 
     def h1_coordinates(self, chains: np.ndarray) -> np.ndarray:
-        """Coordinates in the ``h1`` basis of the cycles held one per column of
-        the matrix ``chains``.
+        """Coordinates in the ``h1`` basis of one flat cycle or of the cycles
+        held one per column of the matrix ``chains``; see
+        ``h1_coordinates_form``."""
+        return from_integer_form(*self.h1_coordinates_form(*integer_form(chains)))
+
+    def h1_coordinates_form(self, ints: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+        """``h1_coordinates`` of the chains ints / den, as a form (ints, d).
 
         Exact mode runs no elimination.  Each ``h1`` vector v_j is the kernel
         vector of one free column fc_j of B's RREF and is zero at every other
         free column, so coordinate j of a cycle y is y[fc_j] / v_j[fc_j].  The
         columns are first checked to be cycles, B @ chains = 0, on the rows
-        of d B and the chains cleared to integers.  Float mode solves by least
-        squares.  Raises ValueError when a column is not a cycle.
+        of d B and the integer chains.  Float mode solves by least squares.
+        Raises ValueError when a column is not a cycle.
         """
+        if ints.ndim == 1:
+            out, d = self.h1_coordinates_form(ints.reshape(-1, 1), den)
+            return out[:, 0], d
         red = self._reduction
         if not red.exact:
-            return solve_in_image(self.h1.matrix(), chains)
-        ints, den = integer_form(chains)
+            return solve_in_image(self.h1.matrix(), ints), 1
         if not red.annihilates(ints):
             raise ValueError("right-hand side is not in the column space")
         free = red.free_columns
         diag = self.h1.vectors[range(len(free)), free].tolist()
         lcm = math.lcm(*diag)
         scale = np.array([lcm // d for d in diag], dtype=object).reshape(-1, 1)
-        return from_integer_form(ints[free] * scale, den * lcm)
+        return ints[free] * scale, den * lcm
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -237,28 +250,29 @@ class CosheafMap:
 
     def apply_c1(self, x: np.ndarray) -> np.ndarray:
         """Apply the edge maps to a flat C_1 chain or to one chain per column."""
-        return self._apply_blocks(self.edge_maps, x)
+        return from_integer_form(*self.apply_form(1, *integer_form(x)))
 
     def apply_c0(self, x: np.ndarray) -> np.ndarray:
         """Apply the vertex maps to a flat C_0 chain or to one chain per column."""
-        return self._apply_blocks(self.vertex_maps, x)
+        return from_integer_form(*self.apply_form(0, *integer_form(x)))
 
-    def _apply_blocks(self, maps, x: np.ndarray) -> np.ndarray:
-        """Apply the block-diagonal matrix with diagonal blocks ``maps`` to ``x``.
+    def apply_form(self, degree: int, ints: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+        """Apply the edge maps (degree 1) or vertex maps (degree 0) to the
+        chains ints / den, one flat chain or one chain per column, and return
+        the image as a form (ints, d).
 
-        ``x`` is one flat chain or a matrix holding one chain per column; each
-        block's rows of the result are its map times the block's rows of
-        ``x``.  Exact mode multiplies the map's integer form by ``x`` cleared
-        of its denominators, and divides by both denominators once.
+        Each block's rows of the result are its map's integer form times the
+        block's rows of ``ints``, over the map's d times ``den``; in float
+        mode both forms are the float matrices, over 1.
         """
+        maps = self.edge_maps if degree == 1 else self.vertex_maps
         rows = [m.shape[0] for m in maps]
         cols = [m.shape[1] for m in maps]
-        forms, den = self._forms
-        xi, xd = integer_form(x)
-        out = np.zeros((sum(rows),) + x.shape[1:], dtype=np.result_type(x, *maps))
+        forms, d = self._forms
+        out = np.zeros((sum(rows),) + ints.shape[1:], dtype=np.result_type(ints, *maps))
         for m, r, c in zip(maps, _offsets(rows), _offsets(cols)):
-            out[r:r + m.shape[0]] = forms[id(m)] @ xi[c:c + m.shape[1]]
-        return from_integer_form(out, den * xd)
+            out[r:r + m.shape[0]] = forms[id(m)] @ ints[c:c + m.shape[1]]
+        return out, d * den
 
 
 def _integer_forms(mats) -> tuple[dict, int]:
@@ -311,14 +325,15 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
 # ---------------------------------------------------------------------------
 
 def _stalk_quotient(phi: np.ndarray, where: str):
-    # one elimination of phi^T: its rank is rank phi, its kernel (im phi)^perp
+    # one elimination of phi^T: its rank is rank phi, its kernel (im phi)^perp,
+    # a section S (integer in exact mode); one solve of [S^T S | S^T] gives
+    # the projection (S^T S)^-1 S^T
     red = Reduction(phi.T.copy())
     if red.rank != phi.shape[1]:
         raise ValueError(f"map is not injective on the {where} stalk")
-    section = red.kernel().matrix()                       # t_dim x q
-    gram = section.T.copy() @ section
-    proj = solve_in_image(gram, section.T.copy())          # q x t_dim
-    return section, proj
+    st = red.kernel().vectors                                   # q x t_dim
+    section = st.T.copy()
+    return section, solve_in_image(st @ section, st)
 
 
 def quotient_cosheaf(m: CosheafMap) -> tuple[CosheafMap, CosheafMap]:

@@ -372,10 +372,13 @@ def perturb(f: Framework, magnitude, seed: int) -> Framework:
 
     Offsets are dyadic rational multiples of the magnitude in exact mode, so
     the result stays exactly representable.  magnitude 0 returns an
-    identical framework.
+    identical framework.  A negative or non-finite magnitude raises
+    FrameworkError.
     """
     rng = random.Random(f"framehom:perturb:{seed}")
     if f.mode == MODE_EXACT:
+        if isinstance(magnitude, float) and not math.isfinite(magnitude):
+            raise FrameworkError(f"magnitude must be finite, got {magnitude!r}")
         mag = _as_fraction(magnitude)
         if mag < 0:
             raise FrameworkError("magnitude must be nonnegative")
@@ -383,7 +386,12 @@ def perturb(f: Framework, magnitude, seed: int) -> Framework:
             tuple(x + mag * Fraction(rng.randint(-4096, 4096), 4096) for x in p)
             for p in f.positions)
     else:
-        mag = float(magnitude)
+        try:
+            mag = float(magnitude)
+        except OverflowError:  # an int or Fraction beyond float range
+            mag = math.inf
+        if not math.isfinite(mag):
+            raise FrameworkError(f"magnitude must be finite, got {magnitude!r}")
         if mag < 0:
             raise FrameworkError("magnitude must be nonnegative")
         pos = tuple(tuple(x + rng.uniform(-mag, mag) for x in p) for p in f.positions)

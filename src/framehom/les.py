@@ -12,6 +12,13 @@ truss mechanisms.  It is built in one pass: all H1(anchored) basis cycles
 are lifted and pulled back together, then projected onto the H0(force)
 representatives in one Gram solve.
 
+In exact mode the degree-1 induced maps pass integer forms (ints, d)
+from the chain map to the H1 coordinates to the rank's elimination.  The
+one ``Fraction`` matrix product left is the dense frame boundary times the
+lifted cycles in ``resultants``; its block-wise integer replacement
+(ROADMAP item 2) waits until the benchmark stops keeping every pass's
+output, which would read the extra passes it fits as memory (item 1).
+
 This module computes the induced maps and the connecting homomorphism,
 verifies exactness at every node, evaluates the counting rules
 (Maxwell-Calladine, the circuit-rank rule for frame self-stresses, and
@@ -33,6 +40,8 @@ from .linalg import (
     Reduction,
     SubspaceBasis,
     complement_within,
+    from_integer_form,
+    integer_form,
     rank,
     solve_gram,
     solve_in_image,
@@ -49,17 +58,23 @@ from .structural import build_phi, couple_dim, moment_dim, rigid_body_space
 class InducedMap:
     """A map between homology spaces, expressed in their basis coordinates.
 
-    ``matrix`` has shape (dim target H, dim source H); kernel and image are
-    subspaces of the source / target coordinate spaces.  Rank, kernel and
-    image come from one elimination of ``matrix``, each on first read: the
+    ``form`` is the map's matrix as (ints, d), an ``integer_form``;
+    ``matrix`` = ints / d has shape (dim target H, dim source H) and is
+    written out on first read.  Kernel and image are subspaces of the
+    source / target coordinate spaces.  Rank, kernel and image come from
+    one elimination of the form's integer rows, each on first read: the
     rank needs only the forward echelon, the kernel back-substitutes.
     """
 
-    matrix: np.ndarray
+    form: tuple[np.ndarray, int]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return from_integer_form(*self.form)
 
     @cached_property
     def _reduction(self) -> Reduction:
-        return Reduction(self.matrix)
+        return Reduction.of_form(*self.form)
 
     @property
     def rank(self) -> int:
@@ -79,20 +94,24 @@ def induced_map(m: CosheafMap, degree: int) -> InducedMap:
     ``m.source`` and re-express the images in that of ``m.target``.
 
     Degree 1 images are automatically cycles of the target; their
-    coordinates are read by ``Cosheaf.h1_coordinates``, in exact mode at
-    the free columns of the target boundary with no elimination.  Degree 0
-    representatives span (im B)^perp = ker B^T of the target boundary B,
-    so the coordinates of an image class are those of its orthogonal
-    projection onto that span: one solve against the Gram matrix of the
-    representatives.  Refuses to run when the commuting condition fails.
+    coordinates are read by ``Cosheaf.h1_coordinates_form``, in exact mode
+    at the free columns of the target boundary with no elimination.  The
+    images, the coordinates and the rank's elimination pass integer forms
+    along.  Degree 0 representatives span (im B)^perp = ker B^T of the
+    target boundary B, so the coordinates of an image class are those of
+    its orthogonal projection onto that span: one solve against the Gram
+    matrix of the representatives.  Refuses to run when the commuting condition fails.
     """
     if not m.check.passed:
         raise ValueError(f"cosheaf map does not commute at incidences {m.check.failures}")
     src, tgt = m.source, m.target
     if degree == 1:
-        return InducedMap(tgt.h1_coordinates(m.apply_c1(src.h1.matrix())))
+        # exact kernel vectors are integers: the basis is its own form, over 1
+        chains = m.apply_form(1, src.h1.matrix(), 1)
+        return InducedMap(tgt.h1_coordinates_form(*chains))
     if degree == 0:
-        return InducedMap(solve_gram(tgt.h0.matrix(), m.apply_c0(src.h0.matrix())))
+        return InducedMap(integer_form(
+            solve_gram(tgt.h0.matrix(), m.apply_c0(src.h0.matrix()))))
     raise ValueError("degree must be 0 or 1")
 
 
@@ -187,8 +206,8 @@ class _LesContext:
         """The connecting map: resultants of the H1(anchored) generators, in
         H0(force) coordinates."""
         self.require_les()
-        return InducedMap(solve_gram(self.force.h0.matrix(),
-                                     self.resultants(self.anch.h1.matrix())))
+        return InducedMap(integer_form(solve_gram(self.force.h0.matrix(),
+                                                  self.resultants(self.anch.h1.matrix()))))
 
     def mechanism_basis_ambient(self) -> SubspaceBasis:
         """Image of the connecting map as vectors in the truss C_0 space."""

@@ -8,7 +8,8 @@ mode of every derived matrix is the mode of its inputs.
 Exact mode eliminates on sparse integer rows: a dense matrix is cleared
 to ``integer_form`` ints / d once, and each row of the ints becomes a
 {column: int} map; a caller with integer rows, such as a cosheaf
-boundary, hands them to ``Reduction.of_rows``.  Rows are reduced
+boundary, hands them to ``Reduction.of_rows``, and one with a form (ints,
+d), such as an induced map, to ``Reduction.of_form``.  Rows are reduced
 fraction-free with gcd normalisation (Bareiss, Math. Comp. 22, 1968) and
 enter the echelon in decreasing order of their leading column, for low
 fill.  The rank is read off the
@@ -16,7 +17,10 @@ forward echelon; back-substitution runs only when a kernel, row basis or
 solution is first read.  Pivot columns and RREF depend neither on the
 elimination order nor on positive row scalings, so ranks, kernels, row
 bases and solutions are those of a Gauss-Jordan RREF over the rationals,
-bit-for-bit.  Float mode ranks are SVD-based with a relative singular
+bit-for-bit.  Every exact producer writes its result through
+``from_integer_form``: ``int`` where integral, reduced ``Fraction``
+otherwise; ``solve_in_image`` writes the RREF numerators over the lcm of
+the pivot entries.  Float mode ranks are SVD-based with a relative singular
 value cutoff of ``EPS_RANK``; subspace comparisons use principal angles
 with threshold ``EPS_ANGLE``.
 """
@@ -209,6 +213,10 @@ def _back_substitute(echelon: dict[int, dict]) -> dict[int, dict]:
     return out
 
 
+def _sparse_rows(ints: np.ndarray) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in ints.tolist()]
+
+
 def _dense(row: dict, n: int) -> list:
     v = [0] * n
     for j, x in row.items():
@@ -224,9 +232,10 @@ class Reduction:
     """One elimination of a matrix, read for its rank, kernel, image and rows.
 
     Exact mode keeps the sparse integer rows of the matrix times d (d = 1
-    for ``of_rows``), their forward echelon and its pivot and free columns,
-    and back-substitutes once, on the first read of the kernel, the row
-    basis or a solve.  Float mode keeps the full SVD.
+    unless ``of_rows`` or ``of_form`` is handed one), their forward echelon
+    and its pivot and free columns, and back-substitutes once, on the first
+    read of the kernel, the row basis or a solution.  Float mode keeps the
+    full SVD.
     """
 
     def __init__(self, a: np.ndarray):
@@ -234,7 +243,7 @@ class Reduction:
         self.exact = mode_of(a) == MODE_EXACT
         if self.exact:
             ints, self.den = integer_form(a)
-            self._forward([{j: x for j, x in enumerate(row) if x} for row in ints.tolist()])
+            self._forward(_sparse_rows(ints))
         elif a.size:
             self.u, s, self.vh = np.linalg.svd(a, full_matrices=True)
             self.rank = int(np.count_nonzero(s > EPS_RANK * s[0]))
@@ -242,16 +251,25 @@ class Reduction:
             self.u, self.vh, self.rank = np.eye(a.shape[0]), np.eye(a.shape[1]), 0
 
     @classmethod
-    def of_rows(cls, rows: list[dict], ncols: int, mode: str) -> Reduction:
+    def of_rows(cls, rows: list[dict], ncols: int, mode: str, den: int = 1) -> Reduction:
         """One elimination of the matrix whose rows are the sparse {column:
-        nonzero entry} maps ``rows``: exact mode eliminates integer rows as
-        they are, float mode writes them into a dense array for the SVD."""
+        nonzero entry} maps ``rows``, over ``den``: exact mode eliminates
+        integer rows as they are, float mode writes them into a dense array
+        for the SVD."""
         if mode != MODE_EXACT:
             return cls(from_rows(rows, ncols, mode))
         red = cls.__new__(cls)
-        red.shape, red.exact, red.den = (len(rows), ncols), True, 1
+        red.shape, red.exact, red.den = (len(rows), ncols), True, den
         red._forward(rows)
         return red
+
+    @classmethod
+    def of_form(cls, ints: np.ndarray, den: int) -> Reduction:
+        """One elimination of the matrix ints / den, an ``integer_form``: exact
+        mode hands the integer rows to ``of_rows`` with no clearing pass."""
+        if mode_of(ints) != MODE_EXACT:
+            return cls(ints)
+        return cls.of_rows(_sparse_rows(ints), ints.shape[1], MODE_EXACT, den)
 
     def _forward(self, ints: list[dict]):
         self._int_rows = ints
@@ -301,10 +319,16 @@ class Reduction:
     def annihilates(self, ints: np.ndarray) -> bool:
         """True when the exact matrix times the integer matrix ``ints`` is
         zero; read on the integer multiples of its rows, so no ``Fraction``
-        is formed."""
-        return not ints.size or not any(
-            row and np.any(sum(v * ints[j] for j, v in row.items()))
-            for row in self._int_rows)
+        is formed.  Each row's product is summed on Python lists, which
+        beats object-array arithmetic on these short rows."""
+        rows = ints.tolist()
+        for row in self._int_rows:
+            acc = [0] * ints.shape[1]
+            for j, v in row.items():
+                acc = [a + v * x for a, x in zip(acc, rows[j])]
+            if any(acc):
+                return False
+        return True
 
     def image(self) -> SubspaceBasis:
         """Basis of the column space: the pivot columns of the matrix (its
@@ -345,7 +369,8 @@ def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``b`` may be a vector or a matrix of stacked right-hand-side columns
     (all solved in one elimination pass).  Exact mode returns the solution
-    with all RREF-free variables set to zero; float mode the minimum-norm
+    with all RREF-free variables set to zero, ``int`` where integral (the
+    ``from_integer_form`` convention); float mode the minimum-norm
     solution.  Raises ValueError when any right-hand side is outside the
     column space.
     """
@@ -358,15 +383,19 @@ def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if nrhs == 0:  # nothing to solve for; skip the elimination of ``a``
         return zeros(ncols, 0, mode_of(a))
     if mode_of(a) == MODE_EXACT:
+        # the RREF numerators of [a | b], written over the lcm of its pivots
         red = Reduction(np.hstack([a, bm]))
         if red.pivots and red.pivots[-1] >= ncols:
             raise ValueError("right-hand side is not in the column space")
-        x = [[Fraction(0)] * nrhs for _ in range(ncols)]
-        for c, row in red._reduced.items():
+        rref = red._reduced
+        den = math.lcm(*(row[c] for c, row in rref.items()))
+        x = np.zeros((ncols, nrhs), dtype=object)
+        for c, row in rref.items():
+            scale = den // row[c]
             for k, v in row.items():
                 if k >= ncols:
-                    x[c][k - ncols] = Fraction(v, row[c])
-        out = exact_matrix(x, nrhs)
+                    x[c, k - ncols] = v * scale
+        out = from_integer_form(x, den)
     else:
         if ncols == 0:
             if bm.size and np.linalg.norm(bm) > EPS_SOLVE * max(1.0, float(np.abs(a).sum())):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from framehom import Framework, linalg, make_desargues, make_named, verify_les
@@ -24,6 +26,31 @@ def lattice(n=3):
     edges = [(points.index(p), points.index(q)) for p in points for d in steps
              if max(q := tuple(a + b for a, b in zip(p, d))) < n]
     return Framework(3, tuple(points), tuple(edges))
+
+
+def block_boundary(k):
+    """B written block by block: +head map in the head vertex's rows, -tail map
+    in the tail's, in the edge's columns; cells in list order."""
+    b = linalg.zeros(k.c0_dim, k.c1_dim, k.mode)
+    voff = [sum(k.vertex_dims[:v]) for v in range(len(k.vertex_dims))]
+    for e, (t, h) in enumerate(k.base.edges):
+        cols = slice(sum(k.edge_dims[:e]), sum(k.edge_dims[:e + 1]))
+        b[voff[h]:voff[h] + k.vertex_dims[h], cols] += k.head_maps[e]
+        b[voff[t]:voff[t] + k.vertex_dims[t], cols] -= k.tail_maps[e]
+    return b
+
+
+def domain_matrix(rows, ncols):
+    """The rational rows as a sympy DomainMatrix over QQ, the independent oracle."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix([[QQ(Fraction(x).numerator, Fraction(x).denominator) for x in r]
+                         for r in rows], (len(rows), ncols), QQ)
+
+
+def fractions_of(dm):
+    """The entries of a DomainMatrix over QQ as nested lists of Fraction."""
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in dm.to_list()]
 
 
 def build_corpus():

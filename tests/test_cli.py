@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from framehom import (
     counting_rules,
     make_desargues,
     make_named,
+    perturb,
     save_framework,
 )
 from framehom import cli, cosheaf, linalg
@@ -245,6 +247,22 @@ def test_scan_rejects_a_negative_magnitude(square_fw, capsys, mode):
     assert captured.out == ""
     assert captured.err == ("error: --magnitudes: magnitude must be nonnegative, "
                             "got '-1/100'\n")
+
+
+@pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "1e400"])
+def test_scan_rejects_a_non_finite_magnitude(square_fw, capsys, tok):
+    # float mode parses these literals (1e400 overflows to inf); exact mode
+    # reads nan and inf as no number at all, and 1e400 as a finite rational
+    code = main(["scan", str(square_fw), f"-m=0,{tok}", "-s", "1", "--mode", "float"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --magnitudes: magnitude must be finite, got {tok!r}\n"
+    if tok != "1e400":
+        assert main(["scan", str(square_fw), f"-m=0,{tok}", "-s", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --magnitudes: bad number literal {tok!r}\n"
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--json"], ["scan", "-m", "0"],
@@ -692,3 +710,22 @@ def test_exact_reports_on_larger_frames_are_byte_identical(tmp_path, capsys, nam
         out = capsys.readouterr().out.replace(str(path), "<input>")
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == LARGE_DIGESTS[name]
+
+
+# sha256 of the exact `analyze --json` output, input path replaced by
+# "<input>", after perturb(f, 1/100, 1): coordinates with denominators up to
+# 409600, whose anchored generators and mechanism bases pass through the
+# stalk quotients, the induced maps and the solves
+PERTURBED_DIGESTS = {
+    "box3d": "3a8bd24488dfc89a5da2f1ecbf0d5f0459c92ca76935ee01b450891bcd028e59",
+    "desargues": "1a65fb44955e9277488f307c6313e3d121f284dc055531b50123b95d2f5e088e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_DIGESTS))
+def test_exact_reports_on_perturbed_frames_are_byte_identical(tmp_path, capsys, name):
+    f = make_named("box3d") if name == "box3d" else make_desargues("1/2")
+    path = _saved(tmp_path, name, perturb(f, Fraction(1, 100), 1))
+    assert main(["analyze", str(path), "--json"]) == 0
+    out = capsys.readouterr().out.replace(str(path), "<input>")
+    assert hashlib.sha256(out.encode()).hexdigest() == PERTURBED_DIGESTS[name]

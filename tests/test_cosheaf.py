@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import grid
+from conftest import block_boundary, grid
 from framehom import (
     CosheafMap,
     assemble_boundary,
@@ -118,18 +118,6 @@ def test_homology_result_invariants():
         assert all(x == 0 for x in b.T @ v)
 
 
-def _block_boundary(k):
-    """B written block by block: +head map in the head vertex's rows, -tail map
-    in the tail's, in the edge's columns; cells in list order."""
-    b = zeros(k.c0_dim, k.c1_dim, k.mode)
-    voff = [sum(k.vertex_dims[:v]) for v in range(len(k.vertex_dims))]
-    for e, (t, h) in enumerate(k.base.edges):
-        cols = slice(sum(k.edge_dims[:e]), sum(k.edge_dims[:e + 1]))
-        b[voff[h]:voff[h] + k.vertex_dims[h], cols] += k.head_maps[e]
-        b[voff[t]:voff[t] + k.vertex_dims[t], cols] -= k.tail_maps[e]
-    return b
-
-
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
     # every other edge flipped, so head and tail blocks trade signs; the dense
@@ -144,7 +132,7 @@ def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
         cosheaves = (build_force_cosheaf(f), build_moment_cosheaf(f),
                      build_anchored_cosheaf(f), constant_cosheaf(f))
         for k in cosheaves:
-            b = _block_boundary(k)
+            b = block_boundary(k)
             assert np.array_equal(assemble_boundary(k), b), label
             d = math.lcm(*(x.denominator for x in b.ravel())) if mode == "exact" else 1
             for rows, dense in ((boundary_rows(k), b), (boundary_rows(k, transpose=True), b.T)):

@@ -1,5 +1,6 @@
 """Framework construction, validation, file I/O, and generators."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -282,6 +283,21 @@ def test_perturb_accepts_decimal_string_magnitude():
 def test_perturb_negative_magnitude_rejected():
     with pytest.raises(FrameworkError):
         perturb(make_named("square"), -1, seed=0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("magnitude", [float("nan"), float("inf"), float("-inf")])
+def test_perturb_non_finite_magnitude_rejected(mode, magnitude):
+    f = make_named("square")
+    with pytest.raises(FrameworkError, match="magnitude must be finite"):
+        perturb(f if mode == "exact" else f.as_float(), magnitude, seed=0)
+
+
+@pytest.mark.parametrize("magnitude", [Decimal("NaN"), Decimal("Infinity"), Fraction(10**400),
+                                       10**400])
+def test_perturb_float_mode_rejects_a_magnitude_not_finite_as_float(magnitude):
+    with pytest.raises(FrameworkError, match="magnitude must be finite"):
+        perturb(make_named("square").as_float(), magnitude, seed=0)
 
 
 def test_perturb_float_mode():

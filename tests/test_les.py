@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_corpus, grid, random_section, theta_with_random_section
+from conftest import (
+    block_boundary,
+    build_corpus,
+    domain_matrix,
+    fractions_of,
+    grid,
+    random_section,
+    theta_with_random_section,
+)
 from framehom import (
     connecting_map,
     counting_rules,
@@ -28,12 +36,18 @@ from framehom.linalg import (
     Reduction,
     exact_matrix,
     identity,
+    integer_form,
     solve_gram,
     solve_in_image,
     span_rows,
     subspaces_equal,
 )
-from framehom.structural import build_force_cosheaf, build_moment_cosheaf, build_phi
+from framehom.structural import (
+    build_force_cosheaf,
+    build_moment_cosheaf,
+    build_phi,
+    moment_dim,
+)
 
 
 def signature(report):
@@ -114,6 +128,24 @@ def test_h1_coordinates_reject_a_chain_that_is_not_a_cycle(mode):
         h.h1_coordinates(chains)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_h1_coordinates_of_a_flat_cycle_are_a_flat_vector(mode):
+    f = make_desargues(Fraction(1, 2))
+    h = build_moment_cosheaf(f if mode == "exact" else f.as_float())
+    cycles = h.h1.matrix() * 3
+    coords = h.h1_coordinates(cycles)
+    for j in range(h.h1.dim):
+        got = h.h1_coordinates(cycles[:, j])
+        assert got.shape == (h.h1.dim,)
+        assert np.allclose(got.astype(float), coords[:, j].astype(float))
+        if mode == "exact":
+            assert got.tolist() == [3 if i == j else 0 for i in range(h.h1.dim)]
+    chain = cycles[:, 0].copy()
+    chain[1] += 1
+    with pytest.raises(ValueError, match="not in the column space"):
+        h.h1_coordinates(chain)
+
+
 def test_exact_degree1_induced_maps_make_no_solve_in_image_call(monkeypatch):
     ctx = _LesContext(perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 1))
     for k in (ctx.phi, ctx.pi):  # the map checks run before any induced map
@@ -129,12 +161,54 @@ def test_exact_degree1_induced_maps_make_no_solve_in_image_call(monkeypatch):
     assert calls  # the degree-0 Gram solve still goes through solve_in_image
 
 
+def _as_fractions(a):
+    return np.array([Fraction(x) for x in a.ravel().tolist()], dtype=object).reshape(a.shape)
+
+
+def _apply_entrywise(maps, chains):
+    # the block-diagonal chain map, every entry a sum of Fraction products
+    blocks, c = [], 0
+    for m in maps:
+        blocks.append(_as_fractions(m) @ chains[c:c + m.shape[1]])
+        c += m.shape[1]
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("name", ["desargues", "grid4"])
+def test_exact_induced_maps_match_a_fraction_recomputation_and_sympy(name):
+    # perturbed coordinates give pi a common denominator of hundreds of bits;
+    # the matrices that pass integer forms between stages must still be the
+    # coordinates of the chain-map images, with sympy's ranks
+    f = perturb(make_desargues(Fraction(1, 2)) if name == "desargues" else grid(4),
+                Fraction(1, 100), 1)
+    ctx = _LesContext(f)
+    for m, ind in ((ctx.phi, ctx.phi1), (ctx.pi, ctx.pi1)):
+        image = _apply_entrywise(m.edge_maps, _as_fractions(m.source.h1.matrix()))
+        coords = _as_fractions(ind.matrix)
+        assert (_as_fractions(m.target.h1.matrix()) @ coords == image).all()
+        assert ind.rank == domain_matrix(coords.tolist(), coords.shape[1]).rank()
+    # theta: lift the anchored basis, take the frame boundary, keep each
+    # vertex's force (its moment must vanish), project onto H0(force)
+    lift = _apply_entrywise(ctx.section.edge_maps, _as_fractions(ctx.anch.h1.matrix()))
+    y = _as_fractions(block_boundary(ctx.moment)) @ lift
+    w, n, k = moment_dim(f.dim), f.dim, lift.shape[1]
+    couples = y.reshape(f.num_vertices, w + n, k)
+    assert not couples[:, :w].any()
+    forces = couples[:, w:].reshape(f.num_vertices * n, k)
+    h = _as_fractions(ctx.force.h0.matrix())
+    gram = domain_matrix((h.T @ h).tolist(), h.shape[1])
+    rhs = domain_matrix((h.T @ forces).tolist(), k)
+    theta = _as_fractions(ctx.theta.matrix)
+    assert theta.tolist() == fractions_of(gram.inv() * rhs)
+    assert ctx.theta.rank == domain_matrix(theta.tolist(), k).rank()
+
+
 def test_induced_rank_is_read_without_back_substitution(monkeypatch):
     calls = []
     original = linalg._back_substitute
     monkeypatch.setattr(linalg, "_back_substitute",
                         lambda ech: calls.append(1) or original(ech))
-    m = InducedMap(exact_matrix([[1, 1, 0], [0, 1, 1]]))
+    m = InducedMap(integer_form(exact_matrix([[1, 1, 0], [0, 1, 1]])))
     assert m.rank == 2
     assert calls == []
     assert m.kernel.vectors.tolist() == [[1, -1, 1]]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid, lattice
+from conftest import domain_matrix, fractions_of, grid, lattice
 from framehom import linalg
 from framehom.cosheaf import boundary_rows
 from framehom.linalg import (
@@ -266,27 +266,16 @@ def _as_matrix(rows, ncols):
     return exact_matrix(rows, ncols) if rows else linalg.zeros(0, ncols, "exact")
 
 
-def _domain(rows, ncols):
-    from sympy import QQ
-    from sympy.polys.matrices import DomainMatrix
-    return DomainMatrix([[QQ(Fraction(x).numerator, Fraction(x).denominator) for x in r]
-                         for r in rows], (len(rows), ncols), QQ)
-
-
-def _fractions(dm):
-    return [[Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in dm.to_list()]
-
-
 @pytest.mark.parametrize("label, rows, ncols", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_exact_reduction_matches_sympy_domain_matrix(label, rows, ncols):
-    m, dm = _as_matrix(rows, ncols), _domain(rows, ncols)
+    m, dm = _as_matrix(rows, ncols), domain_matrix(rows, ncols)
     red = linalg.Reduction(m)
     rref, pivots = dm.rref()
     assert red.rank == rank(m) == dm.rank() == len(pivots)
     assert red.pivots == list(pivots)
     # RREF: the row basis scaled to leading entries of 1
     ours = [[Fraction(x, r[p]) for x in r] for r, p in zip(red.row_basis().tolist(), pivots)]
-    assert ours == _fractions(rref)[:len(pivots)]
+    assert ours == fractions_of(rref)[:len(pivots)]
     # image: the pivot columns of the matrix itself, whatever its rows' denominators
     assert red.image().vectors.tolist() == [[r[p] for r in rows] for p in pivots]
     # kernel: integer, primitive, positive first nonzero entry, same span as sympy's
@@ -298,8 +287,8 @@ def test_exact_reduction_matches_sympy_domain_matrix(label, rows, ncols):
         assert next(x for x in v if x) > 0
         assert all(x == 0 for x in m @ v)
     if kern.dim:
-        nulls = _fractions(dm.nullspace())
-        assert _domain(kern.vectors.tolist() + nulls, ncols).rank() == kern.dim == len(nulls)
+        nulls = fractions_of(dm.nullspace())
+        assert domain_matrix(kern.vectors.tolist() + nulls, ncols).rank() == kern.dim == len(nulls)
 
 
 @pytest.mark.parametrize("label, rows, ncols", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
@@ -312,16 +301,17 @@ def test_exact_solve_matches_sympy_domain_matrix(label, rows, ncols):
     b = m @ x0 if ncols else linalg.zeros(nrows, 2, "exact")
     x = solve_in_image(m, b)
     assert (m @ x == b).all()
-    assert all(type(v) is Fraction for v in x.flat)
+    # the from_integer_form convention: int where integral, reduced Fraction otherwise
+    assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in x.flat)
     # the solution of the RREF of [A | b] with every free variable set to zero
-    rref, pivots = _domain(np.hstack([m, b]).tolist(), ncols + 2).rref()
+    rref, pivots = domain_matrix(np.hstack([m, b]).tolist(), ncols + 2).rref()
     want = [[Fraction(0)] * 2 for _ in range(ncols)]
-    rref = _fractions(rref)
+    rref = fractions_of(rref)
     for r, p in enumerate(pivots):
         want[p] = rref[r][ncols:]
     assert x.tolist() == want
     # a right-hand side with a component in (im A)^perp = ker A^T is refused
-    for off in _fractions(_domain(m.T.tolist(), nrows).nullspace()):
+    for off in fractions_of(domain_matrix(m.T.tolist(), nrows).nullspace()):
         bad = b.copy()
         bad[:, 1] = bad[:, 1] + np.array(off, dtype=object)
         with pytest.raises(ValueError, match="not in the column space"):
