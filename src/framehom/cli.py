@@ -21,27 +21,26 @@ import sys
 from functools import cache
 
 from . import __version__
-from .framework import FrameworkError, _format_scalar, _parse_scalar, load_framework
+from .framework import FrameworkError, _format_scalar, _parse_scalar, parse_framework
 from .les import LesReport, _LesContext, _report_from_context, les_obstacle, perturbation_scan
-from .linalg import MODE_EXACT, MODE_FLOAT
+from .linalg import MODE_EXACT, MODE_FLOAT, from_integer_form
 from .structural import moment_dim
 from .svgdraw import render_svg
 
 SCHEMA_VERSION = 1
 
 
-def _digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _load(args):
-    """The framework in ``args.input`` read in ``args.mode``, or None after an error line."""
+    """(framework, sha256) of ``args.input`` read in ``args.mode``, or (None,
+    None) after an error line.  The file is read once: the digest names the
+    bytes that were parsed."""
     try:
-        return load_framework(args.input, args.mode)
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+        return parse_framework(data.decode("utf-8"), args.mode), hashlib.sha256(data).hexdigest()
     except (OSError, FrameworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None
+        return None, None
 
 
 _LES_NEEDS = {"disconnected": "a connected framework", "no edges": "a framework with an edge"}
@@ -169,9 +168,9 @@ def _report_json(path, digest, ctx: _LesContext, report: LesReport | None,
 
 
 def _cmd_analyze(args) -> int:
-    if (f := _load(args)) is None:
+    f, digest = _load(args)
+    if f is None:
         return 1
-    digest = _digest(args.input)
     ctx = _LesContext(f)
     report = None
     if not args.dims_only and les_obstacle(f) is None:
@@ -233,7 +232,8 @@ SCAN_COLUMNS = ("magnitude", "seed", "h1_force", "h0_force", "h1_moment", "h0_mo
 
 
 def _cmd_scan(args) -> int:
-    if (f := _load(args)) is None:
+    f, _ = _load(args)
+    if f is None:
         return 1
     try:
         magnitudes = _parse_magnitudes(args.magnitudes, args.mode)
@@ -283,7 +283,8 @@ def _shear_value(ctx: _LesContext, e: int, couple) -> str:
 
 
 def _cmd_svg(args) -> int:
-    if (f := _load(args)) is None:
+    f, _ = _load(args)
+    if f is None:
         return 1
     if f.dim > 3:
         print("error: svg export needs a 2- or 3-dimensional framework", file=sys.stderr)
@@ -319,7 +320,7 @@ def _cmd_svg(args) -> int:
     else:
         couples = ctx.section.apply_c1(gen).reshape(f.num_edges, -1)
         edge_texts = {e: _shear_value(ctx, e, couples[e]) for e in range(f.num_edges)}
-        res = ctx.resultants(gen).reshape(f.num_vertices, -1)
+        res = from_integer_form(*ctx.resultants(gen)).reshape(f.num_vertices, -1)
         arrows = {v: tuple(res[v, :]) for v in range(f.num_vertices)
                   if any(float(x) != 0.0 for x in res[v, :])}
         svg = render_svg(f, title=f"anchored self-stress N:{idx}",

@@ -13,7 +13,10 @@ for the connecting map, which multiplies chains by it.
 
 In exact mode the build and the chain-map work run on integers.  Each
 cosheaf and each map keeps its matrices as integers over one common
-denominator d.  The eliminations read the integer rows of d B, which has
+denominator d.  The structural ``build_*`` functions and ``quotient_cosheaf``
+make their matrices from integers and hand those forms in at construction;
+only a cosheaf or map built from plain matrices clears them itself.  The
+eliminations read the integer rows of d B, which has
 the rank, pivots and kernel of B; maps are checked to commute on these
 forms as they are.  Chains travel between stages as forms too:
 ``CosheafMap.apply_form`` takes chains as (ints, d) and returns their
@@ -21,14 +24,15 @@ image as a form, and ``Cosheaf.h1_coordinates_form`` reads the H1
 coordinates of such cycles at the free columns of the boundary's
 reduction and returns a form.  ``apply_c0``, ``apply_c1`` and
 ``h1_coordinates`` wrap them for callers holding matrices.  A stalk
-quotient's section is an integer kernel basis, so the solve for its
-projection eliminates integer rows.
+quotient is read off its map's integer form: the section is an integer
+kernel basis, the solve returns the projection as a form, and each
+quotient stalk map is an integer product of forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +62,9 @@ class Cosheaf:
     (im B)^perp) from one of B^T's.  The dimensions need only the rank.
     ``h1_coordinates`` reads cycles in the ``h1`` basis off B's reduction.
     The dense ``boundary`` is assembled on first read, for the connecting
-    map alone.
+    map alone.  Code that makes the stalk maps from integers hands in
+    ``forms``, (matrix, (ints, d)) pairs with matrix = ints / d; the common
+    form is then read off them, and the matrices are not cleared again.
     """
 
     base: Framework
@@ -66,6 +72,7 @@ class Cosheaf:
     edge_dims: tuple
     tail_maps: tuple
     head_maps: tuple
+    forms: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         f = self.base
@@ -108,7 +115,9 @@ class Cosheaf:
 
     @cached_property
     def _forms(self) -> tuple[dict, int]:
-        return _integer_forms(self.tail_maps + self.head_maps)
+        if self.forms is None:
+            return _integer_forms(self.tail_maps + self.head_maps)
+        return _common_form(self.forms)
 
     @cached_property
     def _reduction(self) -> Reduction:
@@ -144,7 +153,7 @@ class Cosheaf:
             return out[:, 0], d
         red = self._reduction
         if not red.exact:
-            return solve_in_image(self.h1.matrix(), ints), 1
+            return solve_in_image(self.h1.matrix(), ints, den)
         if not red.annihilates(ints):
             raise ValueError("right-hand side is not in the column space")
         free = red.free_columns
@@ -216,13 +225,14 @@ class CosheafMap:
 
     Valid maps commute with the stalk maps at every incidence; call
     check_cosheaf_map to verify, or read ``check`` for that verdict
-    computed once per map.
+    computed once per map.  ``forms`` is as for ``Cosheaf``.
     """
 
     source: Cosheaf
     target: Cosheaf
     vertex_maps: tuple
     edge_maps: tuple
+    forms: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.base is not self.target.base and \
@@ -246,7 +256,9 @@ class CosheafMap:
 
     @cached_property
     def _forms(self) -> tuple[dict, int]:
-        return _integer_forms(self.vertex_maps + self.edge_maps)
+        if self.forms is None:
+            return _integer_forms(self.vertex_maps + self.edge_maps)
+        return _common_form(self.forms)
 
     def apply_c1(self, x: np.ndarray) -> np.ndarray:
         """Apply the edge maps to a flat C_1 chain or to one chain per column."""
@@ -276,15 +288,22 @@ class CosheafMap:
 
 
 def _integer_forms(mats) -> tuple[dict, int]:
-    """The distinct matrices of ``mats`` over one common denominator: ({id:
-    ints}, d), each matrix = ints / d (a float matrix is its own ints, over
-    1); valid while the matrices are referenced."""
-    forms = {}
-    for a in mats:
-        if id(a) not in forms:
-            forms[id(a)] = integer_form(a)
-    d = math.lcm(*(md for _, md in forms.values()))
-    return {key: ints if md == d else ints * (d // md) for key, (ints, md) in forms.items()}, d
+    """The distinct matrices of ``mats`` cleared with ``integer_form`` and
+    brought over one common denominator by ``_common_form``."""
+    return _common_form([(a, integer_form(a)) for a in {id(a): a for a in mats}.values()])
+
+
+def _common_form(pairs) -> tuple[dict, int]:
+    """(matrix, (ints, d)) ``pairs`` in lowest terms over their least common
+    d: ({id: ints}, d), each distinct matrix = ints / d (a float matrix is
+    its own ints, over 1); valid while the matrices are referenced."""
+    low = {}
+    for a, (ints, md) in pairs:
+        if id(a) not in low:
+            g = math.gcd(md, *ints.ravel().tolist()) if md != 1 else 1
+            low[id(a)] = (ints // g, md // g) if g > 1 else (ints, md)
+    d = math.lcm(*(md for _, md in low.values()))
+    return {key: ints if md == d else ints * (d // md) for key, (ints, md) in low.items()}, d
 
 
 @dataclass(frozen=True)
@@ -324,12 +343,13 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
 # quotient cosheaves
 # ---------------------------------------------------------------------------
 
-def _stalk_quotient(phi: np.ndarray, where: str):
-    # one elimination of phi^T: its rank is rank phi, its kernel (im phi)^perp,
-    # a section S (integer in exact mode); one solve of [S^T S | S^T] gives
-    # the projection (S^T S)^-1 S^T
-    red = Reduction(phi.T.copy())
-    if red.rank != phi.shape[1]:
+def _stalk_quotient(ints: np.ndarray, where: str):
+    # ints: the integer form of a stalk map phi.  One elimination of its
+    # transpose: its rank is rank phi, its kernel (im phi)^perp, a section S
+    # (integer in exact mode); one solve of [S^T S | S^T] gives the projection
+    # (S^T S)^-1 S^T as a form
+    red = Reduction.of_form(ints.T.copy(), 1)
+    if red.rank != ints.shape[1]:
         raise ValueError(f"map is not injective on the {where} stalk")
     st = red.kernel().vectors                                   # q x t_dim
     section = st.T.copy()
@@ -348,50 +368,50 @@ def quotient_cosheaf(m: CosheafMap) -> tuple[CosheafMap, CosheafMap]:
     stalk maps.  Stalk-wise exactness holds by construction: proj . m = 0
     on every cell and [m | section] spans each target stalk.
 
-    Each distinct stalk-map object is quotiented once and the cells that
-    share it share the result: one quotient for all vertices of the
-    structural phi, one per bar direction (head - tail).  A non-injective
-    stalk raises at its first cell.  Each distinct triple of factors of a
-    quotient stalk map is one linalg.product.
+    Each distinct stalk-map object is quotiented once, on its integer form,
+    and the cells that share it share the result: one quotient for all
+    vertices of the structural phi, one per bar direction (head - tail).  A
+    non-injective stalk raises at its first cell.  Each distinct triple of
+    factors P T S of a quotient stalk map is one integer product of their
+    forms, over d_P d_T.  The quotient cosheaf and both maps are handed the
+    forms they are made of.
     """
     src, tgt = m.source, m.target
     f = src.base
+    (mforms, _), (tforms, dt) = m._forms, tgt._forms
     quotients, products = {}, {}
 
     # every stalk map and factor stays referenced until the return, so no id is reused
-    def stalk_quotient(phi: np.ndarray, where: str):
-        if id(phi) not in quotients:
-            quotients[id(phi)] = _stalk_quotient(phi, where)
-        return quotients[id(phi)]
+    def stalk_quotients(maps, kind: str) -> list:
+        for i, phi in enumerate(maps):
+            if id(phi) not in quotients:
+                s, proj = _stalk_quotient(mforms[id(phi)], f"{kind} {i}")
+                quotients[id(phi)] = s, from_integer_form(*proj), proj
+        return [quotients[id(phi)] for phi in maps]
 
-    def stalk_map(proj, transport, section):
-        key = (id(proj), id(transport), id(section))
+    def stalk_map(vq, transport, eq):
+        key = (id(vq[1]), id(transport), id(eq[0]))
         if key not in products:
-            products[key] = product(proj, transport, section)
+            (p, dp), s = vq[2], eq[0]
+            form = (p @ tforms[id(transport)] @ s, dp * dt)
+            products[key] = from_integer_form(*form), form
         return products[key]
 
-    v_sections, v_projs = [], []
-    for v in range(f.num_vertices):
-        s, p = stalk_quotient(m.vertex_maps[v], f"vertex {v}")
-        v_sections.append(s)
-        v_projs.append(p)
-    e_sections, e_projs = [], []
-    for e in range(f.num_edges):
-        s, p = stalk_quotient(m.edge_maps[e], f"edge {e}")
-        e_sections.append(s)
-        e_projs.append(p)
-    tails, heads = [], []
-    for e, (t, h) in enumerate(f.edges):
-        tails.append(stalk_map(v_projs[t], tgt.tail_maps[e], e_sections[e]))
-        heads.append(stalk_map(v_projs[h], tgt.head_maps[e], e_sections[e]))
+    vq, eq = stalk_quotients(m.vertex_maps, "vertex"), stalk_quotients(m.edge_maps, "edge")
+    tails = [stalk_map(vq[t], tgt.tail_maps[e], eq[e]) for e, (t, h) in enumerate(f.edges)]
+    heads = [stalk_map(vq[h], tgt.head_maps[e], eq[e]) for e, (t, h) in enumerate(f.edges)]
     q = Cosheaf(
         base=f,
-        vertex_dims=tuple(s.shape[1] for s in v_sections),
-        edge_dims=tuple(s.shape[1] for s in e_sections),
-        tail_maps=tuple(tails),
-        head_maps=tuple(heads),
+        vertex_dims=tuple(s.shape[1] for s, _, _ in vq),
+        edge_dims=tuple(s.shape[1] for s, _, _ in eq),
+        tail_maps=tuple(a for a, _ in tails),
+        head_maps=tuple(a for a, _ in heads),
+        forms=list(products.values()),
     )
-    return (CosheafMap(source=tgt, target=q,
-                       vertex_maps=tuple(v_projs), edge_maps=tuple(e_projs)),
-            CosheafMap(source=q, target=tgt,
-                       vertex_maps=tuple(v_sections), edge_maps=tuple(e_sections)))
+    distinct = quotients.values()
+    return (CosheafMap(source=tgt, target=q, vertex_maps=tuple(p for _, p, _ in vq),
+                       edge_maps=tuple(p for _, p, _ in eq),
+                       forms=[(p, form) for _, p, form in distinct]),
+            CosheafMap(source=q, target=tgt, vertex_maps=tuple(s for s, _, _ in vq),
+                       edge_maps=tuple(s for s, _, _ in eq),
+                       forms=[(s, (s, 1)) for s, _, _ in distinct]))

@@ -20,6 +20,7 @@ then one ``v`` record of an id and N coordinates per vertex)::
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -131,22 +132,29 @@ class Framework:
                     stack.append(w)
         return len(seen) == self.num_vertices
 
+    @cached_property
+    def direction_form(self) -> tuple[list, int]:
+        """Every edge's direction head - tail over one common denominator D,
+        (rows, D): the positions are cleared to integers over D once, so exact
+        rows hold ints; float rows hold the float differences, over 1."""
+        pos, d = self.positions, 1
+        if self.mode == MODE_EXACT:
+            d = math.lcm(*(x.denominator for p in pos for x in p))
+            pos = [[x.numerator * (d // x.denominator) for x in p] for p in pos]
+        return [tuple(map(operator.sub, pos[h], pos[t])) for t, h in self.edges], d
+
     def edge_geometry(self, k: int) -> EdgeGeometry:
         return self._edge_geometries[k]
 
     @cached_property
     def _edge_geometries(self) -> tuple:
-        """Every edge's geometry, integral exact components as ``int``, kept."""
-        out = []
-        for t, h in self.edges:
-            d = tuple(self.positions[h][i] - self.positions[t][i] for i in range(self.dim))
-            if self.mode == MODE_EXACT:
-                d = tuple(_integral(x) for x in d)
-                half = tuple(_integral(Fraction(x, 2)) for x in d)
-            else:
-                half = tuple(x / 2.0 for x in d)
-            out.append(EdgeGeometry(direction=d, half_lever=half))
-        return tuple(out)
+        """Every edge's geometry read off ``direction_form``, integral exact
+        components as ``int``, kept."""
+        rows, d = self.direction_form
+        if self.mode == MODE_FLOAT:
+            return tuple(EdgeGeometry(r, tuple(x / 2.0 for x in r)) for r in rows)
+        return tuple(EdgeGeometry(tuple(_integral(Fraction(x, d)) for x in r),
+                                  tuple(_integral(Fraction(x, 2 * d)) for x in r)) for r in rows)
 
     def as_float(self) -> Framework:
         """The same framework with float coordinates."""

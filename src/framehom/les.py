@@ -12,12 +12,12 @@ truss mechanisms.  It is built in one pass: all H1(anchored) basis cycles
 are lifted and pulled back together, then projected onto the H0(force)
 representatives in one Gram solve.
 
-In exact mode the degree-1 induced maps pass integer forms (ints, d)
-from the chain map to the H1 coordinates to the rank's elimination.  The
-one ``Fraction`` matrix product left is the dense frame boundary times the
-lifted cycles in ``resultants``; its block-wise integer replacement
-(ROADMAP item 2) waits until the benchmark stops keeping every pass's
-output, which would read the extra passes it fits as memory (item 1).
+In exact mode the induced maps and theta pass integer forms (ints, d)
+from stage to stage into ``InducedMap``.  Two dense ``Fraction`` matrix
+products are left: the frame boundary times the lifted cycles in
+``resultants``, which dominates theta on big frames (ROADMAP item 2 waits
+on the benchmark, item 1), and ``anchored_generators``'
+``pi1.image.vectors @ h1n.vectors`` for svg (item 3).
 
 This module computes the induced maps and the connecting homomorphism,
 verifies exactness at every node, evaluates the counting rules
@@ -110,8 +110,7 @@ def induced_map(m: CosheafMap, degree: int) -> InducedMap:
         chains = m.apply_form(1, src.h1.matrix(), 1)
         return InducedMap(tgt.h1_coordinates_form(*chains))
     if degree == 0:
-        return InducedMap(integer_form(
-            solve_gram(tgt.h0.matrix(), m.apply_c0(src.h0.matrix()))))
+        return InducedMap(solve_gram(tgt.h0.matrix(), *m.apply_form(0, src.h0.matrix(), 1)))
     raise ValueError("degree must be 0 or 1")
 
 
@@ -184,30 +183,32 @@ class _LesContext:
         (h1f, _), (h1m, _), (h1n, _) = self.dims
         return (h1f - self.mech.dim) + h1n - h1m
 
-    def resultants(self, chains: np.ndarray) -> np.ndarray:
+    def resultants(self, chains: np.ndarray) -> tuple[np.ndarray, int]:
         """Vertex force resultants of the anchored C1 cycles held one per
-        column of ``chains``: an (n|V| x k) matrix, rows vertex-major.
+        column of ``chains``, as a form (ints, d) of an (n|V| x k) matrix,
+        rows vertex-major.
 
         One lift through the section and one product with the frame boundary
         serve every cycle; one solve against the truss embedding (which pads
         a force with a zero moment) pulls back every vertex couple of every
-        cycle.  That is exact only when the moment components vanish, as for
-        cycles of the anchored boundary; otherwise it raises ValueError.
+        cycle, cleared to integers once.  That is exact only when the moment
+        components vanish, as for cycles of the anchored boundary; otherwise
+        it raises ValueError.
         """
         pad = self.phi.vertex_maps[0]
         (rows, n), nv, k = pad.shape, self.f.num_vertices, chains.shape[1]
         y = self.moment.boundary @ self.section.apply_c1(chains)
         couples = y.reshape(nv, rows, k).transpose(1, 0, 2).reshape(rows, nv * k)
-        forces = solve_in_image(pad, couples)
-        return forces.reshape(n, nv, k).transpose(1, 0, 2).reshape(nv * n, k)
+        forces, d = solve_in_image(pad, *integer_form(couples))
+        return forces.reshape(n, nv, k).transpose(1, 0, 2).reshape(nv * n, k), d
 
     @cached_property
     def theta(self) -> InducedMap:
         """The connecting map: resultants of the H1(anchored) generators, in
         H0(force) coordinates."""
         self.require_les()
-        return InducedMap(integer_form(solve_gram(self.force.h0.matrix(),
-                                                  self.resultants(self.anch.h1.matrix()))))
+        return InducedMap(solve_gram(self.force.h0.matrix(),
+                                     *self.resultants(self.anch.h1.matrix())))
 
     def mechanism_basis_ambient(self) -> SubspaceBasis:
         """Image of the connecting map as vectors in the truss C_0 space."""

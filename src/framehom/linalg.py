@@ -19,10 +19,11 @@ elimination order nor on positive row scalings, so ranks, kernels, row
 bases and solutions are those of a Gauss-Jordan RREF over the rationals,
 bit-for-bit.  Every exact producer writes its result through
 ``from_integer_form``: ``int`` where integral, reduced ``Fraction``
-otherwise; ``solve_in_image`` writes the RREF numerators over the lcm of
-the pivot entries.  Float mode ranks are SVD-based with a relative singular
-value cutoff of ``EPS_RANK``; subspace comparisons use principal angles
-with threshold ``EPS_ANGLE``.
+otherwise.  ``solve_in_image`` and ``solve_gram`` take a right-hand side
+over a denominator and return their solution as a form (ints, d): the
+RREF numerators over the lcm of the pivot entries.  Float mode ranks are
+SVD-based with a relative singular value cutoff of ``EPS_RANK``; subspace
+comparisons use principal angles with threshold ``EPS_ANGLE``.
 """
 
 from __future__ import annotations
@@ -364,15 +365,17 @@ def kernel_basis(a: np.ndarray) -> SubspaceBasis:
 # solving
 # ---------------------------------------------------------------------------
 
-def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for b in the column space of ``a``.
+def solve_in_image(a: np.ndarray, b: np.ndarray, den: int = 1) -> tuple[np.ndarray, int]:
+    """Solve a @ x = b / den for b / den in the column space of ``a``, and
+    return x as a form (ints, d).
 
     ``b`` may be a vector or a matrix of stacked right-hand-side columns
-    (all solved in one elimination pass).  Exact mode returns the solution
-    with all RREF-free variables set to zero, ``int`` where integral (the
-    ``from_integer_form`` convention); float mode the minimum-norm
-    solution.  Raises ValueError when any right-hand side is outside the
-    column space.
+    (all solved in one elimination pass); ``den`` is 1 in float mode, where
+    forms are over 1.  Exact mode reads the solution with all RREF-free
+    variables set to zero off the one reduction of [a | b]: the RREF
+    numerators over the lcm of its pivot entries, times ``den``.  Float
+    mode returns the minimum-norm solution.  Raises ValueError when any
+    right-hand side is outside the column space.
     """
     single = b.ndim == 1
     bm = b.reshape(-1, 1) if single else b
@@ -381,21 +384,20 @@ def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nrows, ncols = a.shape
     nrhs = bm.shape[1]
     if nrhs == 0:  # nothing to solve for; skip the elimination of ``a``
-        return zeros(ncols, 0, mode_of(a))
+        return zeros(ncols, 0, mode_of(a)), den
     if mode_of(a) == MODE_EXACT:
-        # the RREF numerators of [a | b], written over the lcm of its pivots
         red = Reduction(np.hstack([a, bm]))
         if red.pivots and red.pivots[-1] >= ncols:
             raise ValueError("right-hand side is not in the column space")
         rref = red._reduced
-        den = math.lcm(*(row[c] for c, row in rref.items()))
-        x = np.zeros((ncols, nrhs), dtype=object)
+        d = math.lcm(*(row[c] for c, row in rref.items()))
+        out = np.zeros((ncols, nrhs), dtype=object)
         for c, row in rref.items():
-            scale = den // row[c]
+            scale = d // row[c]
             for k, v in row.items():
                 if k >= ncols:
-                    x[c, k - ncols] = v * scale
-        out = from_integer_form(x, den)
+                    out[c, k - ncols] = v * scale
+        den *= d
     else:
         if ncols == 0:
             if bm.size and np.linalg.norm(bm) > EPS_SOLVE * max(1.0, float(np.abs(a).sum())):
@@ -408,17 +410,19 @@ def solve_in_image(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                         float(np.abs(out).max(initial=0.0)), float(np.abs(bm).max(initial=0.0)))
             if float(np.abs(resid).max(initial=0.0)) > EPS_SOLVE * scale:
                 raise ValueError("right-hand side is not in the column space")
-    return out[:, 0] if single else out
+    return (out[:, 0] if single else out), den
 
 
-def solve_gram(basis_matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (B^T B) x = B^T rhs where B has independent columns.
+def solve_gram(basis_matrix: np.ndarray, rhs: np.ndarray, den: int = 1) -> tuple[np.ndarray, int]:
+    """Solve (B^T B) x = B^T rhs / den where B has independent columns, and
+    return x as a form (ints, d).
 
-    Gives the coordinates of the orthogonal projection of each rhs column
-    onto span(B).
+    Gives the coordinates of the orthogonal projection of each column of
+    rhs / den onto span(B).  B and rhs are multiplied as they are: integers
+    in the exact callers, which pass a form's ints as rhs.
     """
     bt = basis_matrix.T.copy()
-    return solve_in_image(product(bt, basis_matrix), product(bt, rhs))
+    return solve_in_image(bt @ basis_matrix, bt @ rhs, den)
 
 
 # ---------------------------------------------------------------------------

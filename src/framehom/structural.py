@@ -21,6 +21,13 @@ Anchored stalks are coordinates in a basis of the complement of the axial
 forces: the moments at a vertex, the moments and the n - 1 transverse
 shears on an edge.  Bar directions are used unnormalized (head - tail) so
 exact rational arithmetic survives.
+
+The stalk maps are made from the framework's ``direction_form``, the
+directions as integers over one common denominator D: a force column is
+(P_h - P_t) over D, a couple transport (2D I + lever entries) over 2D, a
+``phi`` edge map the force column under zero moment rows, over D.  Each
+cosheaf and map is handed these forms with its matrices; in float mode the
+form is the float matrix, over 1, and halving it is exact.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 from . import linalg
 from .cosheaf import Cosheaf, CosheafMap, quotient_cosheaf
 from .framework import Framework
-from .linalg import MODE_EXACT, SubspaceBasis, span_rows
+from .linalg import MODE_EXACT, SubspaceBasis, from_integer_form, span_rows
 
 
 @cache
@@ -66,24 +73,33 @@ def couple_dim(n: int) -> int:
     return moment_dim(n) + n
 
 
-def _couple_transport(lever, n: int, mode: str) -> np.ndarray:
-    """Stalk map (M, F) -> (M + F ^ lever, F) in matrix form.
+def _stalk(ints: np.ndarray, den) -> tuple[np.ndarray, tuple]:
+    """The stalk map ints / den and the form its cosheaf is handed: (ints, den)
+    in exact mode, the float matrix over 1 in float mode (halving is exact)."""
+    if linalg.mode_of(ints) != MODE_EXACT:
+        ints, den = ints / den, 1
+    return from_integer_form(ints, den), (ints, den)
 
-    Moment row r = (i, j) picks up lever_j F_i - lever_i F_j.
-    """
+
+def _padded_direction(pad: int, delta, den, mode: str) -> tuple[np.ndarray, tuple]:
+    """The column of ``pad`` zeros over the direction delta / den, and its form."""
+    col = linalg.zeros(pad + len(delta), 1, mode)
+    col[pad:, 0] = delta
+    return _stalk(col, den)
+
+
+def _transport(delta, den, mode: str) -> tuple[np.ndarray, tuple]:
+    """Stalk map (M, F) -> (M + F ^ lever, F) for the lever delta / (2 den),
+    and its form over 2 den: 2 den on the diagonal, and moment row r = (i, j)
+    picks up delta_j F_i - delta_i F_j."""
+    n = len(delta)
     w = moment_dim(n)
-    out = linalg.identity(w + n, mode)
+    out = linalg.zeros(w + n, w + n, mode)
+    out[range(w + n), range(w + n)] = 2 * den
     for r, (i, j) in enumerate(bivector_pairs(n)):
-        out[r, w + i] = lever[j]
-        out[r, w + j] = -lever[i]
-    return out
-
-
-def _column(pad: int, d, mode: str) -> np.ndarray:
-    """The column vector of ``pad`` zeros followed by the entries of ``d``."""
-    col = linalg.zeros(pad + len(d), 1, mode)
-    col[pad:, 0] = d
-    return col
+        out[r, w + i] = delta[j]
+        out[r, w + j] = -delta[i]
+    return _stalk(out, 2 * den)
 
 
 def build_force_cosheaf(f: Framework) -> Cosheaf:
@@ -93,15 +109,17 @@ def build_force_cosheaf(f: Framework) -> Cosheaf:
     direction head - tail, so an axial scalar becomes a force along the
     bar.  Edges with equal directions share one matrix.
     """
-    n = f.dim
-    column = cache(lambda d: _column(0, d, f.mode))
-    cols = tuple(column(f.edge_geometry(k).direction) for k in range(f.num_edges))
+    deltas, den = f.direction_form
+    column = cache(lambda d: _padded_direction(0, d, den, f.mode))
+    cols = [column(d) for d in deltas]
+    maps = tuple(m for m, _ in cols)
     return Cosheaf(
         base=f,
-        vertex_dims=(n,) * f.num_vertices,
+        vertex_dims=(f.dim,) * f.num_vertices,
         edge_dims=(1,) * f.num_edges,
-        tail_maps=cols,
-        head_maps=cols,
+        tail_maps=maps,
+        head_maps=maps,
+        forms=cols,
     )
 
 
@@ -109,22 +127,22 @@ def build_moment_cosheaf(f: Framework) -> Cosheaf:
     """Moment cosheaf: force-couple stalks on every cell.
 
     The stalk map into an endpoint transports the couple from the edge
-    center: the lever is +half_lever into the head and -half_lever into
+    center: the lever is +half the direction into the head and -half into
     the tail.  Edge ends with equal levers share one matrix.
     """
-    n = f.dim
-    transport = cache(lambda lever: _couple_transport(lever, n, f.mode))
+    deltas, den = f.direction_form
+    transport = cache(lambda d: _transport(d, den, f.mode))
     tails, heads = [], []
-    for k in range(f.num_edges):
-        half = f.edge_geometry(k).half_lever
-        heads.append(transport(half))
-        tails.append(transport(tuple(-x for x in half)))
+    for d in deltas:
+        heads.append(transport(d))
+        tails.append(transport(tuple(-x for x in d)))
     return Cosheaf(
         base=f,
-        vertex_dims=(couple_dim(n),) * f.num_vertices,
-        edge_dims=(couple_dim(n),) * f.num_edges,
-        tail_maps=tuple(tails),
-        head_maps=tuple(heads),
+        vertex_dims=(couple_dim(f.dim),) * f.num_vertices,
+        edge_dims=(couple_dim(f.dim),) * f.num_edges,
+        tail_maps=tuple(m for m, _ in tails),
+        head_maps=tuple(m for m, _ in heads),
+        forms=tails + heads,
     )
 
 
@@ -138,18 +156,18 @@ def build_phi(f: Framework) -> CosheafMap:
     """
     n = f.dim
     w = moment_dim(n)
-    force = build_force_cosheaf(f)
-    moment = build_moment_cosheaf(f)
     vmap = linalg.zeros(w + n, n, f.mode)
     for i in range(n):
-        vmap[w + i, i] = 1 if f.mode == MODE_EXACT else 1.0
-    column = cache(lambda d: _column(w, d, f.mode))
-    emaps = tuple(column(f.edge_geometry(k).direction) for k in range(f.num_edges))
+        vmap[w + i, i] = 1
+    deltas, den = f.direction_form
+    column = cache(lambda d: _padded_direction(w, d, den, f.mode))
+    emaps = [column(d) for d in deltas]
     return CosheafMap(
-        source=force,
-        target=moment,
+        source=build_force_cosheaf(f),
+        target=build_moment_cosheaf(f),
         vertex_maps=(vmap,) * f.num_vertices,
-        edge_maps=emaps,
+        edge_maps=tuple(m for m, _ in emaps),
+        forms=emaps + [(vmap, (vmap, 1))],
     )
 
 

@@ -18,11 +18,13 @@ from framehom import (
     parse_framework,
     perturb,
     quotient_cosheaf,
+    verify_les,
 )
 from framehom import cosheaf, linalg
 from framehom.cosheaf import Cosheaf, _stalk_quotient, boundary_rows
 from framehom.linalg import (
     exact_matrix,
+    from_integer_form,
     identity,
     kernel_basis,
     product,
@@ -34,6 +36,8 @@ from framehom.structural import (
     build_force_cosheaf,
     build_moment_cosheaf,
     build_phi,
+    bivector_pairs,
+    moment_dim,
 )
 
 
@@ -158,6 +162,81 @@ def test_integer_forms_put_every_stalk_map_over_one_denominator():
         ints = forms[id(m)]
         assert all(type(x) is int for x in ints.ravel().tolist())
         assert np.array_equal(ints, m * d)
+
+
+def _stalk_maps_as_before(f):
+    """The force, moment and phi stalk maps built from Fraction or float
+    directions: columns of the direction, and transports that are the
+    identity plus the half lever (halved as floats in float mode).  Edge
+    ends with equal levers share the first matrix made, as in ``structural``,
+    so a float lever's -0.0 entries go where theirs do."""
+    n, w = f.dim, moment_dim(f.dim)
+    cols, transports, emaps, shared = [], [], [], {}
+    for t, h in f.edges:
+        d = tuple(f.positions[h][i] - f.positions[t][i] for i in range(n))
+        half = [x / 2.0 for x in d] if f.mode == "float" else [Fraction(x, 2) for x in d]
+        for lever in (half, [-x for x in half]):  # head, then tail
+            out = identity(w + n, f.mode)
+            for r, (i, j) in enumerate(bivector_pairs(n)):
+                out[r, w + i] = lever[j]
+                out[r, w + j] = -lever[i]
+            transports.append(shared.setdefault(("lever",) + tuple(lever), out))
+        col = zeros(w + n, 1, f.mode)
+        col[w:, 0] = d
+        cols.append(shared.setdefault(("force",) + d, col[w:]))
+        emaps.append(shared.setdefault(("phi",) + d, col))
+    return cols, transports, emaps
+
+
+def _same_entries(got, want):
+    """Equal matrices: bit for bit in float mode, equal values of the same
+    type (int where integral, Fraction otherwise) in exact mode."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype != object:
+        return got.tobytes() == want.tobytes()
+    return all(x == y and type(x) is (int if Fraction(y).denominator == 1 else Fraction)
+               for x, y in zip(got.ravel().tolist(), want.ravel().tolist()))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_forms_handed_in_at_construction_are_the_integer_forms(corpus, mode):
+    # build_phi and quotient_cosheaf make every stalk map from integers and hand its form in;
+    # it must be the form _integer_forms clears off the matrices themselves
+    perturbed = [(f"{name}-perturbed", perturb(f, Fraction(1, 100), 1)) for name, f in
+                 (("desargues", make_desargues(Fraction(1, 2))), ("box3d", make_named("box3d")))]
+    for label, f in corpus + perturbed:
+        f = f if mode == "exact" else f.as_float()
+        phi = build_phi(f)
+        pi, section = quotient_cosheaf(phi)
+        for k in (phi.source, phi.target, pi.target):
+            assert k.forms is not None, label
+            mats = k.tail_maps + k.head_maps
+            _assert_same_form(k._forms, cosheaf._integer_forms(mats), label)
+        for m in (phi, pi, section):
+            assert m.forms is not None, label
+            _assert_same_form(m._forms, cosheaf._integer_forms(m.vertex_maps + m.edge_maps), label)
+        cols, transports, emaps = _stalk_maps_as_before(f)
+        force, moment = phi.source, phi.target
+        heads_tails = [a for pair in zip(moment.head_maps, moment.tail_maps) for a in pair]
+        got_maps = list(force.head_maps + force.tail_maps) + heads_tails + list(phi.edge_maps)
+        for got, want in zip(got_maps, cols + cols + transports + emaps, strict=True):
+            assert _same_entries(got, want), label
+
+
+def _assert_same_form(got, want, label):
+    (forms, d), (want_forms, want_d) = got, want
+    assert d == want_d and forms.keys() == want_forms.keys(), label
+    for key, ints in want_forms.items():
+        assert _same_entries(forms[key], ints), label
+
+
+def test_the_pipeline_clears_no_stalk_map_to_a_form(monkeypatch):
+    # the structural and quotient cosheaves and maps are handed their forms
+    calls = []
+    monkeypatch.setattr(cosheaf, "_integer_forms", lambda mats: calls.append(1))
+    for f in (perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 1), grid(3).as_float()):
+        verify_les(f)  # float theta miscounts round-off on grid3; only the forms matter here
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["bar", "triangle", "square", "box3d"])
@@ -407,12 +486,17 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
     phi = build_phi(f)
     moment = phi.target
     pi, section = quotient_cosheaf(phi)
-    vertex = [_stalk_quotient(m, "") for m in phi.vertex_maps]
+
+    def own_quotient(m):  # the quotient of m's integer form, projection written out
+        s, proj = _stalk_quotient(phi._forms[0][id(m)], "")
+        return s, from_integer_form(*proj)
+
+    vertex = [own_quotient(m) for m in phi.vertex_maps]
     for v, (s, p) in enumerate(vertex):
         assert _same(section.vertex_maps[v], s)
         assert _same(pi.vertex_maps[v], p)
     for e, (t, h) in enumerate(f.edges):
-        s, p = _stalk_quotient(phi.edge_maps[e], "")
+        s, p = own_quotient(phi.edge_maps[e])
         assert _same(section.edge_maps[e], s)
         assert _same(pi.edge_maps[e], p)
         assert _same(pi.target.tail_maps[e], vertex[t][1] @ moment.tail_maps[e] @ s)
@@ -443,7 +527,8 @@ def test_stalk_quotient_eliminates_twice(monkeypatch):
     original = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or original(rows))
     phi = build_phi(make_named("box3d"))
-    section, proj = _stalk_quotient(phi.edge_maps[0], "edge 0")
+    section, proj = _stalk_quotient(phi._forms[0][id(phi.edge_maps[0])], "edge 0")
+    proj = from_integer_form(*proj)
     assert len(calls) == 2
     assert section.shape == (6, 5) and proj.shape == (5, 6)
     assert (proj @ section == identity(5, "exact")).all()
@@ -466,7 +551,7 @@ def test_quotient_homology_invariant_under_stalk_change_of_basis():
     t_v = [_random_invertible(d, rng) for d in moment.vertex_dims]
     t_e = [_random_invertible(d, rng) for d in moment.edge_dims]
     from framehom.linalg import solve_in_image
-    inv_e = [solve_in_image(t, identity(t.shape[0], f.mode)) for t in t_e]
+    inv_e = [from_integer_form(*solve_in_image(t, identity(t.shape[0], f.mode))) for t in t_e]
     tails = tuple(t_v[t] @ moment.tail_maps[e] @ inv_e[e]
                   for e, (t, h) in enumerate(f.edges))
     heads = tuple(t_v[h] @ moment.head_maps[e] @ inv_e[e]

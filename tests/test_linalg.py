@@ -16,6 +16,8 @@ from framehom.linalg import (
     complement_within,
     exact_matrix,
     float_matrix,
+    from_integer_form,
+    integer_form,
     kernel_basis,
     product,
     rank,
@@ -89,15 +91,20 @@ def test_image_complement_single_column():
         assert all(x == 0 for x in col.T @ v)
 
 
+def _solve(a, b):
+    """The solution of a @ x = b, written out of its form."""
+    return from_integer_form(*solve_in_image(a, b))
+
+
 def test_solve_identity():
     b = np.array([Fraction(3), Fraction(-2)], dtype=object)
-    x = solve_in_image(linalg.identity(2, "exact"), b)
+    x = _solve(linalg.identity(2, "exact"), b)
     assert list(x) == [3, -2]
 
 
 def test_solve_consistent_overdetermined():
     m = exact_matrix([[1], [2]])
-    x = solve_in_image(m, np.array([2, 4], dtype=object))
+    x = _solve(m, np.array([2, 4], dtype=object))
     assert list(x) == [2]
 
 
@@ -112,7 +119,7 @@ def test_solve_inconsistent_raises():
 def test_solve_multiple_rhs():
     m = exact_matrix([[2, 0], [0, 4]])
     b = exact_matrix([[2, 6], [4, 8]])
-    x = solve_in_image(m, b)
+    x = _solve(m, b)
     assert x.shape == (2, 2)
     assert (m @ x == b).all()
 
@@ -199,8 +206,8 @@ def test_exact_float_rank_agreement_bulk():
 def test_solve_first_pivot_solution_is_deterministic():
     m = exact_matrix([[1, 1, 0], [0, 0, 1]])
     b = np.array([2, 5], dtype=object)
-    x1 = solve_in_image(m, b)
-    x2 = solve_in_image(m, b)
+    x1 = _solve(m, b)
+    x2 = _solve(m, b)
     assert list(x1) == list(x2) == [2, 0, 5]
 
 
@@ -299,8 +306,11 @@ def test_exact_solve_matches_sympy_domain_matrix(label, rows, ncols):
     x0 = exact_matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
                        for _ in range(ncols)], 2) if ncols else linalg.zeros(0, 2, "exact")
     b = m @ x0 if ncols else linalg.zeros(nrows, 2, "exact")
-    x = solve_in_image(m, b)
+    x = _solve(m, b)
     assert (m @ x == b).all()
+    # b handed in as a form (ints, d): the same solution, over d times the solve's own
+    ints, d = solve_in_image(m, *integer_form(b))
+    assert from_integer_form(ints, d).tolist() == x.tolist()
     # the from_integer_form convention: int where integral, reduced Fraction otherwise
     assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in x.flat)
     # the solution of the RREF of [A | b] with every free variable set to zero
