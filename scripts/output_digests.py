@@ -14,8 +14,10 @@ svg`` for the first and last generator of H1(force) and H1(anchored)
 scan -m 0,0.01 -s 1..2``.  Each digest covers stdout and stderr (for
 ``svg``, the written file and stderr), with the input path replaced by
 ``<input>``; ``<rc>`` is the exit code, or ``exc`` when the command raised.
-Run the script on two versions of framehom and diff the outputs: a line
-that differs names the outputs that changed.
+Each command's wall time goes to stderr as ``<mode> <file name> <field>
+<seconds> s``, so stdout stays comparable across versions.  Run the script
+on two versions of framehom and diff the outputs: a line that differs
+names the outputs that changed.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 import traceback
 from pathlib import Path
 
@@ -34,8 +37,9 @@ SCAN_ARGS = ["-m", "0,0.01", "-s", "1..2"]
 
 
 def run(argv, path, out_file=None):
-    """(exit code, sha256) of one CLI call."""
+    """(exit code, sha256, wall seconds) of one CLI call."""
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli_main(argv)
@@ -44,11 +48,12 @@ def run(argv, path, out_file=None):
         except Exception:
             rc = "exc"
             err.write(traceback.format_exc(limit=0))
+    wall = time.perf_counter() - start
     text = out.getvalue() + err.getvalue()
     if out_file is not None and rc == 0:
         text = Path(out_file).read_text(encoding="utf-8") + text
     text = text.replace(str(path), "<input>")
-    return rc, hashlib.sha256(text.encode()).hexdigest()
+    return rc, hashlib.sha256(text.encode()).hexdigest(), wall
 
 
 def h1_dims(path, mode):
@@ -64,20 +69,23 @@ def h1_dims(path, mode):
 
 
 def digest_line(path, mode, tmpdir) -> str:
-    fields = []
-    for key, flags in (("analyze", []), ("json", ["--json"]), ("dims", ["--dims-only"])):
-        rc, h = run(["analyze", str(path), "--mode", mode, *flags], path)
+    label, fields = f"{mode} {Path(path).name}", []
+
+    def field(key, argv, out_file=None):
+        rc, h, wall = run(argv, path, out_file)
+        print(f"{label} {key} {wall:.3f} s", file=sys.stderr, flush=True)
         fields.append(f"{key}={rc}:{h}")
+
+    for key, flags in (("analyze", []), ("json", ["--json"]), ("dims", ["--dims-only"])):
+        field(key, ["analyze", str(path), "--mode", mode, *flags])
     svg = Path(tmpdir) / "out.svg"
     for space, count in zip("FN", h1_dims(path, mode)):
         for idx in sorted({0, max(count - 1, 0)}):
             svg.unlink(missing_ok=True)
-            rc, h = run(["svg", str(path), "--mode", mode, "--generator", f"{space}:{idx}",
-                         "--out", str(svg)], path, out_file=svg)
-            fields.append(f"svg{space}{idx}={rc}:{h}")
-    rc, h = run(["scan", str(path), "--mode", mode, *SCAN_ARGS], path)
-    fields.append(f"scan={rc}:{h}")
-    return f"{mode} {Path(path).name} " + " ".join(fields)
+            field(f"svg{space}{idx}", ["svg", str(path), "--mode", mode, "--generator",
+                                       f"{space}:{idx}", "--out", str(svg)], out_file=svg)
+    field("scan", ["scan", str(path), "--mode", mode, *SCAN_ARGS])
+    return f"{label} " + " ".join(fields)
 
 
 def main(argv=None) -> int:

@@ -38,7 +38,7 @@ def _load(args):
         with open(args.input, "rb") as fh:
             data = fh.read()
         return parse_framework(data.decode("utf-8"), args.mode), hashlib.sha256(data).hexdigest()
-    except (OSError, FrameworkError) as exc:
+    except (OSError, UnicodeDecodeError, FrameworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, None
 

@@ -189,17 +189,19 @@ def boundary_rows(k: Cosheaf, transpose: bool = False) -> list[dict]:
     nonzero entry} maps of the stalk maps' integer form over d (d = 1 in
     float mode).  The block in the rows of vertex v and columns of edge e
     is +(stalk map) when v is the head of e and -(stalk map) when v is the
-    tail; cells are in list order, stalk coordinates within each cell."""
-    entries = {key: [(j, i, x) if transpose else (i, j, x)
-                     for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
-               for key, mi in k._forms[0].items()}
+    tail; cells are in list order, stalk coordinates within each cell.  Each
+    distinct stalk map's signed nonzeros are listed once."""
+    plus = {key: [(j, i, x) if transpose else (i, j, x)
+                  for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
+            for key, mi in k._forms[0].items()}
+    minus = {key: [(i, j, -x) for i, j, x in ent] for key, ent in plus.items()}
     voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
     rows = [{} for _ in range(k.c1_dim if transpose else k.c0_dim)]
-    for e, (t, h) in enumerate(k.base.edges):
-        for v, m, sign in ((h, k.head_maps[e], 1), (t, k.tail_maps[e], -1)):
-            r, c = (eoff[e], voff[v]) if transpose else (voff[v], eoff[e])
-            for i, j, x in entries[id(m)]:
-                rows[r + i][c + j] = sign * x
+    for (t, h), hm, tm, eo in zip(k.base.edges, k.head_maps, k.tail_maps, eoff):
+        for vo, entries in ((voff[h], plus[id(hm)]), (voff[t], minus[id(tm)])):
+            r, c = (eo, vo) if transpose else (vo, eo)
+            for i, j, x in entries:
+                rows[r + i][c + j] = x
     return rows
 
 
@@ -343,13 +345,11 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
 # quotient cosheaves
 # ---------------------------------------------------------------------------
 
-def _stalk_quotient(ints: np.ndarray, where: str):
-    # ints: the integer form of a stalk map phi.  One elimination of its
-    # transpose: its rank is rank phi, its kernel (im phi)^perp, a section S
-    # (integer in exact mode); one solve of [S^T S | S^T] gives the projection
-    # (S^T S)^-1 S^T as a form
-    red = Reduction.of_form(ints.T.copy(), 1)
-    if red.rank != ints.shape[1]:
+def _stalk_quotient(red: Reduction, where: str):
+    # red: the elimination of phi^T for a stalk map phi.  Its rank is rank phi,
+    # its kernel (im phi)^perp, a section S (integer in exact mode); one solve
+    # of [S^T S | S^T] gives the projection (S^T S)^-1 S^T as a form
+    if red.rank != red.shape[0]:
         raise ValueError(f"map is not injective on the {where} stalk")
     st = red.kernel().vectors                                   # q x t_dim
     section = st.T.copy()
@@ -368,26 +368,31 @@ def quotient_cosheaf(m: CosheafMap) -> tuple[CosheafMap, CosheafMap]:
     stalk maps.  Stalk-wise exactness holds by construction: proj . m = 0
     on every cell and [m | section] spans each target stalk.
 
-    Each distinct stalk-map object is quotiented once, on its integer form,
-    and the cells that share it share the result: one quotient for all
-    vertices of the structural phi, one per bar direction (head - tail).  A
-    non-injective stalk raises at its first cell.  Each distinct triple of
-    factors P T S of a quotient stalk map is one integer product of their
-    forms, over d_P d_T.  The quotient cosheaf and both maps are handed the
-    forms they are made of.
+    S and P depend only on im phi, so exact mode quotients once per key of
+    phi's shape and the RREF of phi^T, which fix im phi and injectivity: one
+    quotient for all vertices of the structural phi and one per bar line,
+    whatever the bar's length or orientation.  Float mode keys on the
+    stalk-map object.  A non-injective stalk raises at its first cell.  Each
+    distinct triple of factors P T S of a quotient stalk map is one integer
+    product of their forms, over d_P d_T.  The quotient cosheaf and both
+    maps are handed the forms they are made of.
     """
     src, tgt = m.source, m.target
     f = src.base
     (mforms, _), (tforms, dt) = m._forms, tgt._forms
-    quotients, products = {}, {}
+    keys, quotients, products = {}, {}, {}
 
     # every stalk map and factor stays referenced until the return, so no id is reused
     def stalk_quotients(maps, kind: str) -> list:
         for i, phi in enumerate(maps):
-            if id(phi) not in quotients:
-                s, proj = _stalk_quotient(mforms[id(phi)], f"{kind} {i}")
-                quotients[id(phi)] = s, from_integer_form(*proj), proj
-        return [quotients[id(phi)] for phi in maps]
+            if id(phi) not in keys:
+                red = Reduction.of_form(mforms[id(phi)].T.copy(), 1)
+                rref = tuple(red.row_basis().ravel().tolist()) if red.exact else id(phi)
+                key = keys[id(phi)] = (red.shape, rref)
+                if key not in quotients:
+                    s, proj = _stalk_quotient(red, f"{kind} {i}")
+                    quotients[key] = s, from_integer_form(*proj), proj
+        return [quotients[keys[id(phi)]] for phi in maps]
 
     def stalk_map(vq, transport, eq):
         key = (id(vq[1]), id(transport), id(eq[0]))

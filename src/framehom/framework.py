@@ -97,11 +97,9 @@ class Framework:
             if key in seen:
                 raise FrameworkError(f"duplicate edge {k}: ({t}, {h})")
             seen.add(key)
-            d = [self.positions[h][i] - self.positions[t][i] for i in range(self.dim)]
-            if self.mode == MODE_EXACT:
-                if all(x == 0 for x in d):
-                    raise FrameworkError(f"zero-length edge {k}: ({t}, {h})")
-            elif math.sqrt(sum(float(x) * float(x) for x in d)) <= eps:
+            p, q = self.positions[t], self.positions[h]
+            if (p == q) if self.mode == MODE_EXACT else \
+                    math.sqrt(sum(float(b - a) * float(b - a) for a, b in zip(p, q))) <= eps:
                 raise FrameworkError(f"zero-length edge {k}: ({t}, {h})")
 
     @property
@@ -118,6 +116,10 @@ class Framework:
         return math.sqrt(sum((b - a) ** 2 for a, b in zip(lo, hi)))
 
     def connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         adj = {i: [] for i in range(self.num_vertices)}
         for t, h in self.edges:
             adj[t].append(h)
@@ -195,8 +197,11 @@ class Framework:
 
 def _parse_scalar(tok: str, mode: str, where: str):
     try:
-        if mode == MODE_EXACT:
-            return Fraction(tok)
+        if mode == MODE_EXACT:  # int reads a subset of Fraction's literals, to equal values
+            try:
+                return int(tok)
+            except ValueError:
+                return _integral(Fraction(tok))
         if "/" in tok:
             num, den = tok.split("/", 1)
             return float(num) / float(den)

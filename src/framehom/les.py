@@ -13,11 +13,10 @@ are lifted and pulled back together, then projected onto the H0(force)
 representatives in one Gram solve.
 
 In exact mode the induced maps and theta pass integer forms (ints, d)
-from stage to stage into ``InducedMap``.  Two dense ``Fraction`` matrix
-products are left: the frame boundary times the lifted cycles in
+from stage to stage into ``InducedMap``.  One dense ``Fraction`` matrix
+product is left: the frame boundary times the lifted cycles in
 ``resultants``, which dominates theta on big frames (ROADMAP item 2 waits
-on the benchmark, item 1), and ``anchored_generators``'
-``pi1.image.vectors @ h1n.vectors`` for svg (item 3).
+on the benchmark, item 1).  ``anchored_generators`` multiplies integers.
 
 This module computes the induced maps and the connecting homomorphism,
 verifies exactness at every node, evaluates the counting rules
@@ -219,9 +218,12 @@ class _LesContext:
     def anchored_generators(self) -> np.ndarray:
         """H1(anchored) generators, one per row, in the order svg numbers
         them: the frame-stress images (im pi*) first, then the complement
-        orthogonal to im pi* (the anchored-only stresses)."""
+        orthogonal to im pi* (the anchored-only stresses).  In exact mode the
+        image coordinates are cleared to integers, as the ``h1n`` rows are,
+        so the product runs on ints: a row span does not depend on scale."""
         h1n = self.anch.h1
-        im_ambient = span_rows(self.pi1.image.vectors @ h1n.vectors, h1n.ambient_dim)
+        im_ambient = span_rows(integer_form(self.pi1.image.vectors)[0] @ h1n.vectors,
+                               h1n.ambient_dim)
         return np.vstack([im_ambient.vectors, complement_within(im_ambient, h1n).vectors])
 
 

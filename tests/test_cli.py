@@ -131,6 +131,15 @@ def test_analyze_invalid_file(tmp_path, capsys):
     assert "zero-length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["scan", "-m", "0"],
+                                     ["svg", "--generator", "N:0", "--out", "x.svg"]])
+def test_non_utf8_input_is_an_error_line(tmp_path, capsys, command):
+    path = tmp_path / "latin1.fw"
+    path.write_bytes(b"dim 2\nv 0 0 0\xff")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("literal", ["nan", "inf"])
 def test_analyze_float_rejects_non_finite_coordinates(tmp_path, capsys, literal):
     path = tmp_path / "nonfinite.fw"
@@ -667,8 +676,9 @@ def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monke
 
 
 def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch):
-    # all vertices share one stalk map and the edges have three directions
-    path = _saved(tmp_path, "grid3", grid(3))
+    # all vertices share one stalk map and the edges lie on three lines; with
+    # every other edge reversed, a line's bars run both ways and still share
+    # one quotient (1 vertex + 3 lines, not 1 + 6 directions)
     calls = []
     original = cosheaf._stalk_quotient
 
@@ -677,13 +687,15 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
         return original(phi, where)
 
     monkeypatch.setattr(cosheaf, "_stalk_quotient", counting)
-    assert main(["analyze", str(path), "--dims-only"]) == 0
-    capsys.readouterr()
-    assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12"]
-    # one anchored stalk map per direction and edge end, not one per incidence:
-    # each product P T S is made once and its matrix shared by the cells
-    anch = build_anchored_cosheaf(grid(3))
-    assert len({id(m) for m in anch.tail_maps + anch.head_maps}) == 6
+    for f in (grid(3), _every_other_edge_flipped(grid(3))):
+        calls.clear()
+        assert main(["analyze", str(_saved(tmp_path, "grid3", f)), "--dims-only"]) == 0
+        capsys.readouterr()
+        assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12"]
+        # one anchored stalk map per line and edge end, not one per incidence:
+        # each product P T S is made once and its matrix shared by the cells
+        anch = build_anchored_cosheaf(f)
+        assert len({id(m) for m in anch.tail_maps + anch.head_maps}) == 6
 
 
 def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypatch):
@@ -717,19 +729,31 @@ def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, mo
 # sha256 of the exact `analyze --dims-only --json` and `analyze --json`
 # output, input path replaced by "<input>", on frames larger than the corpus;
 # grid8, the largest frame of the dims-exact benchmark, pins its dims alone
-# (its full report takes about 15 s)
+# (its full report takes about 15 s).  A "-flipped" frame has every other
+# edge reversed, so bars of one line run both ways and share a stalk quotient.
 LARGE_DIGESTS = {
     "grid6": ("7bd0de45ac876c3886a0a2d63e7f7f07f8c439d22bd4b2201e7968fc4fdc6aec",
               "9f3c4dbcbb08f5ca97ac1aa1b0c287f171f7757bc65c47c83049a696d9aba160"),
     "grid8": ("df5e5d81eee03a48be731dbe000bd6099d88530864d86bc6616bc656afab4645",),
     "lattice3": ("688d2142f5edad2efa6edd0234a6f706318972bba09f6f46c761d67e9c394cb0",
                  "5c946b0a6dd418c8b4822a806cc41de0955434e67b3778fef1a470b988fb861d"),
+    "grid6-flipped": ("4cfcde34855e8e46075b07a9862993a9cdbf96b12f82d99ec6f6590d72781b2b",
+                      "adf2c2d5056f1d03a35530d93ca443151aa1eb750abbfced689477418080748c"),
+    "lattice3-flipped": ("1c357208e0cc4005499bf6abd2f59620f3d11ef1da6b285e0b4872eeb3925637",),
 }
+
+
+def _every_other_edge_flipped(f):
+    for e in range(0, f.num_edges, 2):
+        f = f.with_flipped_edge(e)
+    return f
 
 
 @pytest.mark.parametrize("name", sorted(LARGE_DIGESTS))
 def test_exact_reports_on_larger_frames_are_byte_identical(tmp_path, capsys, name):
-    path = _saved(tmp_path, name, lattice(3) if name == "lattice3" else grid(int(name[4:])))
+    frame, _, flipped = name.partition("-")
+    f = lattice(3) if frame == "lattice3" else grid(int(frame[4:]))
+    path = _saved(tmp_path, name, _every_other_edge_flipped(f) if flipped else f)
     digests = []
     for flags in (["--dims-only", "--json"], ["--json"])[:len(LARGE_DIGESTS[name])]:
         assert main(["analyze", str(path), *flags]) == 0

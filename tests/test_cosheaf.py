@@ -23,6 +23,7 @@ from framehom import (
 from framehom import cosheaf, linalg
 from framehom.cosheaf import Cosheaf, _stalk_quotient, boundary_rows
 from framehom.linalg import (
+    Reduction,
     exact_matrix,
     from_integer_form,
     identity,
@@ -488,7 +489,7 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
     pi, section = quotient_cosheaf(phi)
 
     def own_quotient(m):  # the quotient of m's integer form, projection written out
-        s, proj = _stalk_quotient(phi._forms[0][id(m)], "")
+        s, proj = _stalk_quotient(Reduction.of_form(phi._forms[0][id(m)].T.copy(), 1), "")
         return s, from_integer_form(*proj)
 
     vertex = [own_quotient(m) for m in phi.vertex_maps]
@@ -527,7 +528,8 @@ def test_stalk_quotient_eliminates_twice(monkeypatch):
     original = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or original(rows))
     phi = build_phi(make_named("box3d"))
-    section, proj = _stalk_quotient(phi._forms[0][id(phi.edge_maps[0])], "edge 0")
+    phi_t = Reduction.of_form(phi._forms[0][id(phi.edge_maps[0])].T.copy(), 1)
+    section, proj = _stalk_quotient(phi_t, "edge 0")
     proj = from_integer_form(*proj)
     assert len(calls) == 2
     assert section.shape == (6, 5) and proj.shape == (5, 6)

@@ -16,6 +16,7 @@ from framehom import (
     perturb,
     save_framework,
 )
+from framehom.framework import _parse_scalar
 
 SQUARE_TEXT = """\
 # unit square
@@ -105,6 +106,21 @@ def test_float_mode_rejects_non_finite_coordinates(literal):
     text = f"dim 2\nv 0 0 0\nv 1 {literal} 0\nv 2 1 1\ne 0 1\ne 1 2\n"
     with pytest.raises(FrameworkError, match="vertex 1 has a non-finite coordinate"):
         parse_framework(text, mode="float")
+
+
+@pytest.mark.parametrize("tok", ["3", "-3", "+3", "007", "1_000", "\u0663", "-0", "3/4", "1.5",
+                                 "1e3", "0x10", "1__0", "_1", "\u00b3", "1/0"])
+def test_exact_scalars_read_as_fraction_reads_them(tok):
+    # int is tried first; every token it reads, Fraction reads to the same value
+    try:
+        want = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FrameworkError, match="line 1: bad number literal"):
+            _parse_scalar(tok, "exact", "line 1")
+        return
+    got = _parse_scalar(tok, "exact", "line 1")
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 def test_bad_literal_reports_line():
