@@ -25,7 +25,7 @@ from .framework import FrameworkError, _format_scalar, _parse_scalar, parse_fram
 from .les import LesReport, _LesContext, _report_from_context, les_obstacle, perturbation_scan
 from .linalg import MODE_EXACT, MODE_FLOAT, from_integer_form
 from .structural import moment_dim
-from .svgdraw import render_svg
+from .svgdraw import render_svg, scaled_floats, value_text
 
 SCHEMA_VERSION = 1
 
@@ -270,16 +270,14 @@ def _shear_value(ctx: _LesContext, e: int, couple) -> str:
     """Annotation for one anchored edge value: moment and transverse shear."""
     n = ctx.f.dim
     w = moment_dim(n)
-    moment = couple[:w]
-    force = [float(x) for x in couple[w:]]
+    (moment,), ms = scaled_floats([couple[:w]])
+    (force,), fs = scaled_floats([couple[w:]])
     if n == 2:
         d = ctx.f.edge_geometry(e).direction
         dl = (float(d[0]) ** 2 + float(d[1]) ** 2) ** 0.5
         shear = (force[0] * -float(d[1]) + force[1] * float(d[0])) / dl
-        return f"M={float(moment[0]):.4g} V={shear:.4g}"
-    mag = math.hypot(*force)
-    mm = math.hypot(*(float(c) for c in moment))
-    return f"|M|={mm:.4g} |V|={mag:.4g}"
+        return f"M={value_text(moment[0], ms)} V={value_text(shear, fs)}"
+    return f"|M|={value_text(math.hypot(*moment), ms)} |V|={value_text(math.hypot(*force), fs)}"
 
 
 def _cmd_svg(args) -> int:
@@ -314,7 +312,8 @@ def _cmd_svg(args) -> int:
         return 1
     gen = gens[idx].reshape(-1, 1)
     if space == "F":
-        edge_texts = {e: f"t={float(gen[e, 0]):.4g}" for e in range(f.num_edges)}
+        (ts,), shift = scaled_floats([gen[:, 0]])
+        edge_texts = {e: f"t={value_text(t, shift)}" for e, t in enumerate(ts)}
         svg = render_svg(f, title=f"axial self-stress F:{idx}",
                          edge_texts=edge_texts, show_values=show)
     else:
@@ -322,7 +321,7 @@ def _cmd_svg(args) -> int:
         edge_texts = {e: _shear_value(ctx, e, couples[e]) for e in range(f.num_edges)}
         res = from_integer_form(*ctx.resultants(gen)).reshape(f.num_vertices, -1)
         arrows = {v: tuple(res[v, :]) for v in range(f.num_vertices)
-                  if any(float(x) != 0.0 for x in res[v, :])}
+                  if any(res[v, :])}
         svg = render_svg(f, title=f"anchored self-stress N:{idx}",
                          edge_texts=edge_texts, vertex_arrows=arrows, show_values=show)
     return _write(args.out, svg)

@@ -59,7 +59,9 @@ class Cosheaf:
     each of shape (vertex stalk dim, edge stalk dim).  ``h1`` = ker B
     (cycles in C_1) and the rank of B come from one elimination of B's
     sparse rows, ``h0`` (representatives in C_0 spanning ker B^T =
-    (im B)^perp) from one of B^T's.  The dimensions need only the rank.
+    (im B)^perp) from one of B^T's: in exact mode of only its rows at B's
+    pivot columns, which span its row space and so give the same canonical
+    kernel.  The dimensions need only the rank.
     ``h1_coordinates`` reads cycles in the ``h1`` basis off B's reduction.
     The dense ``boundary`` is assembled on first read, for the connecting
     map alone.  Code that makes the stalk maps from integers hands in
@@ -80,13 +82,13 @@ class Cosheaf:
             raise ValueError("stalk dimension lists do not match the framework")
         if len(self.tail_maps) != f.num_edges or len(self.head_maps) != f.num_edges:
             raise ValueError("need exactly two stalk maps per edge")
-        for k, (t, h) in enumerate(f.edges):
-            for v, m in ((t, self.tail_maps[k]), (h, self.head_maps[k])):
-                want = (self.vertex_dims[v], self.edge_dims[k])
-                if m.shape != want:
-                    raise ValueError(
-                        f"stalk map of edge {k} at vertex {v} has shape {m.shape}, "
-                        f"expected {want}")
+        vdims = self.vertex_dims
+        for k, ((t, h), tm, hm, ed) in enumerate(zip(f.edges, self.tail_maps, self.head_maps,
+                                                      self.edge_dims)):
+            if tm.shape != (vdims[t], ed) or hm.shape != (vdims[h], ed):
+                v, m = (t, tm) if tm.shape != (vdims[t], ed) else (h, hm)
+                raise ValueError(f"stalk map of edge {k} at vertex {v} has shape {m.shape}, "
+                                 f"expected {(vdims[v], ed)}")
 
     @property
     def mode(self) -> str:
@@ -129,8 +131,10 @@ class Cosheaf:
 
     @cached_property
     def h0(self) -> SubspaceBasis:
-        return Reduction.of_rows(boundary_rows(self, transpose=True), self.c0_dim,
-                                self.mode).kernel()
+        rows = boundary_rows(self, transpose=True)
+        if self.mode == MODE_EXACT:
+            rows = [rows[j] for j in self._reduction.pivots]
+        return Reduction.of_rows(rows, self.c0_dim, self.mode).kernel()
 
     def h1_coordinates(self, chains: np.ndarray) -> np.ndarray:
         """Coordinates in the ``h1`` basis of one flat cycle or of the cycles
@@ -243,14 +247,12 @@ class CosheafMap:
         f = self.source.base
         if len(self.vertex_maps) != f.num_vertices or len(self.edge_maps) != f.num_edges:
             raise ValueError("need one matrix per vertex and per edge")
-        for v, m in enumerate(self.vertex_maps):
-            want = (self.target.vertex_dims[v], self.source.vertex_dims[v])
-            if m.shape != want:
-                raise ValueError(f"vertex map {v} has shape {m.shape}, expected {want}")
-        for e, m in enumerate(self.edge_maps):
-            want = (self.target.edge_dims[e], self.source.edge_dims[e])
-            if m.shape != want:
-                raise ValueError(f"edge map {e} has shape {m.shape}, expected {want}")
+        for kind, maps, rows, cols in (
+                ("vertex", self.vertex_maps, self.target.vertex_dims, self.source.vertex_dims),
+                ("edge", self.edge_maps, self.target.edge_dims, self.source.edge_dims)):
+            for i, (m, want) in enumerate(zip(maps, zip(rows, cols))):
+                if m.shape != want:
+                    raise ValueError(f"{kind} map {i} has shape {m.shape}, expected {want}")
 
     @cached_property
     def check(self) -> MapCheck:

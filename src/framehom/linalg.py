@@ -10,11 +10,12 @@ to ``integer_form`` ints / d once, and each row of the ints becomes a
 {column: int} map; a caller with integer rows, such as a cosheaf
 boundary, hands them to ``Reduction.of_rows``, and one with a form (ints,
 d), such as an induced map, to ``Reduction.of_form``.  Rows are reduced
-fraction-free with gcd normalisation (Bareiss, Math. Comp. 22, 1968) and
+fraction-free (Bareiss, Math. Comp. 22, 1968) on private copies, and
 enter the echelon in decreasing order of their leading column, for low
-fill.  The rank is read off the
-forward echelon; back-substitution runs only when a kernel, row basis or
-solution is first read.  Pivot columns and RREF depend neither on the
+fill.  A row's gcd content is removed once per pivot or RREF row, not
+after every step.  The rank is read off the forward echelon;
+back-substitution runs only when a kernel, row basis or solution is
+first read.  Pivot columns and RREF depend neither on the
 elimination order nor on positive row scalings, so ranks, kernels, row
 bases and solutions are those of a Gauss-Jordan RREF over the rationals,
 bit-for-bit.  Every exact producer writes its result through
@@ -160,42 +161,48 @@ class SubspaceBasis:
 # exact elimination: sparse integer rows, fraction-free
 # ---------------------------------------------------------------------------
 
-def _eliminate(row: dict, piv: dict, c: int) -> dict:
-    """Clear column c of ``row`` with ``piv``: (p_c/g) row - (r_c/g) piv, content-free.
+def _clear(row: dict, piv: dict, c: int):
+    """Clear column c of ``row`` in place with ``piv``: row <- (p_c/g) row - (r_c/g) piv.
 
-    ``piv[c]`` is positive, so the leading entry of ``row`` keeps its sign
-    whenever ``piv`` is zero there.
+    ``piv[c]`` is positive, so ``row`` is scaled by a positive factor
+    wherever ``piv`` is zero; its content is left for ``_primitive``.
     """
     g = math.gcd(row[c], piv[c])
     a, b = piv[c] // g, row[c] // g
-    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    if a != 1:
+        for j, v in row.items():
+            row[j] = a * v
     for j, v in piv.items():
-        w = out.get(j, 0) - b * v
+        w = row.get(j, 0) - b * v
         if w:
-            out[j] = w
+            row[j] = w
         else:
-            del out[j]
-    g = math.gcd(*out.values())
-    return {j: v // g for j, v in out.items()} if g > 1 else out
+            del row[j]
+
+
+def _primitive(row: dict, c: int) -> dict:
+    """``row`` divided by its content, with a positive entry at column c."""
+    g = math.gcd(*row.values()) * (1 if row[c] > 0 else -1)
+    return {j: v // g for j, v in row.items()} if g != 1 else row
 
 
 def _echelon(rows: list[dict]) -> dict[int, dict]:
     """Forward elimination: {leading column: row}, rows content-free, leads positive.
 
     Rows enter in decreasing order of their leading column, which keeps
-    fill low; each is reduced against the pivot at its current leading
-    column until it is zero or leads at a new column.
+    fill low; each is copied and reduced in place against the pivot at its
+    current leading column until it is zero or leads at a new column.
     """
     piv: dict[int, dict] = {}
-    for row in sorted(filter(None, rows), key=min, reverse=True):
-        while row:
-            c = min(row)
-            p = piv.get(c)
-            if p is None:
-                g = math.gcd(*row.values()) * (1 if row[c] > 0 else -1)
-                piv[c] = {j: v // g for j, v in row.items()} if g != 1 else row
+    for c, row in sorted(((min(r), r) for r in rows if r), key=lambda cr: cr[0], reverse=True):
+        row = dict(row)
+        while c in piv:
+            _clear(row, piv[c], c)
+            if not row:
                 break
-            row = _eliminate(row, p, c)
+            c = min(row)
+        else:
+            piv[c] = _primitive(row, c)
     return piv
 
 
@@ -207,10 +214,10 @@ def _back_substitute(echelon: dict[int, dict]) -> dict[int, dict]:
     """
     out: dict[int, dict] = {}
     for c in sorted(echelon, reverse=True):
-        row = echelon[c]
+        row = dict(echelon[c])
         for k in [k for k in row if k != c and k in out]:
-            row = _eliminate(row, out[k], k)
-        out[c] = row
+            _clear(row, out[k], k)
+        out[c] = _primitive(row, c)
     return out
 
 

@@ -9,6 +9,7 @@ significant digits.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 from .framework import Framework
 
@@ -30,8 +31,23 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _value(x) -> str:
-    return f"{float(x):.4g}"
+def scaled_floats(vectors) -> tuple[list[list[float]], int]:
+    """(the re-iterable ``vectors`` times 2**-s as float lists, s): s = 0 when
+    every entry is a float's, else it brings the largest exact entry near 2**1000."""
+    try:
+        return [[float(x) for x in v] for v in vectors], 0
+    except OverflowError:
+        s = max(abs(x).numerator.bit_length() - x.denominator.bit_length()
+                for v in vectors for x in v) - 1000
+        return [[float(x / (1 << s)) for x in v] for v in vectors], s
+
+
+def value_text(x: float, shift: int) -> str:
+    """x * 2**shift to four significant digits, printed as a float would be."""
+    try:
+        return f"{math.ldexp(x, shift):.4g}"
+    except OverflowError:
+        return f"{Decimal(f'{Decimal(x) * 2 ** shift:.4g}').normalize():e}"
 
 
 class _Mapper:
@@ -86,16 +102,16 @@ def render_svg(f: Framework, *, title: str = "",
                        f'{edge_texts[k]}</text>')
     arrow_scale = 0.0
     if vertex_arrows:
-        longest = max(math.hypot(*(float(c) for c in vec))
-                      for vec in vertex_arrows.values())
+        vecs, shift = scaled_floats(vertex_arrows.values())
+        longest = max(math.hypot(*vec) for vec in vecs)
         if longest > 0:
             arrow_scale = ARROW_PX / longest
     if vertex_arrows and arrow_scale:
-        for v, vec in sorted(vertex_arrows.items()):
-            norm = math.hypot(*(float(c) for c in vec))
+        for v, vec in sorted(zip(vertex_arrows, vecs)):
+            norm = math.hypot(*vec)
             if norm * arrow_scale < 1e-6:
                 continue
-            ux, uy = _project([float(c) for c in vec])
+            ux, uy = _project(vec)
             plen = math.hypot(ux, uy)
             if plen == 0:
                 continue
@@ -108,7 +124,7 @@ def render_svg(f: Framework, *, title: str = "",
             if show_values:
                 out.append(f'<text x="{_fmt(x + dx + 4)}" y="{_fmt(y - dy - 4)}" '
                            f'font-size="11" font-family="monospace" fill="green">'
-                           f'{_value(norm)}</text>')
+                           f'{value_text(norm, shift)}</text>')
     for v, p in enumerate(f.positions):
         x, y = m(p)
         out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(VERTEX_R)}" '

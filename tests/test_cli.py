@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from framehom import (
 )
 from framehom import cli, cosheaf, linalg
 from framehom.cli import main
+from framehom.les import _LesContext
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -369,6 +372,28 @@ def test_exact_svg_of_a_generator_past_the_float_square_range(tmp_path, capsys):
     code = main(["svg", str(path), "--generator", f"N:{last}", "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     assert out.read_text().endswith("</svg>\n")
+
+
+def test_exact_svg_of_a_generator_past_the_float_range(tmp_path, capsys):
+    # anchored generator 35 of the perturbed box3d lifts to couple entries
+    # past 1.8e308, which no float holds; each |M| and |V| label is the exact
+    # norm of its couple's moment and force to four significant digits
+    f = perturb(make_named("box3d"), Fraction(1, 100), 1)
+    path, out = _saved(tmp_path, "box3d", f), tmp_path / "b.svg"
+    code = main(["svg", str(path), "--generator", "N:35", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    labels = re.findall(r">\|M\|=(\S+) \|V\|=(\S+)<", out.read_text())
+    ctx = _LesContext(f)
+    gen = ctx.anchored_generators[35].reshape(-1, 1)
+    couples = ctx.section.apply_c1(gen).reshape(f.num_edges, -1).tolist()
+    assert len(labels) == f.num_edges
+    assert max(abs(x) for c in couples for x in c) > 2 ** 1024
+    with localcontext(prec=40):
+        for texts, couple in zip(labels, couples):
+            for text, part in zip(texts, (couple[:3], couple[3:])):
+                sq = sum(Fraction(x) ** 2 for x in part)
+                norm = (Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt()
+                assert abs(Decimal(text) - norm) <= norm / 2000, (text, norm)
 
 
 @pytest.fixture()

@@ -149,6 +149,24 @@ def test_boundary_rows_are_the_rows_of_the_dense_boundary(corpus, mode):
             assert np.array_equal(k.h0.vectors, kernel_basis(b.T.copy()).vectors), label
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_exact_h0_reduces_only_the_independent_rows_of_the_transpose(monkeypatch, mode):
+    # exact h0 hands the elimination the rank B rows of B^T at B's pivot
+    # columns, which span its row space; float h0 keeps the SVD of all of B^T
+    f = grid(3) if mode == "exact" else grid(3).as_float()
+    echelon, svd = linalg._echelon, np.linalg.svd
+    for k in (build_force_cosheaf(f), build_moment_cosheaf(f), build_anchored_cosheaf(f)):
+        r = k._reduction.rank
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_echelon", lambda rows: seen.append(len(rows)) or echelon(rows))
+            m.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.shape[0]) or svd(a, **kw))
+            h0 = k.h0
+        assert seen == [r if mode == "exact" else k.c1_dim]
+        assert h0.dim == k.c0_dim - r
+        assert np.array_equal(h0.vectors, kernel_basis(assemble_boundary(k).T.copy()).vectors)
+
+
 def test_integer_forms_put_every_stalk_map_over_one_denominator():
     # the anchored stalk maps of a perturbed Desargues frame have many denominators
     f = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 4)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import domain_matrix, fractions_of, grid, lattice
-from framehom import linalg
+from framehom import linalg, make_desargues, perturb
 from framehom.cosheaf import boundary_rows
 from framehom.linalg import (
     complement_within,
@@ -263,6 +263,14 @@ def _oracle_cases():
     for label, k in (("grid6 moment boundary", build_moment_cosheaf(grid(6))),
                      ("lattice3 force boundary", build_force_cosheaf(lattice(3)))):
         cases.append((label, [linalg._dense(r, k.c1_dim) for r in boundary_rows(k)], k.c1_dim))
+    # a perturbation scan's coefficients: the moment boundary of a Desargues
+    # frame perturbed at 10^-60, with integer entries of about 210 bits
+    k = build_moment_cosheaf(perturb(make_desargues("1/2"), Fraction(1, 10 ** 60), 1))
+    for label, transpose in (("perturbed desargues moment boundary", False),
+                             ("perturbed desargues moment boundary transposed", True)):
+        ncols = k.c0_dim if transpose else k.c1_dim
+        rows = boundary_rows(k, transpose)
+        cases.append((label, [linalg._dense(r, ncols) for r in rows], ncols))
     return cases
 
 
