@@ -18,25 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from framehom import Framework, make_desargues, make_named, perturb, save_framework
-
-
-def grid(n):
-    """A triangulated n x n grid: three member directions, every edge one way."""
-    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
-    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
-    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
-    return Framework(2, tuple((i, j) for j in range(n) for i in range(n)), tuple(edges))
-
-
-def lattice(n):
-    """An n x n x n lattice with the diagonal of every unit face square from
-    its lowest corner, every edge one way."""
-    points = [(i, j, k) for k in range(n) for j in range(n) for i in range(n)]
-    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
-    edges = [(points.index(p), points.index(q)) for p in points for d in steps
-             if max(q := tuple(a + b for a, b in zip(p, d))) < n]
-    return Framework(3, tuple(points), tuple(edges))
+from framehom import make_desargues, make_grid, make_lattice, make_named, perturb, save_framework
 
 
 def every_other_edge_flipped(f):
@@ -46,8 +28,8 @@ def every_other_edge_flipped(f):
 
 
 def large_frames() -> dict:
-    frames = {f"grid{n}": grid(n) for n in (3, 4, 6, 8)}
-    frames.update(lattice2=lattice(2), lattice3=lattice(3))
+    frames = {f"grid{n}": make_grid(n) for n in (3, 4, 6, 8)}
+    frames.update(lattice2=make_lattice(2), lattice3=make_lattice(3))
     frames["box3d-perturbed"] = perturb(make_named("box3d"), Fraction(1, 100), 1)
     frames["desargues-perturbed"] = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 1)
     for name in ("grid6", "lattice3"):

@@ -11,6 +11,8 @@ from .framework import (
     save_framework,
     make_named,
     make_desargues,
+    make_grid,
+    make_lattice,
     perturb,
 )
 from .cosheaf import (

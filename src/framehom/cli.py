@@ -273,9 +273,10 @@ def _shear_value(ctx: _LesContext, e: int, couple) -> str:
     (moment,), ms = scaled_floats([couple[:w]])
     (force,), fs = scaled_floats([couple[w:]])
     if n == 2:
-        d = ctx.f.edge_geometry(e).direction
-        dl = (float(d[0]) ** 2 + float(d[1]) ** 2) ** 0.5
-        shear = (force[0] * -float(d[1]) + force[1] * float(d[0])) / dl
+        rows, den = ctx.f.direction_form
+        d = [x / den for x in rows[e]]
+        dl = (d[0] ** 2 + d[1] ** 2) ** 0.5
+        shear = (force[0] * -d[1] + force[1] * d[0]) / dl
         return f"M={value_text(moment[0], ms)} V={value_text(shear, fs)}"
     return f"|M|={value_text(math.hypot(*moment), ms)} |V|={value_text(math.hypot(*force), fs)}"
 

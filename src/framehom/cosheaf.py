@@ -7,9 +7,9 @@ matrix with orientation signs (+ into the head, - out of the tail); its
 kernel is degree-1 homology (self-stresses for the structural cosheaves)
 and the orthogonal complement of its image represents degree-0 homology
 (degrees of freedom).  Each cosheaf carries its own homology, computed
-on first read and kept.  The eliminations read the boundary as sparse rows
-built edge block by edge block; the dense block matrix is assembled only
-for the connecting map, which multiplies chains by it.
+on first read and kept.  Exact eliminations read the boundary as sparse
+integer rows built edge block by edge block; the dense block matrix is
+assembled for the connecting map and for the float-mode SVDs.
 
 In exact mode the build and the chain-map work run on integers.  Each
 cosheaf and each map keeps its matrices as integers over one common
@@ -45,7 +45,6 @@ from .linalg import (
     SubspaceBasis,
     from_integer_form,
     integer_form,
-    product,
     solve_in_image,
 )
 
@@ -57,16 +56,16 @@ class Cosheaf:
 
     ``tail_maps[k]`` / ``head_maps[k]`` are the two stalk maps of edge k,
     each of shape (vertex stalk dim, edge stalk dim).  ``h1`` = ker B
-    (cycles in C_1) and the rank of B come from one elimination of B's
-    sparse rows, ``h0`` (representatives in C_0 spanning ker B^T =
-    (im B)^perp) from one of B^T's: in exact mode of only its rows at B's
-    pivot columns, which span its row space and so give the same canonical
-    kernel.  The dimensions need only the rank.
-    ``h1_coordinates`` reads cycles in the ``h1`` basis off B's reduction.
-    The dense ``boundary`` is assembled on first read, for the connecting
-    map alone.  Code that makes the stalk maps from integers hands in
-    ``forms``, (matrix, (ints, d)) pairs with matrix = ints / d; the common
-    form is then read off them, and the matrices are not cleared again.
+    (cycles in C_1) and the rank of B come from one reduction of B, ``h0``
+    (representatives in C_0 spanning ker B^T = (im B)^perp) from one of
+    B^T: in exact mode of B's sparse integer rows, and of only B's columns
+    at its pivots, which span B^T's row space and so give the same
+    canonical kernel; in float mode of the dense ``boundary``, assembled
+    once.  The dimensions need only the rank.  ``h1_coordinates`` reads
+    cycles in the ``h1`` basis off B's reduction.  Code that makes the
+    stalk maps from integers hands in ``forms``, (matrix, (ints, d)) pairs
+    with matrix = ints / d; the common form is then read off them, and the
+    matrices are not cleared again.
     """
 
     base: Framework
@@ -123,7 +122,9 @@ class Cosheaf:
 
     @cached_property
     def _reduction(self) -> Reduction:
-        return Reduction.of_rows(boundary_rows(self), self.c1_dim, self.mode)
+        if self.mode == MODE_EXACT:
+            return Reduction.of_rows(boundary_rows(self), self.c1_dim)
+        return Reduction(self.boundary)
 
     @cached_property
     def h1(self) -> SubspaceBasis:
@@ -131,10 +132,9 @@ class Cosheaf:
 
     @cached_property
     def h0(self) -> SubspaceBasis:
-        rows = boundary_rows(self, transpose=True)
         if self.mode == MODE_EXACT:
-            rows = [rows[j] for j in self._reduction.pivots]
-        return Reduction.of_rows(rows, self.c0_dim, self.mode).kernel()
+            return Reduction.of_rows(self._reduction.pivot_columns(), self.c0_dim).kernel()
+        return Reduction(self.boundary.T).kernel()
 
     def h1_coordinates(self, chains: np.ndarray) -> np.ndarray:
         """Coordinates in the ``h1`` basis of one flat cycle or of the cycles
@@ -185,27 +185,28 @@ def _offsets(dims) -> list[int]:
 def assemble_boundary(k: Cosheaf) -> np.ndarray:
     """Block boundary matrix C_1 -> C_0: the rows of ``boundary_rows(k)``
     written out densely over the cosheaf's common denominator."""
-    return from_integer_form(linalg.from_rows(boundary_rows(k), k.c1_dim, k.mode), k._forms[1])
+    out = linalg.zeros(k.c0_dim, k.c1_dim, k.mode)
+    for i, row in enumerate(boundary_rows(k)):
+        out[i, list(row)] = list(row.values())
+    return from_integer_form(out, k._forms[1])
 
 
-def boundary_rows(k: Cosheaf, transpose: bool = False) -> list[dict]:
-    """The rows of d B, or of d B^T when ``transpose``, as sparse {column:
-    nonzero entry} maps of the stalk maps' integer form over d (d = 1 in
-    float mode).  The block in the rows of vertex v and columns of edge e
-    is +(stalk map) when v is the head of e and -(stalk map) when v is the
-    tail; cells are in list order, stalk coordinates within each cell.  Each
-    distinct stalk map's signed nonzeros are listed once."""
-    plus = {key: [(j, i, x) if transpose else (i, j, x)
-                  for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
+def boundary_rows(k: Cosheaf) -> list[dict]:
+    """The rows of d B as sparse {column: nonzero entry} maps of the stalk
+    maps' integer form over d (d = 1 in float mode).  The block in the rows
+    of vertex v and columns of edge e is +(stalk map) when v is the head of
+    e and -(stalk map) when v is the tail; cells are in list order, stalk
+    coordinates within each cell.  Each distinct stalk map's signed nonzeros
+    are listed once."""
+    plus = {key: [(i, j, x) for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
             for key, mi in k._forms[0].items()}
     minus = {key: [(i, j, -x) for i, j, x in ent] for key, ent in plus.items()}
     voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
-    rows = [{} for _ in range(k.c1_dim if transpose else k.c0_dim)]
+    rows = [{} for _ in range(k.c0_dim)]
     for (t, h), hm, tm, eo in zip(k.base.edges, k.head_maps, k.tail_maps, eoff):
         for vo, entries in ((voff[h], plus[id(hm)]), (voff[t], minus[id(tm)])):
-            r, c = (eo, vo) if transpose else (vo, eo)
             for i, j, x in entries:
-                rows[r + i][c + j] = x
+                rows[vo + i][eo + j] = x
     return rows
 
 
@@ -322,21 +323,20 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
     At each incidence the target stalk map T composed with the edge map E
     must equal the vertex map V composed with the source stalk map S: on
     the integer forms of the map and both cosheaves, (T E) d_S = (V S) d_T
-    (the map's own d cancels).  Only a failing incidence forms the
-    difference of the products and reports its largest |entry|, exactly in
-    exact mode; float mode tolerates 1e-9.
+    (the map's own d cancels).  Only a failing incidence forms T E - V S,
+    as that difference over d_m d_S d_T, and reports its largest |entry|,
+    exactly in exact mode; float mode tolerates 1e-9.
     """
-    (fm, _), (fs, ds), (ft, dt) = m._forms, m.source._forms, m.target._forms
+    (fm, dm), (fs, ds), (ft, dt) = m._forms, m.source._forms, m.target._forms
     tol = 0 if m.source.mode == MODE_EXACT else 1e-9
     failures = []
     for e, (t, h) in enumerate(m.source.base.edges):
         for v in (t, h):
-            sides = (m.target.stalk_map(e, v), m.edge_maps[e],
-                     m.vertex_maps[v], m.source.stalk_map(e, v))
-            if np.array_equal((ft[id(sides[0])] @ fm[id(sides[1])]) * ds,
-                              (fm[id(sides[2])] @ fs[id(sides[3])]) * dt):
+            te = (ft[id(m.target.stalk_map(e, v))] @ fm[id(m.edge_maps[e])]) * ds
+            vs = (fm[id(m.vertex_maps[v])] @ fs[id(m.source.stalk_map(e, v))]) * dt
+            if np.array_equal(te, vs):
                 continue
-            diff = product(*sides[:2]) - product(*sides[2:])
+            diff = from_integer_form(te - vs, dm * ds * dt)
             res = max((abs(x) for x in diff.ravel().tolist()), default=0)
             if res > tol:
                 failures.append((e, v, res))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -47,14 +48,6 @@ def _as_fraction(x) -> Fraction:
 def _integral(x):
     """An exact rational as ``int`` when it is integral, else unchanged."""
     return x.numerator if x.denominator == 1 else x
-
-
-@dataclass(frozen=True)
-class EdgeGeometry:
-    """Derived geometry of one oriented edge."""
-
-    direction: tuple   # p_head - p_tail
-    half_lever: tuple  # direction / 2, the lever from the edge center to the head
 
 
 @dataclass(frozen=True)
@@ -145,19 +138,6 @@ class Framework:
             pos = [[x.numerator * (d // x.denominator) for x in p] for p in pos]
         return [tuple(map(operator.sub, pos[h], pos[t])) for t, h in self.edges], d
 
-    def edge_geometry(self, k: int) -> EdgeGeometry:
-        return self._edge_geometries[k]
-
-    @cached_property
-    def _edge_geometries(self) -> tuple:
-        """Every edge's geometry read off ``direction_form``, integral exact
-        components as ``int``, kept."""
-        rows, d = self.direction_form
-        if self.mode == MODE_FLOAT:
-            return tuple(EdgeGeometry(r, tuple(x / 2.0 for x in r)) for r in rows)
-        return tuple(EdgeGeometry(tuple(_integral(Fraction(x, d)) for x in r),
-                                  tuple(_integral(Fraction(x, 2 * d)) for x in r)) for r in rows)
-
     def as_float(self) -> Framework:
         """The same framework with float coordinates."""
         if self.mode == MODE_FLOAT:
@@ -201,6 +181,11 @@ def _parse_scalar(tok: str, mode: str, where: str):
             try:
                 return int(tok)
             except ValueError:
+                # Fraction computes 10**exponent: bound it as int bounds digit strings
+                _, e, exp = tok.lower().partition("e")
+                limit = sys.get_int_max_str_digits()
+                if e and limit and abs(int(exp)) > limit:
+                    raise ValueError(f"decimal exponent above {limit}")
                 return _integral(Fraction(tok))
         if "/" in tok:
             num, den = tok.split("/", 1)
@@ -307,6 +292,24 @@ def make_desargues(t) -> Framework:
              (3, 4), (4, 5), (5, 3),       # inner triangle
              (0, 3), (1, 4), (2, 5))       # connectors through the origin
     return Framework(2, positions, edges)
+
+
+def make_grid(n: int) -> Framework:
+    """A triangulated n x n grid: three member directions, every edge one way."""
+    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
+    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
+    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
+    return Framework(2, tuple((i, j) for j in range(n) for i in range(n)), tuple(edges))
+
+
+def make_lattice(n: int) -> Framework:
+    """An n x n x n lattice with the diagonal of every unit face square from
+    its lowest corner, every edge one way."""
+    points = [(i, j, k) for k in range(n) for j in range(n) for i in range(n)]
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+    edges = [(points.index(p), points.index(q)) for p in points for d in steps
+             if max(q := tuple(a + b for a, b in zip(p, d))) < n]
+    return Framework(3, tuple(points), tuple(edges))
 
 
 def _cube_positions():

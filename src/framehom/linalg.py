@@ -8,23 +8,24 @@ mode of every derived matrix is the mode of its inputs.
 Exact mode eliminates on sparse integer rows: a dense matrix is cleared
 to ``integer_form`` ints / d once, and each row of the ints becomes a
 {column: int} map; a caller with integer rows, such as a cosheaf
-boundary, hands them to ``Reduction.of_rows``, and one with a form (ints,
-d), such as an induced map, to ``Reduction.of_form``.  Rows are reduced
-fraction-free (Bareiss, Math. Comp. 22, 1968) on private copies, and
-enter the echelon in decreasing order of their leading column, for low
-fill.  A row's gcd content is removed once per pivot or RREF row, not
-after every step.  The rank is read off the forward echelon;
-back-substitution runs only when a kernel, row basis or solution is
-first read.  Pivot columns and RREF depend neither on the
-elimination order nor on positive row scalings, so ranks, kernels, row
-bases and solutions are those of a Gauss-Jordan RREF over the rationals,
-bit-for-bit.  Every exact producer writes its result through
-``from_integer_form``: ``int`` where integral, reduced ``Fraction``
-otherwise.  ``solve_in_image`` and ``solve_gram`` take a right-hand side
-over a denominator and return their solution as a form (ints, d): the
-RREF numerators over the lcm of the pivot entries.  Float mode ranks are
-SVD-based with a relative singular value cutoff of ``EPS_RANK``; subspace
-comparisons use principal angles with threshold ``EPS_ANGLE``.
+boundary, hands them to ``Reduction.of_rows``, and one with a form
+(ints, d), such as an induced map, to ``Reduction.of_form``; a float
+caller hands the SVD a dense matrix.  Rows are reduced fraction-free
+(Bareiss, Math. Comp. 22, 1968) on private copies, and enter the
+echelon in decreasing order of their leading column, for low fill.  A
+row's gcd content is removed once per pivot or RREF row, not after every
+step.  The rank is read off the forward echelon; back-substitution runs
+only when a kernel, row basis or solution is first read.  Pivot columns
+and RREF depend neither on the elimination order nor on positive row
+scalings, so ranks, kernels, row bases and solutions are those of a
+Gauss-Jordan RREF over the rationals, bit-for-bit.  Every exact producer
+writes its result through ``from_integer_form``: ``int`` where integral,
+reduced ``Fraction`` otherwise.  ``solve_in_image`` and ``solve_gram``
+take a right-hand side over a denominator and return their solution as a
+form (ints, d): the RREF numerators over the lcm of the pivot entries.
+Float mode ranks are SVD-based with a relative singular value cutoff of
+``EPS_RANK``; subspace comparisons use principal angles with threshold
+``EPS_ANGLE``.
 """
 
 from __future__ import annotations
@@ -76,34 +77,11 @@ def zeros(rows: int, cols: int, mode: str) -> np.ndarray:
     return np.zeros((rows, cols), dtype=object if mode == MODE_EXACT else float)
 
 
-def from_rows(rows: list[dict], ncols: int, mode: str) -> np.ndarray:
-    """The dense matrix whose rows are the sparse {column: entry} maps ``rows``."""
-    out = zeros(len(rows), ncols, mode)
-    for i, row in enumerate(rows):
-        out[i, list(row)] = list(row.values())
-    return out
-
-
 def identity(n: int, mode: str) -> np.ndarray:
     out = zeros(n, n, mode)
     for i in range(n):
         out[i, i] = 1 if mode == MODE_EXACT else 1.0
     return out
-
-
-def product(*factors: np.ndarray) -> np.ndarray:
-    """Left-to-right product of matrices of one mode.
-
-    Exact mode clears each factor of its denominators once (one lcm per
-    factor), multiplies Python ints and divides by the product of the lcms
-    once: integral entries come back as ``int``, others as reduced ``Fraction``.
-    Float mode multiplies the factors as they are.
-    """
-    out, den = None, 1
-    for a in factors:
-        ints, d = integer_form(a)
-        out, den = (ints if out is None else out @ ints), den * d
-    return from_integer_form(out, den)
 
 
 def integer_form(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -259,13 +237,10 @@ class Reduction:
             self.u, self.vh, self.rank = np.eye(a.shape[0]), np.eye(a.shape[1]), 0
 
     @classmethod
-    def of_rows(cls, rows: list[dict], ncols: int, mode: str, den: int = 1) -> Reduction:
-        """One elimination of the matrix whose rows are the sparse {column:
-        nonzero entry} maps ``rows``, over ``den``: exact mode eliminates
-        integer rows as they are, float mode writes them into a dense array
-        for the SVD."""
-        if mode != MODE_EXACT:
-            return cls(from_rows(rows, ncols, mode))
+    def of_rows(cls, rows: list[dict], ncols: int, den: int = 1) -> Reduction:
+        """The exact elimination of the matrix whose rows are the sparse
+        integer {column: nonzero entry} maps ``rows``, over ``den``; the rows
+        are eliminated as they are."""
         red = cls.__new__(cls)
         red.shape, red.exact, red.den = (len(rows), ncols), True, den
         red._forward(rows)
@@ -277,7 +252,7 @@ class Reduction:
         mode hands the integer rows to ``of_rows`` with no clearing pass."""
         if mode_of(ints) != MODE_EXACT:
             return cls(ints)
-        return cls.of_rows(_sparse_rows(ints), ints.shape[1], MODE_EXACT, den)
+        return cls.of_rows(_sparse_rows(ints), ints.shape[1], den)
 
     def _forward(self, ints: list[dict]):
         self._int_rows = ints
@@ -345,8 +320,18 @@ class Reduction:
         nrows = self.shape[0]
         if not self.exact:
             return SubspaceBasis(nrows, self.u[:, :self.rank].T.copy())
-        vecs = [[row.get(c, 0) for row in self._int_rows] for c in self.pivots]
+        vecs = [_dense(col, nrows) for col in self.pivot_columns()]
         return SubspaceBasis(nrows, from_integer_form(exact_matrix(vecs, nrows), self.den))
+
+    def pivot_columns(self) -> list[dict]:
+        """The integer columns at the pivots, as sparse {row: entry} maps read
+        off the rows held: rows that span the transpose's row space."""
+        cols = {c: {} for c in self.pivots}
+        for i, row in enumerate(self._int_rows):
+            for j, x in row.items():
+                if j in cols:
+                    cols[j][i] = x
+        return list(cols.values())
 
     def row_basis(self) -> np.ndarray:
         """Canonical independent rows spanning the row space: the nonzero

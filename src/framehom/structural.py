@@ -157,8 +157,7 @@ def build_phi(f: Framework) -> CosheafMap:
     n = f.dim
     w = moment_dim(n)
     vmap = linalg.zeros(w + n, n, f.mode)
-    for i in range(n):
-        vmap[w + i, i] = 1
+    vmap[range(w, w + n), range(n)] = 1
     deltas, den = f.direction_form
     column = cache(lambda d: _padded_direction(w, d, den, f.mode))
     emaps = [column(d) for d in deltas]
@@ -193,22 +192,11 @@ def rigid_body_space(f: Framework) -> SubspaceBasis:
     if not f.connected():
         raise ValueError("rigid-body space is defined for connected frameworks")
     n = f.dim
-    ambient = n * f.num_vertices
-    gens = []
-    one = 1 if f.mode == MODE_EXACT else 1.0
+    gens = linalg.zeros(couple_dim(n), n * f.num_vertices, f.mode)
     for axis in range(n):
-        row = linalg.zeros(1, ambient, f.mode)[0]
-        row[axis::n] = one
-        gens.append(row)
-    gens.extend(_rotation_fields(f))
-    return span_rows(np.vstack(gens), ambient)
-
-
-def _rotation_fields(f: Framework):
-    """One infinitesimal rotation per coordinate plane (i, j): v_i = -p_j, v_j = p_i."""
-    n = f.dim
-    for i, j in bivector_pairs(n):
-        row = linalg.zeros(1, n * f.num_vertices, f.mode)[0]
-        row[i::n] = [-p[j] for p in f.positions]
-        row[j::n] = [p[i] for p in f.positions]
-        yield row
+        gens[axis, axis::n] = 1
+    # one rotation per coordinate plane (i, j): v_i = -p_j, v_j = p_i
+    for r, (i, j) in enumerate(bivector_pairs(n), start=n):
+        gens[r, i::n] = [-p[j] for p in f.positions]
+        gens[r, j::n] = [p[i] for p in f.positions]
+    return span_rows(gens, n * f.num_vertices)

@@ -2,30 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from framehom import Framework, linalg, make_desargues, make_named, verify_les
+from framehom import linalg, make_desargues, make_named, verify_les
+from framehom import make_grid as grid, make_lattice as lattice  # noqa: F401
 from framehom.cosheaf import CosheafMap
 from framehom.les import _LesContext
 
 RANDOM_2D_SEEDS = range(10)
 RANDOM_3D_SEEDS = range(10)
-
-
-def grid(n=3):
-    """A triangulated n x n grid: three member directions, every edge one way."""
-    edges = [(j * n + i, j * n + i + 1) for j in range(n) for i in range(n - 1)]
-    edges += [(j * n + i, (j + 1) * n + i) for j in range(n - 1) for i in range(n)]
-    edges += [(j * n + i, (j + 1) * n + i + 1) for j in range(n - 1) for i in range(n - 1)]
-    return Framework(2, tuple((i, j) for j in range(n) for i in range(n)), tuple(edges))
-
-
-def lattice(n=3):
-    """An n x n x n lattice with the diagonal of every unit face square from
-    its lowest corner, every edge one way."""
-    points = [(i, j, k) for k in range(n) for j in range(n) for i in range(n)]
-    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
-    edges = [(points.index(p), points.index(q)) for p in points for d in steps
-             if max(q := tuple(a + b for a, b in zip(p, d))) < n]
-    return Framework(3, tuple(points), tuple(edges))
 
 
 def block_boundary(k):

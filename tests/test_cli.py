@@ -25,6 +25,7 @@ from framehom import (
 )
 from framehom import cli, cosheaf, linalg
 from framehom.cli import main
+from framehom.framework import _parse_scalar
 from framehom.les import _LesContext
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,6 +151,46 @@ def test_analyze_float_rejects_non_finite_coordinates(tmp_path, capsys, literal)
     code = main(["analyze", str(path), "--mode", "float"])
     assert code == 1
     assert capsys.readouterr().err == "error: vertex 1 has a non-finite coordinate\n"
+
+
+@pytest.mark.parametrize("tok", ["1e999999999", "-1E-999_999_999", "1e4301"])
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_a_huge_decimal_exponent_is_a_bad_literal(square_fw, tmp_path, capsys, monkeypatch,
+                                                  tok, command):
+    # exact mode would compute 10**exponent: an exponent above the int digit
+    # limit is refused at once, in a file and in a scan's magnitudes
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    path = tmp_path / "huge.fw"
+    path.write_text(f"dim 2\nv 0 0 0\nv 1 {tok} 1\ne 0 1\n")
+    args = ["-m", "0"] if command == "scan" else []
+    assert main([command, str(path), *args]) == 1
+    assert capsys.readouterr().err == f"error: line 3: bad number literal {tok!r}\n"
+    if command == "scan":
+        assert main(["scan", str(square_fw), "-m", f"0,{tok}"]) == 1
+        assert capsys.readouterr().err == f"error: --magnitudes: bad number literal {tok!r}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_float_mode_reads_a_huge_exponent_as_before(square_fw, tmp_path, capsys, command):
+    path = tmp_path / "huge.fw"
+    path.write_text("dim 2\nv 0 0 0\nv 1 1e999999999 1\ne 0 1\n")
+    args = ["-m", "0"] if command == "scan" else []
+    assert main([command, str(path), *args, "--mode", "float"]) == 1
+    assert capsys.readouterr().err == "error: vertex 1 has a non-finite coordinate\n"
+    if command == "scan":
+        assert main(["scan", str(square_fw), "-m", "0,1e999999999", "--mode", "float"]) == 1
+        assert capsys.readouterr().err == ("error: --magnitudes: magnitude must be finite, "
+                                           "got '1e999999999'\n")
+
+
+def test_an_exponent_within_the_int_digit_limit_is_read(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5)
+    assert _parse_scalar("3e5", "exact", "x") == 300000
+    assert _parse_scalar("3e-5", "exact", "x") == Fraction(3, 100000)
+    with pytest.raises(ValueError, match="bad number literal '3e6'"):
+        _parse_scalar("3e6", "exact", "x")
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)   # 0: no limit
+    assert _parse_scalar("1e6", "exact", "x") == 10 ** 6
 
 
 def test_main_builds_the_parser_once(square_fw, capsys):
@@ -804,3 +845,69 @@ def test_exact_reports_on_perturbed_frames_are_byte_identical(tmp_path, capsys, 
     assert main(["analyze", str(path), "--json"]) == 0
     out = capsys.readouterr().out.replace(str(path), "<input>")
     assert hashlib.sha256(out.encode()).hexdigest() == PERTURBED_DIGESTS[name]
+
+
+# sha256 of the written `svg --generator` file, for the first and last
+# generator of H1(force) and H1(anchored), in both modes.  The planar frames'
+# anchored labels carry the transverse shear read off the bar directions,
+# box3d's the couple norms.  The float digests pin the SVD bases this numpy
+# build returns, which are not canonical (see CHANGES.md).
+SVG_DIGESTS = {
+    ('square', 'exact'): {
+        'N0': 'e8e4597a282c5bfdd288402782a09478b65031a22ee2e10cefaf11346b0f1e2b',
+        'N3': 'c13af6e056a114479b4ef9bbaefe2dd88ba5a95834c13e16af1f197d71e55142',
+    },
+    ('square', 'float'): {
+        'N0': '0e1a5163c1a6e164b8cafdc6ee9caf60cca8043f45a9eff602d08680297070a9',
+        'N3': '1d6b5eaf8585d787eaff376aa2750ac6375dad9d5123b710acfc94da15b80f38',
+    },
+    ('desargues', 'exact'): {
+        'F0': '0fea212896fb4cd3ac61a0a0724089fc561c5b4496ff072e3dbdad59f3d704b2',
+        'N0': '469d7cdf7e695879df500ef06d8ea46ed12dca2d2e15995469e4e1c3e2ac809f',
+        'N11': '2483714b165bd463f84ae93b965e2feb33cb5fe64196bdb35b2971f44b583e0c',
+    },
+    ('desargues', 'float'): {
+        'F0': 'f175f128ccd69205c1816c4427e81c94edfedc298df329e805090e830c82f411',
+        'N0': '1939601818c8d9e0aec947b9ac2bb0376b30da177a2ce9982411dbbafccf29ce',
+        'N11': '98f497285c004491f3ee820afec8f3be3aab306dda3363d2ff87569061140669',
+    },
+    ('box3d', 'exact'): {
+        'N0': '0e2b48a0cb535c00b007f82ddda4e116aab426e87fe80fe3c7fbfa384b76f571',
+        'N35': '81c3176ed68d94fd1c588c62199e8bce213d7767eb6d1a43c876692a4dd6deb2',
+    },
+    ('box3d', 'float'): {
+        'N0': '26358c49f230403ca3b31dc6dd3b1681c3accaded0e468554b58c3b577269056',
+        'N35': '9ba550031a4ffd578cc7d1f98fece6355a4f6a6a99c8fb9bfc65c0d0d2bb2819',
+    },
+    ('grid4', 'exact'): {
+        'F0': '71538e20ab4e40aff9b4cee1ec34f2eefbf92d5a1916cc51a002f032bd93e9a4',
+        'F3': 'eac6aa6cb6642877a021e18f1ae4d113134f7cd46a3d72f7c35d1bfa02ac7048',
+        'N0': '5e406565fb77896bea4e8e1a07c198daeb4c12f1798085843074bcb7e1779f36',
+        'N49': '00ec01143badea70d631f54fc2b5b41f54b08b5141a4476dd93840b96ae37b54',
+    },
+    ('grid4', 'float'): {
+        'F0': 'aa489d86cca946ab813a1a96f34cf14347c4e2483a3471703ba7e297e7d4a710',
+        'F3': '20846701ca4571a3e8a93da0449e27236f6a9530c982b8b845ff3bbf4b91ed61',
+        'N0': 'c1353f065bb093714b4712a507a150e38abdd64b8e5889c81952078f35db9685',
+        'N49': '5d740eff012c6e74e25e20013c7ecdde844ad4d1dafd380fa81942d5fdca6396',
+    },
+}
+
+
+def _svg_frame(name):
+    return {"grid4": grid(4), "desargues": make_desargues("1/2")}.get(name) or make_named(name)
+
+
+@pytest.mark.parametrize("name, mode", sorted(SVG_DIGESTS))
+def test_svg_drawings_are_byte_identical(tmp_path, capsys, name, mode):
+    f = _svg_frame(name)
+    path, out = _saved(tmp_path, name, f), tmp_path / "g.svg"
+    g = f if mode == "exact" else f.as_float()
+    counts = (build_force_cosheaf(g).dims[0], build_anchored_cosheaf(g).dims[0])
+    digests = {}
+    for space, count in zip("FN", counts):
+        for idx in sorted({0, count - 1}) if count else ():
+            assert main(["svg", str(path), "--mode", mode, "--generator", f"{space}:{idx}",
+                         "--out", str(out)]) == 0, capsys.readouterr().err
+            digests[f"{space}{idx}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == SVG_DIGESTS[name, mode]

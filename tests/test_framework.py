@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +12,16 @@ from framehom import (
     format_framework,
     load_framework,
     make_desargues,
+    make_grid,
+    make_lattice,
     make_named,
     parse_framework,
     perturb,
     save_framework,
 )
 from framehom.framework import _parse_scalar
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SQUARE_TEXT = """\
 # unit square
@@ -97,7 +102,7 @@ def test_parse_four_dimensional_framework(tmp_path):
     text = "dim 4\nv 0 0 0 0 0\nv 1 1 0 0 1/2\ne 0 1\n"
     f = parse_framework(text)
     assert f.dim == 4
-    assert f.edge_geometry(0).direction == (1, 0, 0, Fraction(1, 2))
+    assert f.direction_form == ([(2, 0, 0, 1)], 2)
     assert format_framework(f) == text
 
 
@@ -181,9 +186,9 @@ def test_integral_coordinates_are_int_from_every_constructor():
     g = f.transformed([[Fraction(1, 2), 0], [0, 2]], (Fraction(1, 1), Fraction(1, 2)))
     assert [type(x) for p in g.positions for x in p] == [int, Fraction, int, Fraction]
     assert all(type(x) is int for p in make_named("box3d").positions for x in p)
-    geo = make_desargues(Fraction(1, 2)).edge_geometry(0)   # (0, 4) -> (-3, -2)
-    assert geo.direction == (-3, -6) and geo.half_lever == (Fraction(-3, 2), -3)
-    assert [type(x) for x in geo.direction + geo.half_lever] == [int, int, Fraction, int]
+    rows, d = make_desargues(Fraction(1, 2)).direction_form   # edge 0: (0, 4) -> (-3, -2)
+    assert (rows[0], d) == ((-6, -12), 2)
+    assert all(type(x) is int for r in rows for x in r)
 
 
 def test_framework_equality_and_hash_ignore_int_or_fraction():
@@ -208,16 +213,37 @@ def test_float_mode_zero_length_threshold():
     parse_framework(text)  # exact mode: distinct rationals are fine
 
 
+def _directions(f):
+    """Every edge's direction head - tail, read off ``direction_form``."""
+    rows, d = f.direction_form
+    return [tuple(x / d if f.mode == "float" else Fraction(x, d) for x in r) for r in rows]
+
+
 def test_edge_geometry_consistency():
-    f = make_desargues(Fraction(1, 2))
-    for k in range(f.num_edges):
-        g = f.edge_geometry(k)
-        assert tuple(2 * x for x in g.half_lever) == tuple(g.direction)
+    # direction_form clears the positions to integers over one D in exact
+    # mode; float rows are the float differences, over 1
+    exact = make_desargues(Fraction(1, 2))
+    for f, den, kind in ((exact, 2, int), (exact.as_float(), 1, float)):
+        rows, d = f.direction_form
+        assert d == den
+        assert all(type(x) is kind for r in rows for x in r)
+        assert _directions(f) == [tuple(b - a for a, b in zip(f.positions[t], f.positions[h]))
+                                  for t, h in f.edges]
 
 
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_grid_and_lattice_generators_match_the_benchmark_inputs(monkeypatch, n):
+    # the benchmark keeps its own copies; the frames must stay the same,
+    # vertex and edge order included
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from inputs import cubic_lattice, triangulated_grid
+    assert make_grid(n) == triangulated_grid(n)
+    assert make_lattice(n) == cubic_lattice(n)
+
 
 def test_make_named_bar():
     f = make_named("bar")
@@ -354,8 +380,7 @@ def test_transform_rigid_motion():
     assert g.num_edges == f.num_edges
     # rational rotation preserves exact squared lengths
     for k in range(f.num_edges):
-        d1 = f.edge_geometry(k).direction
-        d2 = g.edge_geometry(k).direction
+        d1, d2 = _directions(f)[k], _directions(g)[k]
         assert sum(x * x for x in d1) == sum(x * x for x in d2)
 
 
@@ -363,12 +388,10 @@ def test_edge_geometry_is_kept_per_instance():
     # each derived framework computes its own geometry, even when the one
     # it came from has filled its cache already
     f = make_named("random3d", 2)
-    assert f.edge_geometry(0) is f.edge_geometry(0)
+    assert f.direction_form is f.direction_form
     rot = [[Fraction(3, 5), Fraction(-4, 5), 0], [Fraction(4, 5), Fraction(3, 5), 0], [0, 0, 1]]
     for g in (f.with_flipped_edge(1), perturb(f, Fraction(1, 10), 3),
               f.transformed(rot, (Fraction(1), Fraction(2), Fraction(-1)))):
-        for k, (t, h) in enumerate(g.edges):
-            d = tuple(a - b for a, b in zip(g.positions[h], g.positions[t]))
-            geom = g.edge_geometry(k)
-            assert geom.direction == d
-            assert geom.half_lever == tuple(Fraction(x, 2) for x in d)
+        assert all(type(x) is int for r in g.direction_form[0] for x in r)
+        assert _directions(g) == [tuple(b - a for a, b in zip(g.positions[t], g.positions[h]))
+                                  for t, h in g.edges]
