@@ -274,7 +274,11 @@ def _shear_value(ctx: _LesContext, e: int, couple) -> str:
     (force,), fs = scaled_floats([couple[w:]])
     if n == 2:
         rows, den = ctx.f.direction_form
-        d = [x / den for x in rows[e]]
+        try:
+            d = [x / den for x in rows[e]]
+        except OverflowError:  # past float range; the shear is the same at any scale of d
+            (d,), _ = scaled_floats([rows[e]])
+            d = [x / math.hypot(*d) for x in d]
         dl = (d[0] ** 2 + d[1] ** 2) ** 0.5
         shear = (force[0] * -d[1] + force[1] * d[0]) / dl
         return f"M={value_text(moment[0], ms)} V={value_text(shear, fs)}"

@@ -8,8 +8,9 @@ kernel is degree-1 homology (self-stresses for the structural cosheaves)
 and the orthogonal complement of its image represents degree-0 homology
 (degrees of freedom).  Each cosheaf carries its own homology, computed
 on first read and kept.  Exact eliminations read the boundary as sparse
-integer rows built edge block by edge block; the dense block matrix is
-assembled for the connecting map and for the float-mode SVDs.
+integer rows built edge block by edge block, once per cosheaf; the dense
+block matrix is those rows written out, for the connecting map and for
+the float-mode SVDs.
 
 In exact mode the build and the chain-map work run on integers.  Each
 cosheaf and each map keeps its matrices as integers over one common
@@ -61,7 +62,9 @@ class Cosheaf:
     B^T: in exact mode of B's sparse integer rows, and of only B's columns
     at its pivots, which span B^T's row space and so give the same
     canonical kernel; in float mode of the dense ``boundary``, assembled
-    once.  The dimensions need only the rank.  ``h1_coordinates`` reads
+    once.  The rows of d B are built once (``boundary_rows``), and both the
+    exact elimination and the dense ``boundary`` read that one list; neither
+    writes to it.  The dimensions need only the rank.  ``h1_coordinates`` reads
     cycles in the ``h1`` basis off B's reduction.  Code that makes the
     stalk maps from integers hands in ``forms``, (matrix, (ints, d)) pairs
     with matrix = ints / d; the common form is then read off them, and the
@@ -121,9 +124,13 @@ class Cosheaf:
         return _common_form(self.forms)
 
     @cached_property
+    def _rows(self) -> list[dict]:
+        return boundary_rows(self)
+
+    @cached_property
     def _reduction(self) -> Reduction:
         if self.mode == MODE_EXACT:
-            return Reduction.of_rows(boundary_rows(self), self.c1_dim)
+            return Reduction.of_rows(self._rows, self.c1_dim)
         return Reduction(self.boundary)
 
     @cached_property
@@ -183,10 +190,10 @@ def _offsets(dims) -> list[int]:
 
 
 def assemble_boundary(k: Cosheaf) -> np.ndarray:
-    """Block boundary matrix C_1 -> C_0: the rows of ``boundary_rows(k)``
-    written out densely over the cosheaf's common denominator."""
+    """Block boundary matrix C_1 -> C_0: the cosheaf's rows of d B, the
+    list its exact elimination reads, written out densely over d."""
     out = linalg.zeros(k.c0_dim, k.c1_dim, k.mode)
-    for i, row in enumerate(boundary_rows(k)):
+    for i, row in enumerate(k._rows):
         out[i, list(row)] = list(row.values())
     return from_integer_form(out, k._forms[1])
 
@@ -334,7 +341,7 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
         for v in (t, h):
             te = (ft[id(m.target.stalk_map(e, v))] @ fm[id(m.edge_maps[e])]) * ds
             vs = (fm[id(m.vertex_maps[v])] @ fs[id(m.source.stalk_map(e, v))]) * dt
-            if np.array_equal(te, vs):
+            if te.tolist() == vs.tolist():
                 continue
             diff = from_integer_form(te - vs, dm * ds * dt)
             res = max((abs(x) for x in diff.ravel().tolist()), default=0)
@@ -389,8 +396,7 @@ def quotient_cosheaf(m: CosheafMap) -> tuple[CosheafMap, CosheafMap]:
         for i, phi in enumerate(maps):
             if id(phi) not in keys:
                 red = Reduction.of_form(mforms[id(phi)].T.copy(), 1)
-                rref = tuple(red.row_basis().ravel().tolist()) if red.exact else id(phi)
-                key = keys[id(phi)] = (red.shape, rref)
+                key = keys[id(phi)] = (red.shape, red.rref_rows() if red.exact else id(phi))
                 if key not in quotients:
                     s, proj = _stalk_quotient(red, f"{kind} {i}")
                     quotients[key] = s, from_integer_form(*proj), proj

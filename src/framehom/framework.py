@@ -248,8 +248,14 @@ def load_framework(path, mode: str = MODE_EXACT) -> Framework:
 
 
 def _format_scalar(x) -> str:
-    if isinstance(x, (Fraction, int)):
-        return str(x)
+    """An exact value in full, at any size (``Decimal(int)`` is exact and,
+    unlike ``str(int)``, not bound by ``sys.get_int_max_str_digits()``);
+    any other value as a float's repr."""
+    if isinstance(x, Fraction):
+        text = str(Decimal(x.numerator))
+        return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
+    if isinstance(x, int):
+        return str(Decimal(x))
     return repr(float(x))
 
 

@@ -86,11 +86,14 @@ def identity(n: int, mode: str) -> np.ndarray:
 
 def integer_form(a: np.ndarray) -> tuple[np.ndarray, int]:
     """A matrix as (integer matrix, d) with ``a`` = ints / d: in exact mode d
-    is the lcm of the denominators of its entries; a float matrix is its own
-    form, over 1."""
+    is the lcm of the denominators of its entries.  A float matrix, and an
+    exact one whose entries are all ``int``, is its own form, over 1, not a
+    copy; no caller writes to a form."""
     if mode_of(a) == MODE_FLOAT:
         return a, 1
     flat = a.ravel().tolist()
+    if set(map(type, flat)) <= {int}:
+        return a, 1
     d = math.lcm(*(x.denominator for x in flat))
     ints = np.array([x.numerator * (d // x.denominator) for x in flat], dtype=object)
     return ints.reshape(a.shape), d
@@ -332,6 +335,12 @@ class Reduction:
                 if j in cols:
                     cols[j][i] = x
         return list(cols.values())
+
+    def rref_rows(self) -> tuple:
+        """Exact mode: the nonzero RREF rows, primitive with positive leading
+        entries, as sorted (column, entry) tuples; a hashable canonical
+        name for the row space."""
+        return tuple(tuple(sorted(self._reduced[c].items())) for c in self.pivots)
 
     def row_basis(self) -> np.ndarray:
         """Canonical independent rows spanning the row space: the nonzero

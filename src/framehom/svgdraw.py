@@ -50,21 +50,18 @@ def value_text(x: float, shift: int) -> str:
         return f"{Decimal(f'{Decimal(x) * 2 ** shift:.4g}').normalize():e}"
 
 
-class _Mapper:
-    def __init__(self, f: Framework):
-        pts = [_project(p) for p in f.positions]
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        w = max(xs) - min(xs)
-        h = max(ys) - min(ys)
-        span = max(w, h, 1e-9)
-        self.scale = (CANVAS - 2 * MARGIN) / span
-        self.x0, self.y0 = min(xs), min(ys)
-
-    def __call__(self, p) -> tuple[float, float]:
-        x, y = _project(p)
-        return (MARGIN + (x - self.x0) * self.scale,
-                CANVAS - MARGIN - (y - self.y0) * self.scale)
+def _layout(f: Framework) -> list[tuple[float, float]]:
+    """Canvas point of each vertex.  The layout is the same at any common
+    scale of the coordinates, so it reads them through ``scaled_floats``:
+    as floats, unless one is past float range."""
+    pts = [_project(p) for p in scaled_floats(f.positions)[0]]
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    w = max(xs) - min(xs)
+    h = max(ys) - min(ys)
+    scale = (CANVAS - 2 * MARGIN) / max(w, h, 1e-9)
+    x0, y0 = min(xs), min(ys)
+    return [(MARGIN + (x - x0) * scale, CANVAS - MARGIN - (y - y0) * scale) for x, y in pts]
 
 
 def render_svg(f: Framework, *, title: str = "",
@@ -76,7 +73,7 @@ def render_svg(f: Framework, *, title: str = "",
     ``edge_texts`` maps edge index -> annotation string; ``vertex_arrows``
     maps vertex id -> force vector (any dimension matching the framework).
     """
-    m = _Mapper(f)
+    xy = _layout(f)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -91,8 +88,8 @@ def render_svg(f: Framework, *, title: str = "",
         out.append(f'<text x="{_fmt(CANVAS / 2)}" y="28" font-size="16" '
                    f'text-anchor="middle" font-family="monospace">{title}</text>')
     for k, (t, h) in enumerate(f.edges):
-        x1, y1 = m(f.positions[t])
-        x2, y2 = m(f.positions[h])
+        x1, y1 = xy[t]
+        x2, y2 = xy[h]
         out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
                    'stroke="black" stroke-width="2"/>')
         if show_values and edge_texts and k in edge_texts:
@@ -115,7 +112,7 @@ def render_svg(f: Framework, *, title: str = "",
             plen = math.hypot(ux, uy)
             if plen == 0:
                 continue
-            x, y = m(f.positions[v])
+            x, y = xy[v]
             dx = ux / plen * norm * arrow_scale
             dy = uy / plen * norm * arrow_scale
             out.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y)}" '
@@ -125,8 +122,7 @@ def render_svg(f: Framework, *, title: str = "",
                 out.append(f'<text x="{_fmt(x + dx + 4)}" y="{_fmt(y - dy - 4)}" '
                            f'font-size="11" font-family="monospace" fill="green">'
                            f'{value_text(norm, shift)}</text>')
-    for v, p in enumerate(f.positions):
-        x, y = m(p)
+    for v, (x, y) in enumerate(xy):
         out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(VERTEX_R)}" '
                    'fill="white" stroke="black" stroke-width="1.5"/>')
         out.append(f'<text x="{_fmt(x + 8)}" y="{_fmt(y + 12)}" font-size="12" '

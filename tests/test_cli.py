@@ -18,6 +18,8 @@ from framehom import (
     build_force_cosheaf,
     build_moment_cosheaf,
     counting_rules,
+    format_framework,
+    load_framework,
     make_desargues,
     make_named,
     perturb,
@@ -191,6 +193,51 @@ def test_an_exponent_within_the_int_digit_limit_is_read(monkeypatch):
         _parse_scalar("3e6", "exact", "x")
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)   # 0: no limit
     assert _parse_scalar("1e6", "exact", "x") == 10 ** 6
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Sets int's digit limit for str (4300 is CPython's default) for one test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+# a triangle whose bar directions and exact entries pass float range and the
+# 4300-digit limit of str(int); its exponent is within the parser's limit
+HUGE_TRIANGLE = "dim 2\nv 0 0 0\nv 1 1e4000 0\nv 2 1 2\ne 0 1\ne 1 2\ne 0 2\n"
+
+
+def test_json_prints_exact_entries_of_any_size(tmp_path, capsys, int_digit_limit):
+    path = tmp_path / "huge.fw"
+    path.write_text(HUGE_TRIANGLE)
+    int_digit_limit(4300)
+    assert main(["analyze", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    got = doc["generators"]["anchored_h1"]
+    int_digit_limit(0)   # 0: no limit, so str prints the expected entries
+    want = _LesContext(load_framework(path)).anch.h1.vectors
+    assert got == [[str(x) for x in v] for v in want]
+    assert max(len(x) for v in got for x in v) > 4300
+    # a coordinate printed by format_framework
+    f = dataclasses.replace(make_named("triangle"), positions=((0, 0), (10 ** 4300, 0), (1, 2)))
+    text = format_framework(f)
+    int_digit_limit(4300)
+    assert format_framework(f) == text and "v 1 1" + "0" * 4300 + " 0\n" in text
+
+
+def test_svg_labels_a_bar_direction_past_float_range(tmp_path):
+    # the shear of a bar whose direction overflows a float is read at a
+    # smaller scale of that direction; the layout at a smaller scale of all
+    # coordinates
+    path, out = tmp_path / "huge.fw", tmp_path / "huge.svg"
+    path.write_text(HUGE_TRIANGLE)
+    assert main(["svg", str(path), "--generator", "N:0", "--out", str(out)]) == 0
+    labels = re.findall(r">(M=\S+) (V=\S+)<", out.read_text())
+    assert len(labels) == 3
+    assert all(Decimal(x[2:]).is_finite() for pair in labels for x in pair)
+    # edges 0 and 1 overflow; edge 2 reads as a float, V = -2e8000 / sqrt(5)
+    assert [v for _, v in labels] == ["V=0", "V=2e+4000", "V=-8.944e+7999"]
 
 
 def test_main_builds_the_parser_once(square_fw, capsys):
@@ -762,6 +809,15 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
         # each product P T S is made once and its matrix shared by the cells
         anch = build_anchored_cosheaf(f)
         assert len({id(m) for m in anch.tail_maps + anch.head_maps}) == 6
+    # with the last column moved from x = 2 to x = 3, the horizontal bars have
+    # lengths 1 and 2 and still share a quotient; the diagonals now lie on two
+    # lines, (1, 1) from edge 12 and (2, 1) from edge 13
+    f = grid(3)
+    f = dataclasses.replace(f, positions=tuple((3 if x == 2 else x, y) for x, y in f.positions))
+    calls.clear()
+    assert main(["analyze", str(_saved(tmp_path, "grid3-stretched", f)), "--dims-only"]) == 0
+    capsys.readouterr()
+    assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12", "edge 13"]
 
 
 def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypatch):
@@ -779,17 +835,23 @@ def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypat
 
 def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, monkeypatch):
     # eliminations read sparse boundary rows; theta multiplies by the dense
-    # moment boundary
+    # moment boundary, written from the rows the moment elimination read, so
+    # each cosheaf (force, moment, anchored) builds its rows once
     path = _saved(tmp_path, "grid3", grid(3))
-    calls = []
-    original = cosheaf.assemble_boundary
+    calls, built = [], []
+    original, original_rows = cosheaf.assemble_boundary, cosheaf.boundary_rows
     monkeypatch.setattr(cosheaf, "assemble_boundary",
                         lambda k: calls.append(k.c0_dim) or original(k))
+    monkeypatch.setattr(cosheaf, "boundary_rows",
+                        lambda k: built.append(k.c0_dim) or original_rows(k))
     assert main(["analyze", str(path), "--dims-only"]) == 0
     assert calls == []
+    assert built == [18, 27, 9]
+    built.clear()
     assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
     assert calls == [9 * 3]
+    assert built == [18, 27, 9]
 
 
 # sha256 of the exact `analyze --dims-only --json` and `analyze --json`

@@ -334,6 +334,21 @@ def test_exact_solve_matches_sympy_domain_matrix(label, rows, ncols):
             solve_in_image(m, bad)
 
 
+def test_integer_form_of_an_integral_matrix():
+    # all-int entries: the matrix is its own form, over 1, not a copy
+    a = exact_matrix([[1, -2, 0], [3, 10 ** 40, 5]])
+    ints, d = integer_form(a)
+    assert ints is a and d == 1
+    # a Fraction of denominator 1 takes the clearing path and comes back as int
+    ints, d = integer_form(exact_matrix([[Fraction(2, 1), 3], [0, Fraction(-4, 1)]]))
+    assert d == 1 and ints.tolist() == [[2, 3], [0, -4]]
+    assert all(type(x) is int for x in ints.flat)
+    # a true fraction clears over the lcm of the denominators
+    ints, d = integer_form(exact_matrix([[Fraction(1, 2), 1], [Fraction(2, 3), 0]]))
+    assert d == 6 and ints.tolist() == [[3, 6], [4, 0]]
+    assert all(type(x) is int for x in ints.flat)
+
+
 def _random_rational(rng, shape, den_bits, zero=False):
     rows = [[0 if zero or rng.random() < 0.3 else
              Fraction(rng.randint(-50, 50), rng.randint(1, 2 ** den_bits))
