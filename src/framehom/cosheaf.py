@@ -12,29 +12,31 @@ integer rows built edge block by edge block, once per cosheaf; the dense
 block matrix is those rows written out, for the connecting map and for
 the float-mode SVDs.
 
-In exact mode the build and the chain-map work run on integers.  Each
-cosheaf and each map keeps its matrices as integers over one common
-denominator d.  The structural ``build_*`` functions and ``quotient_cosheaf``
-make their matrices from integers and hand those forms in at construction;
-only a cosheaf or map built from plain matrices clears them itself.  The
-eliminations read the integer rows of d B, which has
-the rank, pivots and kernel of B; maps are checked to commute on these
-forms as they are.  Chains travel between stages as forms too:
+Each cosheaf and each cosheaf map stores its matrices once, as integers
+in lowest terms over one denominator ``den`` (float matrices over 1).
+The structural ``build_*`` functions and ``quotient_cosheaf`` hand in
+integers and their denominator, other callers rational matrices over 1;
+``Cosheaf.stalk_map`` is the rational view.  The eliminations read the
+integer rows of den B, which has the rank, pivots and kernel of B; maps
+are checked to commute on the stored integers.  Chains travel between
+stages as forms (ints, d):
 ``CosheafMap.apply_form`` takes chains as (ints, d) and returns their
 image as a form, and ``Cosheaf.h1_coordinates_form`` reads the H1
 coordinates of such cycles at the free columns of the boundary's
 reduction and returns a form.  ``apply_c0``, ``apply_c1`` and
 ``h1_coordinates`` wrap them for callers holding matrices.  A stalk
-quotient is read off its map's integer form: the section is an integer
+quotient is read off its map's integers: the section is an integer
 kernel basis, the solve returns the projection as a form, and each
-quotient stalk map is an integer product of forms.
+quotient stalk map is an integer product of the projection, the target's
+stalk map and the section.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -62,13 +64,14 @@ class Cosheaf:
     B^T: in exact mode of B's sparse integer rows, and of only B's columns
     at its pivots, which span B^T's row space and so give the same
     canonical kernel; in float mode of the dense ``boundary``, assembled
-    once.  The rows of d B are built once (``boundary_rows``), and both the
-    exact elimination and the dense ``boundary`` read that one list; neither
-    writes to it.  The dimensions need only the rank.  ``h1_coordinates`` reads
-    cycles in the ``h1`` basis off B's reduction.  Code that makes the
-    stalk maps from integers hands in ``forms``, (matrix, (ints, d)) pairs
-    with matrix = ints / d; the common form is then read off them, and the
-    matrices are not cleared again.
+    once.  The rows of den B are built once (``boundary_rows``), and both
+    the exact elimination and the dense ``boundary`` read that one list;
+    neither writes to it.  The dimensions need only the rank.
+    ``h1_coordinates`` reads cycles in the ``h1`` basis off B's reduction.
+
+    The stalk maps handed in are read over ``den`` and stored as integers
+    in lowest terms over one ``den`` (``_lowest_terms``; float maps over
+    1); ``stalk_map`` is the rational view.
     """
 
     base: Framework
@@ -76,7 +79,7 @@ class Cosheaf:
     edge_dims: tuple
     tail_maps: tuple
     head_maps: tuple
-    forms: list | None = field(default=None, repr=False, compare=False)
+    den: int = 1
 
     def __post_init__(self):
         f = self.base
@@ -91,6 +94,7 @@ class Cosheaf:
                 v, m = (t, tm) if tm.shape != (vdims[t], ed) else (h, hm)
                 raise ValueError(f"stalk map of edge {k} at vertex {v} has shape {m.shape}, "
                                  f"expected {(vdims[v], ed)}")
+        _lowest_terms(self, ("tail_maps", "head_maps"))
 
     @property
     def mode(self) -> str:
@@ -105,23 +109,15 @@ class Cosheaf:
         return sum(self.edge_dims)
 
     def stalk_map(self, k: int, v: int) -> np.ndarray:
-        """Stalk map of edge k into endpoint vertex v."""
+        """Stalk map of edge k into endpoint vertex v, as a rational matrix."""
         t, h = self.base.edges[k]
-        if v == t:
-            return self.tail_maps[k]
-        if v == h:
-            return self.head_maps[k]
-        raise ValueError(f"vertex {v} is not an endpoint of edge {k}")
+        if v not in (t, h):
+            raise ValueError(f"vertex {v} is not an endpoint of edge {k}")
+        return from_integer_form((self.tail_maps if v == t else self.head_maps)[k], self.den)
 
     @cached_property
     def boundary(self) -> np.ndarray:
         return assemble_boundary(self)
-
-    @cached_property
-    def _forms(self) -> tuple[dict, int]:
-        if self.forms is None:
-            return _integer_forms(self.tail_maps + self.head_maps)
-        return _common_form(self.forms)
 
     @cached_property
     def _rows(self) -> list[dict]:
@@ -190,23 +186,24 @@ def _offsets(dims) -> list[int]:
 
 
 def assemble_boundary(k: Cosheaf) -> np.ndarray:
-    """Block boundary matrix C_1 -> C_0: the cosheaf's rows of d B, the
-    list its exact elimination reads, written out densely over d."""
+    """Block boundary matrix C_1 -> C_0: the cosheaf's rows of den B, the
+    list its exact elimination reads, written out densely over den."""
     out = linalg.zeros(k.c0_dim, k.c1_dim, k.mode)
     for i, row in enumerate(k._rows):
         out[i, list(row)] = list(row.values())
-    return from_integer_form(out, k._forms[1])
+    return from_integer_form(out, k.den)
 
 
 def boundary_rows(k: Cosheaf) -> list[dict]:
-    """The rows of d B as sparse {column: nonzero entry} maps of the stalk
-    maps' integer form over d (d = 1 in float mode).  The block in the rows
+    """The rows of den B as sparse {column: nonzero entry} maps of the
+    stored integer stalk maps (float maps in float mode).  The block in the rows
     of vertex v and columns of edge e is +(stalk map) when v is the head of
     e and -(stalk map) when v is the tail; cells are in list order, stalk
     coordinates within each cell.  Each distinct stalk map's signed nonzeros
     are listed once."""
+    maps = k.tail_maps + k.head_maps
     plus = {key: [(i, j, x) for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
-            for key, mi in k._forms[0].items()}
+            for key, mi in dict(zip(map(id, maps), maps)).items()}
     minus = {key: [(i, j, -x) for i, j, x in ent] for key, ent in plus.items()}
     voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
     rows = [{} for _ in range(k.c0_dim)]
@@ -239,14 +236,15 @@ class CosheafMap:
 
     Valid maps commute with the stalk maps at every incidence; call
     check_cosheaf_map to verify, or read ``check`` for that verdict
-    computed once per map.  ``forms`` is as for ``Cosheaf``.
+    computed once per map.  The vertex and edge maps are stored as for
+    ``Cosheaf``: integers over one ``den``, in lowest terms.
     """
 
     source: Cosheaf
     target: Cosheaf
     vertex_maps: tuple
     edge_maps: tuple
-    forms: list | None = field(default=None, repr=False, compare=False)
+    den: int = 1
 
     def __post_init__(self):
         if self.source.base is not self.target.base and \
@@ -261,16 +259,11 @@ class CosheafMap:
             for i, (m, want) in enumerate(zip(maps, zip(rows, cols))):
                 if m.shape != want:
                     raise ValueError(f"{kind} map {i} has shape {m.shape}, expected {want}")
+        _lowest_terms(self, ("vertex_maps", "edge_maps"))
 
     @cached_property
     def check(self) -> MapCheck:
         return check_cosheaf_map(self)
-
-    @cached_property
-    def _forms(self) -> tuple[dict, int]:
-        if self.forms is None:
-            return _integer_forms(self.vertex_maps + self.edge_maps)
-        return _common_form(self.forms)
 
     def apply_c1(self, x: np.ndarray) -> np.ndarray:
         """Apply the edge maps to a flat C_1 chain or to one chain per column."""
@@ -285,37 +278,46 @@ class CosheafMap:
         chains ints / den, one flat chain or one chain per column, and return
         the image as a form (ints, d).
 
-        Each block's rows of the result are its map's integer form times the
-        block's rows of ``ints``, over the map's d times ``den``; in float
-        mode both forms are the float matrices, over 1.
+        Each block's rows of the result are its stored integer map times the
+        block's rows of ``ints``, over the map's ``den`` times ``den``; in
+        float mode both are float matrices, over 1.
         """
         maps = self.edge_maps if degree == 1 else self.vertex_maps
         rows = [m.shape[0] for m in maps]
         cols = [m.shape[1] for m in maps]
-        forms, d = self._forms
         out = np.zeros((sum(rows),) + ints.shape[1:], dtype=np.result_type(ints, *maps))
         for m, r, c in zip(maps, _offsets(rows), _offsets(cols)):
-            out[r:r + m.shape[0]] = forms[id(m)] @ ints[c:c + m.shape[1]]
-        return out, d * den
+            out[r:r + m.shape[0]] = m @ ints[c:c + m.shape[1]]
+        return out, self.den * den
 
 
-def _integer_forms(mats) -> tuple[dict, int]:
-    """The distinct matrices of ``mats`` cleared with ``integer_form`` and
-    brought over one common denominator by ``_common_form``."""
-    return _common_form([(a, integer_form(a)) for a in {id(a): a for a in mats}.values()])
-
-
-def _common_form(pairs) -> tuple[dict, int]:
-    """(matrix, (ints, d)) ``pairs`` in lowest terms over their least common
-    d: ({id: ints}, d), each distinct matrix = ints / d (a float matrix is
-    its own ints, over 1); valid while the matrices are referenced."""
+def _lowest_terms(obj, names) -> None:
+    """Store the matrices of ``obj``'s fields ``names``, read over
+    ``obj.den``, as integers in lowest terms over their least common
+    denominator, and that denominator as ``obj.den``; a float matrix is
+    divided by ``den`` and stored over 1.  Each distinct matrix is cleared
+    once, so matrices shared between cells stay shared; fields whose
+    matrices are all kept as they are are not rebuilt."""
+    den = obj.den
+    if type(den) is not int or den < 1:
+        raise ValueError(f"den must be a positive int, got {den!r}")
+    groups = [getattr(obj, name) for name in names]
+    cells = list(chain.from_iterable(groups))
+    distinct = dict(zip(map(id, cells), cells))
     low = {}
-    for a, (ints, md) in pairs:
-        if id(a) not in low:
-            g = math.gcd(md, *ints.ravel().tolist()) if md != 1 else 1
-            low[id(a)] = (ints // g, md // g) if g > 1 else (ints, md)
+    for key, a in distinct.items():
+        ints, md = integer_form(a)
+        md *= den
+        if linalg.mode_of(a) != MODE_EXACT and md != 1:
+            ints, md = ints / md, 1
+        g = math.gcd(md, *ints.ravel().tolist()) if md != 1 else 1
+        low[key] = (ints // g, md // g) if g > 1 else (ints, md)
     d = math.lcm(*(md for _, md in low.values()))
-    return {key: ints if md == d else ints * (d // md) for key, (ints, md) in low.items()}, d
+    lowest = {key: ints if md == d else ints * (d // md) for key, (ints, md) in low.items()}
+    if any(lowest[key] is not a for key, a in distinct.items()):
+        for name, maps in zip(names, groups):
+            object.__setattr__(obj, name, tuple(map(lowest.__getitem__, map(id, maps))))
+    object.__setattr__(obj, "den", d)
 
 
 @dataclass(frozen=True)
@@ -329,21 +331,22 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
 
     At each incidence the target stalk map T composed with the edge map E
     must equal the vertex map V composed with the source stalk map S: on
-    the integer forms of the map and both cosheaves, (T E) d_S = (V S) d_T
+    the stored integers of the map and both cosheaves, (T E) d_S = (V S) d_T
     (the map's own d cancels).  Only a failing incidence forms T E - V S,
     as that difference over d_m d_S d_T, and reports its largest |entry|,
     exactly in exact mode; float mode tolerates 1e-9.
     """
-    (fm, dm), (fs, ds), (ft, dt) = m._forms, m.source._forms, m.target._forms
-    tol = 0 if m.source.mode == MODE_EXACT else 1e-9
+    src, tgt, dm = m.source, m.target, m.den
+    tol = 0 if src.mode == MODE_EXACT else 1e-9
     failures = []
-    for e, (t, h) in enumerate(m.source.base.edges):
-        for v in (t, h):
-            te = (ft[id(m.target.stalk_map(e, v))] @ fm[id(m.edge_maps[e])]) * ds
-            vs = (fm[id(m.vertex_maps[v])] @ fs[id(m.source.stalk_map(e, v))]) * dt
+    for e, (t, h) in enumerate(src.base.edges):
+        for v, tm, sm in ((t, tgt.tail_maps[e], src.tail_maps[e]),
+                          (h, tgt.head_maps[e], src.head_maps[e])):
+            te = (tm @ m.edge_maps[e]) * src.den
+            vs = (m.vertex_maps[v] @ sm) * tgt.den
             if te.tolist() == vs.tolist():
                 continue
-            diff = from_integer_form(te - vs, dm * ds * dt)
+            diff = from_integer_form(te - vs, dm * src.den * tgt.den)
             res = max((abs(x) for x in diff.ravel().tolist()), default=0)
             if res > tol:
                 failures.append((e, v, res))
@@ -383,48 +386,43 @@ def quotient_cosheaf(m: CosheafMap) -> tuple[CosheafMap, CosheafMap]:
     whatever the bar's length or orientation.  Float mode keys on the
     stalk-map object.  A non-injective stalk raises at its first cell.  Each
     distinct triple of factors P T S of a quotient stalk map is one integer
-    product of their forms, over d_P d_T.  The quotient cosheaf and both
-    maps are handed the forms they are made of.
+    product of the projections brought over one d_P, the target's stalk
+    map and the section, over d_P d_T.
     """
-    src, tgt = m.source, m.target
-    f = src.base
-    (mforms, _), (tforms, dt) = m._forms, tgt._forms
+    tgt, f = m.target, m.target.base
     keys, quotients, products = {}, {}, {}
 
     # every stalk map and factor stays referenced until the return, so no id is reused
     def stalk_quotients(maps, kind: str) -> list:
         for i, phi in enumerate(maps):
             if id(phi) not in keys:
-                red = Reduction.of_form(mforms[id(phi)].T.copy(), 1)
+                red = Reduction.of_form(phi.T.copy(), 1)
                 key = keys[id(phi)] = (red.shape, red.rref_rows() if red.exact else id(phi))
                 if key not in quotients:
-                    s, proj = _stalk_quotient(red, f"{kind} {i}")
-                    quotients[key] = s, from_integer_form(*proj), proj
+                    quotients[key] = _stalk_quotient(red, f"{kind} {i}")
         return [quotients[keys[id(phi)]] for phi in maps]
 
-    def stalk_map(vq, transport, eq):
-        key = (id(vq[1]), id(transport), id(eq[0]))
+    vq, eq = stalk_quotients(m.vertex_maps, "vertex"), stalk_quotients(m.edge_maps, "edge")
+    dp = math.lcm(*(d for _, (_, d) in quotients.values()))
+    proj = {id(p): p if d == dp else p * (dp // d) for _, (p, d) in quotients.values()}
+    vp, ep = [proj[id(p)] for _, (p, _) in vq], [proj[id(p)] for _, (p, _) in eq]
+
+    def stalk_map(p, transport, s):
+        key = (id(p), id(transport), id(s))
         if key not in products:
-            (p, dp), s = vq[2], eq[0]
-            form = (p @ tforms[id(transport)] @ s, dp * dt)
-            products[key] = from_integer_form(*form), form
+            products[key] = p @ transport @ s
         return products[key]
 
-    vq, eq = stalk_quotients(m.vertex_maps, "vertex"), stalk_quotients(m.edge_maps, "edge")
-    tails = [stalk_map(vq[t], tgt.tail_maps[e], eq[e]) for e, (t, h) in enumerate(f.edges)]
-    heads = [stalk_map(vq[h], tgt.head_maps[e], eq[e]) for e, (t, h) in enumerate(f.edges)]
     q = Cosheaf(
         base=f,
-        vertex_dims=tuple(s.shape[1] for s, _, _ in vq),
-        edge_dims=tuple(s.shape[1] for s, _, _ in eq),
-        tail_maps=tuple(a for a, _ in tails),
-        head_maps=tuple(a for a, _ in heads),
-        forms=list(products.values()),
+        vertex_dims=tuple(s.shape[1] for s, _ in vq),
+        edge_dims=tuple(s.shape[1] for s, _ in eq),
+        tail_maps=tuple(stalk_map(vp[t], tgt.tail_maps[e], eq[e][0])
+                        for e, (t, h) in enumerate(f.edges)),
+        head_maps=tuple(stalk_map(vp[h], tgt.head_maps[e], eq[e][0])
+                        for e, (t, h) in enumerate(f.edges)),
+        den=dp * tgt.den,
     )
-    distinct = quotients.values()
-    return (CosheafMap(source=tgt, target=q, vertex_maps=tuple(p for _, p, _ in vq),
-                       edge_maps=tuple(p for _, p, _ in eq),
-                       forms=[(p, form) for _, p, form in distinct]),
-            CosheafMap(source=q, target=tgt, vertex_maps=tuple(s for s, _, _ in vq),
-                       edge_maps=tuple(s for s, _, _ in eq),
-                       forms=[(s, (s, 1)) for s, _, _ in distinct]))
+    return (CosheafMap(source=tgt, target=q, vertex_maps=tuple(vp), edge_maps=tuple(ep), den=dp),
+            CosheafMap(source=q, target=tgt, vertex_maps=tuple(s for s, _ in vq),
+                       edge_maps=tuple(s for s, _ in eq)))

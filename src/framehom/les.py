@@ -194,7 +194,7 @@ class _LesContext:
         components vanish, as for cycles of the anchored boundary; otherwise
         it raises ValueError.
         """
-        pad = self.phi.vertex_maps[0]
+        pad = from_integer_form(self.phi.vertex_maps[0], self.phi.den)
         (rows, n), nv, k = pad.shape, self.f.num_vertices, chains.shape[1]
         y = self.moment.boundary @ self.section.apply_c1(chains)
         couples = y.reshape(nv, rows, k).transpose(1, 0, 2).reshape(rows, nv * k)

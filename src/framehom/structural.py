@@ -25,9 +25,10 @@ exact rational arithmetic survives.
 The stalk maps are made from the framework's ``direction_form``, the
 directions as integers over one common denominator D: a force column is
 (P_h - P_t) over D, a couple transport (2D I + lever entries) over 2D, a
-``phi`` edge map the force column under zero moment rows, over D.  Each
-cosheaf and map is handed these forms with its matrices; in float mode the
-form is the float matrix, over 1, and halving it is exact.
+``phi`` edge map the force column under zero moment rows and its vertex
+map D [0; I], both over D.  Each cosheaf and map is handed these integers
+and their denominator, and stores them in lowest terms; in float mode it
+divides the float matrices by the denominator once, and halving is exact.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from . import linalg
 from .cosheaf import Cosheaf, CosheafMap, quotient_cosheaf
 from .framework import Framework
-from .linalg import MODE_EXACT, SubspaceBasis, from_integer_form, span_rows
+from .linalg import SubspaceBasis, span_rows
 
 
 @cache
@@ -73,25 +74,17 @@ def couple_dim(n: int) -> int:
     return moment_dim(n) + n
 
 
-def _stalk(ints: np.ndarray, den) -> tuple[np.ndarray, tuple]:
-    """The stalk map ints / den and the form its cosheaf is handed: (ints, den)
-    in exact mode, the float matrix over 1 in float mode (halving is exact)."""
-    if linalg.mode_of(ints) != MODE_EXACT:
-        ints, den = ints / den, 1
-    return from_integer_form(ints, den), (ints, den)
-
-
-def _padded_direction(pad: int, delta, den, mode: str) -> tuple[np.ndarray, tuple]:
-    """The column of ``pad`` zeros over the direction delta / den, and its form."""
+def _padded_direction(pad: int, delta, mode: str) -> np.ndarray:
+    """The column of ``pad`` zeros over the direction delta."""
     col = linalg.zeros(pad + len(delta), 1, mode)
     col[pad:, 0] = delta
-    return _stalk(col, den)
+    return col
 
 
-def _transport(delta, den, mode: str) -> tuple[np.ndarray, tuple]:
+def _transport(delta, den, mode: str) -> np.ndarray:
     """Stalk map (M, F) -> (M + F ^ lever, F) for the lever delta / (2 den),
-    and its form over 2 den: 2 den on the diagonal, and moment row r = (i, j)
-    picks up delta_j F_i - delta_i F_j."""
+    times 2 den: 2 den on the diagonal, and moment row r = (i, j) picks up
+    delta_j F_i - delta_i F_j."""
     n = len(delta)
     w = moment_dim(n)
     out = linalg.zeros(w + n, w + n, mode)
@@ -99,7 +92,7 @@ def _transport(delta, den, mode: str) -> tuple[np.ndarray, tuple]:
     for r, (i, j) in enumerate(bivector_pairs(n)):
         out[r, w + i] = delta[j]
         out[r, w + j] = -delta[i]
-    return _stalk(out, 2 * den)
+    return out
 
 
 def build_force_cosheaf(f: Framework) -> Cosheaf:
@@ -110,16 +103,15 @@ def build_force_cosheaf(f: Framework) -> Cosheaf:
     bar.  Edges with equal directions share one matrix.
     """
     deltas, den = f.direction_form
-    column = cache(lambda d: _padded_direction(0, d, den, f.mode))
-    cols = [column(d) for d in deltas]
-    maps = tuple(m for m, _ in cols)
+    column = cache(lambda d: _padded_direction(0, d, f.mode))
+    maps = tuple(column(d) for d in deltas)
     return Cosheaf(
         base=f,
         vertex_dims=(f.dim,) * f.num_vertices,
         edge_dims=(1,) * f.num_edges,
         tail_maps=maps,
         head_maps=maps,
-        forms=cols,
+        den=den,
     )
 
 
@@ -140,9 +132,9 @@ def build_moment_cosheaf(f: Framework) -> Cosheaf:
         base=f,
         vertex_dims=(couple_dim(f.dim),) * f.num_vertices,
         edge_dims=(couple_dim(f.dim),) * f.num_edges,
-        tail_maps=tuple(m for m, _ in tails),
-        head_maps=tuple(m for m, _ in heads),
-        forms=tails + heads,
+        tail_maps=tuple(tails),
+        head_maps=tuple(heads),
+        den=2 * den,
     )
 
 
@@ -156,17 +148,16 @@ def build_phi(f: Framework) -> CosheafMap:
     """
     n = f.dim
     w = moment_dim(n)
-    vmap = linalg.zeros(w + n, n, f.mode)
-    vmap[range(w, w + n), range(n)] = 1
     deltas, den = f.direction_form
-    column = cache(lambda d: _padded_direction(w, d, den, f.mode))
-    emaps = [column(d) for d in deltas]
+    vmap = linalg.zeros(w + n, n, f.mode)
+    vmap[range(w, w + n), range(n)] = den
+    column = cache(lambda d: _padded_direction(w, d, f.mode))
     return CosheafMap(
         source=build_force_cosheaf(f),
         target=build_moment_cosheaf(f),
         vertex_maps=(vmap,) * f.num_vertices,
-        edge_maps=tuple(m for m, _ in emaps),
-        forms=emaps + [(vmap, (vmap, 1))],
+        edge_maps=tuple(column(d) for d in deltas),
+        den=den,
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from framehom import linalg, make_desargues, make_named, verify_les
 from framehom import make_grid as grid, make_lattice as lattice  # noqa: F401
 from framehom.cosheaf import CosheafMap
+from framehom.linalg import from_integer_form
 from framehom.les import _LesContext
 
 RANDOM_2D_SEEDS = range(10)
@@ -18,8 +19,8 @@ def block_boundary(k):
     voff = [sum(k.vertex_dims[:v]) for v in range(len(k.vertex_dims))]
     for e, (t, h) in enumerate(k.base.edges):
         cols = slice(sum(k.edge_dims[:e]), sum(k.edge_dims[:e + 1]))
-        b[voff[h]:voff[h] + k.vertex_dims[h], cols] += k.head_maps[e]
-        b[voff[t]:voff[t] + k.vertex_dims[t], cols] -= k.tail_maps[e]
+        b[voff[h]:voff[h] + k.vertex_dims[h], cols] += k.stalk_map(e, h)
+        b[voff[t]:voff[t] + k.vertex_dims[t], cols] -= k.stalk_map(e, t)
     return b
 
 
@@ -74,15 +75,18 @@ def random_section(ctx, rng):
     row.  It is still a right inverse of the projection, and the snake
     construction must quotient the axial component away.
     """
+    section, phi = ctx.section, ctx.phi
+    vertex_maps = tuple(from_integer_form(m, section.den) for m in section.vertex_maps)
     edge_maps = []
-    for e, sec in enumerate(ctx.section.edge_maps):
+    for e, sec in enumerate(section.edge_maps):
         r = linalg.zeros(ctx.force.edge_dims[e], sec.shape[1], ctx.f.mode)
         for i in range(r.shape[0]):
             for j in range(r.shape[1]):
                 r[i, j] = rng.randint(-3, 3)
-        edge_maps.append(sec + ctx.phi.edge_maps[e] @ r)
+        edge_maps.append(from_integer_form(sec, section.den)
+                         + from_integer_form(phi.edge_maps[e], phi.den) @ r)
     return CosheafMap(source=ctx.anch, target=ctx.moment,
-                      vertex_maps=ctx.section.vertex_maps, edge_maps=tuple(edge_maps))
+                      vertex_maps=vertex_maps, edge_maps=tuple(edge_maps))
 
 
 def theta_with_random_section(f, rng):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from framehom import Framework, counting_rules, verify_les, wedge
 from framehom.framework import _random_framework
-from framehom.linalg import MODE_EXACT
+from framehom.linalg import MODE_EXACT, from_integer_form
 from framehom.structural import _transport, bivector_pairs, moment_dim
 
 ints = st.integers(-50, 50)
@@ -127,9 +127,10 @@ couples = st.integers(2, 5).flatmap(lambda n: st.tuples(
 @given(couples)
 def test_transport_adds_the_lever_moment(case):
     lever, force, moment = case
-    # the lever delta / (2 den) with delta = 2 lever and den = 1
-    t, (ints, den) = _transport(tuple(2 * x for x in lever), 1, MODE_EXACT)
-    assert den == 2 and (ints == 2 * t).all()
+    # the lever delta / (2 den) with delta = 2 lever and den = 1: ints over 2
+    ints = _transport(tuple(2 * x for x in lever), 1, MODE_EXACT)
+    t = from_integer_form(ints, 2)
+    assert (ints == 2 * t).all()
     assert list(t @ ([0] * len(moment) + force)) == list(wedge(force, lever)) + force
     moved = t @ (moment + force)
     assert list(moved) == [m + c for m, c in zip(moment, wedge(force, lever))] + force

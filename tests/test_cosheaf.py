@@ -20,8 +20,9 @@ from framehom import (
     quotient_cosheaf,
     verify_les,
 )
-from framehom import cosheaf, linalg
+from framehom import cosheaf, les, linalg, structural
 from framehom.cosheaf import Cosheaf, _stalk_quotient, boundary_rows
+from framehom.les import _LesContext
 from framehom.linalg import (
     Reduction,
     exact_matrix,
@@ -172,17 +173,23 @@ def test_exact_h0_reduces_only_the_independent_rows_of_the_transpose(monkeypatch
 
 
 def test_integer_forms_put_every_stalk_map_over_one_denominator():
-    # the anchored stalk maps of a perturbed Desargues frame have many denominators
+    # the anchored stalk maps of a perturbed Desargues frame have many denominators;
+    # handed in as rationals over 1, they are stored as integers over their lcm
     f = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 4)
-    k = build_anchored_cosheaf(f)
-    maps = k.tail_maps + k.head_maps
+    anch = build_anchored_cosheaf(f)
+    views = {id(m): from_integer_form(m, anch.den) for m in anch.tail_maps + anch.head_maps}
+    tails = tuple(views[id(m)] for m in anch.tail_maps)
+    heads = tuple(views[id(m)] for m in anch.head_maps)
+    maps = tails + heads
     dens = {math.lcm(*(x.denominator for x in m.ravel().tolist())) for m in maps}
     assert len(dens) > 1
-    forms, d = cosheaf._integer_forms(maps)
+    k = Cosheaf(base=f, vertex_dims=anch.vertex_dims, edge_dims=anch.edge_dims,
+                tail_maps=tails, head_maps=heads)
+    d = k.den
     assert d == math.lcm(*dens)
-    assert set(forms) == {id(m) for m in maps}
-    for m in maps:
-        ints = forms[id(m)]
+    stored = k.tail_maps + k.head_maps
+    assert len({id(m) for m in stored}) == len({id(m) for m in maps})
+    for m, ints in zip(maps, stored):
         assert all(type(x) is int for x in ints.ravel().tolist())
         assert np.array_equal(ints, m * d)
 
@@ -222,44 +229,54 @@ def _same_entries(got, want):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_forms_handed_in_at_construction_are_the_integer_forms(corpus, mode):
-    # build_phi and quotient_cosheaf make every stalk map from integers and hand its form in;
-    # it must be the form _integer_forms clears off the matrices themselves
+def test_stored_stalk_maps_are_integers_in_lowest_terms(corpus, mode):
+    # every cosheaf and map of the pipeline stores its matrices once, as ints over
+    # one den with no common factor (floats over 1), and reads back the stalk
+    # maps built from Fraction or float directions
     perturbed = [(f"{name}-perturbed", perturb(f, Fraction(1, 100), 1)) for name, f in
                  (("desargues", make_desargues(Fraction(1, 2))), ("box3d", make_named("box3d")))]
     for label, f in corpus + perturbed:
         f = f if mode == "exact" else f.as_float()
         phi = build_phi(f)
         pi, section = quotient_cosheaf(phi)
-        for k in (phi.source, phi.target, pi.target):
-            assert k.forms is not None, label
-            mats = k.tail_maps + k.head_maps
-            _assert_same_form(k._forms, cosheaf._integer_forms(mats), label)
-        for m in (phi, pi, section):
-            assert m.forms is not None, label
-            _assert_same_form(m._forms, cosheaf._integer_forms(m.vertex_maps + m.edge_maps), label)
+        stored = ([(k, k.tail_maps + k.head_maps) for k in (phi.source, phi.target, pi.target)]
+                  + [(m, m.vertex_maps + m.edge_maps) for m in (phi, pi, section)])
+        for obj, mats in stored:
+            entries = [x for a in mats for x in a.ravel().tolist()]
+            if mode == "float":
+                assert obj.den == 1, label
+            else:
+                assert all(type(x) is int for x in entries), label
+                assert math.gcd(obj.den, *entries) == 1, label
         cols, transports, emaps = _stalk_maps_as_before(f)
         force, moment = phi.source, phi.target
-        heads_tails = [a for pair in zip(moment.head_maps, moment.tail_maps) for a in pair]
-        got_maps = list(force.head_maps + force.tail_maps) + heads_tails + list(phi.edge_maps)
+        heads_tails = [moment.stalk_map(e, v) for e, (t, h) in enumerate(f.edges) for v in (h, t)]
+        got_maps = ([force.stalk_map(e, h) for e, (t, h) in enumerate(f.edges)]
+                    + [force.stalk_map(e, t) for e, (t, h) in enumerate(f.edges)]
+                    + heads_tails + [from_integer_form(m, phi.den) for m in phi.edge_maps])
         for got, want in zip(got_maps, cols + cols + transports + emaps, strict=True):
             assert _same_entries(got, want), label
 
 
-def _assert_same_form(got, want, label):
-    (forms, d), (want_forms, want_d) = got, want
-    assert d == want_d and forms.keys() == want_forms.keys(), label
-    for key, ints in want_forms.items():
-        assert _same_entries(forms[key], ints), label
-
-
-def test_the_pipeline_clears_no_stalk_map_to_a_form(monkeypatch):
-    # the structural and quotient cosheaves and maps are handed their forms
+def test_the_pipeline_writes_no_rational_stalk_map(monkeypatch):
+    # the structural and quotient cosheaves and maps are built and stored as
+    # integers: no from_integer_form call divides by a den other than 1
     calls = []
-    monkeypatch.setattr(cosheaf, "_integer_forms", lambda mats: calls.append(1))
+    original = linalg.from_integer_form
+
+    def recording(ints, den):
+        if den != 1:
+            calls.append(ints.shape)
+        return original(ints, den)
+
+    for module in (linalg, cosheaf, structural, les):
+        if getattr(module, "from_integer_form", None) is original:
+            monkeypatch.setattr(module, "from_integer_form", recording)
     for f in (perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 1), grid(3).as_float()):
-        verify_les(f)  # float theta miscounts round-off on grid3; only the forms matter here
+        _LesContext(f)
     assert calls == []
+    _LesContext(grid(3)).moment.stalk_map(0, 0)  # the rational view does go through it
+    assert calls
 
 
 @pytest.mark.parametrize("name", ["bar", "triangle", "square", "box3d"])
@@ -283,7 +300,7 @@ def test_unit_chain_boundary_matches_column():
     unit[0] = 1
     t, h = f.edges[0]
     want = [0] * k.c0_dim
-    for v, m, sign in ((h, k.head_maps[0], 1), (t, k.tail_maps[0], -1)):
+    for v, m, sign in ((h, k.stalk_map(0, h), 1), (t, k.stalk_map(0, t), -1)):
         for i in range(k.vertex_dims[v]):
             want[sum(k.vertex_dims[:v]) + i] = sign * m[i, 0]
     assert list(b @ unit) == want
@@ -320,12 +337,12 @@ def test_corrupted_lever_sign_fails_at_that_incidence():
     heads[2] = bad_map
     corrupted = Cosheaf(
         base=f, vertex_dims=moment.vertex_dims, edge_dims=moment.edge_dims,
-        tail_maps=moment.tail_maps, head_maps=tuple(heads))
+        tail_maps=moment.tail_maps, head_maps=tuple(heads), den=moment.den)
     bad_phi = CosheafMap(source=phi.source, target=corrupted,
-                         vertex_maps=phi.vertex_maps, edge_maps=phi.edge_maps)
+                         vertex_maps=phi.vertex_maps, edge_maps=phi.edge_maps, den=phi.den)
     assert check_cosheaf_map(bad_phi).passed  # axial forces cannot see it
     bad_pi = CosheafMap(source=corrupted, target=pi.target,
-                        vertex_maps=pi.vertex_maps, edge_maps=pi.edge_maps)
+                        vertex_maps=pi.vertex_maps, edge_maps=pi.edge_maps, den=pi.den)
     chk = check_cosheaf_map(bad_pi)
     assert not chk.passed
     assert [(e, v) for e, v, _ in chk.failures] == [(2, f.edges[2][1])]
@@ -346,12 +363,16 @@ def test_exact_map_check_decides_on_exact_entries(defect):
 
 def _product_failures(m):
     """(edge, vertex, largest |entry|) of each incidence whose two products
-    differ, the products formed on the rational matrices as they are."""
+    differ, the products formed on the rational matrices the stored ones
+    stand for."""
+    src, tgt = m.source, m.target
     out = []
-    for e, (t, h) in enumerate(m.source.base.edges):
-        for v in (t, h):
-            diff = (m.target.stalk_map(e, v) @ m.edge_maps[e]
-                    - m.vertex_maps[v] @ m.source.stalk_map(e, v))
+    for e, (t, h) in enumerate(src.base.edges):
+        for v, side in ((t, "tail_maps"), (h, "head_maps")):
+            diff = (from_integer_form(getattr(tgt, side)[e], tgt.den)
+                    @ from_integer_form(m.edge_maps[e], m.den)
+                    - from_integer_form(m.vertex_maps[v], m.den)
+                    @ from_integer_form(getattr(src, side)[e], src.den))
             res = max((abs(x) for x in diff.ravel().tolist()), default=0)
             if res:
                 out.append((e, v, res))
@@ -369,7 +390,8 @@ def test_exact_map_check_reports_the_product_difference(monkeypatch):
                         lambda *form: products.append(1) or from_integer_form(*form))
     assert check_cosheaf_map(pi).passed
     assert products == []
-    vertex_maps, edge_maps = list(pi.vertex_maps), list(pi.edge_maps)
+    vertex_maps = [from_integer_form(a, pi.den) for a in pi.vertex_maps]
+    edge_maps = [from_integer_form(a, pi.den) for a in pi.edge_maps]
     vertex_maps[3] = vertex_maps[3].copy()
     vertex_maps[3][0, 2] += Fraction(1, 7)
     edge_maps[5] = edge_maps[5] * 2
@@ -391,6 +413,25 @@ def test_map_shape_validation():
         CosheafMap(source=k, target=k,
                    vertex_maps=(identity(2, f.mode),) * 2,
                    edge_maps=(identity(2, f.mode),))
+
+
+@pytest.mark.parametrize("den", [0, -2, 2.0, Fraction(2)])
+def test_cosheaf_den_must_be_a_positive_int(den):
+    # a zero den would divide by zero in the normalizer, a negative one flip every sign
+    f = make_named("bar")
+    k = constant_cosheaf(f, 2)
+    with pytest.raises(ValueError, match="den must be a positive int"):
+        Cosheaf(base=f, vertex_dims=k.vertex_dims, edge_dims=k.edge_dims,
+                tail_maps=k.tail_maps, head_maps=k.head_maps, den=den)
+
+
+@pytest.mark.parametrize("den", [0, -2, 2.0, Fraction(2)])
+def test_cosheaf_map_den_must_be_a_positive_int(den):
+    f = make_named("bar")
+    k = constant_cosheaf(f, 2)
+    with pytest.raises(ValueError, match="den must be a positive int"):
+        CosheafMap(source=k, target=k, vertex_maps=(identity(2, f.mode),) * 2,
+                   edge_maps=(identity(2, f.mode),), den=den)
 
 
 @pytest.mark.parametrize("ncols", [0, 1, 3])
@@ -465,7 +506,8 @@ def test_projection_and_section_share_the_quotient_and_invert_on_every_stalk(cor
         assert section.target is phi.target, label
         for p, s in zip(pi.vertex_maps + pi.edge_maps,
                         section.vertex_maps + section.edge_maps):
-            err = p @ s - identity(s.shape[1], mode)
+            err = (from_integer_form(p, pi.den) @ from_integer_form(s, section.den)
+                   - identity(s.shape[1], mode))
             if mode == "exact":
                 assert not err.any(), label
             else:
@@ -512,20 +554,23 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
     moment = phi.target
     pi, section = quotient_cosheaf(phi)
 
-    def own_quotient(m):  # the quotient of m's integer form, projection written out
-        s, proj = _stalk_quotient(Reduction.of_form(phi._forms[0][id(m)].T.copy(), 1), "")
+    def own_quotient(m):  # the quotient of m's stored integers, projection written out
+        s, proj = _stalk_quotient(Reduction.of_form(m.T.copy(), 1), "")
         return s, from_integer_form(*proj)
+
+    def rational(obj, m):
+        return from_integer_form(m, obj.den)
 
     vertex = [own_quotient(m) for m in phi.vertex_maps]
     for v, (s, p) in enumerate(vertex):
-        assert _same(section.vertex_maps[v], s)
-        assert _same(pi.vertex_maps[v], p)
+        assert _same(rational(section, section.vertex_maps[v]), s)
+        assert _same(rational(pi, pi.vertex_maps[v]), p)
     for e, (t, h) in enumerate(f.edges):
         s, p = own_quotient(phi.edge_maps[e])
-        assert _same(section.edge_maps[e], s)
-        assert _same(pi.edge_maps[e], p)
-        assert _same(pi.target.tail_maps[e], vertex[t][1] @ moment.tail_maps[e] @ s)
-        assert _same(pi.target.head_maps[e], vertex[h][1] @ moment.head_maps[e] @ s)
+        assert _same(rational(section, section.edge_maps[e]), s)
+        assert _same(rational(pi, pi.edge_maps[e]), p)
+        assert _same(pi.target.stalk_map(e, t), vertex[t][1] @ moment.stalk_map(e, t) @ s)
+        assert _same(pi.target.stalk_map(e, h), vertex[h][1] @ moment.stalk_map(e, h) @ s)
 
 
 def test_quotient_projection_commutes():
@@ -552,7 +597,7 @@ def test_stalk_quotient_eliminates_twice(monkeypatch):
     original = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or original(rows))
     phi = build_phi(make_named("box3d"))
-    phi_t = Reduction.of_form(phi._forms[0][id(phi.edge_maps[0])].T.copy(), 1)
+    phi_t = Reduction.of_form(phi.edge_maps[0].T.copy(), 1)
     section, proj = _stalk_quotient(phi_t, "edge 0")
     proj = from_integer_form(*proj)
     assert len(calls) == 2
@@ -578,16 +623,16 @@ def test_quotient_homology_invariant_under_stalk_change_of_basis():
     t_e = [_random_invertible(d, rng) for d in moment.edge_dims]
     from framehom.linalg import solve_in_image
     inv_e = [from_integer_form(*solve_in_image(t, identity(t.shape[0], f.mode))) for t in t_e]
-    tails = tuple(t_v[t] @ moment.tail_maps[e] @ inv_e[e]
+    tails = tuple(t_v[t] @ moment.stalk_map(e, t) @ inv_e[e]
                   for e, (t, h) in enumerate(f.edges))
-    heads = tuple(t_v[h] @ moment.head_maps[e] @ inv_e[e]
+    heads = tuple(t_v[h] @ moment.stalk_map(e, h) @ inv_e[e]
                   for e, (t, h) in enumerate(f.edges))
     twisted = Cosheaf(base=f, vertex_dims=moment.vertex_dims,
                       edge_dims=moment.edge_dims, tail_maps=tails, head_maps=heads)
     twisted_phi = CosheafMap(
         source=phi.source, target=twisted,
         vertex_maps=tuple(t_v[v] @ phi.vertex_maps[v] for v in range(f.num_vertices)),
-        edge_maps=tuple(t_e[e] @ phi.edge_maps[e] for e in range(f.num_edges)))
+        edge_maps=tuple(t_e[e] @ phi.edge_maps[e] for e in range(f.num_edges)), den=phi.den)
     assert check_cosheaf_map(twisted_phi).passed
     pi0, _ = quotient_cosheaf(phi)
     pi1, _ = quotient_cosheaf(twisted_phi)

@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and each private
+function it defines."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,39 @@ def test_the_check_sees_unused_and_kept_imports():
 def test_module_imports_only_names_it_uses(path):
     # __init__.py is left out: its imports are the package's public names
     assert unused_imports((SRC / path).read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private function or method defined in
+    ``sources`` ({module: source}) that no code in ``sources`` refers to, as
+    a name or an attribute, outside its own body."""
+    refs, defs = Counter(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        refs.update(_references(tree))
+        defs += [(module, node) for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.startswith("_") and not node.name.startswith("__")]
+    return [f"{module}.{node.name}" for module, node in defs
+            if refs[node.name] - _references(node)[node.name] <= 0]
+
+
+def _references(tree) -> Counter:
+    return Counter([n.id for n in ast.walk(tree) if isinstance(n, ast.Name)]
+                   + [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+                   + [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                      for a in n.names])
+
+
+def test_the_check_sees_unreferenced_private_functions():
+    sources = {"a": "def _used():\n    pass\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\n"
+                    "class C:\n    def _helper(self):\n        pass\n\n"
+                    "    def __init__(self):\n        pass\n",
+               "b": "from a import _used\nprint(_used)\n"}
+    assert unreferenced_private_functions(sources) == ["a._recursive", "a._helper"]
+
+
+def test_every_private_function_is_used_in_the_package():
+    # a private helper that only the tests call has no place in the package
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []

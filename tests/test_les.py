@@ -14,6 +14,7 @@ from conftest import (
     domain_matrix,
     fractions_of,
     grid,
+    lattice,
     random_section,
     theta_with_random_section,
 )
@@ -80,10 +81,30 @@ def test_induced_map_requires_commuting():
     from framehom.cosheaf import CosheafMap
     bad = CosheafMap(source=force, target=moment,
                      vertex_maps=tuple(m.copy() for m in phi.vertex_maps),
-                     edge_maps=tuple(-m for m in phi.edge_maps))
+                     edge_maps=tuple(-m for m in phi.edge_maps), den=phi.den)
     bad.vertex_maps[0][1, 0] = 5  # break commuting at vertex 0
     with pytest.raises(ValueError, match="commute"):
         induced_map(bad, 1)
+
+
+FAMILIES = [("grid", n) for n in range(2, 13)] + [("lattice", n) for n in range(2, 5)]
+
+
+@pytest.mark.parametrize("family,n", FAMILIES, ids=[f"{fam}{n}" for fam, n in FAMILIES])
+def test_counting_rules_hold_on_grid_and_lattice_families(family, n):
+    # triangulated grids and face-diagonal lattices are infinitesimally rigid:
+    # no mechanism, and self-stresses |E| - (n|V| - k) with k = couple_dim(n)
+    f = grid(n) if family == "grid" else lattice(n)
+    ctx = _LesContext(f)
+    rules = ctx.counting
+    assert [c.name for c in rules] == ["maxwell_calladine", "moment_circuit_rank",
+                                       "anchored_stress_count", "anchored_decomposition",
+                                       "les_alternating_sum"]
+    assert [c.name for c in rules if not c.passed] == []
+    assert ctx.mech.dim == 0
+    ne, nv = f.num_edges, f.num_vertices
+    want = ne - 2 * nv + 3 if f.dim == 2 else ne - 3 * nv + 6
+    assert ctx.force.dims[0] == want
 
 
 def test_phi0_surjective_with_mechanism_kernel():
@@ -166,10 +187,11 @@ def _as_fractions(a):
     return np.array([Fraction(x) for x in a.ravel().tolist()], dtype=object).reshape(a.shape)
 
 
-def _apply_entrywise(maps, chains):
-    # the block-diagonal chain map, every entry a sum of Fraction products
+def _apply_entrywise(cmap, chains):
+    # the block-diagonal chain map of cmap's edge maps, every entry a sum of
+    # Fraction products
     blocks, c = [], 0
-    for m in maps:
+    for m in (from_integer_form(a, cmap.den) for a in cmap.edge_maps):
         blocks.append(_as_fractions(m) @ chains[c:c + m.shape[1]])
         c += m.shape[1]
     return np.vstack(blocks)
@@ -184,13 +206,13 @@ def test_exact_induced_maps_match_a_fraction_recomputation_and_sympy(name):
                 Fraction(1, 100), 1)
     ctx = _LesContext(f)
     for m, ind in ((ctx.phi, ctx.phi1), (ctx.pi, ctx.pi1)):
-        image = _apply_entrywise(m.edge_maps, _as_fractions(m.source.h1.matrix()))
+        image = _apply_entrywise(m, _as_fractions(m.source.h1.matrix()))
         coords = _as_fractions(ind.matrix)
         assert (_as_fractions(m.target.h1.matrix()) @ coords == image).all()
         assert ind.rank == domain_matrix(coords.tolist(), coords.shape[1]).rank()
     # theta: lift the anchored basis, take the frame boundary, keep each
     # vertex's force (its moment must vanish), project onto H0(force)
-    lift = _apply_entrywise(ctx.section.edge_maps, _as_fractions(ctx.anch.h1.matrix()))
+    lift = _apply_entrywise(ctx.section, _as_fractions(ctx.anch.h1.matrix()))
     y = _as_fractions(block_boundary(ctx.moment)) @ lift
     w, n, k = moment_dim(f.dim), f.dim, lift.shape[1]
     couples = y.reshape(f.num_vertices, w + n, k)
@@ -278,13 +300,14 @@ def test_random_section_moves_resultants_but_not_theta(name):
 def test_section_lifts_edge_by_edge(seed):
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f)
-    canonical = ctx.section.edge_maps
+    canonical = [from_integer_form(a, ctx.section.den) for a in ctx.section.edge_maps]
     if seed is not None:
         ctx.section = random_section(ctx, random.Random(seed))
-    sections = ctx.section.edge_maps
+    sections = [from_integer_form(a, ctx.section.den) for a in ctx.section.edge_maps]
     assert (seed is None) == all((a == b).all() for a, b in zip(sections, canonical))
     for e, sec in enumerate(sections):
-        assert (ctx.pi.edge_maps[e] @ sec == identity(sec.shape[1], f.mode)).all()
+        proj = from_integer_form(ctx.pi.edge_maps[e], ctx.pi.den)
+        assert (proj @ sec == identity(sec.shape[1], f.mode)).all()
     dims = ctx.anch.edge_dims
     for w in ctx.anch.h1.vectors[:4]:
         # reference: lift each edge's component through its own section
@@ -329,7 +352,7 @@ def test_desargues_perp_generator_maps_onto_the_unique_mechanism():
 
 def _per_cycle_resultants(ctx, chains):
     # reference: one lift, boundary product and padding solve per cycle
-    padding = ctx.phi.vertex_maps[0]
+    padding = from_integer_form(ctx.phi.vertex_maps[0], ctx.phi.den)
     b_moment = assemble_boundary(ctx.moment)
     cols = []
     for w in chains.T:

@@ -62,8 +62,8 @@ def horizontal_edge():
 def test_force_stalk_map_is_bar_direction():
     f = make_named("bar")
     k = build_force_cosheaf(f)
-    assert [x for x in k.tail_maps[0][:, 0]] == [1, 0]
-    assert [x for x in k.head_maps[0][:, 0]] == [1, 0]
+    assert [x for x in k.stalk_map(0, 0)[:, 0]] == [1, 0]
+    assert [x for x in k.stalk_map(0, 1)[:, 0]] == [1, 0]
     assert k.vertex_dims == (2, 2)
     assert k.edge_dims == (1,)
 
@@ -75,8 +75,8 @@ def test_moment_transport_shear_on_horizontal_edge():
     f = horizontal_edge()
     k = build_moment_cosheaf(f)
     shear = np.array([0, 0, 1], dtype=object)
-    at_head = k.head_maps[0] @ shear
-    at_tail = k.tail_maps[0] @ shear
+    at_head = k.stalk_map(0, 1) @ shear
+    at_tail = k.stalk_map(0, 0) @ shear
     assert [x for x in at_head] == [-1, 0, 1]
     assert [x for x in at_tail] == [1, 0, 1]
     assert at_head[0] == wedge((0, 1), (1, 0))[0]
@@ -86,10 +86,10 @@ def test_moment_transport_axial_and_pure_moment():
     f = horizontal_edge()
     k = build_moment_cosheaf(f)
     axial = np.array([0, 1, 0], dtype=object)
-    assert [x for x in k.head_maps[0] @ axial] == [0, 1, 0]
+    assert [x for x in k.stalk_map(0, 1) @ axial] == [0, 1, 0]
     pure = np.array([1, 0, 0], dtype=object)
-    assert [x for x in k.head_maps[0] @ pure] == [1, 0, 0]
-    assert [x for x in k.tail_maps[0] @ pure] == [1, 0, 0]
+    assert [x for x in k.stalk_map(0, 1) @ pure] == [1, 0, 0]
+    assert [x for x in k.stalk_map(0, 0) @ pure] == [1, 0, 0]
 
 
 def test_moment_transport_endpoint_matrix_form():
@@ -99,8 +99,8 @@ def test_moment_transport_endpoint_matrix_form():
     k = build_moment_cosheaf(f)
     head = [[1, 0, -1], [0, 1, 0], [0, 0, 1]]
     tail = [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
-    assert [[x for x in row] for row in k.head_maps[0]] == head
-    assert [[x for x in row] for row in k.tail_maps[0]] == tail
+    assert [[x for x in row] for row in k.stalk_map(0, 1)] == head
+    assert [[x for x in row] for row in k.stalk_map(0, 0)] == tail
 
 
 def test_moment_stalk_dims_3d():
@@ -116,7 +116,7 @@ def test_moment_transport_3d_shear():
     # unit z-force at the center, half lever (1,0,0): moment = F ^ lever =
     # cross((0,0,1),(1,0,0)) = (0,1,0)
     shear = np.array([0, 0, 0, 0, 0, 1], dtype=object)
-    out = k.head_maps[0] @ shear
+    out = k.stalk_map(0, 1) @ shear
     assert [x for x in out] == [0, 1, 0, 0, 0, 1]
 
 
