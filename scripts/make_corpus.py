@@ -9,7 +9,7 @@ grids 3, 4, 6 and 8, lattices 2 and 3, the box3d and Desargues frames
 perturbed at 1/100 with seed 1, and grid6 and lattice3 with every other
 edge reversed.  Comparing two versions of framehom is then
 
-    PYTHONPATH=src python scripts/output_digests.py corpus/*.fw corpus/large/*.fw
+    PYTHONPATH=src python scripts/output_digests.py corpus
 
 on each, and a diff of the two outputs.
 """

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Print the sha256 of every CLI output on some framework files, per mode.
 
-Usage: PYTHONPATH=src python scripts/output_digests.py FILE.fw [FILE.fw ...]
+Usage: PYTHONPATH=src python scripts/output_digests.py PATH [PATH ...]
+
+Each PATH is a framework file or a directory, which stands for its
+``*.fw`` files in sorted order, then those of each subdirectory in turn:
+``output_digests.py corpus`` covers what ``corpus/*.fw corpus/large/*.fw``
+does, in the same order.
 
 For each input and each mode (exact, then float) one line is printed:
 
@@ -88,8 +93,21 @@ def digest_line(path, mode, tmpdir) -> str:
     return f"{label} " + " ".join(fields)
 
 
+def framework_files(args) -> list:
+    """The files named by ``args``, where a directory gives its sorted
+    ``*.fw`` files, then those of its subdirectories, in sorted order."""
+    out = []
+    for a in map(Path, args):
+        if a.is_dir():
+            out += sorted(a.glob("*.fw"))
+            out += framework_files(sorted(d for d in a.iterdir() if d.is_dir()))
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
-    paths = sys.argv[1:] if argv is None else argv
+    paths = framework_files(sys.argv[1:] if argv is None else argv)
     if not paths:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 1

@@ -26,16 +26,16 @@ coordinates of such cycles at the free columns of the boundary's
 reduction and returns a form.  ``apply_c0``, ``apply_c1`` and
 ``h1_coordinates`` wrap them for callers holding matrices.  A stalk
 quotient is read off its map's integers: the section is an integer
-kernel basis, the solve returns the projection as a form, and each
-quotient stalk map is an integer product of the projection, the target's
-stalk map and the section.
+kernel basis, a solve returns the projection as a form when it is read,
+and each quotient stalk map is an integer product of the vertex
+projection, the target's stalk map and the section.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
@@ -87,14 +87,16 @@ class Cosheaf:
             raise ValueError("stalk dimension lists do not match the framework")
         if len(self.tail_maps) != f.num_edges or len(self.head_maps) != f.num_edges:
             raise ValueError("need exactly two stalk maps per edge")
-        vdims = self.vertex_dims
-        for k, ((t, h), tm, hm, ed) in enumerate(zip(f.edges, self.tail_maps, self.head_maps,
-                                                      self.edge_dims)):
-            if tm.shape != (vdims[t], ed) or hm.shape != (vdims[h], ed):
-                v, m = (t, tm) if tm.shape != (vdims[t], ed) else (h, hm)
-                raise ValueError(f"stalk map of edge {k} at vertex {v} has shape {m.shape}, "
-                                 f"expected {(vdims[v], ed)}")
-        _lowest_terms(self, ("tail_maps", "head_maps"))
+        vdims, cells = self.vertex_dims, self.tail_maps + self.head_maps
+        distinct = dict(zip(map(id, cells), cells))
+        if not _one_shape(distinct, vdims, self.edge_dims):
+            for k, ((t, h), tm, hm, ed) in enumerate(zip(f.edges, self.tail_maps,
+                                                          self.head_maps, self.edge_dims)):
+                if tm.shape != (vdims[t], ed) or hm.shape != (vdims[h], ed):
+                    v, m = (t, tm) if tm.shape != (vdims[t], ed) else (h, hm)
+                    raise ValueError(f"stalk map of edge {k} at vertex {v} has shape "
+                                     f"{m.shape}, expected {(vdims[v], ed)}")
+        _lowest_terms(self, ("tail_maps", "head_maps"), distinct)
 
     @property
     def mode(self) -> str:
@@ -253,13 +255,17 @@ class CosheafMap:
         f = self.source.base
         if len(self.vertex_maps) != f.num_vertices or len(self.edge_maps) != f.num_edges:
             raise ValueError("need one matrix per vertex and per edge")
+        distinct = {}
         for kind, maps, rows, cols in (
                 ("vertex", self.vertex_maps, self.target.vertex_dims, self.source.vertex_dims),
                 ("edge", self.edge_maps, self.target.edge_dims, self.source.edge_dims)):
-            for i, (m, want) in enumerate(zip(maps, zip(rows, cols))):
+            group = dict(zip(map(id, maps), maps))
+            distinct.update(group)
+            for i, (m, want) in enumerate(() if _one_shape(group, rows, cols) else
+                                          zip(maps, zip(rows, cols))):
                 if m.shape != want:
                     raise ValueError(f"{kind} map {i} has shape {m.shape}, expected {want}")
-        _lowest_terms(self, ("vertex_maps", "edge_maps"))
+        _lowest_terms(self, ("vertex_maps", "edge_maps"), distinct)
 
     @cached_property
     def check(self) -> MapCheck:
@@ -291,32 +297,39 @@ class CosheafMap:
         return out, self.den * den
 
 
-def _lowest_terms(obj, names) -> None:
+def _one_shape(distinct: dict, rows, cols) -> bool:
+    """Whether all cells need one shape (one value in ``rows`` and one in
+    ``cols``) and each ``distinct`` matrix has it; if not, the caller's
+    per-cell check runs and names the offender."""
+    r, c = set(rows), set(cols)
+    return len(r) == len(c) == 1 and all(a.shape == (*r, *c) for a in distinct.values())
+
+
+def _lowest_terms(obj, names, distinct: dict) -> None:
     """Store the matrices of ``obj``'s fields ``names``, read over
     ``obj.den``, as integers in lowest terms over their least common
     denominator, and that denominator as ``obj.den``; a float matrix is
-    divided by ``den`` and stored over 1.  Each distinct matrix is cleared
-    once, so matrices shared between cells stay shared; fields whose
-    matrices are all kept as they are are not rebuilt."""
+    divided by ``den`` and stored over 1.  The fields' ``distinct`` matrices,
+    by id, are cleared once over one D0 and divided by G = gcd(D0, every
+    entry), so shared matrices stay shared and D0 / G is the least common
+    denominator; fields whose matrices are all kept are not rebuilt."""
     den = obj.den
     if type(den) is not int or den < 1:
         raise ValueError(f"den must be a positive int, got {den!r}")
-    groups = [getattr(obj, name) for name in names]
-    cells = list(chain.from_iterable(groups))
-    distinct = dict(zip(map(id, cells), cells))
-    low = {}
-    for key, a in distinct.items():
-        ints, md = integer_form(a)
-        md *= den
-        if linalg.mode_of(a) != MODE_EXACT and md != 1:
-            ints, md = ints / md, 1
-        g = math.gcd(md, *ints.ravel().tolist()) if md != 1 else 1
-        low[key] = (ints // g, md // g) if g > 1 else (ints, md)
-    d = math.lcm(*(md for _, md in low.values()))
-    lowest = {key: ints if md == d else ints * (d // md) for key, (ints, md) in low.items()}
+    if any(linalg.mode_of(a) != MODE_EXACT for a in distinct.values()):
+        lowest, d = {key: a / den if den != 1 else a for key, a in distinct.items()}, 1
+    else:
+        forms = {key: integer_form(a) for key, a in distinct.items()}
+        m = math.lcm(*(md for _, md in forms.values()))
+        lowest = {key: a if md == m else a * (m // md) for key, (a, md) in forms.items()}
+        d = den * m
+        g = math.gcd(d, *chain.from_iterable(a.ravel().tolist() for a in lowest.values()))
+        if g > 1:
+            lowest, d = {key: a // g for key, a in lowest.items()}, d // g
     if any(lowest[key] is not a for key, a in distinct.items()):
-        for name, maps in zip(names, groups):
-            object.__setattr__(obj, name, tuple(map(lowest.__getitem__, map(id, maps))))
+        for name in names:
+            object.__setattr__(obj, name, tuple(map(lowest.__getitem__,
+                                                    map(id, getattr(obj, name)))))
     object.__setattr__(obj, "den", d)
 
 
@@ -357,55 +370,64 @@ def check_cosheaf_map(m: CosheafMap) -> MapCheck:
 # quotient cosheaves
 # ---------------------------------------------------------------------------
 
-def _stalk_quotient(red: Reduction, where: str):
+def _stalk_section(red: Reduction, where: str) -> np.ndarray:
     # red: the elimination of phi^T for a stalk map phi.  Its rank is rank phi,
-    # its kernel (im phi)^perp, a section S (integer in exact mode); one solve
-    # of [S^T S | S^T] gives the projection (S^T S)^-1 S^T as a form
+    # its kernel (im phi)^perp: the columns of a section S, integer in exact mode
     if red.rank != red.shape[0]:
         raise ValueError(f"map is not injective on the {where} stalk")
-    st = red.kernel().vectors                                   # q x t_dim
-    section = st.T.copy()
-    return section, solve_in_image(st @ section, st)
+    return red.kernel().vectors.T.copy()
 
 
-def quotient_cosheaf(m: CosheafMap) -> tuple[CosheafMap, CosheafMap]:
+def quotient_cosheaf(m: CosheafMap) -> tuple:
     """Quotient target/im(m) for a stalk-wise injective cosheaf map.
 
-    Returns ``(projection, section)``: the projection target -> q and the
-    canonical section q -> target, two maps that share the quotient
-    cosheaf q.  Each quotient stalk is realized as the orthogonal
-    complement of the embedded image inside the target stalk, and the
-    section's columns span it.  The section is a stalk-wise right inverse
-    of the projection, not a cosheaf map: it need not commute with the
-    stalk maps.  Stalk-wise exactness holds by construction: proj . m = 0
-    on every cell and [m | section] spans each target stalk.
+    Returns ``(q, projection, section)``: the quotient cosheaf q and two
+    memoized callables that build the projection target -> q and the
+    canonical section q -> target on first call.  Each quotient stalk is
+    realized as the orthogonal complement of the embedded image inside the
+    target stalk, and the section's columns span it.  The section is a
+    stalk-wise right inverse of the projection, not a cosheaf map: it need
+    not commute with the stalk maps.  Stalk-wise exactness holds by
+    construction: proj . m = 0 on every cell and [m | section] spans each
+    target stalk.
 
-    S and P depend only on im phi, so exact mode quotients once per key of
-    phi's shape and the RREF of phi^T, which fix im phi and injectivity: one
-    quotient for all vertices of the structural phi and one per bar line,
-    whatever the bar's length or orientation.  Float mode keys on the
-    stalk-map object.  A non-injective stalk raises at its first cell.  Each
-    distinct triple of factors P T S of a quotient stalk map is one integer
-    product of the projections brought over one d_P, the target's stalk
-    map and the section, over d_P d_T.
+    The section S is the kernel of phi^T, so exact mode eliminates phi^T
+    once per key of phi's shape and RREF, which fix im phi and injectivity:
+    once for all vertices of the structural phi and once per bar line.
+    Float mode keys on the stalk-map object.  A non-injective stalk raises
+    at its first cell.  The projection P = (S^T S)^-1 S^T is one solve per
+    distinct S, made when first needed: q needs only the vertex ones, the
+    edge ones wait for ``projection``.  Each distinct triple of factors of a
+    quotient stalk map is one integer product P T S of the vertex
+    projections brought over one d_P, the target's stalk map and the
+    section, over d_P d_T.
     """
     tgt, f = m.target, m.target.base
-    keys, quotients, products = {}, {}, {}
+    keys, sections, solved, products = {}, {}, {}, {}
 
-    # every stalk map and factor stays referenced until the return, so no id is reused
-    def stalk_quotients(maps, kind: str) -> list:
+    # every matrix keyed by id stays referenced while its key is read, so no id is reused
+    def stalk_sections(maps, kind: str) -> tuple:
         for i, phi in enumerate(maps):
             if id(phi) not in keys:
                 red = Reduction.of_form(phi.T.copy(), 1)
                 key = keys[id(phi)] = (red.shape, red.rref_rows() if red.exact else id(phi))
-                if key not in quotients:
-                    quotients[key] = _stalk_quotient(red, f"{kind} {i}")
-        return [quotients[keys[id(phi)]] for phi in maps]
+                if key not in sections:
+                    sections[key] = _stalk_section(red, f"{kind} {i}")
+        return tuple(sections[keys[id(phi)]] for phi in maps)
 
-    vq, eq = stalk_quotients(m.vertex_maps, "vertex"), stalk_quotients(m.edge_maps, "edge")
-    dp = math.lcm(*(d for _, (_, d) in quotients.values()))
-    proj = {id(p): p if d == dp else p * (dp // d) for _, (p, d) in quotients.values()}
-    vp, ep = [proj[id(p)] for _, (p, _) in vq], [proj[id(p)] for _, (p, _) in eq]
+    def projections(secs: tuple) -> tuple[tuple, int]:
+        # the projections of secs, one solve per distinct S, over the lcm d of
+        # all solved so far: the vertex ones, then all of them
+        for key, s in dict(zip(map(id, secs), secs)).items():
+            if key not in solved:
+                st = s.T.copy()
+                solved[key] = solve_in_image(st @ s, st)
+        d = math.lcm(*(pd for _, pd in solved.values()))
+        over_d = {key: p if pd == d else p * (d // pd) for key, (p, pd) in solved.items()}
+        return tuple(map(over_d.__getitem__, map(id, secs))), d
+
+    vs, es = stalk_sections(m.vertex_maps, "vertex"), stalk_sections(m.edge_maps, "edge")
+    vp, dv = projections(vs)
 
     def stalk_map(p, transport, s):
         key = (id(p), id(transport), id(s))
@@ -415,14 +437,20 @@ def quotient_cosheaf(m: CosheafMap) -> tuple[CosheafMap, CosheafMap]:
 
     q = Cosheaf(
         base=f,
-        vertex_dims=tuple(s.shape[1] for s, _ in vq),
-        edge_dims=tuple(s.shape[1] for s, _ in eq),
-        tail_maps=tuple(stalk_map(vp[t], tgt.tail_maps[e], eq[e][0])
+        vertex_dims=tuple(s.shape[1] for s in vs),
+        edge_dims=tuple(s.shape[1] for s in es),
+        tail_maps=tuple(stalk_map(vp[t], tgt.tail_maps[e], es[e])
                         for e, (t, h) in enumerate(f.edges)),
-        head_maps=tuple(stalk_map(vp[h], tgt.head_maps[e], eq[e][0])
+        head_maps=tuple(stalk_map(vp[h], tgt.head_maps[e], es[e])
                         for e, (t, h) in enumerate(f.edges)),
-        den=dp * tgt.den,
+        den=dv * tgt.den,
     )
-    return (CosheafMap(source=tgt, target=q, vertex_maps=tuple(vp), edge_maps=tuple(ep), den=dp),
-            CosheafMap(source=q, target=tgt, vertex_maps=tuple(s for s, _ in vq),
-                       edge_maps=tuple(s for s, _ in eq)))
+
+    @cache
+    def projection() -> CosheafMap:
+        ps, d = projections(vs + es)
+        return CosheafMap(source=tgt, target=q, vertex_maps=ps[:len(vs)],
+                          edge_maps=ps[len(vs):], den=d)
+
+    return q, projection, cache(lambda: CosheafMap(source=q, target=tgt,
+                                                   vertex_maps=vs, edge_maps=es))

@@ -122,12 +122,12 @@ def les_obstacle(f: Framework) -> str | None:
 class _LesContext:
     """The staged pipeline for one framework, read by every front end.
 
-    The cosheaves and the maps joining them are built here.  Each later stage
-    (the reductions, the induced maps, ``theta``, the counting checks, the
-    svg generator list) is
-    computed on first read and kept, so a reader pays only for the stages
-    it reads.  The LES stages need a connected framework with an edge;
-    ``theta`` and ``require_les`` raise ValueError otherwise.
+    ``__init__`` builds the cosheaves F and M, phi: F -> M and N = M / phi(F).
+    Each later stage (``pi``: M -> N, the ``section`` N -> M, the reductions,
+    the induced maps, ``theta``, the counting checks, the svg generator
+    list) is computed on first read and kept, so a reader pays only for the
+    stages it reads.  The LES stages need a connected framework with an
+    edge; ``theta`` and ``require_les`` raise ValueError otherwise.
     """
 
     def __init__(self, f: Framework):
@@ -135,10 +135,12 @@ class _LesContext:
         self.phi = build_phi(f)
         self.force = self.phi.source
         self.moment = self.phi.target
-        # the canonical section lifts chains; by the snake lemma any right
-        # inverse of pi gives the same theta
-        self.pi, self.section = quotient_cosheaf(self.phi)
-        self.anch = self.pi.target
+        self.anch, self._pi, self._section = quotient_cosheaf(self.phi)
+
+    pi = cached_property(lambda self: self._pi())
+    # the canonical section lifts chains; by the snake lemma any right
+    # inverse of pi gives the same theta
+    section = cached_property(lambda self: self._section())
 
     def require_les(self):
         """Raise ValueError unless the framework is connected and has an edge."""

@@ -168,8 +168,7 @@ def build_anchored_cosheaf(f: Framework) -> Cosheaf:
     n(n+1)/2 - 1: 2 in the plane, 5 in space); vertex stalks keep only the
     n(n-1)/2 moments, the pinned anchors absorbing residual force.
     """
-    projection, _ = quotient_cosheaf(build_phi(f))
-    return projection.target
+    return quotient_cosheaf(build_phi(f))[0]
 
 
 def rigid_body_space(f: Framework) -> SubspaceBasis:

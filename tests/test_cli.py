@@ -793,13 +793,13 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
     # every other edge reversed, a line's bars run both ways and still share
     # one quotient (1 vertex + 3 lines, not 1 + 6 directions)
     calls = []
-    original = cosheaf._stalk_quotient
+    original = cosheaf._stalk_section
 
-    def counting(phi, where):
+    def counting(red, where):
         calls.append(where)
-        return original(phi, where)
+        return original(red, where)
 
-    monkeypatch.setattr(cosheaf, "_stalk_quotient", counting)
+    monkeypatch.setattr(cosheaf, "_stalk_section", counting)
     for f in (grid(3), _every_other_edge_flipped(grid(3))):
         calls.clear()
         assert main(["analyze", str(_saved(tmp_path, "grid3", f)), "--dims-only"]) == 0
@@ -818,6 +818,38 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
     assert main(["analyze", str(_saved(tmp_path, "grid3-stretched", f)), "--dims-only"]) == 0
     capsys.readouterr()
     assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12", "edge 13"]
+
+
+def test_dims_and_counting_rules_build_neither_pi_nor_the_section(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the anchored cosheaf needs each line's section and the one vertex
+    # projection; the edge projections, pi and the section wait for a reader
+    path = _saved(tmp_path, "grid3", grid(3))
+    maps, solves = [], []
+    post_init, solve = cosheaf.CosheafMap.__post_init__, cosheaf.solve_in_image
+    monkeypatch.setattr(cosheaf.CosheafMap, "__post_init__",
+                        lambda self: maps.append(self) or post_init(self))
+    monkeypatch.setattr(cosheaf, "solve_in_image",
+                        lambda a, *rest: solves.append(a.shape) or solve(a, *rest))
+
+    def edge_dims():  # (source, target) edge stalk dims of each map built
+        return [(m.source.edge_dims[0], m.target.edge_dims[0]) for m in maps]
+
+    assert main(["analyze", str(path), "--dims-only"]) == 0
+    capsys.readouterr()
+    assert edge_dims() == [(1, 3)]  # phi: F -> M
+    assert solves == [(1, 1)]  # the vertex projection onto the 1-dim anchored stalk
+    maps.clear()
+    solves.clear()
+    assert all(c.passed for c in counting_rules(grid(3)))
+    assert edge_dims() == [(1, 3)] and solves == [(1, 1)]
+    maps.clear()
+    solves.clear()
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    # phi, then pi: M -> N and the section N -> M once each, in the order read
+    assert edge_dims() == [(1, 3), (3, 2), (2, 3)]
+    assert solves == [(1, 1)] + [(2, 2)] * 3  # and one edge projection per line
 
 
 def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypatch):

@@ -2,14 +2,18 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import block_boundary, grid
 from framehom import (
     CosheafMap,
+    Framework,
     assemble_boundary,
     check_cosheaf_map,
     constant_cosheaf,
@@ -21,7 +25,7 @@ from framehom import (
     verify_les,
 )
 from framehom import cosheaf, les, linalg, structural
-from framehom.cosheaf import Cosheaf, _stalk_quotient, boundary_rows
+from framehom.cosheaf import Cosheaf, _stalk_section, boundary_rows
 from framehom.les import _LesContext
 from framehom.linalg import (
     Reduction,
@@ -30,6 +34,7 @@ from framehom.linalg import (
     identity,
     kernel_basis,
     rank,
+    solve_in_image,
     zeros,
 )
 from framehom.structural import (
@@ -238,7 +243,8 @@ def test_stored_stalk_maps_are_integers_in_lowest_terms(corpus, mode):
     for label, f in corpus + perturbed:
         f = f if mode == "exact" else f.as_float()
         phi = build_phi(f)
-        pi, section = quotient_cosheaf(phi)
+        _, pi, section = quotient_cosheaf(phi)
+        pi, section = pi(), section()
         stored = ([(k, k.tail_maps + k.head_maps) for k in (phi.source, phi.target, pi.target)]
                   + [(m, m.vertex_maps + m.edge_maps) for m in (phi, pi, section)])
         for obj, mats in stored:
@@ -328,7 +334,7 @@ def test_corrupted_lever_sign_fails_at_that_incidence():
     f = make_named("square")
     phi = build_phi(f)
     assert check_cosheaf_map(phi).passed
-    pi, _ = quotient_cosheaf(phi)
+    pi = quotient_cosheaf(phi)[1]()
     moment = phi.target
     bad_map = moment.head_maps[2].copy()
     bad_map[0, 1] = -bad_map[0, 1]
@@ -384,7 +390,7 @@ def test_exact_map_check_reports_the_product_difference(monkeypatch):
     # incidence only, which must still report the exact residual of the
     # Fraction products, with the same types
     f = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 4)
-    pi, _ = quotient_cosheaf(build_phi(f))
+    pi = quotient_cosheaf(build_phi(f))[1]()
     products = []
     monkeypatch.setattr(cosheaf, "from_integer_form",
                         lambda *form: products.append(1) or from_integer_form(*form))
@@ -415,6 +421,27 @@ def test_map_shape_validation():
                    edge_maps=(identity(2, f.mode),))
 
 
+@pytest.mark.parametrize("vdims", [(2, 2, 2), (2, 3, 2)], ids=["uniform", "mixed"])
+def test_a_misshapen_stalk_map_is_named_by_its_cell(vdims):
+    # with uniform stalk dims the shapes are checked once per distinct matrix,
+    # otherwise cell by cell; either way the first offending cell is named
+    f = make_named("triangle")  # edges (0, 1), (1, 2), (2, 0)
+    col = {d: zeros(d, 1, f.mode) for d in set(vdims)}
+    good = tuple(col[vdims[t]] for t, _ in f.edges), tuple(col[vdims[h]] for _, h in f.edges)
+    heads = good[1][:1] + (zeros(4, 1, f.mode),) + good[1][2:]
+    with pytest.raises(ValueError, match=re.escape(
+            f"stalk map of edge 1 at vertex 2 has shape (4, 1), expected ({vdims[2]}, 1)")):
+        Cosheaf(base=f, vertex_dims=vdims, edge_dims=(1,) * 3,
+                tail_maps=good[0], head_maps=heads)
+    k = Cosheaf(base=f, vertex_dims=vdims, edge_dims=(1,) * 3,
+                tail_maps=good[0], head_maps=good[1])
+    vmaps = tuple(col[d] for d in vdims[:2]) + (zeros(2, 2, f.mode),)
+    with pytest.raises(ValueError, match=re.escape(
+            f"vertex map 2 has shape (2, 2), expected ({vdims[2]}, 1)")):
+        CosheafMap(source=constant_cosheaf(f), target=k, vertex_maps=vmaps,
+                   edge_maps=(identity(1, f.mode),) * 3)
+
+
 @pytest.mark.parametrize("den", [0, -2, 2.0, Fraction(2)])
 def test_cosheaf_den_must_be_a_positive_int(den):
     # a zero den would divide by zero in the normalizer, a negative one flip every sign
@@ -432,6 +459,44 @@ def test_cosheaf_map_den_must_be_a_positive_int(den):
     with pytest.raises(ValueError, match="den must be a positive int"):
         CosheafMap(source=k, target=k, vertex_maps=(identity(2, f.mode),) * 2,
                    edge_maps=(identity(2, f.mode),), den=den)
+
+
+@st.composite
+def _shared_matrices(draw, shape, cells):
+    """``cells`` matrices of ``shape`` drawn from a pool of 1-3 distinct
+    Fraction or int matrices, so some cells share one object."""
+    entry = st.one_of(st.integers(-60, 60), st.fractions(max_denominator=12, min_value=-5,
+                                                         max_value=5))
+    pool = [exact_matrix(draw(st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
+                                       min_size=shape[0], max_size=shape[0])), shape[1])
+            for _ in range(draw(st.integers(1, 3)))]
+    return tuple(pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                                min_size=cells, max_size=cells)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 720))
+def test_lowest_terms_keeps_the_values_and_the_sharing(data, rows, cols, den):
+    # the one-gcd normalizer stores each map as ints over one den with no
+    # common factor, equal entry by entry to what was handed in over den, and
+    # keeps cells that shared a matrix sharing one
+    f = make_named("triangle")
+    cells = data.draw(_shared_matrices((rows, cols), 6)) + \
+        data.draw(_shared_matrices((rows, cols), 6))
+    cos = Cosheaf(base=f, vertex_dims=(rows,) * 3, edge_dims=(cols,) * 3,
+                  tail_maps=cells[:3], head_maps=cells[3:6], den=den)
+    m = CosheafMap(source=constant_cosheaf(f, cols), target=constant_cosheaf(f, rows),
+                   vertex_maps=cells[6:9], edge_maps=cells[9:], den=den)
+    for obj, handed, stored in ((cos, cells[:6], cos.tail_maps + cos.head_maps),
+                                (m, cells[6:], m.vertex_maps + m.edge_maps)):
+        entries = [x for a in stored for x in a.ravel().tolist()]
+        assert all(type(x) is int for x in entries)
+        assert math.gcd(obj.den, *entries) == 1
+        for a, b in zip(handed, stored, strict=True):
+            assert [Fraction(x, obj.den) for x in b.ravel().tolist()] == \
+                [Fraction(x) / den for x in a.ravel().tolist()]
+        assert [[a is b for b in handed] for a in handed] == \
+            [[a is b for b in stored] for a in stored]
 
 
 @pytest.mark.parametrize("ncols", [0, 1, 3])
@@ -481,7 +546,7 @@ def test_quotient_by_zero_is_identity():
         source=z, target=moment,
         vertex_maps=tuple(zeros(d, 0, f.mode) for d in moment.vertex_dims),
         edge_maps=tuple(zeros(d, 0, f.mode) for d in moment.edge_dims))
-    pi, _ = quotient_cosheaf(emb)
+    pi = quotient_cosheaf(emb)[1]()
     assert pi.target.vertex_dims == moment.vertex_dims
     assert pi.target.edge_dims == moment.edge_dims
     for pm in pi.vertex_maps + pi.edge_maps:
@@ -492,16 +557,17 @@ def test_quotient_by_zero_is_identity():
 @pytest.mark.parametrize("name,edims,vdims", [("square", 2, 1), ("box3d", 5, 3)])
 def test_anchored_quotient_stalk_dims(name, edims, vdims):
     f = make_named(name)
-    pi, _ = quotient_cosheaf(build_phi(f))
-    assert set(pi.target.edge_dims) == {edims}
-    assert set(pi.target.vertex_dims) == {vdims}
+    anch = quotient_cosheaf(build_phi(f))[0]
+    assert set(anch.edge_dims) == {edims}
+    assert set(anch.vertex_dims) == {vdims}
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_projection_and_section_share_the_quotient_and_invert_on_every_stalk(corpus, mode):
     for label, f in corpus:
         phi = build_phi(f if mode == "exact" else f.as_float())
-        pi, section = quotient_cosheaf(phi)
+        _, pi, section = quotient_cosheaf(phi)
+        pi, section = pi(), section()
         assert pi.target is section.source, label
         assert section.target is phi.target, label
         for p, s in zip(pi.vertex_maps + pi.edge_maps,
@@ -517,7 +583,8 @@ def test_projection_and_section_share_the_quotient_and_invert_on_every_stalk(cor
 def test_quotient_stalkwise_exactness():
     f = make_desargues(Fraction(1, 2))
     phi = build_phi(f)
-    pi, section = quotient_cosheaf(phi)
+    _, pi, section = quotient_cosheaf(phi)
+    pi, section = pi(), section()
     for v in range(f.num_vertices):
         stacked = np.hstack([phi.vertex_maps[v], section.vertex_maps[v]])
         assert rank(stacked) == phi.target.vertex_dims[v]
@@ -552,11 +619,13 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
     # be what its own quotient gives
     phi = build_phi(f)
     moment = phi.target
-    pi, section = quotient_cosheaf(phi)
+    _, pi, section = quotient_cosheaf(phi)
+    pi, section = pi(), section()
 
-    def own_quotient(m):  # the quotient of m's stored integers, projection written out
-        s, proj = _stalk_quotient(Reduction.of_form(m.T.copy(), 1), "")
-        return s, from_integer_form(*proj)
+    def own_quotient(m):  # the section of m's stored integers and its projection, written out
+        s = _stalk_section(Reduction.of_form(m.T.copy(), 1), "")
+        st = s.T.copy()
+        return s, from_integer_form(*solve_in_image(st @ s, st))
 
     def rational(obj, m):
         return from_integer_form(m, obj.den)
@@ -575,7 +644,7 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
 
 def test_quotient_projection_commutes():
     f = make_named("box3d")
-    pi, _ = quotient_cosheaf(build_phi(f))
+    pi = quotient_cosheaf(build_phi(f))[1]()
     assert check_cosheaf_map(pi).passed
 
 
@@ -591,18 +660,25 @@ def test_quotient_rejects_non_injective_map():
 
 
 def test_stalk_quotient_eliminates_twice(monkeypatch):
-    # one elimination of phi^T gives the injectivity rank and the section,
-    # one more solves for the projection
+    # each stalk quotient eliminates phi^T once, for the injectivity rank and
+    # the section S, and solves once for the projection P: the vertex one at
+    # build, as the quotient's stalk maps need it, the edge one only when the
+    # projection is read; the section solves nothing
     calls = []
     original = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or original(rows))
-    phi = build_phi(make_named("box3d"))
-    phi_t = Reduction.of_form(phi.edge_maps[0].T.copy(), 1)
-    section, proj = _stalk_quotient(phi_t, "edge 0")
-    proj = from_integer_form(*proj)
-    assert len(calls) == 2
-    assert section.shape == (6, 5) and proj.shape == (5, 6)
-    assert (proj @ section == identity(5, "exact")).all()
+    phi = build_phi(Framework(dim=3, positions=((0, 0, 0), (1, 2, 3)), edges=((0, 1),)))
+    calls.clear()
+    _, projection, section = quotient_cosheaf(phi)
+    assert len(calls) == 3
+    s = from_integer_form(section().edge_maps[0], section().den)
+    assert len(calls) == 3
+    pi = projection()
+    assert len(calls) == 4
+    p = from_integer_form(pi.edge_maps[0], pi.den)
+    assert s.shape == (6, 5) and p.shape == (5, 6)
+    assert (p @ s == identity(5, "exact")).all()
+    assert projection() is pi and len(calls) == 4
 
 
 def _random_invertible(n, rng):
@@ -621,7 +697,6 @@ def test_quotient_homology_invariant_under_stalk_change_of_basis():
     moment = phi.target
     t_v = [_random_invertible(d, rng) for d in moment.vertex_dims]
     t_e = [_random_invertible(d, rng) for d in moment.edge_dims]
-    from framehom.linalg import solve_in_image
     inv_e = [from_integer_form(*solve_in_image(t, identity(t.shape[0], f.mode))) for t in t_e]
     tails = tuple(t_v[t] @ moment.stalk_map(e, t) @ inv_e[e]
                   for e, (t, h) in enumerate(f.edges))
@@ -634,6 +709,4 @@ def test_quotient_homology_invariant_under_stalk_change_of_basis():
         vertex_maps=tuple(t_v[v] @ phi.vertex_maps[v] for v in range(f.num_vertices)),
         edge_maps=tuple(t_e[e] @ phi.edge_maps[e] for e in range(f.num_edges)), den=phi.den)
     assert check_cosheaf_map(twisted_phi).passed
-    pi0, _ = quotient_cosheaf(phi)
-    pi1, _ = quotient_cosheaf(twisted_phi)
-    assert pi0.target.dims == pi1.target.dims
+    assert quotient_cosheaf(phi)[0].dims == quotient_cosheaf(twisted_phi)[0].dims
