@@ -23,8 +23,8 @@ stages as forms (ints, d):
 ``CosheafMap.apply_form`` takes chains as (ints, d) and returns their
 image as a form, and ``Cosheaf.h1_coordinates_form`` reads the H1
 coordinates of such cycles at the free columns of the boundary's
-reduction and returns a form.  ``apply_c0``, ``apply_c1`` and
-``h1_coordinates`` wrap them for callers holding matrices.  A stalk
+reduction and returns a form.  ``apply_c0`` and ``apply_c1`` wrap
+``apply_form`` for callers holding matrices.  A stalk
 quotient is read off its map's integers: the section is an integer
 kernel basis, a solve returns the projection as a form when it is read,
 and each quotient stalk map is an integer product of the vertex
@@ -67,7 +67,7 @@ class Cosheaf:
     once.  The rows of den B are built once (``boundary_rows``), and both
     the exact elimination and the dense ``boundary`` read that one list;
     neither writes to it.  The dimensions need only the rank.
-    ``h1_coordinates`` reads cycles in the ``h1`` basis off B's reduction.
+    ``h1_coordinates_form`` reads cycles in the ``h1`` basis off B's reduction.
 
     The stalk maps handed in are read over ``den`` and stored as integers
     in lowest terms over one ``den`` (``_lowest_terms``; float maps over
@@ -141,14 +141,9 @@ class Cosheaf:
             return Reduction.of_rows(self._reduction.pivot_columns(), self.c0_dim).kernel()
         return Reduction(self.boundary.T).kernel()
 
-    def h1_coordinates(self, chains: np.ndarray) -> np.ndarray:
-        """Coordinates in the ``h1`` basis of one flat cycle or of the cycles
-        held one per column of the matrix ``chains``; see
-        ``h1_coordinates_form``."""
-        return from_integer_form(*self.h1_coordinates_form(*integer_form(chains)))
-
     def h1_coordinates_form(self, ints: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-        """``h1_coordinates`` of the chains ints / den, as a form (ints, d).
+        """Coordinates in the ``h1`` basis of the cycles held one per column
+        of the matrix ints / den, as a form (ints, d).
 
         Exact mode runs no elimination.  Each ``h1`` vector v_j is the kernel
         vector of one free column fc_j of B's RREF and is zero at every other
@@ -157,9 +152,6 @@ class Cosheaf:
         of d B and the integer chains.  Float mode solves by least squares.
         Raises ValueError when a column is not a cycle.
         """
-        if ints.ndim == 1:
-            out, d = self.h1_coordinates_form(ints.reshape(-1, 1), den)
-            return out[:, 0], d
         red = self._reduction
         if not red.exact:
             return solve_in_image(self.h1.matrix(), ints, den)
@@ -409,7 +401,7 @@ def quotient_cosheaf(m: CosheafMap) -> tuple:
     def stalk_sections(maps, kind: str) -> tuple:
         for i, phi in enumerate(maps):
             if id(phi) not in keys:
-                red = Reduction.of_form(phi.T.copy(), 1)
+                red = Reduction(phi.T)
                 key = keys[id(phi)] = (red.shape, red.rref_rows() if red.exact else id(phi))
                 if key not in sections:
                     sections[key] = _stalk_section(red, f"{kind} {i}")

@@ -13,10 +13,11 @@ are lifted and pulled back together, then projected onto the H0(force)
 representatives in one Gram solve.
 
 In exact mode the induced maps and theta pass integer forms (ints, d)
-from stage to stage into ``InducedMap``.  One dense ``Fraction`` matrix
-product is left: the frame boundary times the lifted cycles in
-``resultants``, which dominates theta on big frames (ROADMAP item 2 waits
-on the benchmark, item 1).  ``anchored_generators`` multiplies integers.
+from stage to stage into ``InducedMap``, and every exact basis is a span
+of integer rows (``test_exact_bases_are_integer_spans``).  One dense
+``Fraction`` matrix product is left: the frame boundary times the lifted
+cycles in ``resultants``, which dominates theta on big frames (ROADMAP
+item 2 waits on the benchmark, item 1).
 
 This module computes the induced maps and the connecting homomorphism,
 verifies exactness at every node, evaluates the counting rules
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .cosheaf import CosheafMap, quotient_cosheaf
-from .framework import Framework, affine_span_full, perturb
+from .framework import Framework, FrameworkError, affine_span_full, perturb
 from .linalg import (
     MODE_EXACT,
     Reduction,
@@ -61,8 +62,8 @@ class InducedMap:
     ``matrix`` = ints / d has shape (dim target H, dim source H) and is
     written out on first read.  Kernel and image are subspaces of the
     source / target coordinate spaces.  Rank, kernel and image come from
-    one elimination of the form's integer rows, each on first read: the
-    rank needs only the forward echelon, the kernel back-substitutes.
+    one elimination of ints, each on first read: the rank needs only the
+    forward echelon, the kernel back-substitutes.
     """
 
     form: tuple[np.ndarray, int]
@@ -73,7 +74,7 @@ class InducedMap:
 
     @cached_property
     def _reduction(self) -> Reduction:
-        return Reduction.of_form(*self.form)
+        return Reduction(self.form[0])
 
     @property
     def rank(self) -> int:
@@ -119,6 +120,13 @@ def les_obstacle(f: Framework) -> str | None:
     return "disconnected" if not f.connected() else None if f.num_edges else "no edges"
 
 
+def _require_les(f: Framework):
+    """Raise ValueError unless ``f`` is connected and has an edge."""
+    if why := les_obstacle(f):
+        raise ValueError("framework has no edges" if why == "no edges" else
+                         "the long exact sequence machinery needs a connected framework")
+
+
 class _LesContext:
     """The staged pipeline for one framework, read by every front end.
 
@@ -127,7 +135,7 @@ class _LesContext:
     the induced maps, ``theta``, the counting checks, the svg generator
     list) is computed on first read and kept, so a reader pays only for the
     stages it reads.  The LES stages need a connected framework with an
-    edge; ``theta`` and ``require_les`` raise ValueError otherwise.
+    edge; ``theta`` raises ValueError otherwise.
     """
 
     def __init__(self, f: Framework):
@@ -141,12 +149,6 @@ class _LesContext:
     # the canonical section lifts chains; by the snake lemma any right
     # inverse of pi gives the same theta
     section = cached_property(lambda self: self._section())
-
-    def require_les(self):
-        """Raise ValueError unless the framework is connected and has an edge."""
-        if why := les_obstacle(self.f):
-            raise ValueError("framework has no edges" if why == "no edges" else
-                             "the long exact sequence machinery needs a connected framework")
 
     @property
     def dims(self) -> tuple:
@@ -207,7 +209,7 @@ class _LesContext:
     def theta(self) -> InducedMap:
         """The connecting map: resultants of the H1(anchored) generators, in
         H0(force) coordinates."""
-        self.require_les()
+        _require_les(self.f)
         return InducedMap(solve_gram(self.force.h0.matrix(),
                                      *self.resultants(self.anch.h1.matrix())))
 
@@ -220,12 +222,9 @@ class _LesContext:
     def anchored_generators(self) -> np.ndarray:
         """H1(anchored) generators, one per row, in the order svg numbers
         them: the frame-stress images (im pi*) first, then the complement
-        orthogonal to im pi* (the anchored-only stresses).  In exact mode the
-        image coordinates are cleared to integers, as the ``h1n`` rows are,
-        so the product runs on ints: a row span does not depend on scale."""
+        orthogonal to im pi* (the anchored-only stresses)."""
         h1n = self.anch.h1
-        im_ambient = span_rows(integer_form(self.pi1.image.vectors)[0] @ h1n.vectors,
-                               h1n.ambient_dim)
+        im_ambient = span_rows(self.pi1.image.vectors @ h1n.vectors, h1n.ambient_dim)
         return np.vstack([im_ambient.vectors, complement_within(im_ambient, h1n).vectors])
 
 
@@ -363,7 +362,7 @@ def verify_les(f: Framework) -> LesReport:
 
 
 def _report_from_context(ctx: _LesContext) -> LesReport:
-    ctx.require_les()
+    _require_les(ctx.f)
     checks = []
 
     dims_f, dims_m, dims_n = ctx.dims
@@ -437,20 +436,22 @@ def perturbation_scan(f: Framework, magnitudes, seeds) -> tuple:
     """Homology dims and induced ranks across coordinate perturbations.
 
     One row per (magnitude, seed); rows whose perturbation breaks the
-    framework (a zero-length edge) are flagged invalid instead of raising.
+    framework (a zero-length edge) are flagged invalid; any other error
+    raises, and so does a disconnected or edgeless ``f``, as in ``verify_les``.
     """
+    _require_les(f)
     rows = []
     for mag in magnitudes:
         for seed in seeds:
             try:
-                ctx = _LesContext(perturb(f, mag, seed))
-                ctx.require_les()
-                dims_f, dims_m, dims_n = ctx.dims
-                row = ScanRow(magnitude=mag, seed=seed, valid=True,
-                              dims_force=dims_f, dims_moment=dims_m, dims_anchored=dims_n,
-                              rank_phi1=ctx.phi1.rank, rank_pi1=ctx.pi1.rank,
-                              rank_theta=ctx.theta.rank)
-            except ValueError as exc:
-                row = ScanRow(magnitude=mag, seed=seed, valid=False, error=str(exc))
-            rows.append(row)
+                g = perturb(f, mag, seed)
+            except FrameworkError as exc:
+                rows.append(ScanRow(magnitude=mag, seed=seed, valid=False, error=str(exc)))
+                continue
+            ctx = _LesContext(g)
+            dims_f, dims_m, dims_n = ctx.dims
+            rows.append(ScanRow(magnitude=mag, seed=seed, valid=True,
+                                dims_force=dims_f, dims_moment=dims_m, dims_anchored=dims_n,
+                                rank_phi1=ctx.phi1.rank, rank_pi1=ctx.pi1.rank,
+                                rank_theta=ctx.theta.rank))
     return tuple(rows)

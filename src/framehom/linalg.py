@@ -8,9 +8,9 @@ mode of every derived matrix is the mode of its inputs.
 Exact mode eliminates on sparse integer rows: a dense matrix is cleared
 to ``integer_form`` ints / d once, and each row of the ints becomes a
 {column: int} map; a caller with integer rows, such as a cosheaf
-boundary, hands them to ``Reduction.of_rows``, and one with a form
-(ints, d), such as an induced map, to ``Reduction.of_form``; a float
-caller hands the SVD a dense matrix.  Rows are reduced fraction-free
+boundary, hands them to ``Reduction.of_rows``; a float caller hands the
+SVD a dense matrix.  d scales no span, so it is dropped: every exact
+basis is a span of integer rows.  Rows are reduced fraction-free
 (Bareiss, Math. Comp. 22, 1968) on private copies, and enter the
 echelon in decreasing order of their leading column, for low fill.  A
 row's gcd content is removed once per pivot or RREF row, not after every
@@ -18,11 +18,10 @@ step.  The rank is read off the forward echelon; back-substitution runs
 only when a kernel, row basis or solution is first read.  Pivot columns
 and RREF depend neither on the elimination order nor on positive row
 scalings, so ranks, kernels, row bases and solutions are those of a
-Gauss-Jordan RREF over the rationals, bit-for-bit.  Every exact producer
-writes its result through ``from_integer_form``: ``int`` where integral,
-reduced ``Fraction`` otherwise.  ``solve_in_image`` and ``solve_gram``
-take a right-hand side over a denominator and return their solution as a
-form (ints, d): the RREF numerators over the lcm of the pivot entries.
+Gauss-Jordan RREF over the rationals, bit-for-bit.  ``solve_in_image``
+and ``solve_gram`` take a right-hand side over a denominator and return
+their solution as a form (ints, d): the RREF numerators over the lcm of
+the pivot entries.
 Float mode ranks are SVD-based with a relative singular value cutoff of
 ``EPS_RANK``; subspace comparisons use principal angles with threshold
 ``EPS_ANGLE``.
@@ -113,7 +112,8 @@ class SubspaceBasis:
     """Linearly independent spanning vectors of a subspace of R^ambient_dim.
 
     ``vectors`` has shape (dim, ambient_dim): each row is one basis vector.
-    An empty row set (the zero subspace) is legal.
+    An empty row set (the zero subspace) is legal.  A span does not depend
+    on scale, so an exact basis holds only ``int`` entries.
     """
 
     ambient_dim: int
@@ -220,10 +220,10 @@ def _dense(row: dict, n: int) -> list:
 class Reduction:
     """One elimination of a matrix, read for its rank, kernel, image and rows.
 
-    Exact mode keeps the sparse integer rows of the matrix times d (d = 1
-    unless ``of_rows`` or ``of_form`` is handed one), their forward echelon
-    and its pivot and free columns, and back-substitutes once, on the first
-    read of the kernel, the row basis or a solution.  Float mode keeps the
+    Exact mode keeps the sparse integer rows of the matrix times the lcm d
+    of its denominators, their forward echelon and its pivot and free
+    columns, and back-substitutes once, on the first read of the kernel,
+    the row basis or a solution.  Float mode keeps the
     full SVD.
     """
 
@@ -231,8 +231,7 @@ class Reduction:
         self.shape = a.shape
         self.exact = mode_of(a) == MODE_EXACT
         if self.exact:
-            ints, self.den = integer_form(a)
-            self._forward(_sparse_rows(ints))
+            self._forward(_sparse_rows(integer_form(a)[0]))
         elif a.size:
             self.u, s, self.vh = np.linalg.svd(a, full_matrices=True)
             self.rank = int(np.count_nonzero(s > EPS_RANK * s[0]))
@@ -240,22 +239,14 @@ class Reduction:
             self.u, self.vh, self.rank = np.eye(a.shape[0]), np.eye(a.shape[1]), 0
 
     @classmethod
-    def of_rows(cls, rows: list[dict], ncols: int, den: int = 1) -> Reduction:
+    def of_rows(cls, rows: list[dict], ncols: int) -> Reduction:
         """The exact elimination of the matrix whose rows are the sparse
-        integer {column: nonzero entry} maps ``rows``, over ``den``; the rows
-        are eliminated as they are."""
+        integer {column: nonzero entry} maps ``rows``; the rows are
+        eliminated as they are."""
         red = cls.__new__(cls)
-        red.shape, red.exact, red.den = (len(rows), ncols), True, den
+        red.shape, red.exact = (len(rows), ncols), True
         red._forward(rows)
         return red
-
-    @classmethod
-    def of_form(cls, ints: np.ndarray, den: int) -> Reduction:
-        """One elimination of the matrix ints / den, an ``integer_form``: exact
-        mode hands the integer rows to ``of_rows`` with no clearing pass."""
-        if mode_of(ints) != MODE_EXACT:
-            return cls(ints)
-        return cls.of_rows(_sparse_rows(ints), ints.shape[1], den)
 
     def _forward(self, ints: list[dict]):
         self._int_rows = ints
@@ -317,14 +308,14 @@ class Reduction:
         return True
 
     def image(self) -> SubspaceBasis:
-        """Basis of the column space: the pivot columns of the matrix (its
-        integer rows over d) in exact mode, the leading left singular
+        """Basis of the column space: the integer pivot columns of the rows
+        held (``pivot_columns``) in exact mode, the leading left singular
         vectors in float mode."""
         nrows = self.shape[0]
         if not self.exact:
             return SubspaceBasis(nrows, self.u[:, :self.rank].T.copy())
         vecs = [_dense(col, nrows) for col in self.pivot_columns()]
-        return SubspaceBasis(nrows, from_integer_form(exact_matrix(vecs, nrows), self.den))
+        return SubspaceBasis(nrows, exact_matrix(vecs, nrows))
 
     def pivot_columns(self) -> list[dict]:
         """The integer columns at the pivots, as sparse {row: entry} maps read

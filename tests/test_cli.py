@@ -745,13 +745,19 @@ def test_benchmark_span_hooks_see_the_pipeline(square_fw, capsys, monkeypatch):
     # name; a rename has to fail here, not only in a traced run
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import spans
+    import framehom.les
+    from framehom.cosheaf import CosheafMap
+
+    def hooks():
+        return (framehom.les.kernel_basis, framehom.les._LesContext.__init__,
+                CosheafMap.apply_c0, CosheafMap.apply_c1, cli.main)
+
+    originals = hooks()
     tracer = spans.Tracer()
     tracer.install()
     try:
-        import framehom.les
-        from framehom.cosheaf import CosheafMap
-        for obj in (framehom.les.kernel_basis, CosheafMap.apply_c0, CosheafMap.apply_c1):
-            assert hasattr(obj, "perfbench_span")
+        assert spans.installed()
+        assert all(hasattr(obj, "perfbench_span") for obj in hooks())
         assert main(["analyze", str(square_fw)]) == 0
     finally:
         tracer.uninstall()
@@ -759,6 +765,7 @@ def test_benchmark_span_hooks_see_the_pipeline(square_fw, capsys, monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"les._LesContext", "les._report_from_context"} <= names
     assert not spans.installed()
+    assert all(a is b for a, b in zip(hooks(), originals))
 
 
 def _saved(tmp_path, name, f):

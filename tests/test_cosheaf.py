@@ -623,7 +623,7 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
     pi, section = pi(), section()
 
     def own_quotient(m):  # the section of m's stored integers and its projection, written out
-        s = _stalk_section(Reduction.of_form(m.T.copy(), 1), "")
+        s = _stalk_section(Reduction(m.T), "")
         st = s.T.copy()
         return s, from_integer_form(*solve_in_image(st @ s, st))
 

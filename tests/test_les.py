@@ -120,7 +120,7 @@ def _assert_h1_coordinates_match_solve(f):
     ctx = _LesContext(f)
     for h, chains in ((ctx.moment, ctx.phi.apply_c1(ctx.force.h1.matrix())),
                       (ctx.anch, ctx.pi.apply_c1(ctx.moment.h1.matrix()))):
-        got = h.h1_coordinates(chains)
+        got = from_integer_form(*h.h1_coordinates_form(*integer_form(chains)))
         want = from_integer_form(*solve_in_image(h.h1.matrix(), chains))
         assert got.shape == want.shape == (h.h1.dim, chains.shape[1])
         assert (got == want).all()
@@ -144,28 +144,31 @@ def test_h1_coordinates_reject_a_chain_that_is_not_a_cycle(mode):
     f = make_desargues(Fraction(1, 2))
     h = build_moment_cosheaf(f if mode == "exact" else f.as_float())
     chains = h.h1.matrix()
-    assert h.h1_coordinates(chains).shape == (h.h1.dim, h.h1.dim)
+    assert h.h1_coordinates_form(chains, 1)[0].shape == (h.h1.dim, h.h1.dim)
     chains[0, 1] += 1  # column 0 of the boundary is nonzero
     with pytest.raises(ValueError, match="not in the column space"):
-        h.h1_coordinates(chains)
+        h.h1_coordinates_form(chains, 1)
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_h1_coordinates_of_a_flat_cycle_are_a_flat_vector(mode):
-    f = make_desargues(Fraction(1, 2))
-    h = build_moment_cosheaf(f if mode == "exact" else f.as_float())
-    cycles = h.h1.matrix() * 3
-    coords = h.h1_coordinates(cycles)
-    for j in range(h.h1.dim):
-        got = h.h1_coordinates(cycles[:, j])
-        assert got.shape == (h.h1.dim,)
-        assert np.allclose(got.astype(float), coords[:, j].astype(float))
-        if mode == "exact":
-            assert got.tolist() == [3 if i == j else 0 for i in range(h.h1.dim)]
-    chain = cycles[:, 0].copy()
-    chain[1] += 1
-    with pytest.raises(ValueError, match="not in the column space"):
-        h.h1_coordinates(chain)
+@pytest.mark.parametrize("name", ["desargues", "box3d", "grid4", "random2d-0", "random3d-1"])
+def test_exact_bases_are_integer_spans(name):
+    # a span does not depend on scale: every exact basis the pipeline exposes
+    # holds int entries, images of the induced maps included
+    family, _, seed = name.partition("-")
+    f = (make_desargues(Fraction(1, 2)) if name == "desargues" else grid(4) if name == "grid4"
+         else make_named(family, int(seed or 0)))
+    ctx = _LesContext(f)
+    bases = {"rigid": ctx.rigid.vectors, "mech": ctx.mech.vectors,
+             "mechanism_basis_ambient": ctx.mechanism_basis_ambient().vectors,
+             "anchored_generators": ctx.anchored_generators}
+    for label, k in (("F", ctx.force), ("M", ctx.moment), ("N", ctx.anch)):
+        bases[f"h1 {label}"], bases[f"h0 {label}"] = k.h1.vectors, k.h0.vectors
+    for label in ("phi1", "pi1", "theta", "phi0"):
+        m = getattr(ctx, label)
+        bases[f"{label} kernel"], bases[f"{label} image"] = m.kernel.vectors, m.image.vectors
+    for label, b in bases.items():
+        assert b.dtype == object, label
+        assert {type(x) for x in b.ravel().tolist()} <= {int}, label
 
 
 def test_exact_degree1_induced_maps_make_no_solve_in_image_call(monkeypatch):
@@ -582,6 +585,21 @@ def test_scan_flags_invalid_rows(monkeypatch):
     flags = [(r.seed, r.valid) for r in rows]
     assert flags == [(1, True), (2, False), (3, True)]
     assert "zero-length" in rows[1].error
+
+
+def test_scan_lets_an_internal_error_propagate(monkeypatch):
+    def broken(m, degree):
+        raise ValueError("cosheaf map does not commute")
+
+    monkeypatch.setattr(les, "induced_map", broken)
+    with pytest.raises(ValueError, match="does not commute"):
+        perturbation_scan(make_desargues(Fraction(1, 2)), [Fraction(1, 100)], [1, 2])
+
+
+def test_scan_requires_connected():
+    f = parse_framework("dim 2\nv 0 0 0\nv 1 1 0\nv 2 5 5\nv 3 6 5\ne 0 1\ne 2 3\n")
+    with pytest.raises(ValueError, match="connected"):
+        perturbation_scan(f, [Fraction(0)], [1])
 
 
 # ---------------------------------------------------------------------------

@@ -289,8 +289,10 @@ def test_exact_reduction_matches_sympy_domain_matrix(label, rows, ncols):
     # RREF: the row basis scaled to leading entries of 1
     ours = [[Fraction(x, r[p]) for x in r] for r, p in zip(red.row_basis().tolist(), pivots)]
     assert ours == fractions_of(rref)[:len(pivots)]
-    # image: the pivot columns of the matrix itself, whatever its rows' denominators
-    assert red.image().vectors.tolist() == [[r[p] for r in rows] for p in pivots]
+    # image: the pivot columns of the matrix cleared to integers, whatever its rows'
+    # denominators
+    ints = integer_form(m)[0].tolist()
+    assert red.image().vectors.tolist() == [[r[p] for r in ints] for p in pivots]
     # kernel: integer, primitive, positive first nonzero entry, same span as sympy's
     kern = kernel_basis(m)
     assert kern.dim == ncols - len(pivots)
