@@ -180,12 +180,9 @@ def _offsets(dims) -> list[int]:
 
 
 def assemble_boundary(k: Cosheaf) -> np.ndarray:
-    """Block boundary matrix C_1 -> C_0: the cosheaf's rows of den B, the
-    list its exact elimination reads, written out densely over den."""
-    out = linalg.zeros(k.c0_dim, k.c1_dim, k.mode)
-    for i, row in enumerate(k._rows):
-        out[i, list(row)] = list(row.values())
-    return from_integer_form(out, k.den)
+    """Block boundary matrix C_1 -> C_0: the rows of den B that the exact
+    elimination reads, written by ``linalg.from_rows``, over den."""
+    return from_integer_form(linalg.from_rows(k._rows, k.c1_dim, k.mode), k.den)
 
 
 def boundary_rows(k: Cosheaf) -> list[dict]:

@@ -438,9 +438,10 @@ def perturbation_scan(f: Framework, magnitudes, seeds) -> tuple:
     One row per (magnitude, seed); rows whose perturbation breaks the
     framework (a zero-length edge) are flagged invalid; any other error
     raises, and so does a disconnected or edgeless ``f``, as in ``verify_les``.
+    ``magnitudes`` and ``seeds`` are read once, so any iterables will do.
     """
     _require_les(f)
-    rows = []
+    rows, magnitudes, seeds = [], tuple(magnitudes), tuple(seeds)
     for mag in magnitudes:
         for seed in seeds:
             try:

@@ -21,7 +21,8 @@ scalings, so ranks, kernels, row bases and solutions are those of a
 Gauss-Jordan RREF over the rationals, bit-for-bit.  ``solve_in_image``
 and ``solve_gram`` take a right-hand side over a denominator and return
 their solution as a form (ints, d): the RREF numerators over the lcm of
-the pivot entries.
+the pivot entries.  Exact bases, RREF rows, solutions, the dense boundary
+and the identity are written once from sparse rows by ``from_rows``.
 Float mode ranks are SVD-based with a relative singular value cutoff of
 ``EPS_RANK``; subspace comparisons use principal angles with threshold
 ``EPS_ANGLE``.
@@ -76,11 +77,17 @@ def zeros(rows: int, cols: int, mode: str) -> np.ndarray:
     return np.zeros((rows, cols), dtype=object if mode == MODE_EXACT else float)
 
 
-def identity(n: int, mode: str) -> np.ndarray:
-    out = zeros(n, n, mode)
-    for i in range(n):
-        out[i, i] = 1 if mode == MODE_EXACT else 1.0
+def from_rows(rows: list[dict], ncols: int, mode: str) -> np.ndarray:
+    """The (len(rows) x ncols) matrix whose row i holds the sparse
+    {column: entry} map ``rows[i]``, and zeros elsewhere."""
+    out = zeros(len(rows), ncols, mode)
+    out.flat[[i * ncols + j for i, row in enumerate(rows) for j in row]] = [
+        x for row in rows for x in row.values()]
     return out
+
+
+def identity(n: int, mode: str) -> np.ndarray:
+    return from_rows([{i: 1} for i in range(n)], n, mode)
 
 
 def integer_form(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -206,13 +213,6 @@ def _sparse_rows(ints: np.ndarray) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in ints.tolist()]
 
 
-def _dense(row: dict, n: int) -> list:
-    v = [0] * n
-    for j, x in row.items():
-        v[j] = x
-    return v
-
-
 # ---------------------------------------------------------------------------
 # rank / kernel / image / complement
 # ---------------------------------------------------------------------------
@@ -266,9 +266,9 @@ class Reduction:
     def kernel(self) -> SubspaceBasis:
         """Basis of the right nullspace {x : a @ x = 0}.
 
-        Exact mode returns one integer vector per free column, with entries
-        of gcd 1 and a positive first nonzero entry; float mode the
-        orthonormal rows of V beyond the numerical rank.
+        Exact mode writes by ``from_rows`` one sparse integer row per free
+        column (it and the pivot rows touching it), of gcd 1 and a positive
+        first nonzero entry; float mode the orthonormal rows of V past the rank.
         """
         ncols = self.shape[1]
         if not self.exact:
@@ -283,15 +283,10 @@ class Reduction:
         for fc in self.free_columns:
             pcs = touching.get(fc, [])
             lcm = math.lcm(*(red[c][c] for c in pcs))
-            v = [0] * ncols
+            v = {c: -red[c][fc] * (lcm // red[c][c]) for c in pcs}
             v[fc] = lcm
-            for c in pcs:
-                v[c] = -red[c][fc] * (lcm // red[c][c])
-            g = math.gcd(lcm, *(v[c] for c in pcs)) * (-1 if pcs and v[min(pcs)] < 0 else 1)
-            for j in (fc, *pcs):
-                v[j] //= g
-            vecs.append(v)
-        return SubspaceBasis(ncols, exact_matrix(vecs, ncols))
+            vecs.append(_primitive(v, min(v)))
+        return SubspaceBasis(ncols, from_rows(vecs, ncols, MODE_EXACT))
 
     def annihilates(self, ints: np.ndarray) -> bool:
         """True when the exact matrix times the integer matrix ``ints`` is
@@ -308,14 +303,13 @@ class Reduction:
         return True
 
     def image(self) -> SubspaceBasis:
-        """Basis of the column space: the integer pivot columns of the rows
-        held (``pivot_columns``) in exact mode, the leading left singular
+        """Basis of the column space: ``from_rows`` of the integer pivot
+        columns (``pivot_columns``) in exact mode, the leading left singular
         vectors in float mode."""
         nrows = self.shape[0]
         if not self.exact:
             return SubspaceBasis(nrows, self.u[:, :self.rank].T.copy())
-        vecs = [_dense(col, nrows) for col in self.pivot_columns()]
-        return SubspaceBasis(nrows, exact_matrix(vecs, nrows))
+        return SubspaceBasis(nrows, from_rows(self.pivot_columns(), nrows, MODE_EXACT))
 
     def pivot_columns(self) -> list[dict]:
         """The integer columns at the pivots, as sparse {row: entry} maps read
@@ -335,12 +329,11 @@ class Reduction:
 
     def row_basis(self) -> np.ndarray:
         """Canonical independent rows spanning the row space: the nonzero
-        RREF rows as primitive integers with positive leading entries in
-        exact mode, orthonormal rows in float mode."""
+        RREF rows, primitive with positive leading entries, written by
+        ``from_rows`` in exact mode; orthonormal rows in float mode."""
         if not self.exact:
             return self.vh[:self.rank, :].copy()
-        ncols = self.shape[1]
-        return exact_matrix([_dense(self._reduced[c], ncols) for c in self.pivots], ncols)
+        return from_rows([self._reduced[c] for c in self.pivots], self.shape[1], MODE_EXACT)
 
 
 def rank(a: np.ndarray) -> int:
@@ -383,12 +376,9 @@ def solve_in_image(a: np.ndarray, b: np.ndarray, den: int = 1) -> tuple[np.ndarr
             raise ValueError("right-hand side is not in the column space")
         rref = red._reduced
         d = math.lcm(*(row[c] for c, row in rref.items()))
-        out = np.zeros((ncols, nrhs), dtype=object)
-        for c, row in rref.items():
-            scale = d // row[c]
-            for k, v in row.items():
-                if k >= ncols:
-                    out[c, k - ncols] = v * scale
+        sol = {c: {k - ncols: v * (d // row[c]) for k, v in row.items() if k >= ncols}
+               for c, row in rref.items()}
+        out = from_rows([sol.get(c, {}) for c in range(ncols)], nrhs, MODE_EXACT)
         den *= d
     else:
         if ncols == 0:

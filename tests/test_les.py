@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -39,6 +39,7 @@ from framehom.linalg import (
     from_integer_form,
     identity,
     integer_form,
+    rank,
     solve_gram,
     solve_in_image,
     span_rows,
@@ -504,6 +505,42 @@ def test_exactness_is_subspace_equality_not_just_dims(corpus_reports):
     assert subspaces_equal(ctx.pi1.image, ctx.theta.kernel)
 
 
+def _exact_by_ranks(a: InducedMap, b: InducedMap) -> bool:
+    """Whether im A = ker B for composable exact maps A, B, read off ranks:
+    rank A = n - rank B and BA = 0, n the source dimension of B.  Asserts on
+    the way that rank [im A; ker B] = (n - rank B) + rank BA."""
+    n = b.form[0].shape[1]
+    composite = b.form[0] @ a.form[0]
+    assert rank(np.vstack([a.image.vectors, b.kernel.vectors])) == (n - b.rank) + rank(composite)
+    return a.rank == n - b.rank and not any(composite.ravel().tolist())
+
+
+def test_exactness_checks_b_c_h_are_a_rank_identity(corpus, corpus_reports):
+    for label, f in corpus:
+        if les.les_obstacle(f):
+            continue
+        ctx = _LesContext(f)
+        passed = {c.code: c.passed for c in corpus_reports[label].checks}
+        for code, a, b in (("b", ctx.phi1, ctx.pi1), ("c", ctx.pi1, ctx.theta),
+                           ("h", ctx.theta, ctx.phi0)):
+            assert _exact_by_ranks(a, b) == passed[code], (label, code)
+
+
+def _int_matrix(nrows, ncols):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda d: st.tuples(_int_matrix(d[1], d[0]), _int_matrix(d[2], d[1]))))
+def test_rank_identity_fails_the_check_on_a_nonzero_composite(mats):
+    a, b = (InducedMap((exact_matrix(m), 1)) for m in mats)
+    assume(any((b.form[0] @ a.form[0]).ravel().tolist()))
+    assert not _exact_by_ranks(a, b)
+    assert not subspaces_equal(a.image, b.kernel)
+
+
 # ---------------------------------------------------------------------------
 # counting rules
 # ---------------------------------------------------------------------------
@@ -568,6 +605,14 @@ def test_scan_square_dims_are_perturbation_stable():
     rows = perturbation_scan(f, [Fraction(0), Fraction(1, 100)], [2, 5])
     sigs = {(r.dims_force, r.dims_moment, r.dims_anchored) for r in rows}
     assert sigs == {((0, 4), (3, 3), (4, 0))}
+
+
+def test_scan_reads_one_shot_iterables_once():
+    f = make_named("square")
+    mags = [Fraction(0), Fraction(1, 100)]
+    rows = perturbation_scan(f, iter(mags), (s for s in range(1, 4)))
+    assert rows == perturbation_scan(f, mags, [1, 2, 3])
+    assert [(r.magnitude, r.seed) for r in rows] == [(m, s) for m in mags for s in (1, 2, 3)]
 
 
 def test_scan_flags_invalid_rows(monkeypatch):

@@ -41,6 +41,40 @@ def test_rank_identity():
     assert rank(linalg.identity(3, "float")) == 3
 
 
+def test_identity_holds_int_ones_exact_and_float_ones_float():
+    ex, fl = linalg.identity(3, "exact"), linalg.identity(3, "float")
+    assert ex.tolist() == fl.tolist() == np.eye(3).tolist()
+    assert {type(x) for x in ex.flat} == {int} and fl.dtype == np.float64
+
+
+def shaped_matrices(elements, max_rows=5, max_cols=5):
+    """(rows, ncols): a matrix as nested lists, zero rows and zero columns included."""
+    shapes = st.tuples(st.integers(0, max_rows), st.integers(0, max_cols))
+    return shapes.flatmap(lambda rc: st.tuples(
+        st.lists(st.lists(elements, min_size=rc[1], max_size=rc[1]),
+                 min_size=rc[0], max_size=rc[0]), st.just(rc[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_matrices(st.integers(-2, 2) | st.integers(-2 ** 80, 2 ** 80)))
+def test_from_rows_writes_exact_sparse_rows_back(shaped):
+    rows, ncols = shaped
+    m = exact_matrix(rows, ncols)
+    out = linalg.from_rows(linalg._sparse_rows(m), ncols, "exact")
+    assert out.dtype == object and out.shape == m.shape
+    assert out.tolist() == rows and all(type(x) is int for x in out.flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_matrices(st.just(0.0) | st.floats(-1e6, 1e6, allow_nan=False)))
+def test_from_rows_writes_float_sparse_rows_back(shaped):
+    rows, ncols = shaped
+    m = np.array(rows, dtype=float).reshape(len(rows), ncols)
+    out = linalg.from_rows(linalg._sparse_rows(m), ncols, "float")
+    assert out.dtype == np.float64 and out.shape == m.shape
+    assert (out == m).all()
+
+
 def test_rank_proportional_rows():
     assert rank(exact_matrix([[1, 2], [2, 4]])) == 1
     assert rank(float_matrix([[1, 2], [2, 4]])) == 1
@@ -242,6 +276,10 @@ def _random_sparse(rng, nrows, ncols, density=0.3, large=False):
     return [[entry() for _ in range(ncols)] for _ in range(nrows)]
 
 
+def _dense_row(row, ncols):
+    return [row.get(j, 0) for j in range(ncols)]
+
+
 def _oracle_cases():
     rng = random.Random(20261018)
     cases = [("empty rows", [], 5), ("empty cols", [[]] * 4, 0), ("empty", [], 0),
@@ -261,11 +299,11 @@ def _oracle_cases():
     # order that keeps their fill low
     for label, k in (("grid6 moment boundary", build_moment_cosheaf(grid(6))),
                      ("lattice3 force boundary", build_force_cosheaf(lattice(3)))):
-        cases.append((label, [linalg._dense(r, k.c1_dim) for r in boundary_rows(k)], k.c1_dim))
+        cases.append((label, [_dense_row(r, k.c1_dim) for r in boundary_rows(k)], k.c1_dim))
     # a perturbation scan's coefficients: the moment boundary of a Desargues
     # frame perturbed at 10^-60, with integer entries of about 210 bits
     k = build_moment_cosheaf(perturb(make_desargues("1/2"), Fraction(1, 10 ** 60), 1))
-    rows = [linalg._dense(r, k.c1_dim) for r in boundary_rows(k)]
+    rows = [_dense_row(r, k.c1_dim) for r in boundary_rows(k)]
     cases.append(("perturbed desargues moment boundary", rows, k.c1_dim))
     cases.append(("perturbed desargues moment boundary transposed",
                   [list(c) for c in zip(*rows)], k.c0_dim))
