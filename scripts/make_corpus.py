@@ -7,7 +7,9 @@ The top level of ``outdir`` gets the 15 corpus frames; ``outdir/large/``
 gets the larger frames whose exact reports the tests pin: triangulated
 grids 3, 4, 6 and 8, lattices 2 and 3, the box3d and Desargues frames
 perturbed at 1/100 with seed 1, and grid6 and lattice3 with every other
-edge reversed.  Comparing two versions of framehom is then
+edge reversed.  ``large/`` also gets ``two-components``, a triangle beside
+a separate bar in space, so the digests cover a frame with b0 > 1.
+Comparing two versions of framehom is then
 
     PYTHONPATH=src python scripts/output_digests.py corpus
 
@@ -18,7 +20,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from framehom import make_desargues, make_grid, make_lattice, make_named, perturb, save_framework
+from framehom import (make_desargues, make_grid, make_lattice, make_named, parse_framework,
+                      perturb, save_framework)
+
+TWO_COMPONENTS = ("dim 3\nv 0 0 0 0\nv 1 1 0 0\nv 2 0 1 0\nv 3 5 5 5\nv 4 6 5 7\n"
+                  "e 0 1\ne 1 2\ne 0 2\ne 3 4\n")
 
 
 def every_other_edge_flipped(f):
@@ -34,6 +40,7 @@ def large_frames() -> dict:
     frames["desargues-perturbed"] = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 1)
     for name in ("grid6", "lattice3"):
         frames[f"{name}-flipped"] = every_other_edge_flipped(frames[name])
+    frames["two-components"] = parse_framework(TWO_COMPONENTS)
     return frames
 
 

@@ -109,23 +109,20 @@ class Framework:
         return math.sqrt(sum((b - a) ** 2 for a, b in zip(lo, hi)))
 
     def connected(self) -> bool:
-        return self._connected
+        return self.components == 1
 
     @cached_property
-    def _connected(self) -> bool:
-        adj = {i: [] for i in range(self.num_vertices)}
+    def components(self) -> int:
+        """The number of connected components of the graph, b0."""
+        parent = list(range(self.num_vertices))
+
+        def root(v):
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            return v
         for t, h in self.edges:
-            adj[t].append(h)
-            adj[h].append(t)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_vertices
+            parent[root(t)] = root(h)
+        return sum(v == p for v, p in enumerate(parent))
 
     @cached_property
     def direction_form(self) -> tuple[list, int]:

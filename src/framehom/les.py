@@ -17,7 +17,10 @@ from stage to stage into ``InducedMap``, and every exact basis is a span
 of integer rows (``test_exact_bases_are_integer_spans``).  One dense
 ``Fraction`` matrix product is left: the frame boundary times the lifted
 cycles in ``resultants``, which dominates theta on big frames (ROADMAP
-item 2 waits on the benchmark, item 1).
+item 2 waits on the benchmark, item 1).  The moment dims come from M's
+certified gauge (``moment_rank``), with no elimination of B_M: the
+certificate proves the circuit-rank rule on each frame, and the tests
+check it by elimination, which the H1(M) basis still needs.
 
 This module computes the induced maps and the connecting homomorphism,
 verifies exactness at every node, evaluates the counting rules
@@ -51,7 +54,7 @@ from .linalg import (
 # not called here: the benchmark's self-test checks that its tracer rebinds
 # framehom.les.kernel_basis, so the name stays importable from this module
 from .linalg import kernel_basis  # noqa: F401
-from .structural import build_phi, couple_dim, moment_dim, rigid_body_space
+from .structural import build_phi, couple_dim, moment_dim, moment_rank, rigid_body_space
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,13 @@ class _LesContext:
     # inverse of pi gives the same theta
     section = cached_property(lambda self: self._section())
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
-        """(dim H1, dim H0) of the force, moment and anchored cosheaves."""
-        return self.force.dims, self.moment.dims, self.anch.dims
+        """(dim H1, dim H0) of the force, moment and anchored cosheaves; the
+        moment's from the rank its certified gauge gives (``moment_rank``),
+        which the tests check against ``Cosheaf.dims``'s elimination."""
+        m, r = self.moment, moment_rank(self.moment)
+        return self.force.dims, (m.c1_dim - r, m.c0_dim - r), self.anch.dims
 
     @cached_property
     def rigid(self) -> SubspaceBasis:

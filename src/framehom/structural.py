@@ -138,6 +138,28 @@ def build_moment_cosheaf(f: Framework) -> Cosheaf:
     )
 
 
+def moment_rank(m: Cosheaf) -> int:
+    """rank B of the moment cosheaf m, k (|V| - b0), read off its gauge.
+
+    Couple transports compose, T(a) T(b) = T(a + b), so T(p_v) on vertices
+    and T(c_e), c_e the bar midpoint, on edges carry the constant cosheaf R^k
+    onto m once each stalk map is certified (on the stored integers over 2 den,
+    once per distinct (map, delta)) as the transport along its lever p_v - c_e,
+    +-delta / 2.  Raises ValueError naming the edge and endpoint that fail."""
+    f, checked = m.base, set()
+    deltas, den = f.direction_form
+    for e, ((t, h), d) in enumerate(zip(f.edges, deltas)):
+        for v, stored, sign in ((h, m.head_maps[e], 1), (t, m.tail_maps[e], -1)):
+            key = (id(stored), tuple(sign * x for x in d))
+            if key not in checked:
+                want = _transport(key[1], den, f.mode) * m.den
+                if (stored * (2 * den)).tolist() != want.tolist():
+                    raise ValueError(f"moment stalk map of edge {e} at vertex {v} is not "
+                                     "the couple transport along its lever")
+                checked.add(key)
+    return couple_dim(f.dim) * (f.num_vertices - f.components)
+
+
 def build_phi(f: Framework) -> CosheafMap:
     """The embedding of truss statics into frame statics.
 

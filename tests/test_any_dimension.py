@@ -6,6 +6,7 @@ not asserted here (exact mode is the oracle).
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -13,10 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framehom import Framework, counting_rules, verify_les, wedge
+from conftest import build_corpus
+from framehom import (
+    CosheafMap,
+    Framework,
+    build_moment_cosheaf,
+    check_cosheaf_map,
+    constant_cosheaf,
+    counting_rules,
+    verify_les,
+    wedge,
+)
 from framehom.framework import _random_framework
 from framehom.linalg import MODE_EXACT, from_integer_form
-from framehom.structural import _transport, bivector_pairs, moment_dim
+from framehom.structural import _transport, bivector_pairs, couple_dim, moment_dim
 
 ints = st.integers(-50, 50)
 
@@ -134,6 +145,11 @@ def test_transport_adds_the_lever_moment(case):
     assert list(t @ ([0] * len(moment) + force)) == list(wedge(force, lever)) + force
     moved = t @ (moment + force)
     assert list(moved) == [m + c for m, c in zip(moment, wedge(force, lever))] + force
+    # the group law the gauge certificate of moment_rank rests on
+    for den in (1, 3):
+        a, b = _transport(tuple(lever), den, MODE_EXACT), _transport(tuple(force), den, MODE_EXACT)
+        both = _transport(tuple(map(operator.add, lever, force)), den, MODE_EXACT)
+        assert (a @ b).tolist() == (2 * den * both).tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,3 +158,25 @@ def test_wedge_is_antisymmetric(case):
     a, b, _ = case
     assert wedge(a, b) == tuple(-x for x in wedge(b, a))
     assert wedge(a, a) == (0,) * moment_dim(len(a))
+
+
+def moment_gauge(f):
+    """The gauge from the constant cosheaf R^k onto the moment cosheaf of f:
+    the couple transports T(p_v) on vertices and T(c_e), c_e the bar
+    midpoint, on edges, as ``_transport`` of twice the lever over 2."""
+    pos = f.positions
+    return CosheafMap(
+        source=constant_cosheaf(f, couple_dim(f.dim)), target=build_moment_cosheaf(f),
+        vertex_maps=tuple(_transport(tuple(2 * x for x in p), 1, f.mode) for p in pos),
+        edge_maps=tuple(_transport(tuple(map(operator.add, pos[t], pos[h])), 1, f.mode)
+                        for t, h in f.edges),
+        den=2)
+
+
+GAUGE_FRAMES = dict(build_corpus()) | {label: build() for label, (build, _) in FRAMES.items()}
+
+
+@pytest.mark.parametrize("label", GAUGE_FRAMES)
+def test_moment_gauge_is_a_cosheaf_map(label):
+    # the oracle of moment_rank's certificate: the explicit gauge commutes
+    assert check_cosheaf_map(moment_gauge(GAUGE_FRAMES[label])).passed

@@ -691,16 +691,18 @@ def test_dims_only_counting_rules_and_verify_les_agree(corpus, corpus_reports,
         assert computed["moment_circuit_rank"] == dims[1][0], label
 
 
-@pytest.mark.parametrize("text, dims", [
+@pytest.mark.parametrize("text, components, dims", [
     # three vertices and no edge: every vertex is its own component
-    ("dim 2\nv 0 0 0\nv 1 1 0\nv 2 0 2\n", ((0, 6), (0, 9), (0, 3))),
+    ("dim 2\nv 0 0 0\nv 1 1 0\nv 2 0 2\n", 3, ((0, 6), (0, 9), (0, 3))),
     # a triangle and a separate bar in space; the bar keeps H0(N) = 1
     ("dim 3\nv 0 0 0 0\nv 1 1 0 0\nv 2 0 1 0\nv 3 5 5 5\nv 4 6 5 7\n"
-     "e 0 1\ne 1 2\ne 0 2\ne 3 4\n", ((0, 11), (6, 12), (6, 1))),
+     "e 0 1\ne 1 2\ne 0 2\ne 3 4\n", 2, ((0, 11), (6, 12), (6, 1))),
 ])
-def test_analyze_and_dims_only_on_disconnected_frameworks(tmp_path, capsys, text, dims):
+def test_analyze_and_dims_only_on_disconnected_frameworks(tmp_path, capsys, text,
+                                                          components, dims):
     path = tmp_path / "parts.fw"
     path.write_text(text)
+    assert load_framework(path).components == components
     assert _json_dims(capsys, path, "--dims-only") == dims
     assert _json_dims(capsys, path) == dims
     assert main(["analyze", str(path)]) == 0
@@ -875,7 +877,8 @@ def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypat
 def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, monkeypatch):
     # eliminations read sparse boundary rows; theta multiplies by the dense
     # moment boundary, written from the rows the moment elimination read, so
-    # each cosheaf (force, moment, anchored) builds its rows once
+    # each cosheaf (force, moment, anchored) builds its rows once; the dims
+    # read the moment rank off its gauge, so the moment rows wait for phi*
     path = _saved(tmp_path, "grid3", grid(3))
     calls, built = [], []
     original, original_rows = cosheaf.assemble_boundary, cosheaf.boundary_rows
@@ -885,12 +888,29 @@ def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, mo
                         lambda k: built.append(k.c0_dim) or original_rows(k))
     assert main(["analyze", str(path), "--dims-only"]) == 0
     assert calls == []
-    assert built == [18, 27, 9]
+    assert built == [18, 9]
     built.clear()
     assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
     assert calls == [9 * 3]
-    assert built == [18, 27, 9]
+    assert built == [18, 9, 27]
+
+
+def test_dims_read_off_the_gauge_eliminate_no_moment_boundary(tmp_path, capsys, monkeypatch):
+    # grid3's moment boundary has 27 rows; --dims-only and counting_rules take
+    # the moment dims from its gauge, a full analyze still eliminates it
+    path = _saved(tmp_path, "grid3", grid(3))
+    rows = []
+    original = linalg.Reduction._forward
+    monkeypatch.setattr(linalg.Reduction, "_forward",
+                        lambda red, ints: rows.append(red.shape[0]) or original(red, ints))
+    assert main(["analyze", str(path), "--dims-only"]) == 0
+    counting_rules(grid(3))
+    assert rows and 27 not in rows
+    rows.clear()
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert 27 in rows
 
 
 # sha256 of the exact `analyze --dims-only --json` and `analyze --json`

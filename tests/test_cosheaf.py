@@ -326,6 +326,18 @@ def test_identity_map_commutes():
     assert check_cosheaf_map(ident).passed
 
 
+def _lever_sign_flipped(moment, e):
+    """``moment`` with the lever sign of edge e's head map flipped."""
+    bad_map = moment.head_maps[e].copy()
+    bad_map[0, 1] = -bad_map[0, 1]
+    bad_map[0, 2] = -bad_map[0, 2]
+    heads = list(moment.head_maps)
+    heads[e] = bad_map
+    return Cosheaf(
+        base=moment.base, vertex_dims=moment.vertex_dims, edge_dims=moment.edge_dims,
+        tail_maps=moment.tail_maps, head_maps=tuple(heads), den=moment.den)
+
+
 def test_corrupted_lever_sign_fails_at_that_incidence():
     # flipping the lever sign in one moment stalk map is invisible to the
     # axial embedding (the bar direction wedges to zero against any lever
@@ -335,15 +347,7 @@ def test_corrupted_lever_sign_fails_at_that_incidence():
     phi = build_phi(f)
     assert check_cosheaf_map(phi).passed
     pi = quotient_cosheaf(phi)[1]()
-    moment = phi.target
-    bad_map = moment.head_maps[2].copy()
-    bad_map[0, 1] = -bad_map[0, 1]
-    bad_map[0, 2] = -bad_map[0, 2]
-    heads = list(moment.head_maps)
-    heads[2] = bad_map
-    corrupted = Cosheaf(
-        base=f, vertex_dims=moment.vertex_dims, edge_dims=moment.edge_dims,
-        tail_maps=moment.tail_maps, head_maps=tuple(heads), den=moment.den)
+    corrupted = _lever_sign_flipped(phi.target, 2)
     bad_phi = CosheafMap(source=phi.source, target=corrupted,
                          vertex_maps=phi.vertex_maps, edge_maps=phi.edge_maps, den=phi.den)
     assert check_cosheaf_map(bad_phi).passed  # axial forces cannot see it
@@ -352,6 +356,15 @@ def test_corrupted_lever_sign_fails_at_that_incidence():
     chk = check_cosheaf_map(bad_pi)
     assert not chk.passed
     assert [(e, v) for e, v, _ in chk.failures] == [(2, f.edges[2][1])]
+
+
+def test_moment_rank_names_a_corrupted_lever():
+    # the gauge certificate refuses a moment cosheaf with one wrong lever
+    f = make_named("square")
+    moment = build_moment_cosheaf(f)
+    assert structural.moment_rank(moment) == 3 * (f.num_vertices - 1)
+    with pytest.raises(ValueError, match=f"edge 2 at vertex {f.edges[2][1]} is not"):
+        structural.moment_rank(_lever_sign_flipped(moment, 2))
 
 
 @pytest.mark.parametrize("defect", [Fraction(1, 10**400), 10**400])

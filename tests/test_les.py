@@ -106,6 +106,8 @@ def test_counting_rules_hold_on_grid_and_lattice_families(family, n):
     ne, nv = f.num_edges, f.num_vertices
     want = ne - 2 * nv + 3 if f.dim == 2 else ne - 3 * nv + 6
     assert ctx.force.dims[0] == want
+    # the moment dims come from the certified gauge; the elimination is the oracle
+    assert ctx.dims[1] == build_moment_cosheaf(f).dims
 
 
 def test_phi0_surjective_with_mechanism_kernel():
