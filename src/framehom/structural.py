@@ -40,7 +40,7 @@ import numpy as np
 from . import linalg
 from .cosheaf import Cosheaf, CosheafMap, quotient_cosheaf
 from .framework import Framework
-from .linalg import SubspaceBasis, span_rows
+from .linalg import MODE_EXACT, SubspaceBasis, span_rows
 
 
 @cache
@@ -81,18 +81,23 @@ def _padded_direction(pad: int, delta, mode: str) -> np.ndarray:
     return col
 
 
-def _transport(delta, den, mode: str) -> np.ndarray:
+def _transport_rows(delta, den) -> list:
     """Stalk map (M, F) -> (M + F ^ lever, F) for the lever delta / (2 den),
-    times 2 den: 2 den on the diagonal, and moment row r = (i, j) picks up
-    delta_j F_i - delta_i F_j."""
+    times 2 den, as int rows: 2 den on the diagonal, and moment row
+    r = (i, j) picks up delta_j F_i - delta_i F_j."""
     n = len(delta)
     w = moment_dim(n)
-    out = linalg.zeros(w + n, w + n, mode)
-    out[range(w + n), range(w + n)] = 2 * den
-    for r, (i, j) in enumerate(bivector_pairs(n)):
-        out[r, w + i] = delta[j]
-        out[r, w + j] = -delta[i]
-    return out
+    rows = [[0] * (w + n) for _ in range(w + n)]
+    for r, row in enumerate(rows):
+        row[r] = 2 * den
+    for row, (i, j) in zip(rows, bivector_pairs(n)):
+        row[w + i], row[w + j] = delta[j], -delta[i]
+    return rows
+
+
+def _transport(delta, den, mode: str) -> np.ndarray:
+    """``_transport_rows`` as one matrix: object ints in exact mode, float64 in float."""
+    return np.array(_transport_rows(delta, den), dtype=object if mode == MODE_EXACT else float)
 
 
 def build_force_cosheaf(f: Framework) -> Cosheaf:
@@ -120,20 +125,19 @@ def build_moment_cosheaf(f: Framework) -> Cosheaf:
 
     The stalk map into an endpoint transports the couple from the edge
     center: the lever is +half the direction into the head and -half into
-    the tail.  Edge ends with equal levers share one matrix.
+    the tail.  One (tail, head) pair is made per distinct direction, from
+    one matrix per distinct signed lever, and fanned out to the edges, so
+    the head map of direction delta is the tail map of direction -delta.
     """
     deltas, den = f.direction_form
     transport = cache(lambda d: _transport(d, den, f.mode))
-    tails, heads = [], []
-    for d in deltas:
-        heads.append(transport(d))
-        tails.append(transport(tuple(-x for x in d)))
+    ends = {d: (transport(tuple(-x for x in d)), transport(d)) for d in dict.fromkeys(deltas)}
     return Cosheaf(
         base=f,
         vertex_dims=(couple_dim(f.dim),) * f.num_vertices,
         edge_dims=(couple_dim(f.dim),) * f.num_edges,
-        tail_maps=tuple(tails),
-        head_maps=tuple(heads),
+        tail_maps=tuple(ends[d][0] for d in deltas),
+        head_maps=tuple(ends[d][1] for d in deltas),
         den=2 * den,
     )
 
@@ -143,20 +147,31 @@ def moment_rank(m: Cosheaf) -> int:
 
     Couple transports compose, T(a) T(b) = T(a + b), so T(p_v) on vertices
     and T(c_e), c_e the bar midpoint, on edges carry the constant cosheaf R^k
-    onto m once each stalk map is certified (on the stored integers over 2 den,
-    once per distinct (map, delta)) as the transport along its lever p_v - c_e,
-    +-delta / 2.  Raises ValueError naming the edge and endpoint that fail."""
-    f, checked = m.base, set()
+    onto m once each stalk map is certified as the transport along its lever
+    p_v - c_e, +-delta / 2.  Each distinct (stored map, signed lever) is
+    checked once, with no matrix made: the stored ints x 2 den against the
+    int rows of ``_transport_rows`` x m.den.  If one fails, the edges are
+    rescanned in order, head before tail, and ValueError names the first
+    failing edge and endpoint."""
+    f = m.base
     deltas, den = f.direction_form
-    for e, ((t, h), d) in enumerate(zip(f.edges, deltas)):
-        for v, stored, sign in ((h, m.head_maps[e], 1), (t, m.tail_maps[e], -1)):
-            key = (id(stored), tuple(sign * x for x in d))
-            if key not in checked:
-                want = _transport(key[1], den, f.mode) * m.den
-                if (stored * (2 * den)).tolist() != want.tolist():
+    verdicts = {}
+
+    def fits(stored, lever) -> bool:
+        key = (id(stored), lever)
+        if key not in verdicts:  # the rows are linear in (lever, den): formula x m.den
+            verdicts[key] = ([[x * 2 * den for x in row] for row in stored.tolist()]
+                             == _transport_rows(tuple(x * m.den for x in lever), den * m.den))
+        return verdicts[key]
+
+    ends = dict(zip(zip(map(id, m.head_maps), map(id, m.tail_maps), deltas),
+                    zip(m.head_maps, m.tail_maps, deltas)))
+    if not all(fits(h, d) and fits(t, tuple(-x for x in d)) for h, t, d in ends.values()):
+        for e, ((t, h), d, hm, tm) in enumerate(zip(f.edges, deltas, m.head_maps, m.tail_maps)):
+            for v, stored, lever in ((h, hm, d), (t, tm, tuple(-x for x in d))):
+                if not fits(stored, lever):
                     raise ValueError(f"moment stalk map of edge {e} at vertex {v} is not "
                                      "the couple transport along its lever")
-                checked.add(key)
     return couple_dim(f.dim) * (f.num_vertices - f.components)
 
 

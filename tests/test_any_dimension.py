@@ -10,11 +10,12 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_corpus
+from conftest import build_corpus, grid, lattice
 from framehom import (
     CosheafMap,
     Framework,
@@ -26,7 +27,7 @@ from framehom import (
     wedge,
 )
 from framehom.framework import _random_framework
-from framehom.linalg import MODE_EXACT, from_integer_form
+from framehom.linalg import MODE_EXACT, MODE_FLOAT, from_integer_form, zeros
 from framehom.structural import _transport, bivector_pairs, couple_dim, moment_dim
 
 ints = st.integers(-50, 50)
@@ -158,6 +159,50 @@ def test_wedge_is_antisymmetric(case):
     a, b, _ = case
     assert wedge(a, b) == tuple(-x for x in wedge(b, a))
     assert wedge(a, a) == (0,) * moment_dim(len(a))
+
+
+def _transport_as_before(delta, den, mode):
+    """The matrix-writing transport that the int-row one replaced, kept as its
+    oracle: zeros, 2 den stored on the diagonal, then one store per lever entry."""
+    n = len(delta)
+    w = moment_dim(n)
+    out = zeros(w + n, w + n, mode)
+    out[range(w + n), range(w + n)] = 2 * den
+    for r, (i, j) in enumerate(bivector_pairs(n)):
+        out[r, w + i] = delta[j]
+        out[r, w + j] = -delta[i]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.lists(ints, min_size=n, max_size=n)),
+       st.integers(1, 3))
+def test_int_row_transport_equals_the_matrix_writer(delta, den):
+    delta = tuple(delta)
+    exact = _transport(delta, den, MODE_EXACT)
+    assert exact.dtype == object
+    assert all(type(x) is int for x in exact.ravel().tolist())
+    assert exact.tolist() == _transport_as_before(delta, den, MODE_EXACT).tolist()
+    floats = tuple(x / 7 for x in delta)
+    got = _transport(floats, den, MODE_FLOAT)
+    assert got.dtype == np.float64
+    assert got.tolist() == _transport_as_before(floats, den, MODE_FLOAT).tolist()
+
+
+@pytest.mark.parametrize("f", [grid(3).with_flipped_edge(0), lattice(2).with_flipped_edge(0)],
+                         ids=["grid3", "lattice2"])
+def test_moment_cosheaf_stores_one_matrix_per_signed_lever(f):
+    # edge 0 reversed: the head map of its direction is the tail map of the
+    # unreversed bars parallel to it
+    m = build_moment_cosheaf(f)
+    deltas, _ = f.direction_form
+    assert any(tuple(-x for x in d) in deltas for d in deltas)
+    stored = {}
+    for d, tail, head in zip(deltas, m.tail_maps, m.head_maps):
+        stored.setdefault(d, set()).add(id(head))
+        stored.setdefault(tuple(-x for x in d), set()).add(id(tail))
+    assert all(len(ids) == 1 for ids in stored.values())
+    assert len({id(a) for a in m.tail_maps + m.head_maps}) == len(stored)
 
 
 def moment_gauge(f):

@@ -25,7 +25,7 @@ from framehom import (
     perturb,
     save_framework,
 )
-from framehom import cli, cosheaf, linalg
+from framehom import cli, cosheaf, linalg, structural
 from framehom.cli import main
 from framehom.framework import _parse_scalar
 from framehom.les import _LesContext
@@ -911,6 +911,24 @@ def test_dims_read_off_the_gauge_eliminate_no_moment_boundary(tmp_path, capsys, 
     assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
     assert 27 in rows
+
+
+def test_dims_only_builds_one_transport_per_signed_lever(tmp_path, monkeypatch):
+    # one reversed bar makes the head map of one direction the tail map of
+    # its reverse; each signed lever's matrix is made once, by the build, and
+    # the gauge certificate checks the stored maps without making any
+    f = grid(3).with_flipped_edge(0)
+    deltas, _ = f.direction_form
+    levers = set(deltas) | {tuple(-x for x in d) for d in deltas}
+    calls, built = [], []
+    transport, build = structural._transport, structural.build_moment_cosheaf
+    monkeypatch.setattr(structural, "_transport",
+                        lambda d, *rest: calls.append(d) or transport(d, *rest))
+    monkeypatch.setattr(structural, "build_moment_cosheaf",
+                        lambda fw: (build(fw), built.append(len(calls)))[0])
+    assert main(["analyze", str(_saved(tmp_path, "grid3-flipped", f)), "--dims-only"]) == 0
+    assert sorted(calls) == sorted(levers)
+    assert built == [len(levers)]
 
 
 # sha256 of the exact `analyze --dims-only --json` and `analyze --json`

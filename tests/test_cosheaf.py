@@ -1,5 +1,6 @@
 """Generic cosheaf machinery: boundary assembly, homology, maps, quotients."""
 
+import dataclasses
 import math
 import random
 import re
@@ -326,16 +327,14 @@ def test_identity_map_commutes():
     assert check_cosheaf_map(ident).passed
 
 
-def _lever_sign_flipped(moment, e):
-    """``moment`` with the lever sign of edge e's head map flipped."""
-    bad_map = moment.head_maps[e].copy()
-    bad_map[0, 1] = -bad_map[0, 1]
-    bad_map[0, 2] = -bad_map[0, 2]
-    heads = list(moment.head_maps)
-    heads[e] = bad_map
-    return Cosheaf(
-        base=moment.base, vertex_dims=moment.vertex_dims, edge_dims=moment.edge_dims,
-        tail_maps=moment.tail_maps, head_maps=tuple(heads), den=moment.den)
+def _lever_sign_flipped(moment, *edges, side="head_maps"):
+    """``moment`` with the lever sign flipped in the ``side`` ("head_maps" or
+    "tail_maps") stalk map of each of ``edges``, each flipped map a new object."""
+    maps = list(getattr(moment, side))
+    for e in edges:
+        maps[e] = maps[e].copy()
+        maps[e][0, 1:3] = -maps[e][0, 1:3]
+    return dataclasses.replace(moment, **{side: tuple(maps)})
 
 
 def test_corrupted_lever_sign_fails_at_that_incidence():
@@ -365,6 +364,40 @@ def test_moment_rank_names_a_corrupted_lever():
     assert structural.moment_rank(moment) == 3 * (f.num_vertices - 1)
     with pytest.raises(ValueError, match=f"edge 2 at vertex {f.edges[2][1]} is not"):
         structural.moment_rank(_lever_sign_flipped(moment, 2))
+
+
+def test_moment_rank_names_a_corrupted_tail_at_its_tail():
+    # square: edge 1's tail map is shared with edge 3's head; only edge 1's copy is bad
+    f = make_named("square")
+    bad = _lever_sign_flipped(build_moment_cosheaf(f), 1, side="tail_maps")
+    with pytest.raises(ValueError, match=f"edge 1 at vertex {f.edges[1][0]} is not"):
+        structural.moment_rank(bad)
+
+
+def test_moment_rank_names_the_lowest_failing_edge_head_first():
+    # the first failure in edge order is named, whatever order the checks ran in
+    f = make_named("square")
+    moment = build_moment_cosheaf(f)
+    bad = _lever_sign_flipped(_lever_sign_flipped(moment, 3), 1, side="tail_maps")
+    with pytest.raises(ValueError, match=f"edge 1 at vertex {f.edges[1][0]} is not"):
+        structural.moment_rank(bad)
+    bad = _lever_sign_flipped(_lever_sign_flipped(moment, 2, 3), 2, side="tail_maps")
+    with pytest.raises(ValueError, match=f"edge 2 at vertex {f.edges[2][1]} is not"):
+        structural.moment_rank(bad)
+
+
+@pytest.mark.parametrize("kept, shared", [(0, 2), (2, 0), (0, 1)])
+def test_moment_rank_refuses_a_shared_map_where_its_lever_differs(kept, shared):
+    # one stored object serves as the head map of two edges with different
+    # directions: it is checked per signed lever, and refused where it is wrong
+    f = make_named("square")
+    moment = build_moment_cosheaf(f)
+    heads = list(moment.head_maps)
+    heads[shared] = heads[kept]
+    bad = dataclasses.replace(moment, head_maps=tuple(heads))
+    assert bad.head_maps[shared] is bad.head_maps[kept]
+    with pytest.raises(ValueError, match=f"edge {shared} at vertex {f.edges[shared][1]} is not"):
+        structural.moment_rank(bad)
 
 
 @pytest.mark.parametrize("defect", [Fraction(1, 10**400), 10**400])
