@@ -14,6 +14,7 @@ runs in exact mode.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -120,8 +121,7 @@ def _vec_strs(vec) -> list[str]:
     return [_format_scalar(x) for x in vec]
 
 
-def _report_json(path, digest, ctx: _LesContext, report: LesReport | None,
-                 dims_only=False) -> str:
+def _report_json(path, digest, ctx: _LesContext, report: LesReport | None) -> str:
     f = ctx.f
     doc = {
         "schema": SCHEMA_VERSION,
@@ -141,7 +141,7 @@ def _report_json(path, digest, ctx: _LesContext, report: LesReport | None,
         "moment": {"h1": dims_m[0], "h0": dims_m[1]},
         "anchored": {"h1": dims_n[0], "h0": dims_n[1]},
     }
-    if report is not None and not dims_only:
+    if report is not None:
         doc["rigid_dim"] = report.rigid_dim
         doc["mech_dim"] = report.mech_dim
         doc["ranks"] = {
@@ -150,14 +150,8 @@ def _report_json(path, digest, ctx: _LesContext, report: LesReport | None,
             "theta": report.rank_theta,
             "phi_star_h0": report.rank_phi0,
         }
-        doc["counting"] = [
-            {"name": c.name, "applicable": c.applicable, "expected": c.expected,
-             "computed": c.computed, "passed": c.passed, "note": c.note}
-            for c in report.counting]
-        doc["les_checks"] = [
-            {"code": c.code, "description": c.description, "passed": c.passed,
-             "residual": c.residual}
-            for c in report.checks]
+        doc["counting"] = [dataclasses.asdict(c) for c in report.counting]
+        doc["les_checks"] = [dataclasses.asdict(c) for c in report.checks]
         doc["all_passed"] = report.all_passed
         doc["generators"] = {
             "force_h1": [_vec_strs(v) for v in ctx.force.h1.vectors],
@@ -176,7 +170,7 @@ def _cmd_analyze(args) -> int:
     if not args.dims_only and les_obstacle(f) is None:
         report = _report_from_context(ctx)
     if args.json:
-        text = _report_json(args.input, digest, ctx, report, args.dims_only)
+        text = _report_json(args.input, digest, ctx, report)
     else:
         text = _report_text(args.input, digest, ctx, report, args.dims_only)
     if args.out and _write(args.out, text):

@@ -28,7 +28,9 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import MODE_EXACT, MODE_FLOAT, exact_matrix, float_matrix, rank as _matrix_rank
+import numpy as np
+
+from .linalg import MODE_EXACT, MODE_FLOAT, rank as _matrix_rank
 
 EPS_GEOM = 1e-9  # float mode: zero-length threshold, relative to the bbox diagonal
 
@@ -70,14 +72,15 @@ class Framework:
             raise FrameworkError(f"unknown mode {self.mode!r}")
         if not self.positions:
             raise FrameworkError("framework has no vertices")
-        if self.mode == MODE_EXACT:  # once, so parser, generators and transforms agree
-            object.__setattr__(self, "positions", tuple(
-                tuple(_integral(x) for x in p) for p in self.positions))
         for i, p in enumerate(self.positions):
             if len(p) != self.dim:
                 raise FrameworkError(f"vertex {i} has {len(p)} coordinates, expected {self.dim}")
             if any(isinstance(x, float) and not math.isfinite(x) for x in p):
                 raise FrameworkError(f"vertex {i} has a non-finite coordinate")
+        if self.mode == MODE_EXACT:  # once, so parser, generators and transforms agree
+            object.__setattr__(self, "positions", tuple(tuple(
+                _integral(_as_fraction(x) if isinstance(x, float) else x) for x in p)
+                for p in self.positions))
         if self.mode == MODE_FLOAT:
             eps = EPS_GEOM * max(self.bbox_diagonal(), 1e-300)
         seen = set()
@@ -329,10 +332,12 @@ _CUBE_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0),
 
 
 def affine_span_full(dim: int, positions, mode: str = MODE_EXACT) -> bool:
-    """True when the points' affine span is all of R^dim."""
+    """True when the points' affine span is all of R^dim: the differences
+    from the first point, one row each (none for a single point), have rank
+    dim in ``mode``."""
     rel = [[p[i] - positions[0][i] for i in range(dim)] for p in positions[1:]]
-    matrix = exact_matrix if mode == MODE_EXACT else float_matrix
-    return _matrix_rank(matrix(rel, dim)) == dim
+    return _matrix_rank(np.array(rel, dtype=object if mode == MODE_EXACT else float)
+                        .reshape(-1, dim)) == dim
 
 
 def _random_framework(dim: int, seed: int, max_vertices: int) -> Framework:

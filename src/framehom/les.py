@@ -221,8 +221,7 @@ class _LesContext:
 
     def mechanism_basis_ambient(self) -> SubspaceBasis:
         """Image of the connecting map as vectors in the truss C_0 space."""
-        vecs = self.theta.image.vectors @ self.force.h0.vectors
-        return span_rows(vecs, self.force.h0.ambient_dim)
+        return span_rows(self.theta.image.vectors @ self.force.h0.vectors)
 
     @cached_property
     def anchored_generators(self) -> np.ndarray:
@@ -230,7 +229,7 @@ class _LesContext:
         them: the frame-stress images (im pi*) first, then the complement
         orthogonal to im pi* (the anchored-only stresses)."""
         h1n = self.anch.h1
-        im_ambient = span_rows(self.pi1.image.vectors @ h1n.vectors, h1n.ambient_dim)
+        im_ambient = span_rows(self.pi1.image.vectors @ h1n.vectors)
         return np.vstack([im_ambient.vectors, complement_within(im_ambient, h1n).vectors])
 
 

@@ -1,9 +1,11 @@
 """Linear algebra over exact rationals, with a floating fallback.
 
-Matrices are plain 2-D numpy arrays.  ``dtype=object`` entries are exact
-rationals (``fractions.Fraction`` or int) and make up "exact" mode;
-``dtype=float64`` is "float" mode.  A computation never mixes modes: the
-mode of every derived matrix is the mode of its inputs.
+Matrices are plain 2-D numpy arrays, built by numpy (``np.array`` with a
+dtype) or by ``from_rows``, and every shape is read off the array.
+``dtype=object`` entries are exact rationals (``fractions.Fraction`` or
+int) and make up "exact" mode; ``dtype=float64`` is "float" mode.  A
+computation never mixes modes: the mode of every derived matrix is the
+mode of its inputs.
 
 Exact mode eliminates on sparse integer rows: a dense matrix is cleared
 to ``integer_form`` ints / d once, and each row of the ints becomes a
@@ -49,30 +51,6 @@ def mode_of(a: np.ndarray) -> str:
     return MODE_EXACT if a.dtype == object else MODE_FLOAT
 
 
-def exact_matrix(rows, cols: int | None = None) -> np.ndarray:
-    """Build an exact-mode matrix from nested sequences of rationals."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        if cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return np.zeros((0, cols), dtype=object)
-    ncols = len(rows[0])
-    out = np.empty((len(rows), ncols), dtype=object)
-    for i, r in enumerate(rows):
-        if len(r) != ncols:
-            raise ValueError("ragged rows")
-        out[i, :] = r
-    return out
-
-
-def float_matrix(rows, cols: int | None = None) -> np.ndarray:
-    if not len(rows):
-        if cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return np.zeros((0, cols))
-    return np.asarray(rows, dtype=float)
-
-
 def zeros(rows: int, cols: int, mode: str) -> np.ndarray:
     return np.zeros((rows, cols), dtype=object if mode == MODE_EXACT else float)
 
@@ -116,25 +94,28 @@ def from_integer_form(ints: np.ndarray, den: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Linearly independent spanning vectors of a subspace of R^ambient_dim.
+    """Linearly independent spanning vectors of a subspace of R^ambient_dim:
+    the rows of the 2-D array ``vectors``, of shape (dim, ambient_dim), which
+    is all a basis holds.
 
-    ``vectors`` has shape (dim, ambient_dim): each row is one basis vector.
-    An empty row set (the zero subspace) is legal.  A span does not depend
-    on scale, so an exact basis holds only ``int`` entries.
+    An empty row set (the zero subspace) is legal and keeps its column
+    count.  A span does not depend on scale, so an exact basis holds only
+    ``int`` entries.
     """
 
-    ambient_dim: int
     vectors: np.ndarray
 
     def __post_init__(self):
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.ambient_dim:
-            raise ValueError(
-                f"basis vectors have shape {self.vectors.shape}, "
-                f"ambient dimension is {self.ambient_dim}")
+        if self.vectors.ndim != 2:
+            raise ValueError(f"basis vectors have shape {self.vectors.shape}, not 2-D")
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def mode(self) -> str:
@@ -272,7 +253,7 @@ class Reduction:
         """
         ncols = self.shape[1]
         if not self.exact:
-            return SubspaceBasis(ncols, self.vh[self.rank:, :].copy())
+            return SubspaceBasis(self.vh[self.rank:, :].copy())
         red = self._reduced
         touching: dict[int, list] = {}   # free column -> pivot rows with a nonzero there
         for c, row in red.items():
@@ -286,7 +267,7 @@ class Reduction:
             v = {c: -red[c][fc] * (lcm // red[c][c]) for c in pcs}
             v[fc] = lcm
             vecs.append(_primitive(v, min(v)))
-        return SubspaceBasis(ncols, from_rows(vecs, ncols, MODE_EXACT))
+        return SubspaceBasis(from_rows(vecs, ncols, MODE_EXACT))
 
     def annihilates(self, ints: np.ndarray) -> bool:
         """True when the exact matrix times the integer matrix ``ints`` is
@@ -306,10 +287,9 @@ class Reduction:
         """Basis of the column space: ``from_rows`` of the integer pivot
         columns (``pivot_columns``) in exact mode, the leading left singular
         vectors in float mode."""
-        nrows = self.shape[0]
         if not self.exact:
-            return SubspaceBasis(nrows, self.u[:, :self.rank].T.copy())
-        return SubspaceBasis(nrows, from_rows(self.pivot_columns(), nrows, MODE_EXACT))
+            return SubspaceBasis(self.u[:, :self.rank].T.copy())
+        return SubspaceBasis(from_rows(self.pivot_columns(), self.shape[0], MODE_EXACT))
 
     def pivot_columns(self) -> list[dict]:
         """The integer columns at the pivots, as sparse {row: entry} maps read
@@ -418,9 +398,10 @@ def _check_same_ambient(a: SubspaceBasis, b: SubspaceBasis):
         raise ValueError("mixed exact/float subspaces")
 
 
-def span_rows(vectors: np.ndarray, ambient_dim: int) -> SubspaceBasis:
-    """SubspaceBasis spanned by the rows of ``vectors`` (made independent)."""
-    return SubspaceBasis(ambient_dim, Reduction(vectors).row_basis())
+def span_rows(vectors: np.ndarray) -> SubspaceBasis:
+    """SubspaceBasis spanned by the rows of the 2-D array ``vectors`` (made
+    independent), in the ambient space of its columns, even with no rows."""
+    return SubspaceBasis(Reduction(vectors).row_basis())
 
 
 def complement_within(sub: SubspaceBasis, ambient_sub: SubspaceBasis) -> SubspaceBasis:
@@ -433,11 +414,10 @@ def complement_within(sub: SubspaceBasis, ambient_sub: SubspaceBasis) -> Subspac
         raise ValueError("sub is not contained in ambient_sub")
     w = ambient_sub.matrix()
     if sub.dim == 0:
-        return SubspaceBasis(ambient_sub.ambient_dim, ambient_sub.vectors.copy())
+        return SubspaceBasis(ambient_sub.vectors.copy())
     constraints = sub.vectors @ w
     coeffs = kernel_basis(constraints)
-    vecs = coeffs.vectors @ ambient_sub.vectors
-    return span_rows(vecs, ambient_sub.ambient_dim)
+    return span_rows(coeffs.vectors @ ambient_sub.vectors)
 
 
 def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:

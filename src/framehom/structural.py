@@ -226,4 +226,4 @@ def rigid_body_space(f: Framework) -> SubspaceBasis:
     for r, (i, j) in enumerate(bivector_pairs(n), start=n):
         gens[r, i::n] = [-p[j] for p in f.positions]
         gens[r, j::n] = [p[i] for p in f.positions]
-    return span_rows(gens, n * f.num_vertices)
+    return span_rows(gens)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from framehom import linalg, make_desargues, make_named, verify_les
@@ -10,6 +11,17 @@ from framehom.les import _LesContext
 
 RANDOM_2D_SEEDS = range(10)
 RANDOM_3D_SEEDS = range(10)
+
+
+def exact_matrix(rows, cols=None):
+    """Nested rows of rationals as an exact-mode (object) matrix; ``cols``
+    gives a matrix without rows its width."""
+    return np.array(rows, dtype=object).reshape(len(rows), -1 if cols is None else cols)
+
+
+def float_matrix(rows, cols=None):
+    """Nested rows as a float-mode matrix; ``cols`` as for ``exact_matrix``."""
+    return np.array(rows, dtype=float).reshape(len(rows), -1 if cols is None else cols)
 
 
 def block_boundary(k):

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import theta_with_random_section
+from conftest import exact_matrix, float_matrix, theta_with_random_section
 from framehom import (
     counting_rules,
     make_desargues,
@@ -22,7 +22,7 @@ from framehom import (
 from framehom.cli import main
 from framehom.cosheaf import assemble_boundary
 from framehom.les import _LesContext
-from framehom.linalg import float_matrix, exact_matrix, rank, subspaces_equal
+from framehom.linalg import rank, subspaces_equal
 from framehom.structural import (
     build_anchored_cosheaf,
     build_force_cosheaf,

@@ -155,6 +155,17 @@ def test_analyze_float_rejects_non_finite_coordinates(tmp_path, capsys, literal)
     assert capsys.readouterr().err == "error: vertex 1 has a non-finite coordinate\n"
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="float mode uses absolute tolerances: at 10^8 solve_in_image refuses "
+                          "a right-hand side in the column space")
+def test_analyze_float_of_the_square_scaled_by_1e8_passes(square_fw, tmp_path):
+    path = tmp_path / "square_1e8.fw"
+    save_framework(make_named("square").transformed([[10 ** 8, 0], [0, 10 ** 8]], [0, 0]), path)
+    assert main(["analyze", str(square_fw), "--mode", "float"]) == 0
+    assert main(["analyze", str(path)]) == 0
+    assert main(["analyze", str(path), "--mode", "float"]) == 0
+
+
 @pytest.mark.parametrize("tok", ["1e999999999", "-1E-999_999_999", "1e4301"])
 @pytest.mark.parametrize("command", ["analyze", "scan"])
 def test_a_huge_decimal_exponent_is_a_bad_literal(square_fw, tmp_path, capsys, monkeypatch,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_boundary, grid
+from conftest import block_boundary, exact_matrix, grid
 from framehom import (
     CosheafMap,
     Framework,
@@ -30,7 +30,6 @@ from framehom.cosheaf import Cosheaf, _stalk_section, boundary_rows
 from framehom.les import _LesContext
 from framehom.linalg import (
     Reduction,
-    exact_matrix,
     from_integer_form,
     identity,
     kernel_basis,

@@ -19,7 +19,7 @@ from framehom import (
     perturb,
     save_framework,
 )
-from framehom.framework import _parse_scalar
+from framehom.framework import _parse_scalar, affine_span_full
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,6 +111,28 @@ def test_float_mode_rejects_non_finite_coordinates(literal):
     text = f"dim 2\nv 0 0 0\nv 1 {literal} 0\nv 2 1 1\ne 0 1\ne 1 2\n"
     with pytest.raises(FrameworkError, match="vertex 1 has a non-finite coordinate"):
         parse_framework(text, mode="float")
+
+
+def test_exact_mode_reads_a_float_coordinate_as_its_repr():
+    assert Framework(2, ((0.5, 0), (1, 0)), ((0, 1),)).positions == ((Fraction(1, 2), 0), (1, 0))
+    sq = make_named("square").transformed([[0.5, 0], [0, 1]], [0, 0])
+    assert sq.positions == ((0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), 1), (0, 1))
+    assert {type(x) for p in sq.positions for x in p} == {int, Fraction}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_coordinate_is_refused_in_both_modes(mode, x):
+    with pytest.raises(FrameworkError, match="vertex 0 has a non-finite coordinate"):
+        Framework(2, ((x, 0), (1, 0)), ((0, 1),), mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_affine_span_full(mode):
+    # one point: no difference rows, an empty 0 x 3 matrix of rank 0
+    assert not affine_span_full(3, [(1, 2, 3)], mode)
+    assert not affine_span_full(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)], mode)
+    assert affine_span_full(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], mode)
 
 
 @pytest.mark.parametrize("tok", ["3", "-3", "+3", "007", "1_000", "\u0663", "-0", "3/4", "1.5",

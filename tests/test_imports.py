@@ -46,13 +46,30 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each private function or method defined in
     ``sources`` ({module: source}) that no code in ``sources`` refers to, as
     a name or an attribute, outside its own body."""
+    return _unreferenced(sources, lambda tree: [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")])
+
+
+def unreferenced_public_functions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public module-level function in ``sources``
+    that no code in ``sources`` imports (an export from ``__init__`` counts)
+    or refers to outside its own body."""
+    return _unreferenced(sources, lambda tree: [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")])
+
+
+def _unreferenced(sources: dict[str, str], functions) -> list[str]:
+    """``module.name`` of each node of ``functions(tree)`` whose name no code
+    in ``sources`` refers to outside its own body."""
     refs, defs = Counter(), []
     for module, source in sources.items():
         tree = ast.parse(source)
         refs.update(_references(tree))
-        defs += [(module, node) for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 and node.name.startswith("_") and not node.name.startswith("__")]
+        defs += [(module, node) for node in functions(tree)]
     return [f"{module}.{node.name}" for module, node in defs
             if refs[node.name] - _references(node)[node.name] <= 0]
 
@@ -72,7 +89,23 @@ def test_the_check_sees_unreferenced_private_functions():
     assert unreferenced_private_functions(sources) == ["a._recursive", "a._helper"]
 
 
+def test_the_check_sees_unexported_public_functions():
+    sources = {"a": "def exported():\n    pass\n\ndef used():\n    pass\n\n"
+                    "def orphan(n):\n    return orphan(n - 1)\n\n"
+                    "class C:\n    def method(self):\n        return used()\n",
+               "__init__": "from .a import exported\n"}
+    assert unreferenced_public_functions(sources) == ["a.orphan"]
+
+
+def _package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
 def test_every_private_function_is_used_in_the_package():
     # a private helper that only the tests call has no place in the package
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_private_functions(_package_sources()) == []
+
+
+def test_every_public_function_is_exported_or_used_in_the_package():
+    # a public function that is neither API nor called by the package is dead code
+    assert unreferenced_public_functions(_package_sources()) == []

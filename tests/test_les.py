@@ -12,6 +12,7 @@ from conftest import (
     block_boundary,
     build_corpus,
     domain_matrix,
+    exact_matrix,
     fractions_of,
     grid,
     lattice,
@@ -35,7 +36,6 @@ from framehom.cosheaf import assemble_boundary
 from framehom.les import InducedMap, _LesContext
 from framehom.linalg import (
     Reduction,
-    exact_matrix,
     from_integer_form,
     identity,
     integer_form,
@@ -353,7 +353,7 @@ def test_desargues_perp_generator_maps_onto_the_unique_mechanism():
     mech = ctx.mech
     assert mech.dim == 1
     assert any(x != 0 for x in rep)
-    assert subspaces_equal(span_rows(rep.reshape(1, -1), len(rep)), mech)
+    assert subspaces_equal(span_rows(rep.reshape(1, -1)), mech)
 
 
 def _per_cycle_resultants(ctx, chains):

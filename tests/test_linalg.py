@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import domain_matrix, fractions_of, grid, lattice
+from conftest import domain_matrix, exact_matrix, float_matrix, fractions_of, grid, lattice
 from framehom import linalg, make_desargues, perturb
 from framehom.cosheaf import boundary_rows
 from framehom.linalg import (
     complement_within,
-    exact_matrix,
-    float_matrix,
     from_integer_form,
     integer_form,
     kernel_basis,
@@ -158,8 +156,8 @@ def test_solve_multiple_rhs():
 
 
 def test_complement_within():
-    whole = span_rows(linalg.identity(3, "exact"), 3)
-    axis = span_rows(exact_matrix([[1, 0, 0]]), 3)
+    whole = span_rows(linalg.identity(3, "exact"))
+    axis = span_rows(exact_matrix([[1, 0, 0]]))
     comp = complement_within(axis, whole)
     assert comp.dim == 2
     for v in comp.vectors:
@@ -167,16 +165,16 @@ def test_complement_within():
 
 
 def test_complement_within_containment_violation():
-    a = span_rows(exact_matrix([[1, 0, 0]]), 3)
-    b = span_rows(exact_matrix([[0, 1, 0]]), 3)
+    a = span_rows(exact_matrix([[1, 0, 0]]))
+    b = span_rows(exact_matrix([[0, 1, 0]]))
     with pytest.raises(ValueError):
         complement_within(a, b)
 
 
 def test_subspaces_equal_and_contains():
-    a = span_rows(exact_matrix([[1, 1, 0], [0, 1, 0]]), 3)
-    b = span_rows(exact_matrix([[1, 0, 0], [1, 2, 0]]), 3)
-    c = span_rows(exact_matrix([[0, 0, 1]]), 3)
+    a = span_rows(exact_matrix([[1, 1, 0], [0, 1, 0]]))
+    b = span_rows(exact_matrix([[1, 0, 0], [1, 2, 0]]))
+    c = span_rows(exact_matrix([[0, 0, 1]]))
     assert subspaces_equal(a, b)
     assert not subspaces_equal(a, c)
     assert subspace_contains(a, b)
@@ -245,15 +243,24 @@ def test_solve_first_pivot_solution_is_deterministic():
 
 
 def test_span_rows_canonicalizes():
-    a = span_rows(exact_matrix([[2, 4], [1, 2], [3, 6]]), 2)
+    a = span_rows(exact_matrix([[2, 4], [1, 2], [3, 6]]))
     assert a.dim == 1
     assert list(a.vectors[0]) == [1, 2]
 
 
 def test_largest_principal_angle_identical_spans():
-    a = span_rows(float_matrix([[1.0, 0.0], [0.0, 1.0]]), 2)
-    b = span_rows(float_matrix([[1.0, 1.0], [1.0, -1.0]]), 2)
+    a = span_rows(float_matrix([[1.0, 0.0], [0.0, 1.0]]))
+    b = span_rows(float_matrix([[1.0, 1.0], [1.0, -1.0]]))
     assert linalg.largest_principal_angle(a, b) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_basis_without_rows_keeps_its_ambient_dimension(mode):
+    empty = linalg.zeros(0, 4, mode)
+    for basis in (linalg.SubspaceBasis(empty), span_rows(empty)):
+        assert (basis.dim, basis.ambient_dim) == (0, 4)
+    with pytest.raises(ValueError, match="not 2-D"):
+        linalg.SubspaceBasis(linalg.zeros(1, 4, mode)[0])
 
 
 # ---------------------------------------------------------------------------
