@@ -154,8 +154,8 @@ def _report_json(path, digest, ctx: _LesContext, report: LesReport | None) -> st
         doc["les_checks"] = [dataclasses.asdict(c) for c in report.checks]
         doc["all_passed"] = report.all_passed
         doc["generators"] = {
-            "force_h1": [_vec_strs(v) for v in ctx.force.h1.vectors],
-            "anchored_h1": [_vec_strs(v) for v in ctx.anch.h1.vectors],
+            "force_h1": [_vec_strs(v) for v in ctx.force.h1],
+            "anchored_h1": [_vec_strs(v) for v in ctx.anch.h1],
             "mechanisms": [_vec_strs(v) for v in report.mechanism_basis],
         }
     return json.dumps(doc, indent=2) + "\n"
@@ -300,7 +300,7 @@ def _cmd_svg(args) -> int:
         return 1
     ctx = _LesContext(f)
     show = not args.no_svg_values
-    gens = ctx.force.h1.vectors if space == "F" else ctx.anchored_generators
+    gens = ctx.force.h1 if space == "F" else ctx.anchored_generators
     if not len(gens):
         which = "force" if space == "F" else "anchored"
         print(f"error: no generators -- dim H1({which}) = 0", file=sys.stderr)

@@ -45,7 +45,6 @@ from .framework import Framework
 from .linalg import (
     MODE_EXACT,
     Reduction,
-    SubspaceBasis,
     from_integer_form,
     integer_form,
     solve_in_image,
@@ -132,11 +131,11 @@ class Cosheaf:
         return Reduction(self.boundary)
 
     @cached_property
-    def h1(self) -> SubspaceBasis:
+    def h1(self) -> np.ndarray:
         return self._reduction.kernel()
 
     @cached_property
-    def h0(self) -> SubspaceBasis:
+    def h0(self) -> np.ndarray:
         if self.mode == MODE_EXACT:
             return Reduction.of_rows(self._reduction.pivot_columns(), self.c0_dim).kernel()
         return Reduction(self.boundary.T).kernel()
@@ -154,11 +153,11 @@ class Cosheaf:
         """
         red = self._reduction
         if not red.exact:
-            return solve_in_image(self.h1.matrix(), ints, den)
+            return solve_in_image(self.h1.T.copy(), ints, den)
         if not red.annihilates(ints):
             raise ValueError("right-hand side is not in the column space")
         free = red.free_columns
-        diag = self.h1.vectors[range(len(free)), free].tolist()
+        diag = self.h1[range(len(free)), free].tolist()
         lcm = math.lcm(*diag)
         scale = np.array([lcm // d for d in diag], dtype=object).reshape(-1, 1)
         return ints[free] * scale, den * lcm
@@ -364,7 +363,7 @@ def _stalk_section(red: Reduction, where: str) -> np.ndarray:
     # its kernel (im phi)^perp: the columns of a section S, integer in exact mode
     if red.rank != red.shape[0]:
         raise ValueError(f"map is not injective on the {where} stalk")
-    return red.kernel().vectors.T.copy()
+    return red.kernel().T.copy()
 
 
 def quotient_cosheaf(m: CosheafMap) -> tuple:

@@ -94,8 +94,7 @@ class Framework:
                 raise FrameworkError(f"duplicate edge {k}: ({t}, {h})")
             seen.add(key)
             p, q = self.positions[t], self.positions[h]
-            if (p == q) if self.mode == MODE_EXACT else \
-                    math.sqrt(sum(float(b - a) * float(b - a) for a, b in zip(p, q))) <= eps:
+            if (p == q) if self.mode == MODE_EXACT else math.dist(p, q) <= eps:
                 raise FrameworkError(f"zero-length edge {k}: ({t}, {h})")
 
     @property
@@ -109,7 +108,7 @@ class Framework:
     def bbox_diagonal(self) -> float:
         lo = [min(float(p[i]) for p in self.positions) for i in range(self.dim)]
         hi = [max(float(p[i]) for p in self.positions) for i in range(self.dim)]
-        return math.sqrt(sum((b - a) ** 2 for a, b in zip(lo, hi)))
+        return math.dist(lo, hi)
 
     def connected(self) -> bool:
         return self.components == 1

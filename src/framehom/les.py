@@ -41,10 +41,10 @@ from .framework import Framework, FrameworkError, affine_span_full, perturb
 from .linalg import (
     MODE_EXACT,
     Reduction,
-    SubspaceBasis,
     complement_within,
     from_integer_form,
     integer_form,
+    mode_of,
     rank,
     solve_gram,
     solve_in_image,
@@ -63,10 +63,10 @@ class InducedMap:
 
     ``form`` is the map's matrix as (ints, d), an ``integer_form``;
     ``matrix`` = ints / d has shape (dim target H, dim source H) and is
-    written out on first read.  Kernel and image are subspaces of the
-    source / target coordinate spaces.  Rank, kernel and image come from
-    one elimination of ints, each on first read: the rank needs only the
-    forward echelon, the kernel back-substitutes.
+    written out on first read.  Kernel and image are bases, one vector per
+    row, of subspaces of the source / target coordinate spaces.  Rank,
+    kernel and image come from one elimination of ints, each on first read:
+    the rank needs only the forward echelon, the kernel back-substitutes.
     """
 
     form: tuple[np.ndarray, int]
@@ -84,11 +84,11 @@ class InducedMap:
         return self._reduction.rank
 
     @cached_property
-    def kernel(self) -> SubspaceBasis:
+    def kernel(self) -> np.ndarray:
         return self._reduction.kernel()
 
     @cached_property
-    def image(self) -> SubspaceBasis:
+    def image(self) -> np.ndarray:
         return self._reduction.image()
 
 
@@ -110,10 +110,10 @@ def induced_map(m: CosheafMap, degree: int) -> InducedMap:
     src, tgt = m.source, m.target
     if degree == 1:
         # exact kernel vectors are integers: the basis is its own form, over 1
-        chains = m.apply_form(1, src.h1.matrix(), 1)
+        chains = m.apply_form(1, src.h1.T.copy(), 1)
         return InducedMap(tgt.h1_coordinates_form(*chains))
     if degree == 0:
-        return InducedMap(solve_gram(tgt.h0.matrix(), *m.apply_form(0, src.h0.matrix(), 1)))
+        return InducedMap(solve_gram(tgt.h0.T.copy(), *m.apply_form(0, src.h0.T.copy(), 1)))
     raise ValueError("degree must be 0 or 1")
 
 
@@ -162,11 +162,11 @@ class _LesContext:
         return self.force.dims, (m.c1_dim - r, m.c0_dim - r), self.anch.dims
 
     @cached_property
-    def rigid(self) -> SubspaceBasis:
+    def rigid(self) -> np.ndarray:
         return rigid_body_space(self.f)
 
     @cached_property
-    def mech(self) -> SubspaceBasis:
+    def mech(self) -> np.ndarray:
         return complement_within(self.rigid, self.force.h0)
 
     @cached_property
@@ -190,7 +190,7 @@ class _LesContext:
         """The alternating dimension sum of the reduced sequence, zero when it is
         exact: (self-stresses - mechanisms) + anchored stresses - frame stresses."""
         (h1f, _), (h1m, _), (h1n, _) = self.dims
-        return (h1f - self.mech.dim) + h1n - h1m
+        return (h1f - len(self.mech)) + h1n - h1m
 
     def resultants(self, chains: np.ndarray) -> tuple[np.ndarray, int]:
         """Vertex force resultants of the anchored C1 cycles held one per
@@ -216,12 +216,13 @@ class _LesContext:
         """The connecting map: resultants of the H1(anchored) generators, in
         H0(force) coordinates."""
         _require_les(self.f)
-        return InducedMap(solve_gram(self.force.h0.matrix(),
-                                     *self.resultants(self.anch.h1.matrix())))
+        return InducedMap(solve_gram(self.force.h0.T.copy(),
+                                     *self.resultants(self.anch.h1.T.copy())))
 
-    def mechanism_basis_ambient(self) -> SubspaceBasis:
-        """Image of the connecting map as vectors in the truss C_0 space."""
-        return span_rows(self.theta.image.vectors @ self.force.h0.vectors)
+    def mechanism_basis_ambient(self) -> np.ndarray:
+        """The basis of the image of the connecting map, one vector of the truss
+        C_0 space per row."""
+        return span_rows(self.theta.image @ self.force.h0)
 
     @cached_property
     def anchored_generators(self) -> np.ndarray:
@@ -229,8 +230,8 @@ class _LesContext:
         them: the frame-stress images (im pi*) first, then the complement
         orthogonal to im pi* (the anchored-only stresses)."""
         h1n = self.anch.h1
-        im_ambient = span_rows(self.pi1.image.vectors @ h1n.vectors)
-        return np.vstack([im_ambient.vectors, complement_within(im_ambient, h1n).vectors])
+        im_ambient = span_rows(self.pi1.image @ h1n)
+        return np.vstack([im_ambient, complement_within(im_ambient, h1n)])
 
 
 def connecting_map(f: Framework) -> InducedMap:
@@ -275,9 +276,9 @@ def _counting_checks(ctx: _LesContext) -> tuple:
     n, nv, ne = f.dim, f.num_vertices, f.num_edges
     w, k = moment_dim(n), couple_dim(n)
     (h1f, _), (h1m, _), (h1n, _) = ctx.dims
-    mech = ctx.mech.dim
+    mech = len(ctx.mech)
     checks = [
-        _rule("maxwell_calladine", n * nv - ne, ctx.rigid.dim + mech - h1f,
+        _rule("maxwell_calladine", n * nv - ne, len(ctx.rigid) + mech - h1f,
               "n|V|-|E| vs rigid + mechanisms - self-stresses"),
         _rule("moment_circuit_rank", k * (ne - nv + 1), h1m,
               f"{k}(|E|-|V|+1) independent stress resultants across the cuts"),
@@ -342,16 +343,16 @@ class LesReport:
         return all(c.passed for c in self.checks) and all(c.passed for c in self.counting)
 
 
-def _subspace_check(code, desc, a: SubspaceBasis, b: SubspaceBasis) -> LesCheck:
+def _subspace_check(code, desc, a: np.ndarray, b: np.ndarray) -> LesCheck:
     same = subspaces_equal(a, b)
-    if a.mode == MODE_EXACT or a.dim == 0 or b.dim == 0:
+    if mode_of(a) == MODE_EXACT or len(a) == 0 or len(b) == 0:
         if same:
             residual = "exact subspace equality"
-        elif a.dim and b.dim:
-            union = rank(np.vstack([a.vectors, b.vectors]))
-            residual = f"dims {a.dim} vs {b.dim}, union rank {union}"
+        elif len(a) and len(b):
+            union = rank(np.vstack([a, b]))
+            residual = f"dims {len(a)} vs {len(b)}, union rank {union}"
         else:
-            residual = f"dims {a.dim} vs {b.dim}"
+            residual = f"dims {len(a)} vs {len(b)}"
     else:
         residual = f"largest principal angle {linalg.largest_principal_angle(a, b):.3e}"
     return LesCheck(code, desc, same, residual)
@@ -374,8 +375,8 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
     (h1f, _), (_, h0m), (h1n, h0n) = dims_f, dims_m, dims_n
     # (e) and (i) need all k = n(n+1)/2 rigid motions; a collinear frame in space lacks one
     k = couple_dim(ctx.f.dim)
-    na = (f"not applicable: rigid-body space of dimension {ctx.rigid.dim} < {k}"
-          if ctx.rigid.dim < k else "")
+    na = (f"not applicable: rigid-body space of dimension {len(ctx.rigid)} < {k}"
+          if len(ctx.rigid) < k else "")
     checks.append(LesCheck(
         "a", "phi* injective on H1", ctx.phi1.rank == h1f,
         f"rank {ctx.phi1.rank} of {h1f}"))
@@ -407,15 +408,15 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
         dims_force=dims_f,
         dims_moment=dims_m,
         dims_anchored=dims_n,
-        rigid_dim=ctx.rigid.dim,
-        mech_dim=ctx.mech.dim,
+        rigid_dim=len(ctx.rigid),
+        mech_dim=len(ctx.mech),
         rank_phi1=ctx.phi1.rank,
         rank_pi1=ctx.pi1.rank,
         rank_theta=ctx.theta.rank,
         rank_phi0=ctx.phi0.rank,
         checks=tuple(checks),
         counting=ctx.counting,
-        mechanism_basis=tuple(mech_ambient.vectors),
+        mechanism_basis=tuple(mech_ambient),
     )
 
 

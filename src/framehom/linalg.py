@@ -5,7 +5,11 @@ dtype) or by ``from_rows``, and every shape is read off the array.
 ``dtype=object`` entries are exact rationals (``fractions.Fraction`` or
 int) and make up "exact" mode; ``dtype=float64`` is "float" mode.  A
 computation never mixes modes: the mode of every derived matrix is the
-mode of its inputs.
+mode of its inputs.  A basis of a subspace of R^m is the 2-D array of
+shape (dim, m) whose independent rows span it: its dimension is
+``len(b)``, its ambient dimension ``b.shape[1]`` even with no rows, and
+``b.T.copy()`` its column matrix.  A span does not depend on scale, so an
+exact basis holds only ``int`` entries.
 
 Exact mode eliminates on sparse integer rows: a dense matrix is cleared
 to ``integer_form`` ints / d once, and each row of the ints becomes a
@@ -33,7 +37,6 @@ Float mode ranks are SVD-based with a relative singular value cutoff of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -90,40 +93,6 @@ def from_integer_form(ints: np.ndarray, den: int) -> np.ndarray:
         return ints
     flat = [x // den if x % den == 0 else Fraction(x, den) for x in ints.ravel().tolist()]
     return np.array(flat, dtype=object).reshape(ints.shape)
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Linearly independent spanning vectors of a subspace of R^ambient_dim:
-    the rows of the 2-D array ``vectors``, of shape (dim, ambient_dim), which
-    is all a basis holds.
-
-    An empty row set (the zero subspace) is legal and keeps its column
-    count.  A span does not depend on scale, so an exact basis holds only
-    ``int`` entries.
-    """
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        if self.vectors.ndim != 2:
-            raise ValueError(f"basis vectors have shape {self.vectors.shape}, not 2-D")
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def mode(self) -> str:
-        return mode_of(self.vectors)
-
-    def matrix(self) -> np.ndarray:
-        """Basis vectors as the columns of an (ambient_dim x dim) matrix."""
-        return self.vectors.T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +213,8 @@ class Reduction:
             return _back_substitute(ech)
         return ech
 
-    def kernel(self) -> SubspaceBasis:
-        """Basis of the right nullspace {x : a @ x = 0}.
+    def kernel(self) -> np.ndarray:
+        """Basis of the right nullspace {x : a @ x = 0}, one vector per row.
 
         Exact mode writes by ``from_rows`` one sparse integer row per free
         column (it and the pivot rows touching it), of gcd 1 and a positive
@@ -253,7 +222,7 @@ class Reduction:
         """
         ncols = self.shape[1]
         if not self.exact:
-            return SubspaceBasis(self.vh[self.rank:, :].copy())
+            return self.vh[self.rank:, :].copy()
         red = self._reduced
         touching: dict[int, list] = {}   # free column -> pivot rows with a nonzero there
         for c, row in red.items():
@@ -267,7 +236,7 @@ class Reduction:
             v = {c: -red[c][fc] * (lcm // red[c][c]) for c in pcs}
             v[fc] = lcm
             vecs.append(_primitive(v, min(v)))
-        return SubspaceBasis(from_rows(vecs, ncols, MODE_EXACT))
+        return from_rows(vecs, ncols, MODE_EXACT)
 
     def annihilates(self, ints: np.ndarray) -> bool:
         """True when the exact matrix times the integer matrix ``ints`` is
@@ -283,13 +252,13 @@ class Reduction:
                 return False
         return True
 
-    def image(self) -> SubspaceBasis:
-        """Basis of the column space: ``from_rows`` of the integer pivot
-        columns (``pivot_columns``) in exact mode, the leading left singular
-        vectors in float mode."""
+    def image(self) -> np.ndarray:
+        """Basis of the column space, one vector per row: ``from_rows`` of the
+        integer pivot columns (``pivot_columns``) in exact mode, the leading
+        left singular vectors in float mode."""
         if not self.exact:
-            return SubspaceBasis(self.u[:, :self.rank].T.copy())
-        return SubspaceBasis(from_rows(self.pivot_columns(), self.shape[0], MODE_EXACT))
+            return self.u[:, :self.rank].T.copy()
+        return from_rows(self.pivot_columns(), self.shape[0], MODE_EXACT)
 
     def pivot_columns(self) -> list[dict]:
         """The integer columns at the pivots, as sparse {row: entry} maps read
@@ -321,7 +290,7 @@ def rank(a: np.ndarray) -> int:
     return Reduction(a).rank
 
 
-def kernel_basis(a: np.ndarray) -> SubspaceBasis:
+def kernel_basis(a: np.ndarray) -> np.ndarray:
     """Basis of the right nullspace {x : a @ x = 0}; see Reduction.kernel."""
     return Reduction(a).kernel()
 
@@ -391,53 +360,56 @@ def solve_gram(basis_matrix: np.ndarray, rhs: np.ndarray, den: int = 1) -> tuple
 # subspace toolkit
 # ---------------------------------------------------------------------------
 
-def _check_same_ambient(a: SubspaceBasis, b: SubspaceBasis):
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-    if a.dim and b.dim and a.mode != b.mode:
+def _check_same_ambient(a: np.ndarray, b: np.ndarray):
+    for v in (a, b):
+        if v.ndim != 2:
+            raise ValueError(f"basis vectors have shape {v.shape}, not 2-D")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"ambient dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+    if len(a) and len(b) and mode_of(a) != mode_of(b):
         raise ValueError("mixed exact/float subspaces")
 
 
-def span_rows(vectors: np.ndarray) -> SubspaceBasis:
-    """SubspaceBasis spanned by the rows of the 2-D array ``vectors`` (made
-    independent), in the ambient space of its columns, even with no rows."""
-    return SubspaceBasis(Reduction(vectors).row_basis())
+def span_rows(vectors: np.ndarray) -> np.ndarray:
+    """The basis of the span of the rows of the 2-D array ``vectors``: its
+    canonical independent rows (``Reduction.row_basis``), in the ambient
+    space of its columns, even with no rows."""
+    return Reduction(vectors).row_basis()
 
 
-def complement_within(sub: SubspaceBasis, ambient_sub: SubspaceBasis) -> SubspaceBasis:
-    """Orthogonal complement of span(sub) inside span(ambient_sub).
+def complement_within(sub: np.ndarray, ambient_sub: np.ndarray) -> np.ndarray:
+    """The basis of the orthogonal complement of span(sub) inside
+    span(ambient_sub), one vector per row.
 
     Requires sub ⊆ ambient_sub.
     """
     _check_same_ambient(sub, ambient_sub)
     if not subspace_contains(ambient_sub, sub):
         raise ValueError("sub is not contained in ambient_sub")
-    w = ambient_sub.matrix()
-    if sub.dim == 0:
-        return SubspaceBasis(ambient_sub.vectors.copy())
-    constraints = sub.vectors @ w
-    coeffs = kernel_basis(constraints)
-    return span_rows(coeffs.vectors @ ambient_sub.vectors)
+    if len(sub) == 0:
+        return ambient_sub.copy()
+    coeffs = kernel_basis(sub @ ambient_sub.T.copy())
+    return span_rows(coeffs @ ambient_sub)
 
 
-def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
+def subspace_contains(outer: np.ndarray, inner: np.ndarray) -> bool:
     """True when span(outer) ⊇ span(inner)."""
     _check_same_ambient(outer, inner)
-    if inner.dim == 0:
+    if len(inner) == 0:
         return True
-    if outer.dim == 0:
+    if len(outer) == 0:
         return False
-    if outer.mode == MODE_EXACT:
-        stacked = np.vstack([outer.vectors, inner.vectors])
-        return rank(stacked) == outer.dim
-    q = Reduction(outer.vectors).row_basis()
-    resid = inner.vectors - (inner.vectors @ q.T) @ q
-    norms = np.linalg.norm(inner.vectors, axis=1)
+    if mode_of(outer) == MODE_EXACT:
+        stacked = np.vstack([outer, inner])
+        return rank(stacked) == len(outer)
+    q = Reduction(outer).row_basis()
+    resid = inner - (inner @ q.T) @ q
+    norms = np.linalg.norm(inner, axis=1)
     norms[norms == 0] = 1.0
     return bool(np.all(np.linalg.norm(resid, axis=1) / norms < EPS_ANGLE))
 
 
-def subspaces_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
+def subspaces_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """True when span(a) = span(b).
 
     Exact mode certifies, for equal dimensions, that span(a) contains
@@ -445,22 +417,22 @@ def subspaces_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     and largest principal angle < EPS_ANGLE.
     """
     _check_same_ambient(a, b)
-    if a.dim != b.dim:
+    if len(a) != len(b):
         return False
-    if a.dim == 0:
+    if len(a) == 0:
         return True
-    if a.mode == MODE_EXACT:
+    if mode_of(a) == MODE_EXACT:
         return subspace_contains(a, b)
     return largest_principal_angle(a, b) < EPS_ANGLE
 
 
-def largest_principal_angle(a: SubspaceBasis, b: SubspaceBasis) -> float:
+def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
     """Largest principal angle between two float-mode subspaces, radians."""
     _check_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return 0.0 if a.dim == b.dim else math.pi / 2
-    qa = Reduction(a.vectors).row_basis()
-    qb = Reduction(b.vectors).row_basis()
+    if len(a) == 0 or len(b) == 0:
+        return 0.0 if len(a) == len(b) else math.pi / 2
+    qa = Reduction(a).row_basis()
+    qb = Reduction(b).row_basis()
     s = np.linalg.svd(qa @ qb.T, compute_uv=False)
     k = min(qa.shape[0], qb.shape[0])
     smin = float(s[k - 1]) if s.size >= k and k > 0 else 0.0

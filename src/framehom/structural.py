@@ -40,7 +40,7 @@ import numpy as np
 from . import linalg
 from .cosheaf import Cosheaf, CosheafMap, quotient_cosheaf
 from .framework import Framework
-from .linalg import MODE_EXACT, SubspaceBasis, span_rows
+from .linalg import MODE_EXACT, span_rows
 
 
 @cache
@@ -208,8 +208,9 @@ def build_anchored_cosheaf(f: Framework) -> Cosheaf:
     return quotient_cosheaf(build_phi(f))[0]
 
 
-def rigid_body_space(f: Framework) -> SubspaceBasis:
-    """Rigid-body velocity fields inside the truss C_0 space.
+def rigid_body_space(f: Framework) -> np.ndarray:
+    """The basis of the rigid-body velocity fields inside the truss C_0
+    space, one field per row.
 
     Spanned by the n translations and the n(n-1)/2 infinitesimal rotations
     about the origin evaluated at the vertex positions.  These annihilate

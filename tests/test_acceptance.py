@@ -112,7 +112,7 @@ def test_criterion_5_theta_image_is_the_mechanism_space(corpus, capsys):
     # the square's single mechanism: equal-magnitude corner velocities in
     # the parallelogram shear pattern, up to one overall scale
     ctx = _LesContext(make_named("square"))
-    mech = ctx.mechanism_basis_ambient().vectors
+    mech = ctx.mechanism_basis_ambient()
     pattern = [1, 1, 1, -1, -1, -1, -1, 1]  # (1,1),(1,-1),(-1,-1),(-1,1) per corner
     square_ok = len(mech) == 1
     if square_ok:

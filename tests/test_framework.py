@@ -1,5 +1,6 @@
 """Framework construction, validation, file I/O, and generators."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -233,6 +234,23 @@ def test_float_mode_zero_length_threshold():
     with pytest.raises(FrameworkError, match="zero-length"):
         parse_framework(text, mode="float")
     parse_framework(text)  # exact mode: distinct rationals are fine
+
+
+@pytest.mark.parametrize("scale", [13 * 10 ** 153, 10 ** 155, 10 ** 300],
+                         ids=["1.3e154", "1e155", "1e300"])
+def test_a_float_frame_whose_squared_coordinates_overflow_builds(scale):
+    # a coordinate squared past the float range once made the bbox diagonal
+    # inf (every edge then read as zero-length) or raised OverflowError
+    f = make_named("square").as_float().transformed([[scale, 0], [0, scale]], [0, 0])
+    assert f.bbox_diagonal() == pytest.approx(scale * math.sqrt(2))
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12])
+def test_float_mode_zero_length_threshold_at_a_huge_scale(gap):
+    s = 1e200
+    pos = ((0.0, 0.0), (s, 0.0), (s, s), (s * (1 + gap), 0.0))
+    with pytest.raises(FrameworkError, match=r"zero-length edge 1: \(1, 3\)"):
+        Framework(2, pos, ((0, 1), (1, 3), (1, 2)), "float")
 
 
 def _directions(f):

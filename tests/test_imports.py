@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and each private
-function it defines."""
+"""Every module of the package uses each name it imports and each private
+function it defines, and the package exports or uses each public function
+and class."""
 
 import ast
 from collections import Counter
@@ -52,24 +53,24 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
         and node.name.startswith("_") and not node.name.startswith("__")])
 
 
-def unreferenced_public_functions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each public module-level function in ``sources``
-    that no code in ``sources`` imports (an export from ``__init__`` counts)
-    or refers to outside its own body."""
+def unreferenced_public_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public module-level function or class in
+    ``sources`` that no code in ``sources`` imports (an export from
+    ``__init__`` counts) or refers to outside its own body."""
     return _unreferenced(sources, lambda tree: [
         node for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")])
 
 
-def _unreferenced(sources: dict[str, str], functions) -> list[str]:
-    """``module.name`` of each node of ``functions(tree)`` whose name no code
-    in ``sources`` refers to outside its own body."""
+def _unreferenced(sources: dict[str, str], definitions) -> list[str]:
+    """``module.name`` of each node of ``definitions(tree)`` whose name no
+    code in ``sources`` refers to outside its own body."""
     refs, defs = Counter(), []
     for module, source in sources.items():
         tree = ast.parse(source)
         refs.update(_references(tree))
-        defs += [(module, node) for node in functions(tree)]
+        defs += [(module, node) for node in definitions(tree)]
     return [f"{module}.{node.name}" for module, node in defs
             if refs[node.name] - _references(node)[node.name] <= 0]
 
@@ -92,9 +93,11 @@ def test_the_check_sees_unreferenced_private_functions():
 def test_the_check_sees_unexported_public_functions():
     sources = {"a": "def exported():\n    pass\n\ndef used():\n    pass\n\n"
                     "def orphan(n):\n    return orphan(n - 1)\n\n"
-                    "class C:\n    def method(self):\n        return used()\n",
+                    "class C:\n    def method(self):\n        return used()\n\n"
+                    "class Dead:\n    @classmethod\n    def make(cls) -> Dead:\n"
+                    "        return Dead()\n\nprint(C)\n",
                "__init__": "from .a import exported\n"}
-    assert unreferenced_public_functions(sources) == ["a.orphan"]
+    assert unreferenced_public_definitions(sources) == ["a.orphan", "a.Dead"]
 
 
 def _package_sources() -> dict[str, str]:
@@ -108,4 +111,4 @@ def test_every_private_function_is_used_in_the_package():
 
 def test_every_public_function_is_exported_or_used_in_the_package():
     # a public function that is neither API nor called by the package is dead code
-    assert unreferenced_public_functions(_package_sources()) == []
+    assert unreferenced_public_definitions(_package_sources()) == []

@@ -13,6 +13,7 @@ from conftest import (
     build_corpus,
     domain_matrix,
     exact_matrix,
+    float_matrix,
     fractions_of,
     grid,
     lattice,
@@ -68,7 +69,7 @@ def test_induced_ranks_on_desargues():
     phi = build_phi(f)
     phi1 = induced_map(phi, 1)
     assert phi1.rank == 1
-    assert phi1.kernel.dim == 0  # injective
+    assert len(phi1.kernel) == 0  # injective
     ctx = _LesContext(f)
     assert ctx.pi1.rank == 11
     assert ctx.theta.rank == 1
@@ -102,7 +103,7 @@ def test_counting_rules_hold_on_grid_and_lattice_families(family, n):
                                        "anchored_stress_count", "anchored_decomposition",
                                        "les_alternating_sum"]
     assert [c.name for c in rules if not c.passed] == []
-    assert ctx.mech.dim == 0
+    assert len(ctx.mech) == 0
     ne, nv = f.num_edges, f.num_vertices
     want = ne - 2 * nv + 3 if f.dim == 2 else ne - 3 * nv + 6
     assert ctx.force.dims[0] == want
@@ -113,21 +114,21 @@ def test_counting_rules_hold_on_grid_and_lattice_families(family, n):
 def test_phi0_surjective_with_mechanism_kernel():
     for name in ("square", "triangle", "box3d"):
         ctx = _LesContext(make_named(name))
-        assert ctx.phi0.rank == ctx.moment.h0.dim
-        assert ctx.phi0.kernel.dim == ctx.mech.dim
+        assert ctx.phi0.rank == len(ctx.moment.h0)
+        assert len(ctx.phi0.kernel) == len(ctx.mech)
 
 
 def _assert_h1_coordinates_match_solve(f):
     # phi1 and pi1 read their coordinates at the free columns; the old
     # elimination of [basis | image] must give the same matrix
     ctx = _LesContext(f)
-    for h, chains in ((ctx.moment, ctx.phi.apply_c1(ctx.force.h1.matrix())),
-                      (ctx.anch, ctx.pi.apply_c1(ctx.moment.h1.matrix()))):
+    for h, chains in ((ctx.moment, ctx.phi.apply_c1(ctx.force.h1.T.copy())),
+                      (ctx.anch, ctx.pi.apply_c1(ctx.moment.h1.T.copy()))):
         got = from_integer_form(*h.h1_coordinates_form(*integer_form(chains)))
-        want = from_integer_form(*solve_in_image(h.h1.matrix(), chains))
-        assert got.shape == want.shape == (h.h1.dim, chains.shape[1])
+        want = from_integer_form(*solve_in_image(h.h1.T.copy(), chains))
+        assert got.shape == want.shape == (len(h.h1), chains.shape[1])
         assert (got == want).all()
-        assert (h.h1.matrix() @ got == chains).all()
+        assert (h.h1.T.copy() @ got == chains).all()
 
 
 def test_h1_coordinates_match_solve_in_image_on_corpus(corpus):
@@ -146,8 +147,8 @@ def test_h1_coordinates_match_solve_in_image_on_random_frames(name, seed, magnit
 def test_h1_coordinates_reject_a_chain_that_is_not_a_cycle(mode):
     f = make_desargues(Fraction(1, 2))
     h = build_moment_cosheaf(f if mode == "exact" else f.as_float())
-    chains = h.h1.matrix()
-    assert h.h1_coordinates_form(chains, 1)[0].shape == (h.h1.dim, h.h1.dim)
+    chains = h.h1.T.copy()
+    assert h.h1_coordinates_form(chains, 1)[0].shape == (len(h.h1), len(h.h1))
     chains[0, 1] += 1  # column 0 of the boundary is nonzero
     with pytest.raises(ValueError, match="not in the column space"):
         h.h1_coordinates_form(chains, 1)
@@ -161,14 +162,14 @@ def test_exact_bases_are_integer_spans(name):
     f = (make_desargues(Fraction(1, 2)) if name == "desargues" else grid(4) if name == "grid4"
          else make_named(family, int(seed or 0)))
     ctx = _LesContext(f)
-    bases = {"rigid": ctx.rigid.vectors, "mech": ctx.mech.vectors,
-             "mechanism_basis_ambient": ctx.mechanism_basis_ambient().vectors,
+    bases = {"rigid": ctx.rigid, "mech": ctx.mech,
+             "mechanism_basis_ambient": ctx.mechanism_basis_ambient(),
              "anchored_generators": ctx.anchored_generators}
     for label, k in (("F", ctx.force), ("M", ctx.moment), ("N", ctx.anch)):
-        bases[f"h1 {label}"], bases[f"h0 {label}"] = k.h1.vectors, k.h0.vectors
+        bases[f"h1 {label}"], bases[f"h0 {label}"] = k.h1, k.h0
     for label in ("phi1", "pi1", "theta", "phi0"):
         m = getattr(ctx, label)
-        bases[f"{label} kernel"], bases[f"{label} image"] = m.kernel.vectors, m.image.vectors
+        bases[f"{label} kernel"], bases[f"{label} image"] = m.kernel, m.image
     for label, b in bases.items():
         assert b.dtype == object, label
         assert {type(x) for x in b.ravel().tolist()} <= {int}, label
@@ -212,19 +213,19 @@ def test_exact_induced_maps_match_a_fraction_recomputation_and_sympy(name):
                 Fraction(1, 100), 1)
     ctx = _LesContext(f)
     for m, ind in ((ctx.phi, ctx.phi1), (ctx.pi, ctx.pi1)):
-        image = _apply_entrywise(m, _as_fractions(m.source.h1.matrix()))
+        image = _apply_entrywise(m, _as_fractions(m.source.h1.T.copy()))
         coords = _as_fractions(ind.matrix)
-        assert (_as_fractions(m.target.h1.matrix()) @ coords == image).all()
+        assert (_as_fractions(m.target.h1.T.copy()) @ coords == image).all()
         assert ind.rank == domain_matrix(coords.tolist(), coords.shape[1]).rank()
     # theta: lift the anchored basis, take the frame boundary, keep each
     # vertex's force (its moment must vanish), project onto H0(force)
-    lift = _apply_entrywise(ctx.section, _as_fractions(ctx.anch.h1.matrix()))
+    lift = _apply_entrywise(ctx.section, _as_fractions(ctx.anch.h1.T.copy()))
     y = _as_fractions(block_boundary(ctx.moment)) @ lift
     w, n, k = moment_dim(f.dim), f.dim, lift.shape[1]
     couples = y.reshape(f.num_vertices, w + n, k)
     assert not couples[:, :w].any()
     forces = couples[:, w:].reshape(f.num_vertices * n, k)
-    h = _as_fractions(ctx.force.h0.matrix())
+    h = _as_fractions(ctx.force.h0.T.copy())
     gram = domain_matrix((h.T @ h).tolist(), h.shape[1])
     rhs = domain_matrix((h.T @ forces).tolist(), k)
     theta = _as_fractions(ctx.theta.matrix)
@@ -240,8 +241,8 @@ def test_induced_rank_is_read_without_back_substitution(monkeypatch):
     m = InducedMap(integer_form(exact_matrix([[1, 1, 0], [0, 1, 1]])))
     assert m.rank == 2
     assert calls == []
-    assert m.kernel.vectors.tolist() == [[1, -1, 1]]
-    assert m.image.dim == 2
+    assert m.kernel.tolist() == [[1, -1, 1]]
+    assert len(m.image) == 2
     assert len(calls) == 1
 
 
@@ -250,7 +251,7 @@ def test_scan_row_reads_ranks_only():
     assert (ctx.phi1.rank, ctx.pi1.rank, ctx.theta.rank) == (0, 12, 0)
     for m in (ctx.phi1, ctx.pi1, ctx.theta):
         assert "kernel" not in vars(m) and "image" not in vars(m)
-    assert ctx.theta.kernel.dim == 12
+    assert len(ctx.theta.kernel) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def test_connecting_zero_on_triangle():
     cm = connecting_map(f)
     assert cm.rank == 0
     ctx = _LesContext(f)
-    assert ctx.anch.h1.dim == 3
+    assert len(ctx.anch.h1) == 3
     assert ctx.pi1.rank == 3
 
 
@@ -297,7 +298,7 @@ def test_random_section_moves_resultants_but_not_theta(name):
     f = make_desargues(Fraction(1, 2)) if name == "desargues" else make_named("square")
     base, ctx = _LesContext(f), _LesContext(f)
     ctx.section = random_section(ctx, random.Random(11))
-    chains = base.anch.h1.matrix()
+    chains = base.anch.h1.T.copy()
     assert not (_resultants(base, chains) == _resultants(ctx, chains)).all()
     assert (base.theta.matrix == ctx.theta.matrix).all()
 
@@ -315,7 +316,7 @@ def test_section_lifts_edge_by_edge(seed):
         proj = from_integer_form(ctx.pi.edge_maps[e], ctx.pi.den)
         assert (proj @ sec == identity(sec.shape[1], f.mode)).all()
     dims = ctx.anch.edge_dims
-    for w in ctx.anch.h1.vectors[:4]:
+    for w in ctx.anch.h1[:4]:
         # reference: lift each edge's component through its own section
         want, pos = [], 0
         for e, d in enumerate(dims):
@@ -334,8 +335,8 @@ def test_resultants_sum_to_zero_and_kill_rigid_motions():
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f)
     rigid = rigid_body_space(f)
-    for flat in _resultants(ctx, ctx.anch.h1.matrix()).T:
-        for gen in rigid.vectors:
+    for flat in _resultants(ctx, ctx.anch.h1.T.copy()).T:
+        for gen in rigid:
             assert sum(a * b for a, b in zip(flat, gen)) == 0
 
 
@@ -345,13 +346,13 @@ def test_desargues_perp_generator_maps_onto_the_unique_mechanism():
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f)
     gens = ctx.anchored_generators  # im pi* first, then its complement
-    assert len(gens) - ctx.pi1.image.dim == 1
+    assert len(gens) - len(ctx.pi1.image) == 1
     res = _resultants(ctx, gens[-1:].T)[:, 0]
     b_force = assemble_boundary(build_force_cosheaf(f))
-    im = Reduction(b_force).image().matrix()
+    im = Reduction(b_force).image().T.copy()
     rep = res - im @ from_integer_form(*solve_gram(im, res))
     mech = ctx.mech
-    assert mech.dim == 1
+    assert len(mech) == 1
     assert any(x != 0 for x in rep)
     assert subspaces_equal(span_rows(rep.reshape(1, -1)), mech)
 
@@ -372,7 +373,7 @@ def _per_cycle_resultants(ctx, chains):
 def test_batched_resultants_match_one_cycle_at_a_time(corpus, mode):
     for label, f in corpus:
         ctx = _LesContext(f if mode == "exact" else f.as_float())
-        chains = ctx.anch.h1.matrix()
+        chains = ctx.anch.h1.T.copy()
         got, want = _resultants(ctx, chains), _per_cycle_resultants(ctx, chains)
         assert got.shape == want.shape == (f.num_vertices * f.dim, chains.shape[1]), label
         if mode == "exact":
@@ -385,7 +386,7 @@ def test_batched_resultants_match_one_cycle_at_a_time(corpus, mode):
 def test_resultants_reject_a_chain_that_is_not_an_anchored_cycle(mode):
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f if mode == "exact" else f.as_float())
-    chains = ctx.anch.h1.matrix()
+    chains = ctx.anch.h1.T.copy()
     assert _resultants(ctx, chains).shape == (f.num_vertices * 2, chains.shape[1])
     chains[0, 1] += 1
     with pytest.raises(ValueError, match="not in the column space"):
@@ -400,7 +401,7 @@ def test_theta_makes_two_solves_on_grid4(monkeypatch):
         original = module.solve_in_image
         monkeypatch.setattr(module, "solve_in_image",
                             lambda *a, _f=original: calls.append(1) or _f(*a))
-    assert ctx.anch.h1.dim == 50
+    assert len(ctx.anch.h1) == 50
     assert ctx.theta.rank == 0
     assert len(calls) == 2
 
@@ -409,18 +410,18 @@ def test_theta_makes_two_solves_on_grid4(monkeypatch):
 def test_theta_on_a_bar_is_an_empty_map(mode):
     f = make_named("bar")
     ctx = _LesContext(f if mode == "exact" else f.as_float())
-    assert ctx.anch.h1.dim == 0
-    assert ctx.theta.matrix.shape == (ctx.force.h0.dim, 0)
+    assert len(ctx.anch.h1) == 0
+    assert ctx.theta.matrix.shape == (len(ctx.force.h0), 0)
     assert ctx.theta.rank == 0
-    assert ctx.mechanism_basis_ambient().dim == 0
+    assert len(ctx.mechanism_basis_ambient()) == 0
 
 
 def test_theta_image_orthogonal_to_rigid_space():
     for name in ("square", "box3d"):
         ctx = _LesContext(make_named(name))
         rigid = rigid_body_space(ctx.f)
-        for v in ctx.mechanism_basis_ambient().vectors:
-            for gen in rigid.vectors:
+        for v in ctx.mechanism_basis_ambient():
+            for gen in rigid:
                 assert sum(a * b for a, b in zip(v, gen)) == 0
 
 
@@ -513,7 +514,7 @@ def _exact_by_ranks(a: InducedMap, b: InducedMap) -> bool:
     the way that rank [im A; ker B] = (n - rank B) + rank BA."""
     n = b.form[0].shape[1]
     composite = b.form[0] @ a.form[0]
-    assert rank(np.vstack([a.image.vectors, b.kernel.vectors])) == (n - b.rank) + rank(composite)
+    assert rank(np.vstack([a.image, b.kernel])) == (n - b.rank) + rank(composite)
     return a.rank == n - b.rank and not any(composite.ravel().tolist())
 
 
@@ -541,6 +542,19 @@ def test_rank_identity_fails_the_check_on_a_nonzero_composite(mats):
     assume(any((b.form[0] @ a.form[0]).ravel().tolist()))
     assert not _exact_by_ranks(a, b)
     assert not subspaces_equal(a.image, b.kernel)
+
+
+@pytest.mark.parametrize("mode,a,b,passed,residual", [
+    ("exact", [[1, 2, 0], [0, 1, 1]], [[1, 3, 1], [2, 4, 0]], True, "exact subspace equality"),
+    ("exact", [[1, 0, 0]], [[0, 1, 0]], False, "dims 1 vs 1, union rank 2"),
+    ("exact", [], [[0, 1, 0]], False, "dims 0 vs 1"),
+    ("float", [], [[0, 1, 0]], False, "dims 0 vs 1"),
+    ("float", [[1, 0, 0]], [[0, 1, 0]], False, "largest principal angle 1.571e+00"),
+])
+def test_subspace_check_reports_its_residual(mode, a, b, passed, residual):
+    matrix = exact_matrix if mode == "exact" else float_matrix
+    check = les._subspace_check("x", "a = b", span_rows(matrix(a, 3)), span_rows(matrix(b, 3)))
+    assert (check.passed, check.residual) == (passed, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +596,7 @@ def test_counting_rules_3d_formula():
     from framehom import build_anchored_cosheaf
     from framehom.linalg import kernel_basis
     b = assemble_boundary(build_anchored_cosheaf(f))
-    assert kernel_basis(b).dim == expected
+    assert len(kernel_basis(b)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_force_self_stress_equilibrates_each_vertex():
     f = make_desargues(Fraction(1, 2))
     h = build_force_cosheaf(f)
     assert h.dims[0] == 1
-    w = h.h1.vectors[0]
+    w = h.h1[0]
     rows, _ = f.direction_form   # directions times one D, which the zero sums ignore
     for v in range(f.num_vertices):
         total = [Fraction(0)] * 2
@@ -243,14 +243,14 @@ def test_force_self_stress_equilibrates_each_vertex():
 @pytest.mark.parametrize("name,dim", [("bar", 3), ("triangle", 3), ("square", 3),
                                       ("box3d", 6)])
 def test_rigid_body_dimension(name, dim):
-    assert rigid_body_space(make_named(name)).dim == dim
+    assert len(rigid_body_space(make_named(name))) == dim
 
 
 def test_rigid_body_space_annihilates_rigidity_matrix():
     f = make_named("box3d")
     b = assemble_boundary(build_force_cosheaf(f))
     r = rigid_body_space(f)
-    for v in r.vectors:
+    for v in r:
         assert all(x == 0 for x in b.T @ v)
 
 
