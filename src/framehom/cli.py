@@ -267,14 +267,10 @@ def _shear_value(ctx: _LesContext, e: int, couple) -> str:
     (moment,), ms = scaled_floats([couple[:w]])
     (force,), fs = scaled_floats([couple[w:]])
     if n == 2:
-        rows, den = ctx.f.direction_form
-        try:
-            d = [x / den for x in rows[e]]
-        except OverflowError:  # past float range; the shear is the same at any scale of d
-            (d,), _ = scaled_floats([rows[e]])
-            d = [x / math.hypot(*d) for x in d]
-        dl = (d[0] ** 2 + d[1] ** 2) ** 0.5
-        shear = (force[0] * -d[1] + force[1] * d[0]) / dl
+        # the shear is scale-free: read d in float range and as a unit vector
+        (d,), _ = scaled_floats([ctx.f.direction_form[0][e]])
+        d = [x / math.hypot(*d) for x in d]
+        shear = force[0] * -d[1] + force[1] * d[0]
         return f"M={value_text(moment[0], ms)} V={value_text(shear, fs)}"
     return f"|M|={value_text(math.hypot(*moment), ms)} |V|={value_text(math.hypot(*force), fs)}"
 

@@ -20,7 +20,8 @@ cycles in ``resultants``, which dominates theta on big frames (ROADMAP
 item 2 waits on the benchmark, item 1).  The moment dims come from M's
 certified gauge (``moment_rank``), with no elimination of B_M: the
 certificate proves the circuit-rank rule on each frame, and the tests
-check it by elimination, which the H1(M) basis still needs.
+check it by elimination, which the H1(M) basis still needs.  Exact mode
+reads checks (b), (c) and (h) off ranks (``_exact_at``), with no kernel.
 
 This module computes the induced maps and the connecting homomorphism,
 verifies exactness at every node, evaluates the counting rules
@@ -39,6 +40,7 @@ from . import linalg
 from .cosheaf import CosheafMap, quotient_cosheaf
 from .framework import Framework, FrameworkError, affine_span_full, perturb
 from .linalg import (
+    EPS_ANGLE,
     MODE_EXACT,
     Reduction,
     complement_within,
@@ -49,7 +51,6 @@ from .linalg import (
     solve_gram,
     solve_in_image,
     span_rows,
-    subspaces_equal,
 )
 # not called here: the benchmark's self-test checks that its tracer rebinds
 # framehom.les.kernel_basis, so the name stays importable from this module
@@ -66,7 +67,8 @@ class InducedMap:
     written out on first read.  Kernel and image are bases, one vector per
     row, of subspaces of the source / target coordinate spaces.  Rank,
     kernel and image come from one elimination of ints, each on first read:
-    the rank needs only the forward echelon, the kernel back-substitutes.
+    the rank needs only the forward echelon, the kernel (which only float
+    mode's exactness checks read) back-substitutes.
     """
 
     form: tuple[np.ndarray, int]
@@ -137,8 +139,9 @@ class _LesContext:
     Each later stage (``pi``: M -> N, the ``section`` N -> M, the reductions,
     the induced maps, ``theta``, the counting checks, the svg generator
     list) is computed on first read and kept, so a reader pays only for the
-    stages it reads.  The LES stages need a connected framework with an
-    edge; ``theta`` raises ValueError otherwise.
+    stages it reads; an exact report reads no induced map's kernel.  The
+    LES stages need a connected framework with an edge; ``theta`` raises
+    ValueError otherwise.
     """
 
     def __init__(self, f: Framework):
@@ -343,19 +346,37 @@ class LesReport:
         return all(c.passed for c in self.checks) and all(c.passed for c in self.counting)
 
 
-def _subspace_check(code, desc, a: np.ndarray, b: np.ndarray) -> LesCheck:
-    same = subspaces_equal(a, b)
-    if mode_of(a) == MODE_EXACT or len(a) == 0 or len(b) == 0:
-        if same:
-            residual = "exact subspace equality"
-        elif len(a) and len(b):
-            union = rank(np.vstack([a, b]))
-            residual = f"dims {len(a)} vs {len(b)}, union rank {union}"
-        else:
-            residual = f"dims {len(a)} vs {len(b)}"
+def _span_check(code, desc, da: int, db: int, union: int) -> LesCheck:
+    """The check span A = span B, read off dim A, dim B and dim (A + B)."""
+    if da == db == union:
+        residual = "exact subspace equality"
+    elif da and db:
+        residual = f"dims {da} vs {db}, union rank {union}"
     else:
-        residual = f"largest principal angle {linalg.largest_principal_angle(a, b):.3e}"
-    return LesCheck(code, desc, same, residual)
+        residual = f"dims {da} vs {db}"
+    return LesCheck(code, desc, da == db == union, residual)
+
+
+def _subspace_check(code, desc, a: np.ndarray, b: np.ndarray) -> LesCheck:
+    """The check span(a) = span(b) of two bases, exact or by principal angle."""
+    if len(a) and len(b) and mode_of(a) != MODE_EXACT:
+        angle = linalg.largest_principal_angle(a, b)
+        return LesCheck(code, desc, len(a) == len(b) and angle < EPS_ANGLE,
+                        f"largest principal angle {angle:.3e}")
+    union = rank(np.vstack([a, b])) if len(a) and len(b) else len(a) + len(b)
+    return _span_check(code, desc, len(a), len(b), union)
+
+
+def _exact_at(code, desc, a: InducedMap, b: InducedMap) -> LesCheck:
+    """The check im A = ker B for induced maps A: U -> V, B: V -> W.  In exact
+    mode dim (im A + ker B) = (dim V - rank B) + rank BA, with BA ranked only
+    when nonzero; float mode compares the bases of im A and ker B."""
+    if mode_of(a.form[0]) != MODE_EXACT:
+        return _subspace_check(code, desc, a.image, b.kernel)
+    ba = b.form[0] @ a.form[0]
+    dk = b.form[0].shape[1] - b.rank
+    return _span_check(code, desc, a.rank, dk,
+                       dk + (rank(ba) if any(ba.ravel().tolist()) else 0))
 
 
 def verify_les(f: Framework) -> LesReport:
@@ -380,10 +401,8 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
     checks.append(LesCheck(
         "a", "phi* injective on H1", ctx.phi1.rank == h1f,
         f"rank {ctx.phi1.rank} of {h1f}"))
-    checks.append(_subspace_check(
-        "b", "im phi* = ker pi* inside H1(moment)", ctx.phi1.image, ctx.pi1.kernel))
-    checks.append(_subspace_check(
-        "c", "im pi* = ker theta inside H1(anchored)", ctx.pi1.image, ctx.theta.kernel))
+    checks.append(_exact_at("b", "im phi* = ker pi* inside H1(moment)", ctx.phi1, ctx.pi1))
+    checks.append(_exact_at("c", "im pi* = ker theta inside H1(anchored)", ctx.pi1, ctx.theta))
 
     mech_ambient = ctx.mechanism_basis_ambient()
     checks.append(_subspace_check(
@@ -398,8 +417,7 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
         "g", "dim H1(anchored) = rank pi* + rank theta",
         h1n == ctx.pi1.rank + ctx.theta.rank,
         f"{h1n} vs {ctx.pi1.rank} + {ctx.theta.rank}"))
-    checks.append(_subspace_check(
-        "h", "im theta = ker phi0* inside H0(force)", ctx.theta.image, ctx.phi0.kernel))
+    checks.append(_exact_at("h", "im theta = ker phi0* inside H0(force)", ctx.theta, ctx.phi0))
     checks.append(LesCheck(
         "i", "phi0* surjective onto H0(moment)", bool(na) or ctx.phi0.rank == h0m,
         na or f"rank {ctx.phi0.rank} of {h0m}"))

@@ -30,7 +30,8 @@ their solution as a form (ints, d): the RREF numerators over the lcm of
 the pivot entries.  Exact bases, RREF rows, solutions, the dense boundary
 and the identity are written once from sparse rows by ``from_rows``.
 Float mode ranks are SVD-based with a relative singular value cutoff of
-``EPS_RANK``; subspace comparisons use principal angles with threshold
+``EPS_RANK``; float containment tests, and the largest principal angles
+by which the float exactness checks compare subspaces, are held to
 ``EPS_ANGLE``.
 """
 
@@ -407,23 +408,6 @@ def subspace_contains(outer: np.ndarray, inner: np.ndarray) -> bool:
     norms = np.linalg.norm(inner, axis=1)
     norms[norms == 0] = 1.0
     return bool(np.all(np.linalg.norm(resid, axis=1) / norms < EPS_ANGLE))
-
-
-def subspaces_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when span(a) = span(b).
-
-    Exact mode certifies, for equal dimensions, that span(a) contains
-    span(b) through one rank identity; float mode requires equal dimensions
-    and largest principal angle < EPS_ANGLE.
-    """
-    _check_same_ambient(a, b)
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    if mode_of(a) == MODE_EXACT:
-        return subspace_contains(a, b)
-    return largest_principal_angle(a, b) < EPS_ANGLE
 
 
 def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:

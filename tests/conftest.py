@@ -6,7 +6,7 @@ import pytest
 from framehom import linalg, make_desargues, make_named, verify_les
 from framehom import make_grid as grid, make_lattice as lattice  # noqa: F401
 from framehom.cosheaf import CosheafMap
-from framehom.linalg import from_integer_form
+from framehom.linalg import from_integer_form, subspace_contains
 from framehom.les import _LesContext
 
 RANDOM_2D_SEEDS = range(10)
@@ -22,6 +22,11 @@ def exact_matrix(rows, cols=None):
 def float_matrix(rows, cols=None):
     """Nested rows as a float-mode matrix; ``cols`` as for ``exact_matrix``."""
     return np.array(rows, dtype=float).reshape(len(rows), -1 if cols is None else cols)
+
+
+def same_span(a, b):
+    """Whether the bases ``a`` and ``b`` span one subspace."""
+    return len(a) == len(b) and subspace_contains(a, b)
 
 
 def block_boundary(k):

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import exact_matrix, float_matrix, theta_with_random_section
+from conftest import exact_matrix, float_matrix, same_span, theta_with_random_section
 from framehom import (
     counting_rules,
     make_desargues,
@@ -22,7 +22,7 @@ from framehom import (
 from framehom.cli import main
 from framehom.cosheaf import assemble_boundary
 from framehom.les import _LesContext
-from framehom.linalg import rank, subspaces_equal
+from framehom.linalg import rank
 from framehom.structural import (
     build_anchored_cosheaf,
     build_force_cosheaf,
@@ -107,7 +107,7 @@ def test_criterion_5_theta_image_is_the_mechanism_space(corpus, capsys):
     bad = []
     for label, f in corpus:
         ctx = _LesContext(f)
-        if not subspaces_equal(ctx.mechanism_basis_ambient(), ctx.mech):
+        if not same_span(ctx.mechanism_basis_ambient(), ctx.mech):
             bad.append(label)
     # the square's single mechanism: equal-magnitude corner velocities in
     # the parallelogram shear pattern, up to one overall scale

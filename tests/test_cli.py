@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -14,6 +16,7 @@ import pytest
 
 from conftest import grid, lattice
 from framehom import (
+    __version__,
     build_anchored_cosheaf,
     build_force_cosheaf,
     build_moment_cosheaf,
@@ -135,6 +138,25 @@ def test_analyze_invalid_file(tmp_path, capsys):
     code = main(["analyze", str(path)])
     assert code == 1
     assert "zero-length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, err", [
+    ("dim 2\ndim 2\n", "line 2: repeated dim header"),
+    ("dim 2\nv 0 0\n", "line 2: vertex needs an id and 2 coordinates"),
+    ("dim 2\nv x 0 0\n", "line 2: bad vertex id 'x'"),
+    ("dim 2\nv 0 0 0\nv 0 1 0\n", "line 3: duplicate vertex id 0"),
+    ("dim 2\nv 0 0 0\nv 1 1 0\ne 0\n", "line 4: edge needs exactly two vertex ids"),
+    ("dim 2\nv 0 0 0\nv 1 1 0\ne 0 x\n", "line 4: bad edge endpoint"),
+    ("dim 2\nq 1\n", "line 2: unknown record 'q'"),
+    ("e 0 1\n", "missing dim header"),
+    ("dim 2\n# no vertices\n", "no vertices"),
+], ids=["dim-twice", "vertex-arity", "vertex-id", "vertex-twice", "edge-arity",
+        "edge-endpoint", "record", "no-dim", "no-vertices"])
+def test_analyze_names_the_fault_of_a_malformed_file(tmp_path, capsys, text, err):
+    path = tmp_path / "bad.fw"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["scan", "-m", "0"],
@@ -271,6 +293,40 @@ def test_svg_labels_a_bar_direction_past_float_range(tmp_path):
     assert [v for _, v in labels] == ["V=0", "V=2e+4000", "V=-8.944e+7999"]
 
 
+@pytest.mark.parametrize("mode, text", [
+    ("exact", "dim 2\nv 0 0 0\nv 1 1e-200 1e-200\nv 2 0 1\ne 0 1\ne 1 2\ne 0 2\n"),
+    ("exact", "dim 2\nv 0 0 0\nv 1 1e-400 1e-400\nv 2 0 1\ne 0 1\ne 1 2\ne 0 2\n"),
+    ("float", "dim 2\nv 0 0 0\nv 1 1e-170 0\nv 2 0 1e-170\ne 0 1\ne 1 2\ne 0 2\n"),
+], ids=["exact-1e-200", "exact-1e-400", "float-1e-170"])
+def test_svg_labels_a_bar_direction_whose_square_underflows(tmp_path, mode, text):
+    # a direction is made a unit vector by hypot, whose squares would
+    # underflow to a zero length
+    path, out = tmp_path / "tiny.fw", tmp_path / "tiny.svg"
+    path.write_text(text)
+    assert main(["svg", str(path), "--mode", mode, "--generator", "N:0", "--out", str(out)]) == 0
+    labels = re.findall(r">M=(\S+) V=(\S+)<", out.read_text())
+    assert len(labels) == 3
+    assert all(Decimal(x).is_finite() for pair in labels for x in pair)
+
+
+def test_python_m_framehom_runs_the_cli(square_fw, tmp_path):
+    # the module entry point, run as its own process, exits with main's code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "framehom", *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    version = run("--version")
+    assert (version.returncode, version.stdout) == (0, f"framehom {__version__}\n")
+    dims = run("analyze", square_fw, "--dims-only")
+    assert dims.returncode == 0, dims.stderr
+    assert "homology dimensions" in dims.stdout
+    assert run("analyze", tmp_path / "nope.fw").returncode == 1
+
+
 def test_main_builds_the_parser_once(square_fw, capsys):
     cli.build_parser.cache_clear()
     assert main(["analyze", str(square_fw), "--dims-only"]) == 0
@@ -368,6 +424,16 @@ def test_scan_bad_seed_spec(desargues_fw, capsys, spec, err):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: --seeds: {err}\n"
+
+
+@pytest.mark.parametrize("flag, err", [("-m", "no magnitudes given"),
+                                       ("-s", "no seeds given")])
+def test_scan_refuses_an_empty_list(desargues_fw, capsys, flag, err):
+    argv = ["scan", str(desargues_fw), "-m", "0", "-s", "1"]
+    argv[argv.index(flag) + 1] = ","
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
 
 def test_scan_out_file(desargues_fw, tmp_path, capsys):
@@ -892,9 +958,10 @@ def test_dims_and_counting_rules_build_neither_pi_nor_the_section(tmp_path, caps
     assert solves == [(1, 1)] + [(2, 2)] * 3  # and one edge projection per line
 
 
-def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypatch):
+def test_exact_analyze_of_grid4_runs_26_eliminations(tmp_path, capsys, monkeypatch):
     # theta pulls every vertex of every anchored cycle back in one solve, so
-    # the padding map is eliminated once, not once per cycle (76 before)
+    # the padding map is eliminated once, not once per cycle (76 before);
+    # exactness checks (b), (c) and (h) read ranks, not stacked bases (28 before)
     path = _saved(tmp_path, "grid4", grid(4))
     calls = []
     original = linalg.Reduction._forward
@@ -902,7 +969,7 @@ def test_exact_analyze_of_grid4_runs_28_eliminations(tmp_path, capsys, monkeypat
                         lambda self, rows: calls.append(1) or original(self, rows))
     assert main(["analyze", str(path), "--json"]) == 0
     capsys.readouterr()
-    assert len(calls) <= 28
+    assert len(calls) <= 26
 
 
 def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Framework construction, validation, file I/O, and generators."""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -97,6 +98,16 @@ def test_dim_below_two_or_not_an_integer_rejected(token):
 def test_framework_rejects_dim_below_two(dim):
     with pytest.raises(FrameworkError, match="ambient dimension"):
         Framework(dim, ((0,),), ())
+
+
+@pytest.mark.parametrize("args, err", [
+    ((2, ((0, 0),), (), "fuzzy"), "unknown mode 'fuzzy'"),
+    ((2, (), ()), "framework has no vertices"),
+    ((2, ((0, 0), (1, 0, 0)), ()), "vertex 1 has 3 coordinates, expected 2"),
+], ids=["mode", "no-vertices", "coordinates"])
+def test_framework_names_its_fault(args, err):
+    with pytest.raises(FrameworkError, match=f"^{re.escape(err)}$"):
+        Framework(*args)
 
 
 def test_parse_four_dimensional_framework(tmp_path):

@@ -18,6 +18,7 @@ from conftest import (
     grid,
     lattice,
     random_section,
+    same_span,
     theta_with_random_section,
 )
 from framehom import (
@@ -44,7 +45,6 @@ from framehom.linalg import (
     solve_gram,
     solve_in_image,
     span_rows,
-    subspaces_equal,
 )
 from framehom.structural import (
     build_force_cosheaf,
@@ -264,7 +264,7 @@ def test_connecting_on_square_spans_the_mechanism():
     assert cm.rank == 1
     ctx = _LesContext(f)
     mech_ambient = ctx.mechanism_basis_ambient()
-    assert subspaces_equal(mech_ambient, ctx.mech)
+    assert same_span(mech_ambient, ctx.mech)
 
 
 def test_connecting_zero_on_triangle():
@@ -354,7 +354,7 @@ def test_desargues_perp_generator_maps_onto_the_unique_mechanism():
     mech = ctx.mech
     assert len(mech) == 1
     assert any(x != 0 for x in rep)
-    assert subspaces_equal(span_rows(rep.reshape(1, -1)), mech)
+    assert same_span(span_rows(rep.reshape(1, -1)), mech)
 
 
 def _per_cycle_resultants(ctx, chains):
@@ -504,8 +504,8 @@ def test_exactness_is_subspace_equality_not_just_dims(corpus_reports):
     # spot check: im phi* really is ker pi* as subspaces for Desargues
     f = make_desargues(Fraction(1, 2))
     ctx = _LesContext(f)
-    assert subspaces_equal(ctx.phi1.image, ctx.pi1.kernel)
-    assert subspaces_equal(ctx.pi1.image, ctx.theta.kernel)
+    assert same_span(ctx.phi1.image, ctx.pi1.kernel)
+    assert same_span(ctx.pi1.image, ctx.theta.kernel)
 
 
 def _exact_by_ranks(a: InducedMap, b: InducedMap) -> bool:
@@ -518,15 +518,40 @@ def _exact_by_ranks(a: InducedMap, b: InducedMap) -> bool:
     return a.rank == n - b.rank and not any(composite.ravel().tolist())
 
 
-def test_exactness_checks_b_c_h_are_a_rank_identity(corpus, corpus_reports):
+def test_exactness_checks_b_c_h_are_a_rank_identity(corpus):
+    # the report decides (b), (c) and (h) from ranks without writing a
+    # kernel basis; the rank identity, which reads the kernels, agrees
     for label, f in corpus:
         if les.les_obstacle(f):
             continue
         ctx = _LesContext(f)
-        passed = {c.code: c.passed for c in corpus_reports[label].checks}
-        for code, a, b in (("b", ctx.phi1, ctx.pi1), ("c", ctx.pi1, ctx.theta),
-                           ("h", ctx.theta, ctx.phi0)):
+        passed = {c.code: c.passed for c in les._report_from_context(ctx).checks}
+        maps = (ctx.phi1, ctx.pi1, ctx.theta, ctx.phi0)
+        assert not any("kernel" in vars(m) for m in maps), label
+        for code, a, b in zip("bch", maps, maps[1:]):
             assert _exact_by_ranks(a, b) == passed[code], (label, code)
+
+
+def test_float_exactness_checks_compare_kernel_bases():
+    ctx = _LesContext(make_desargues(Fraction(1, 2)).as_float())
+    les._report_from_context(ctx)
+    assert all("kernel" in vars(m) for m in (ctx.pi1, ctx.theta, ctx.phi0))
+
+
+@pytest.mark.parametrize("code, broken", [("b", "phi1"), ("b", "pi1"), ("c", "pi1"),
+                                          ("c", "theta"), ("h", "theta"), ("h", "phi0")])
+def test_a_broken_map_fails_its_rank_read_check_as_the_bases_do(code, broken):
+    # a random integer map in place of one side of the node: the check read
+    # off ranks carries the verdict and residual of comparing the bases
+    ctx = _LesContext(make_desargues(Fraction(1, 2)))
+    rng = random.Random(code + broken)
+    shape = getattr(ctx, broken).form[0].shape
+    ctx.__dict__[broken] = InducedMap((exact_matrix(
+        [[rng.randint(-2, 2) for _ in range(shape[1])] for _ in range(shape[0])]), 1))
+    a, b = {"b": (ctx.phi1, ctx.pi1), "c": (ctx.pi1, ctx.theta), "h": (ctx.theta, ctx.phi0)}[code]
+    check = next(c for c in les._report_from_context(ctx).checks if c.code == code)
+    assert not check.passed
+    assert check == les._subspace_check(code, check.description, a.image, b.kernel)
 
 
 def _int_matrix(nrows, ncols):
@@ -541,7 +566,7 @@ def test_rank_identity_fails_the_check_on_a_nonzero_composite(mats):
     a, b = (InducedMap((exact_matrix(m), 1)) for m in mats)
     assume(any((b.form[0] @ a.form[0]).ravel().tolist()))
     assert not _exact_by_ranks(a, b)
-    assert not subspaces_equal(a.image, b.kernel)
+    assert not same_span(a.image, b.kernel)
 
 
 @pytest.mark.parametrize("mode,a,b,passed,residual", [

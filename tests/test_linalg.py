@@ -21,7 +21,6 @@ from framehom.linalg import (
     solve_in_image,
     span_rows,
     subspace_contains,
-    subspaces_equal,
 )
 from framehom.structural import build_force_cosheaf, build_moment_cosheaf
 
@@ -171,12 +170,10 @@ def test_complement_within_containment_violation():
         complement_within(a, b)
 
 
-def test_subspaces_equal_and_contains():
+def test_subspace_contains():
     a = span_rows(exact_matrix([[1, 1, 0], [0, 1, 0]]))
     b = span_rows(exact_matrix([[1, 0, 0], [1, 2, 0]]))
     c = span_rows(exact_matrix([[0, 0, 1]]))
-    assert subspaces_equal(a, b)
-    assert not subspaces_equal(a, c)
     assert subspace_contains(a, b)
     assert not subspace_contains(a, c)
 
