@@ -26,7 +26,7 @@ coordinates of such cycles at the free columns of the boundary's
 reduction and returns a form.  ``apply_c0`` and ``apply_c1`` wrap
 ``apply_form`` for callers holding matrices.  A stalk
 quotient is read off its map's integers: the section is an integer
-kernel basis, a solve returns the projection as a form when it is read,
+kernel basis, one solve per distinct section returns the projection as a form,
 and each quotient stalk map is an integer product of the vertex
 projection, the target's stalk map and the section.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -369,26 +369,23 @@ def _stalk_section(red: Reduction, where: str) -> np.ndarray:
 def quotient_cosheaf(m: CosheafMap) -> tuple:
     """Quotient target/im(m) for a stalk-wise injective cosheaf map.
 
-    Returns ``(q, projection, section)``: the quotient cosheaf q and two
-    memoized callables that build the projection target -> q and the
-    canonical section q -> target on first call.  Each quotient stalk is
-    realized as the orthogonal complement of the embedded image inside the
-    target stalk, and the section's columns span it.  The section is a
-    stalk-wise right inverse of the projection, not a cosheaf map: it need
-    not commute with the stalk maps.  Stalk-wise exactness holds by
-    construction: proj . m = 0 on every cell and [m | section] spans each
-    target stalk.
+    Returns ``(q, projection, section)``: the quotient cosheaf q, the
+    projection target -> q and the canonical section q -> target.  Each
+    quotient stalk is realized as the orthogonal complement of the embedded
+    image inside the target stalk, and the section's columns span it.  The
+    section is a stalk-wise right inverse of the projection, not a cosheaf
+    map: it need not commute with the stalk maps.  Stalk-wise exactness
+    holds by construction: proj . m = 0 on every cell and [m | section]
+    spans each target stalk.
 
     The section S is the kernel of phi^T, so exact mode eliminates phi^T
     once per key of phi's shape and RREF, which fix im phi and injectivity:
     once for all vertices of the structural phi and once per bar line.
     Float mode keys on the stalk-map object.  A non-injective stalk raises
     at its first cell.  The projection P = (S^T S)^-1 S^T is one solve per
-    distinct S, made when first needed: q needs only the vertex ones, the
-    edge ones wait for ``projection``.  Each distinct triple of factors of a
-    quotient stalk map is one integer product P T S of the vertex
-    projections brought over one d_P, the target's stalk map and the
-    section, over d_P d_T.
+    distinct S, all brought over one d_P.  Each distinct triple of factors
+    of a quotient stalk map is one integer product P T S of the vertex
+    projection, the target's stalk map and the section, over d_P d_T.
     """
     tgt, f = m.target, m.target.base
     keys, sections, solved, products = {}, {}, {}, {}
@@ -403,19 +400,13 @@ def quotient_cosheaf(m: CosheafMap) -> tuple:
                     sections[key] = _stalk_section(red, f"{kind} {i}")
         return tuple(sections[keys[id(phi)]] for phi in maps)
 
-    def projections(secs: tuple) -> tuple[tuple, int]:
-        # the projections of secs, one solve per distinct S, over the lcm d of
-        # all solved so far: the vertex ones, then all of them
-        for key, s in dict(zip(map(id, secs), secs)).items():
-            if key not in solved:
-                st = s.T.copy()
-                solved[key] = solve_in_image(st @ s, st)
-        d = math.lcm(*(pd for _, pd in solved.values()))
-        over_d = {key: p if pd == d else p * (d // pd) for key, (p, pd) in solved.items()}
-        return tuple(map(over_d.__getitem__, map(id, secs))), d
-
     vs, es = stalk_sections(m.vertex_maps, "vertex"), stalk_sections(m.edge_maps, "edge")
-    vp, dv = projections(vs)
+    for key, s in dict(zip(map(id, vs + es), vs + es)).items():
+        st = s.T.copy()
+        solved[key] = solve_in_image(st @ s, st)
+    d = math.lcm(*(pd for _, pd in solved.values()))
+    over_d = {key: p if pd == d else p * (d // pd) for key, (p, pd) in solved.items()}
+    vp, ep = (tuple(over_d[id(s)] for s in secs) for secs in (vs, es))
 
     def stalk_map(p, transport, s):
         key = (id(p), id(transport), id(s))
@@ -431,14 +422,7 @@ def quotient_cosheaf(m: CosheafMap) -> tuple:
                         for e, (t, h) in enumerate(f.edges)),
         head_maps=tuple(stalk_map(vp[h], tgt.head_maps[e], es[e])
                         for e, (t, h) in enumerate(f.edges)),
-        den=dv * tgt.den,
+        den=d * tgt.den,
     )
-
-    @cache
-    def projection() -> CosheafMap:
-        ps, d = projections(vs + es)
-        return CosheafMap(source=tgt, target=q, vertex_maps=ps[:len(vs)],
-                          edge_maps=ps[len(vs):], den=d)
-
-    return q, projection, cache(lambda: CosheafMap(source=q, target=tgt,
-                                                   vertex_maps=vs, edge_maps=es))
+    return (q, CosheafMap(source=tgt, target=q, vertex_maps=vp, edge_maps=ep, den=d),
+            CosheafMap(source=q, target=tgt, vertex_maps=vs, edge_maps=es))

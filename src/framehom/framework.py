@@ -114,8 +114,8 @@ class Framework:
         return self.components == 1
 
     @cached_property
-    def components(self) -> int:
-        """The number of connected components of the graph, b0."""
+    def _component_positions(self) -> tuple:
+        """Each graph component's vertex positions, by first vertex: one union-find labelling."""
         parent = list(range(self.num_vertices))
 
         def root(v):
@@ -124,7 +124,15 @@ class Framework:
             return v
         for t, h in self.edges:
             parent[root(t)] = root(h)
-        return sum(v == p for v, p in enumerate(parent))
+        groups = {}
+        for v, p in enumerate(self.positions):
+            groups.setdefault(root(v), []).append(p)
+        return tuple(groups.values())
+
+    # the number of connected components b0, and each one's affine dimension
+    components = property(lambda self: len(self._component_positions))
+    affine_dims = cached_property(lambda self: tuple(
+        affine_dim(self.dim, ps, self.mode) for ps in self._component_positions))
 
     @cached_property
     def direction_form(self) -> tuple[list, int]:
@@ -330,13 +338,12 @@ _CUBE_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0),
                (0, 4), (1, 5), (2, 6), (3, 7))
 
 
-def affine_span_full(dim: int, positions, mode: str = MODE_EXACT) -> bool:
-    """True when the points' affine span is all of R^dim: the differences
-    from the first point, one row each (none for a single point), have rank
-    dim in ``mode``."""
+def affine_dim(dim: int, positions, mode: str = MODE_EXACT) -> int:
+    """The dimension of the points' affine span: the rank in ``mode`` (scale-free
+    in float) of the differences from the first point, one row each."""
     rel = [[p[i] - positions[0][i] for i in range(dim)] for p in positions[1:]]
     return _matrix_rank(np.array(rel, dtype=object if mode == MODE_EXACT else float)
-                        .reshape(-1, dim)) == dim
+                        .reshape(-1, dim))
 
 
 def _random_framework(dim: int, seed: int, max_vertices: int) -> Framework:
@@ -349,7 +356,7 @@ def _random_framework(dim: int, seed: int, max_vertices: int) -> Framework:
             continue
         # affine span must be full dimensional (collinear/coplanar sets break
         # the rigid-body DOF count the counting rules presume)
-        if not affine_span_full(dim, pos):
+        if affine_dim(dim, pos) < dim:
             continue
         edges = [(rng.randrange(i), i) for i in range(1, nv)]  # random spanning tree
         undirected = {(min(t, h), max(t, h)) for t, h in edges}

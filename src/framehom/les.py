@@ -17,10 +17,10 @@ from stage to stage into ``InducedMap``, and every exact basis is a span
 of integer rows (``test_exact_bases_are_integer_spans``).  One dense
 ``Fraction`` matrix product is left: the frame boundary times the lifted
 cycles in ``resultants``, which dominates theta on big frames (ROADMAP
-item 2 waits on the benchmark, item 1).  The moment dims come from M's
-certified gauge (``moment_rank``), with no elimination of B_M: the
-certificate proves the circuit-rank rule on each frame, and the tests
-check it by elimination, which the H1(M) basis still needs.  Exact mode
+item 2 waits on the benchmark, item 1).  The moment and anchored dims come
+from M's certified gauge (``moment_rank``, ``anchored_dims``), so the dims
+eliminate no B_M and build no N; the tests check both by elimination,
+which the H1 bases still need.  Exact mode
 reads checks (b), (c) and (h) off ranks (``_exact_at``), with no kernel.
 
 This module computes the induced maps and the connecting homomorphism,
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .cosheaf import CosheafMap, quotient_cosheaf
-from .framework import Framework, FrameworkError, affine_span_full, perturb
+from .framework import Framework, FrameworkError, perturb
 from .linalg import (
     EPS_ANGLE,
     MODE_EXACT,
@@ -55,7 +55,8 @@ from .linalg import (
 # not called here: the benchmark's self-test checks that its tracer rebinds
 # framehom.les.kernel_basis, so the name stays importable from this module
 from .linalg import kernel_basis  # noqa: F401
-from .structural import build_phi, couple_dim, moment_dim, moment_rank, rigid_body_space
+from .structural import (anchored_dims, build_phi, couple_dim, moment_dim, moment_rank,
+                         rigid_body_space)
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,11 @@ def _require_les(f: Framework):
 class _LesContext:
     """The staged pipeline for one framework, read by every front end.
 
-    ``__init__`` builds the cosheaves F and M, phi: F -> M and N = M / phi(F).
-    Each later stage (``pi``: M -> N, the ``section`` N -> M, the reductions,
-    the induced maps, ``theta``, the counting checks, the svg generator
-    list) is computed on first read and kept, so a reader pays only for the
-    stages it reads; an exact report reads no induced map's kernel.  The
+    ``__init__`` builds the cosheaves F and M and phi: F -> M.  Each later
+    stage (N = M / phi(F) as ``anch``, ``pi``: M -> N, the ``section`` N -> M,
+    the reductions, the induced maps, ``theta``, the counting checks, the svg
+    generator list) is computed on first read and kept, so a reader pays only
+    for the stages it reads; an exact report reads no induced map's kernel.  The
     LES stages need a connected framework with an edge; ``theta`` raises
     ValueError otherwise.
     """
@@ -149,20 +150,21 @@ class _LesContext:
         self.phi = build_phi(f)
         self.force = self.phi.source
         self.moment = self.phi.target
-        self.anch, self._pi, self._section = quotient_cosheaf(self.phi)
 
-    pi = cached_property(lambda self: self._pi())
-    # the canonical section lifts chains; by the snake lemma any right
-    # inverse of pi gives the same theta
-    section = cached_property(lambda self: self._section())
+    # N with pi: M -> N and the canonical section, which lifts chains; by the
+    # snake lemma any right inverse of pi gives the same theta
+    _quotient = cached_property(lambda self: quotient_cosheaf(self.phi))
+    anch = cached_property(lambda self: self._quotient[0])
+    pi = cached_property(lambda self: self._quotient[1])
+    section = cached_property(lambda self: self._quotient[2])
 
     @cached_property
     def dims(self) -> tuple:
         """(dim H1, dim H0) of the force, moment and anchored cosheaves; the
-        moment's from the rank its certified gauge gives (``moment_rank``),
+        last two read off M's certified gauge (``moment_rank``, ``anchored_dims``),
         which the tests check against ``Cosheaf.dims``'s elimination."""
         m, r = self.moment, moment_rank(self.moment)
-        return self.force.dims, (m.c1_dim - r, m.c0_dim - r), self.anch.dims
+        return self.force.dims, (m.c1_dim - r, m.c0_dim - r), anchored_dims(self.phi)
 
     @cached_property
     def rigid(self) -> np.ndarray:
@@ -286,7 +288,7 @@ def _counting_checks(ctx: _LesContext) -> tuple:
         _rule("moment_circuit_rank", k * (ne - nv + 1), h1m,
               f"{k}(|E|-|V|+1) independent stress resultants across the cuts"),
     ]
-    if affine_span_full(f.dim, f.positions, f.mode):
+    if f.affine_dims == (n,):
         reduced_maxwell = ne - n * nv + k
         checks += [
             _rule("anchored_stress_count", (k - 1) * ne - w * nv, h1n,

@@ -10,6 +10,7 @@
 * anchored cosheaf — the quotient of the moment cosheaf by the embedded
   axial forces: mid-member sliding joints kill axial force, pinned vertex
   anchors absorb net force, so only moments and transverse shears remain.
+  Its dims need no quotient: ``anchored_dims`` reads them off M's gauge.
 
 In R^n a moment has one coordinate M_ij per pair of ``bivector_pairs(n)``:
 lexicographic i < j, except the cross-product order (yz, zx, xy) in space.
@@ -33,6 +34,7 @@ divides the float matrices by the denominator once, and halving is exact.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -196,6 +198,30 @@ def build_phi(f: Framework) -> CosheafMap:
         edge_maps=tuple(column(d) for d in deltas),
         den=den,
     )
+
+
+def anchored_dims(phi: CosheafMap) -> tuple[int, int]:
+    """(dim H1, dim H0) of N = M / phi(F) off M's gauge, once ``moment_rank``
+    has certified M: phi(F_v) is then the forces through p_v, so H0 = sum_c
+    C(n - a_c, 2) over the components' ``Framework.affine_dims`` and H1 = H0 +
+    c1 - c0.  Each distinct stored map of phi is first certified as den [0; I]
+    or the padded direction, over den; ValueError names the first failing cell."""
+    f, pd = phi.source.base, phi.den
+    n, w = f.dim, moment_dim(f.dim)
+    deltas, den = f.direction_form
+    pad = [[0] * n] * w + [[pd * (i == j) for j in range(n)] for i in range(n)]
+    cells = [("vertex", v, m, None) for v, m in enumerate(phi.vertex_maps)]
+    cells += [("edge", e, m, d) for e, (m, d) in enumerate(zip(phi.edge_maps, deltas))]
+    seen = set()
+    for kind, i, stored, d in cells:
+        if (id(stored), d) in seen:
+            continue
+        seen.add((id(stored), d))
+        want, scale = (pad, 1) if d is None else ([[0]] * w + [[x * pd] for x in d], den)
+        if (stored * scale).tolist() != want:  # stored / pd: [0; I] or (0; d) / den
+            raise ValueError(f"phi's stalk map of {kind} {i} is not the embedding of its forces")
+    h0 = sum(math.comb(n - a, 2) for a in f.affine_dims)
+    return (couple_dim(n) - 1) * f.num_edges - w * f.num_vertices + h0, h0
 
 
 def build_anchored_cosheaf(f: Framework) -> Cosheaf:

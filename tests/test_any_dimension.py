@@ -5,10 +5,13 @@ criterion rotates in the plane or in space only, and float-mode theta is
 not asserted here (exact mode is the oracle).
 """
 
+import importlib.util
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from conftest import build_corpus, grid, lattice
 from framehom import (
     CosheafMap,
     Framework,
+    build_anchored_cosheaf,
     build_moment_cosheaf,
     check_cosheaf_map,
     constant_cosheaf,
@@ -27,6 +31,7 @@ from framehom import (
     wedge,
 )
 from framehom.framework import _random_framework
+from framehom.les import _LesContext
 from framehom.linalg import MODE_EXACT, MODE_FLOAT, from_integer_form, zeros
 from framehom.structural import _transport, bivector_pairs, couple_dim, moment_dim
 
@@ -225,3 +230,86 @@ GAUGE_FRAMES = dict(build_corpus()) | {label: build() for label, (build, _) in F
 def test_moment_gauge_is_a_cosheaf_map(label):
     # the oracle of moment_rank's certificate: the explicit gauge commutes
     assert check_cosheaf_map(moment_gauge(GAUGE_FRAMES[label])).passed
+
+
+# ---------------------------------------------------------------------------
+# the anchored dims read off M's gauge, against B_N's elimination
+# ---------------------------------------------------------------------------
+
+def _load_make_corpus():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LARGE_FRAMES = _load_make_corpus().large_frames()
+ORACLE_FRAMES = GAUGE_FRAMES | {f"large-{k}": f for k, f in LARGE_FRAMES.items()}
+
+
+def _anchored_dims(f):
+    """The anchored dims the pipeline reads off the gauge, and those of B_N's elimination."""
+    return _LesContext(f).dims[2], build_anchored_cosheaf(f).dims
+
+
+@pytest.mark.parametrize("label", ORACLE_FRAMES)
+def test_anchored_dims_from_the_gauge_match_the_elimination(label):
+    got, want = _anchored_dims(ORACLE_FRAMES[label])
+    assert got == want
+
+
+def _frame(dim, points, edges):
+    return Framework(dim, tuple(map(tuple, points)), tuple(edges))
+
+
+# frames whose components span less than the whole space: H0(N) = sum_c C(n - a_c, 2)
+DEGENERATE_FRAMES = {
+    "collinear-path-3d": (LARGE_FRAMES["collinear-path-3d"], (4, 1)),
+    "planar-k4-4d": (LARGE_FRAMES["planar-k4-4d"], (31, 1)),
+    "collinear-path-4d": (_frame(4, [(0, 0, 0, 0), (1, 1, 0, 2), (3, 3, 0, 6)],
+                                 [(0, 1), (1, 2)]), (3, 3)),
+    "bar-beside-triangle-3d": (LARGE_FRAMES["two-components"], (6, 1)),
+    "point-3d": (_frame(3, [(1, 2, 3)], []), (0, 3)),
+    "three-points-2d": (_frame(2, [(0, 0), (1, 0), (0, 1)], []), (0, 3)),
+    "simplex5": (_frame(5, [[0] * 5] + [[int(i == j) for j in range(5)] for i in range(5)],
+                        itertools.combinations(range(6), 2)), (150, 0)),
+}
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+@pytest.mark.parametrize("label", DEGENERATE_FRAMES)
+def test_anchored_dims_of_degenerate_frames(label, mode):
+    f, want = DEGENERATE_FRAMES[label]
+    assert _anchored_dims(f if mode == MODE_EXACT else f.as_float()) == (want, want)
+
+
+@st.composite
+def flat_frames(draw):
+    """Small integer frames in R^2 - R^5 with one to three components, each
+    component's points drawn on a random point, line, plane or wider flat."""
+    n = draw(st.integers(2, 5))
+    small = st.integers(-3, 3)
+    points, edges = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.tuples(*[small] * n))
+        dirs = draw(st.lists(st.tuples(*[small] * n), max_size=n))
+        pts = list(dict.fromkeys(
+            tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+            for cs in draw(st.lists(st.tuples(*[small] * len(dirs)), min_size=1, max_size=6))))
+        first = len(points)
+        points += pts
+        tree = [(first + draw(st.integers(0, i - 1)), first + i) for i in range(1, len(pts))]
+        extra = draw(st.lists(st.tuples(st.integers(0, len(pts) - 1),
+                                        st.integers(0, len(pts) - 1)), max_size=4))
+        chords = {(first + min(a, b), first + max(a, b)) for a, b in extra if a != b}
+        edges += tree + sorted(chords - set(tree))
+    return _frame(n, points, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_frames())
+def test_anchored_dims_from_the_gauge_match_the_elimination_on_flat_frames(f):
+    got, want = _anchored_dims(f)
+    assert got == want
+    assert got[1] == sum(math.comb(f.dim - a, 2) for a in f.affine_dims)

@@ -28,7 +28,7 @@ from framehom import (
     perturb,
     save_framework,
 )
-from framehom import cli, cosheaf, linalg, structural
+from framehom import cli, cosheaf, les, linalg, structural
 from framehom.cli import main
 from framehom.framework import _parse_scalar
 from framehom.les import _LesContext
@@ -196,16 +196,35 @@ def test_analyze_float_dims_of_the_square_scaled_by_1e155_exits_0(tmp_path):
     assert main(["analyze", str(path), "--mode", "float", "--dims-only"]) == 0
 
 
-@pytest.mark.xfail(strict=True, reason="float rank cutoffs are relative: at 10^11 the anchored "
-                   "boundary's scale-free singular value 2 falls under EPS_RANK * sigma_max")
-def test_float_dims_of_the_square_scaled_by_1e11_match_exact(tmp_path, capsys):
-    path = tmp_path / "square_1e11.fw"
-    save_framework(make_named("square").transformed([[10 ** 11, 0], [0, 10 ** 11]], [0, 0]), path)
+def _float_and_exact_dims_tables(path, capsys) -> list:
     tables = []
     for mode in ("exact", "float"):
         assert main(["analyze", str(path), "--mode", mode, "--dims-only"]) == 0
         tables.append(capsys.readouterr().out.split("homology dimensions")[1])
+    return tables
+
+
+def test_float_dims_of_the_square_scaled_by_1e11_match_exact(tmp_path, capsys):
+    # the anchored dims come from the gauge and a scale-free affine rank, not
+    # from B_N, whose scale-free singular value 2 falls under EPS_RANK * sigma_max
+    path = tmp_path / "square_1e11.fw"
+    save_framework(make_named("square").transformed([[10 ** 11, 0], [0, 10 ** 11]], [0, 0]), path)
+    tables = _float_and_exact_dims_tables(path, capsys)
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("text, anchored", [
+    ("dim 2\nv 0 0 0\nv 1 1e-11 0\nv 2 1e-11 1e-11\nv 3 0 1e-11\n"
+     "e 0 1\ne 1 2\ne 2 3\ne 3 0\n", (4, 0)),
+    ("dim 2\nv 0 0 0\nv 1 1e-100 0\ne 0 1\n", (0, 0)),
+], ids=["square-1e-11", "bar-1e-100"])
+def test_float_dims_of_tiny_frames_match_exact(tmp_path, capsys, text, anchored):
+    path = tmp_path / "tiny.fw"
+    path.write_text(text)
+    tables = _float_and_exact_dims_tables(path, capsys)
+    assert tables[0] == tables[1]
+    assert tables[0].splitlines()[2].split()[-1] == str(anchored[0])
+    assert tables[0].splitlines()[3].split()[-1] == str(anchored[1])
 
 
 @pytest.mark.parametrize("tok", ["1e999999999", "-1E-999_999_999", "1e4301"])
@@ -895,9 +914,10 @@ def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monke
 
 
 def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch):
-    # all vertices share one stalk map and the edges lie on three lines; with
-    # every other edge reversed, a line's bars run both ways and still share
-    # one quotient (1 vertex + 3 lines, not 1 + 6 directions)
+    # --dims-only reads the anchored dims off the gauge and builds no quotient;
+    # in a full analyze all vertices share one stalk map and the edges lie on
+    # three lines; with every other edge reversed, a line's bars run both ways
+    # and still share one quotient (1 vertex + 3 lines, not 1 + 6 directions)
     calls = []
     original = cosheaf._stalk_section
 
@@ -907,8 +927,11 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(cosheaf, "_stalk_section", counting)
     for f in (grid(3), _every_other_edge_flipped(grid(3))):
+        path = _saved(tmp_path, "grid3", f)
         calls.clear()
-        assert main(["analyze", str(_saved(tmp_path, "grid3", f)), "--dims-only"]) == 0
+        assert main(["analyze", str(path), "--dims-only"]) == 0
+        assert calls == []
+        assert main(["analyze", str(path)]) == 0
         capsys.readouterr()
         assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12"]
         # one anchored stalk map per line and edge end, not one per incidence:
@@ -921,18 +944,20 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
     f = grid(3)
     f = dataclasses.replace(f, positions=tuple((3 if x == 2 else x, y) for x, y in f.positions))
     calls.clear()
-    assert main(["analyze", str(_saved(tmp_path, "grid3-stretched", f)), "--dims-only"]) == 0
+    assert main(["analyze", str(_saved(tmp_path, "grid3-stretched", f))]) == 0
     capsys.readouterr()
     assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12", "edge 13"]
 
 
 def test_dims_and_counting_rules_build_neither_pi_nor_the_section(tmp_path, capsys,
                                                                   monkeypatch):
-    # the anchored cosheaf needs each line's section and the one vertex
-    # projection; the edge projections, pi and the section wait for a reader
+    # the dims read the anchored cosheaf's off the gauge, so neither builds
+    # it: its sections, projections, pi and the section wait for a reader
     path = _saved(tmp_path, "grid3", grid(3))
-    maps, solves = [], []
+    maps, solves, quotients = [], [], []
     post_init, solve = cosheaf.CosheafMap.__post_init__, cosheaf.solve_in_image
+    quotient = les.quotient_cosheaf
+    monkeypatch.setattr(les, "quotient_cosheaf", lambda m: quotients.append(1) or quotient(m))
     monkeypatch.setattr(cosheaf.CosheafMap, "__post_init__",
                         lambda self: maps.append(self) or post_init(self))
     monkeypatch.setattr(cosheaf, "solve_in_image",
@@ -944,18 +969,19 @@ def test_dims_and_counting_rules_build_neither_pi_nor_the_section(tmp_path, caps
     assert main(["analyze", str(path), "--dims-only"]) == 0
     capsys.readouterr()
     assert edge_dims() == [(1, 3)]  # phi: F -> M
-    assert solves == [(1, 1)]  # the vertex projection onto the 1-dim anchored stalk
+    assert solves == []
     maps.clear()
-    solves.clear()
     assert all(c.passed for c in counting_rules(grid(3)))
-    assert edge_dims() == [(1, 3)] and solves == [(1, 1)]
+    assert edge_dims() == [(1, 3)] and solves == [] and quotients == []
     maps.clear()
     solves.clear()
     assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
     # phi, then pi: M -> N and the section N -> M once each, in the order read
     assert edge_dims() == [(1, 3), (3, 2), (2, 3)]
-    assert solves == [(1, 1)] + [(2, 2)] * 3  # and one edge projection per line
+    # the vertex projection onto the 1-dim anchored stalk, one edge projection per line
+    assert solves == [(1, 1)] + [(2, 2)] * 3
+    assert quotients == [1]
 
 
 def test_exact_analyze_of_grid4_runs_26_eliminations(tmp_path, capsys, monkeypatch):
@@ -976,7 +1002,8 @@ def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, mo
     # eliminations read sparse boundary rows; theta multiplies by the dense
     # moment boundary, written from the rows the moment elimination read, so
     # each cosheaf (force, moment, anchored) builds its rows once; the dims
-    # read the moment rank off its gauge, so the moment rows wait for phi*
+    # read the moment and anchored ranks off the gauge, so only the force
+    # rows are built for them; the moment rows wait for phi*
     path = _saved(tmp_path, "grid3", grid(3))
     calls, built = [], []
     original, original_rows = cosheaf.assemble_boundary, cosheaf.boundary_rows
@@ -986,12 +1013,12 @@ def test_only_the_connecting_map_assembles_a_dense_boundary(tmp_path, capsys, mo
                         lambda k: built.append(k.c0_dim) or original_rows(k))
     assert main(["analyze", str(path), "--dims-only"]) == 0
     assert calls == []
-    assert built == [18, 9]
+    assert built == [18]
     built.clear()
     assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
     assert calls == [9 * 3]
-    assert built == [18, 9, 27]
+    assert built == [18, 27, 9]
 
 
 def test_dims_read_off_the_gauge_eliminate_no_moment_boundary(tmp_path, capsys, monkeypatch):

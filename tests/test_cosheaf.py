@@ -244,7 +244,6 @@ def test_stored_stalk_maps_are_integers_in_lowest_terms(corpus, mode):
         f = f if mode == "exact" else f.as_float()
         phi = build_phi(f)
         _, pi, section = quotient_cosheaf(phi)
-        pi, section = pi(), section()
         stored = ([(k, k.tail_maps + k.head_maps) for k in (phi.source, phi.target, pi.target)]
                   + [(m, m.vertex_maps + m.edge_maps) for m in (phi, pi, section)])
         for obj, mats in stored:
@@ -344,7 +343,7 @@ def test_corrupted_lever_sign_fails_at_that_incidence():
     f = make_named("square")
     phi = build_phi(f)
     assert check_cosheaf_map(phi).passed
-    pi = quotient_cosheaf(phi)[1]()
+    pi = quotient_cosheaf(phi)[1]
     corrupted = _lever_sign_flipped(phi.target, 2)
     bad_phi = CosheafMap(source=phi.source, target=corrupted,
                          vertex_maps=phi.vertex_maps, edge_maps=phi.edge_maps, den=phi.den)
@@ -399,6 +398,30 @@ def test_moment_rank_refuses_a_shared_map_where_its_lever_differs(kept, shared):
         structural.moment_rank(bad)
 
 
+def _tampered(phi, kind, cell, matrix):
+    maps = list(getattr(phi, f"{kind}_maps"))
+    maps[cell] = matrix
+    return dataclasses.replace(phi, **{f"{kind}_maps": tuple(maps)})
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_anchored_dims_names_a_tampered_phi_map(mode):
+    # the certificate behind the anchored dims refuses a phi whose stored map
+    # of one cell is not the embedding of forces, and names that cell
+    f = make_named("square") if mode == "exact" else make_named("square").as_float()
+    phi = build_phi(f)
+    assert structural.anchored_dims(phi) == (4, 0)
+    with pytest.raises(ValueError, match="map of edge 2 is not"):
+        structural.anchored_dims(_tampered(phi, "edge", 2, 2 * phi.edge_maps[2]))
+    # one stored object shared by edges of different directions fails where it is wrong
+    with pytest.raises(ValueError, match="map of edge 1 is not"):
+        structural.anchored_dims(_tampered(phi, "edge", 1, phi.edge_maps[0]))
+    moment_row = phi.vertex_maps[3].copy()
+    moment_row[0, 0] = 1
+    with pytest.raises(ValueError, match="map of vertex 3 is not"):
+        structural.anchored_dims(_tampered(phi, "vertex", 3, moment_row))
+
+
 @pytest.mark.parametrize("defect", [Fraction(1, 10**400), 10**400])
 def test_exact_map_check_decides_on_exact_entries(defect):
     # as floats, a defect of 1/10**400 reads 0.0 and one of 10**400 overflows
@@ -435,7 +458,7 @@ def test_exact_map_check_reports_the_product_difference(monkeypatch):
     # incidence only, which must still report the exact residual of the
     # Fraction products, with the same types
     f = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 4)
-    pi = quotient_cosheaf(build_phi(f))[1]()
+    pi = quotient_cosheaf(build_phi(f))[1]
     products = []
     monkeypatch.setattr(cosheaf, "from_integer_form",
                         lambda *form: products.append(1) or from_integer_form(*form))
@@ -591,7 +614,7 @@ def test_quotient_by_zero_is_identity():
         source=z, target=moment,
         vertex_maps=tuple(zeros(d, 0, f.mode) for d in moment.vertex_dims),
         edge_maps=tuple(zeros(d, 0, f.mode) for d in moment.edge_dims))
-    pi = quotient_cosheaf(emb)[1]()
+    pi = quotient_cosheaf(emb)[1]
     assert pi.target.vertex_dims == moment.vertex_dims
     assert pi.target.edge_dims == moment.edge_dims
     for pm in pi.vertex_maps + pi.edge_maps:
@@ -612,7 +635,6 @@ def test_projection_and_section_share_the_quotient_and_invert_on_every_stalk(cor
     for label, f in corpus:
         phi = build_phi(f if mode == "exact" else f.as_float())
         _, pi, section = quotient_cosheaf(phi)
-        pi, section = pi(), section()
         assert pi.target is section.source, label
         assert section.target is phi.target, label
         for p, s in zip(pi.vertex_maps + pi.edge_maps,
@@ -629,7 +651,6 @@ def test_quotient_stalkwise_exactness():
     f = make_desargues(Fraction(1, 2))
     phi = build_phi(f)
     _, pi, section = quotient_cosheaf(phi)
-    pi, section = pi(), section()
     for v in range(f.num_vertices):
         stacked = np.hstack([phi.vertex_maps[v], section.vertex_maps[v]])
         assert rank(stacked) == phi.target.vertex_dims[v]
@@ -665,7 +686,6 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
     phi = build_phi(f)
     moment = phi.target
     _, pi, section = quotient_cosheaf(phi)
-    pi, section = pi(), section()
 
     def own_quotient(m):  # the section of m's stored integers and its projection, written out
         s = _stalk_section(Reduction(m.T), "")
@@ -689,7 +709,7 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
 
 def test_quotient_projection_commutes():
     f = make_named("box3d")
-    pi = quotient_cosheaf(build_phi(f))[1]()
+    pi = quotient_cosheaf(build_phi(f))[1]
     assert check_cosheaf_map(pi).passed
 
 
@@ -706,24 +726,20 @@ def test_quotient_rejects_non_injective_map():
 
 def test_stalk_quotient_eliminates_twice(monkeypatch):
     # each stalk quotient eliminates phi^T once, for the injectivity rank and
-    # the section S, and solves once for the projection P: the vertex one at
-    # build, as the quotient's stalk maps need it, the edge one only when the
-    # projection is read; the section solves nothing
+    # the section S, and solves once for the projection P: the vertex one and
+    # the edge one; the section solves nothing
     calls = []
     original = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(1) or original(rows))
     phi = build_phi(Framework(dim=3, positions=((0, 0, 0), (1, 2, 3)), edges=((0, 1),)))
     calls.clear()
-    _, projection, section = quotient_cosheaf(phi)
-    assert len(calls) == 3
-    s = from_integer_form(section().edge_maps[0], section().den)
-    assert len(calls) == 3
-    pi = projection()
+    _, pi, section = quotient_cosheaf(phi)
     assert len(calls) == 4
+    s = from_integer_form(section.edge_maps[0], section.den)
     p = from_integer_form(pi.edge_maps[0], pi.den)
     assert s.shape == (6, 5) and p.shape == (5, 6)
     assert (p @ s == identity(5, "exact")).all()
-    assert projection() is pi and len(calls) == 4
+    assert len(calls) == 4
 
 
 def _random_invertible(n, rng):

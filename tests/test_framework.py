@@ -21,7 +21,7 @@ from framehom import (
     perturb,
     save_framework,
 )
-from framehom.framework import _parse_scalar, affine_span_full
+from framehom.framework import _parse_scalar, affine_dim
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,11 +140,15 @@ def test_a_non_finite_coordinate_is_refused_in_both_modes(mode, x):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_affine_span_full(mode):
+def test_affine_dim(mode):
     # one point: no difference rows, an empty 0 x 3 matrix of rank 0
-    assert not affine_span_full(3, [(1, 2, 3)], mode)
-    assert not affine_span_full(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)], mode)
-    assert affine_span_full(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], mode)
+    assert affine_dim(3, [(1, 2, 3)], mode) == 0
+    assert affine_dim(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)], mode) == 1
+    assert affine_dim(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], mode) == 3
+    # scale-free: tiny and huge frames keep their affine dimension
+    for s in (Fraction(1, 10 ** 100), 10 ** 11):
+        s = s if mode == "exact" else float(s)
+        assert affine_dim(3, [(0, 0, 0), (s, 0, 0), (0, s, 0), (s, s, 0)], mode) == 2
 
 
 @pytest.mark.parametrize("tok", ["3", "-3", "+3", "007", "1_000", "\u0663", "-0", "3/4", "1.5",

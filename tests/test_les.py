@@ -394,8 +394,10 @@ def test_resultants_reject_a_chain_that_is_not_an_anchored_cycle(mode):
 
 
 def test_theta_makes_two_solves_on_grid4(monkeypatch):
-    # one padding solve for every vertex of every cycle, one Gram solve
+    # one padding solve for every vertex of every cycle, one Gram solve; the
+    # quotient's projections are solved when the anchored cosheaf is first read
     ctx = _LesContext(grid(4))
+    ctx.anch
     calls = []
     for module in (cosheaf, les, linalg):
         original = module.solve_in_image

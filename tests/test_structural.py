@@ -139,7 +139,7 @@ def test_phi_commutes_and_is_injective(name):
 def test_pi_commutes_and_kills_phi(name):
     f = make_named(name)
     phi = build_phi(f)
-    pi = quotient_cosheaf(phi)[1]()
+    pi = quotient_cosheaf(phi)[1]
     assert check_cosheaf_map(pi).passed
     for v in range(f.num_vertices):
         prod = pi.vertex_maps[v] @ phi.vertex_maps[v]
