@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import MODE_EXACT, MODE_FLOAT, rank as _matrix_rank
+from .linalg import MODE_EXACT, MODE_FLOAT, Reduction, rank as _matrix_rank
 
 EPS_GEOM = 1e-9  # float mode: zero-length threshold, relative to the bbox diagonal
 
@@ -72,29 +72,35 @@ class Framework:
             raise FrameworkError(f"unknown mode {self.mode!r}")
         if not self.positions:
             raise FrameworkError("framework has no vertices")
-        for i, p in enumerate(self.positions):
+        # one walk of the positions; exact mode then stores every vertex as a tuple
+        # of int or Fraction, so parser, generators and transforms agree
+        exact, pos, rebuild = self.mode == MODE_EXACT, self.positions, []
+        for i, p in enumerate(pos):
             if len(p) != self.dim:
                 raise FrameworkError(f"vertex {i} has {len(p)} coordinates, expected {self.dim}")
-            if any(isinstance(x, float) and not math.isfinite(x) for x in p):
-                raise FrameworkError(f"vertex {i} has a non-finite coordinate")
-        if self.mode == MODE_EXACT:  # once, so parser, generators and transforms agree
-            object.__setattr__(self, "positions", tuple(tuple(
-                _integral(_as_fraction(x) if isinstance(x, float) else x) for x in p)
-                for p in self.positions))
-        if self.mode == MODE_FLOAT:
+            if type(p) is not tuple or not all(type(x) is int for x in p):
+                if any(isinstance(x, float) and not math.isfinite(x) for x in p):
+                    raise FrameworkError(f"vertex {i} has a non-finite coordinate")
+                rebuild.append(i)
+        if exact and (rebuild or type(pos) is not tuple):
+            pos = list(pos)
+            for i in rebuild:
+                pos[i] = tuple(_integral(_as_fraction(x) if isinstance(x, float) else x)
+                               for x in pos[i])
+            object.__setattr__(self, "positions", pos := tuple(pos))
+        if not exact:
             eps = EPS_GEOM * max(self.bbox_diagonal(), 1e-300)
-        seen = set()
+        nv, seen = len(pos), set()
         for k, (t, h) in enumerate(self.edges):
-            if not (0 <= t < len(self.positions)) or not (0 <= h < len(self.positions)):
+            if not (0 <= t < nv and 0 <= h < nv):
                 raise FrameworkError(f"edge {k} references unknown vertex id ({t}, {h})")
             if t == h:
                 raise FrameworkError(f"edge {k} is a self-loop at vertex {t}")
-            key = (min(t, h), max(t, h))
+            key = (t, h) if t < h else (h, t)
             if key in seen:
                 raise FrameworkError(f"duplicate edge {k}: ({t}, {h})")
             seen.add(key)
-            p, q = self.positions[t], self.positions[h]
-            if (p == q) if self.mode == MODE_EXACT else math.dist(p, q) <= eps:
+            if (pos[t] == pos[h]) if exact else math.dist(pos[t], pos[h]) <= eps:
                 raise FrameworkError(f"zero-length edge {k}: ({t}, {h})")
 
     @property
@@ -114,8 +120,9 @@ class Framework:
         return self.components == 1
 
     @cached_property
-    def _component_positions(self) -> tuple:
-        """Each graph component's vertex positions, by first vertex: one union-find labelling."""
+    def _labels(self) -> list:
+        """Each vertex's component label, its union-find root: the one labelling
+        behind ``components`` and ``affine_dims``."""
         parent = list(range(self.num_vertices))
 
         def root(v):
@@ -124,15 +131,30 @@ class Framework:
             return v
         for t, h in self.edges:
             parent[root(t)] = root(h)
-        groups = {}
-        for v, p in enumerate(self.positions):
-            groups.setdefault(root(v), []).append(p)
-        return tuple(groups.values())
+        return [root(v) for v in range(len(parent))]
 
-    # the number of connected components b0, and each one's affine dimension
-    components = property(lambda self: len(self._component_positions))
-    affine_dims = cached_property(lambda self: tuple(
-        affine_dim(self.dim, ps, self.mode) for ps in self._component_positions))
+    @property
+    def components(self) -> int:
+        """The number of connected components b0."""
+        return len(set(self._labels))
+
+    @cached_property
+    def affine_dims(self) -> tuple:
+        """Each component's affine dimension, components ordered by first vertex.
+
+        A component's affine span is spanned by its bar directions, so its
+        dimension is the rank of its distinct rows of ``direction_form``
+        (0 for an isolated vertex): exact, by ``Reduction.of_rows`` on the
+        integer rows, or scale-free by SVD in float mode."""
+        (slots, index), labels = self.direction_index, self._labels
+        table, groups = list(slots), {label: set() for label in labels}
+        for (t, _), s in zip(self.edges, index):
+            groups[labels[t]].add(s)
+        rows = [[table[s] for s in sorted(g)] for g in groups.values()]
+        if self.mode == MODE_EXACT:
+            return tuple(Reduction.of_rows([{j: x for j, x in enumerate(r) if x} for r in rs],
+                                           self.dim).rank for rs in rows)
+        return tuple(_matrix_rank(np.array(rs, dtype=float).reshape(-1, self.dim)) for rs in rows)
 
     @cached_property
     def direction_form(self) -> tuple[list, int]:
@@ -142,8 +164,17 @@ class Framework:
         pos, d = self.positions, 1
         if self.mode == MODE_EXACT:
             d = math.lcm(*(x.denominator for p in pos for x in p))
-            pos = [[x.numerator * (d // x.denominator) for x in p] for p in pos]
+            if d != 1:
+                pos = [[x.numerator * (d // x.denominator) for x in p] for p in pos]
         return [tuple(map(operator.sub, pos[h], pos[t])) for t, h in self.edges], d
+
+    @cached_property
+    def direction_index(self) -> tuple[dict, tuple]:
+        """(slots, index): the distinct rows of ``direction_form``, each mapped
+        to its slot in first-seen order, and each edge's slot.  The structural
+        builders make one matrix per slot and fan it out to the edges."""
+        slots = {}
+        return slots, tuple(slots.setdefault(d, len(slots)) for d in self.direction_form[0])
 
     def as_float(self) -> Framework:
         """The same framework with float coordinates."""
@@ -203,42 +234,46 @@ def _parse_scalar(tok: str, mode: str, where: str):
 
 
 def parse_framework(text: str, mode: str = MODE_EXACT) -> Framework:
+    """Read the line-oriented format.  Each error names its line; a line's
+    ``where`` text is made only when it raises."""
     dim = None
     verts: dict[int, tuple] = {}
     edges: list[tuple[int, int]] = []
+    number = int if mode == MODE_EXACT else float  # reads a subset of _parse_scalar's literals
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not toks:
             continue
-        toks = line.split()
-        where = f"line {lineno}"
-        if toks[0] == "dim":
-            if dim is not None:
-                raise FrameworkError(f"{where}: repeated dim header")
-            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 2:
-                raise FrameworkError(f"{where}: expected 'dim N' with an integer N >= 2")
-            dim = int(toks[1])
-        elif toks[0] == "v":
+        if toks[0] == "v":
             if dim is None:
-                raise FrameworkError(f"{where}: vertex before dim header")
+                raise FrameworkError(f"line {lineno}: vertex before dim header")
             if len(toks) != 2 + dim:
-                raise FrameworkError(f"{where}: vertex needs an id and {dim} coordinates")
+                raise FrameworkError(f"line {lineno}: vertex needs an id and {dim} coordinates")
             try:
                 vid = int(toks[1])
             except ValueError:
-                raise FrameworkError(f"{where}: bad vertex id {toks[1]!r}") from None
+                raise FrameworkError(f"line {lineno}: bad vertex id {toks[1]!r}") from None
             if vid in verts:
-                raise FrameworkError(f"{where}: duplicate vertex id {vid}")
-            verts[vid] = tuple(_parse_scalar(t, mode, where) for t in toks[2:])
+                raise FrameworkError(f"line {lineno}: duplicate vertex id {vid}")
+            try:
+                verts[vid] = tuple(map(number, toks[2:]))
+            except ValueError:
+                verts[vid] = tuple(_parse_scalar(t, mode, f"line {lineno}") for t in toks[2:])
         elif toks[0] == "e":
             if len(toks) != 3:
-                raise FrameworkError(f"{where}: edge needs exactly two vertex ids")
+                raise FrameworkError(f"line {lineno}: edge needs exactly two vertex ids")
             try:
                 edges.append((int(toks[1]), int(toks[2])))
             except ValueError:
-                raise FrameworkError(f"{where}: bad edge endpoint") from None
+                raise FrameworkError(f"line {lineno}: bad edge endpoint") from None
+        elif toks[0] == "dim":
+            if dim is not None:
+                raise FrameworkError(f"line {lineno}: repeated dim header")
+            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 2:
+                raise FrameworkError(f"line {lineno}: expected 'dim N' with an integer N >= 2")
+            dim = int(toks[1])
         else:
-            raise FrameworkError(f"{where}: unknown record {toks[0]!r}")
+            raise FrameworkError(f"line {lineno}: unknown record {toks[0]!r}")
     if dim is None:
         raise FrameworkError("missing dim header")
     if not verts:

@@ -20,7 +20,9 @@ cycles in ``resultants``, which dominates theta on big frames (ROADMAP
 item 2 waits on the benchmark, item 1).  The moment and anchored dims come
 from M's certified gauge (``moment_rank``, ``anchored_dims``), so the dims
 eliminate no B_M and build no N; the tests check both by elimination,
-which the H1 bases still need.  Exact mode
+which the H1 bases still need.  A full report's anchored counting rules
+compare the gauge's formula with B_N's rank, which theta's H1(N) basis
+has already paid for.  Exact mode
 reads checks (b), (c) and (h) off ranks (``_exact_at``), with no kernel.
 
 This module computes the induced maps and the connecting homomorphism,
@@ -188,7 +190,10 @@ class _LesContext:
 
     @cached_property
     def counting(self) -> tuple:
-        return _counting_checks(self)
+        """The counting rules, N-free: the anchored rules read H1(N) off M's
+        gauge, so they hold whenever phi's certificate does.  A full report
+        checks them on B_N's elimination instead (``_report_from_context``)."""
+        return _counting_checks(self, self.dims[2][0])
 
     @property
     def alternating_sum(self) -> int:
@@ -269,7 +274,9 @@ def _not_applicable(name: str, why: str) -> CountCheck:
     return CountCheck(name, False, None, None, True, f"not applicable: {why}")
 
 
-def _counting_checks(ctx: _LesContext) -> tuple:
+def _counting_checks(ctx: _LesContext, h1n: int) -> tuple:
+    """The counting rules of ``ctx``'s framework; the anchored ones test the
+    computed dim H1(N) ``h1n``."""
     f = ctx.f
     if not f.connected():
         why = "framework is disconnected"
@@ -280,7 +287,7 @@ def _counting_checks(ctx: _LesContext) -> tuple:
                 _not_applicable("les_alternating_sum", why))
     n, nv, ne = f.dim, f.num_vertices, f.num_edges
     w, k = moment_dim(n), couple_dim(n)
-    (h1f, _), (h1m, _), (h1n, _) = ctx.dims
+    (h1f, _), (h1m, _), _ = ctx.dims
     mech = len(ctx.mech)
     checks = [
         _rule("maxwell_calladine", n * nv - ne, len(ctx.rigid) + mech - h1f,
@@ -435,7 +442,7 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
         rank_theta=ctx.theta.rank,
         rank_phi0=ctx.phi0.rank,
         checks=tuple(checks),
-        counting=ctx.counting,
+        counting=_counting_checks(ctx, ctx.anch.dims[0]),  # B_N's rank, which theta ran
         mechanism_basis=tuple(mech_ambient),
     )
 

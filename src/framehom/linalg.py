@@ -20,8 +20,10 @@ basis is a span of integer rows.  Rows are reduced fraction-free
 (Bareiss, Math. Comp. 22, 1968) on private copies, and enter the
 echelon in decreasing order of their leading column, for low fill.  A
 row's gcd content is removed once per pivot or RREF row, not after every
-step.  The rank is read off the forward echelon; back-substitution runs
-only when a kernel, row basis or solution is first read.  Pivot columns
+step.  The forward echelon stops once every column holds a pivot, as
+the rows left lie in the span; the rank is read off it, and
+back-substitution runs only when a kernel, row basis or solution is
+first read.  Pivot columns
 and RREF depend neither on the elimination order nor on positive row
 scalings, so ranks, kernels, row bases and solutions are those of a
 Gauss-Jordan RREF over the rationals, bit-for-bit.  ``solve_in_image``
@@ -125,12 +127,14 @@ def _primitive(row: dict, c: int) -> dict:
     return {j: v // g for j, v in row.items()} if g != 1 else row
 
 
-def _echelon(rows: list[dict]) -> dict[int, dict]:
+def _echelon(rows: list[dict], ncols: int) -> dict[int, dict]:
     """Forward elimination: {leading column: row}, rows content-free, leads positive.
 
     Rows enter in decreasing order of their leading column, which keeps
     fill low; each is copied and reduced in place against the pivot at its
-    current leading column until it is zero or leads at a new column.
+    current leading column until it is zero or leads at a new column.  Once
+    each of the ``ncols`` columns holds a pivot, the rows left lie in the
+    span and would reduce to zero, so they are not read.
     """
     piv: dict[int, dict] = {}
     for c, row in sorted(((min(r), r) for r in rows if r), key=lambda cr: cr[0], reverse=True):
@@ -142,6 +146,8 @@ def _echelon(rows: list[dict]) -> dict[int, dict]:
             c = min(row)
         else:
             piv[c] = _primitive(row, c)
+            if len(piv) == ncols:
+                break
     return piv
 
 
@@ -172,10 +178,9 @@ class Reduction:
     """One elimination of a matrix, read for its rank, kernel, image and rows.
 
     Exact mode keeps the sparse integer rows of the matrix times the lcm d
-    of its denominators, their forward echelon and its pivot and free
-    columns, and back-substitutes once, on the first read of the kernel,
-    the row basis or a solution.  Float mode keeps the
-    full SVD.
+    of its denominators, all of them, their forward echelon and its pivot
+    and free columns, and back-substitutes once, on the first read of the
+    kernel, the row basis or a solution.  Float mode keeps the full SVD.
     """
 
     def __init__(self, a: np.ndarray):
@@ -201,7 +206,7 @@ class Reduction:
 
     def _forward(self, ints: list[dict]):
         self._int_rows = ints
-        self._echelon = _echelon(ints)
+        self._echelon = _echelon(ints, self.shape[1])
         self.pivots = sorted(self._echelon)
         self.rank = len(self.pivots)
         self.free_columns = [c for c in range(self.shape[1]) if c not in self._echelon]

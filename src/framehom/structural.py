@@ -27,9 +27,11 @@ The stalk maps are made from the framework's ``direction_form``, the
 directions as integers over one common denominator D: a force column is
 (P_h - P_t) over D, a couple transport (2D I + lever entries) over 2D, a
 ``phi`` edge map the force column under zero moment rows and its vertex
-map D [0; I], both over D.  Each cosheaf and map is handed these integers
-and their denominator, and stores them in lowest terms; in float mode it
-divides the float matrices by the denominator once, and halving is exact.
+map D [0; I], both over D.  Each is made once per distinct direction of
+the framework's ``direction_index`` and fanned out to the edges.  Each
+cosheaf and map is handed these integers and their denominator, and
+stores them in lowest terms; in float mode it divides the float matrices
+by the denominator once, and halving is exact.
 """
 
 from __future__ import annotations
@@ -109,16 +111,15 @@ def build_force_cosheaf(f: Framework) -> Cosheaf:
     direction head - tail, so an axial scalar becomes a force along the
     bar.  Edges with equal directions share one matrix.
     """
-    deltas, den = f.direction_form
-    column = cache(lambda d: _padded_direction(0, d, f.mode))
-    maps = tuple(column(d) for d in deltas)
+    slots, index = f.direction_index
+    maps = tuple(map([_padded_direction(0, d, f.mode) for d in slots].__getitem__, index))
     return Cosheaf(
         base=f,
         vertex_dims=(f.dim,) * f.num_vertices,
         edge_dims=(1,) * f.num_edges,
         tail_maps=maps,
         head_maps=maps,
-        den=den,
+        den=f.direction_form[1],
     )
 
 
@@ -127,19 +128,25 @@ def build_moment_cosheaf(f: Framework) -> Cosheaf:
 
     The stalk map into an endpoint transports the couple from the edge
     center: the lever is +half the direction into the head and -half into
-    the tail.  One (tail, head) pair is made per distinct direction, from
-    one matrix per distinct signed lever, and fanned out to the edges, so
-    the head map of direction delta is the tail map of direction -delta.
+    the tail.  One matrix is made per distinct signed lever and fanned out
+    to the edges, so the head map of direction delta is the tail map of
+    direction -delta.
     """
-    deltas, den = f.direction_form
-    transport = cache(lambda d: _transport(d, den, f.mode))
-    ends = {d: (transport(tuple(-x for x in d)), transport(d)) for d in dict.fromkeys(deltas)}
+    (slots, index), den = f.direction_index, f.direction_form[1]
+    tails, heads = [], []
+    for i, d in enumerate(slots):  # an earlier slot -d made this slot's pair, swapped
+        if slots.get(m := tuple(-x for x in d), i) < i:
+            tails.append(heads[slots[m]])
+            heads.append(tails[slots[m]])
+        else:
+            tails.append(_transport(m, den, f.mode))
+            heads.append(_transport(d, den, f.mode))
     return Cosheaf(
         base=f,
         vertex_dims=(couple_dim(f.dim),) * f.num_vertices,
         edge_dims=(couple_dim(f.dim),) * f.num_edges,
-        tail_maps=tuple(ends[d][0] for d in deltas),
-        head_maps=tuple(ends[d][1] for d in deltas),
+        tail_maps=tuple(map(tails.__getitem__, index)),
+        head_maps=tuple(map(heads.__getitem__, index)),
         den=2 * den,
     )
 
@@ -156,8 +163,8 @@ def moment_rank(m: Cosheaf) -> int:
     rescanned in order, head before tail, and ValueError names the first
     failing edge and endpoint."""
     f = m.base
-    deltas, den = f.direction_form
-    verdicts = {}
+    (deltas, den), (slots, index) = f.direction_form, f.direction_index
+    table, verdicts = list(slots), {}
 
     def fits(stored, lever) -> bool:
         key = (id(stored), lever)
@@ -166,8 +173,8 @@ def moment_rank(m: Cosheaf) -> int:
                              == _transport_rows(tuple(x * m.den for x in lever), den * m.den))
         return verdicts[key]
 
-    ends = dict(zip(zip(map(id, m.head_maps), map(id, m.tail_maps), deltas),
-                    zip(m.head_maps, m.tail_maps, deltas)))
+    ends = dict(zip(zip(map(id, m.head_maps), map(id, m.tail_maps), index),
+                    zip(m.head_maps, m.tail_maps, map(table.__getitem__, index))))
     if not all(fits(h, d) and fits(t, tuple(-x for x in d)) for h, t, d in ends.values()):
         for e, ((t, h), d, hm, tm) in enumerate(zip(f.edges, deltas, m.head_maps, m.tail_maps)):
             for v, stored, lever in ((h, hm, d), (t, tm, tuple(-x for x in d))):
@@ -187,15 +194,14 @@ def build_phi(f: Framework) -> CosheafMap:
     """
     n = f.dim
     w = moment_dim(n)
-    deltas, den = f.direction_form
+    (slots, index), den = f.direction_index, f.direction_form[1]
     vmap = linalg.zeros(w + n, n, f.mode)
     vmap[range(w, w + n), range(n)] = den
-    column = cache(lambda d: _padded_direction(w, d, f.mode))
     return CosheafMap(
         source=build_force_cosheaf(f),
         target=build_moment_cosheaf(f),
         vertex_maps=(vmap,) * f.num_vertices,
-        edge_maps=tuple(column(d) for d in deltas),
+        edge_maps=tuple(map([_padded_direction(w, d, f.mode) for d in slots].__getitem__, index)),
         den=den,
     )
 
@@ -208,16 +214,17 @@ def anchored_dims(phi: CosheafMap) -> tuple[int, int]:
     or the padded direction, over den; ValueError names the first failing cell."""
     f, pd = phi.source.base, phi.den
     n, w = f.dim, moment_dim(f.dim)
-    deltas, den = f.direction_form
+    (slots, index), den = f.direction_index, f.direction_form[1]
+    table = list(slots)  # edge cells carry their direction's slot
     pad = [[0] * n] * w + [[pd * (i == j) for j in range(n)] for i in range(n)]
     cells = [("vertex", v, m, None) for v, m in enumerate(phi.vertex_maps)]
-    cells += [("edge", e, m, d) for e, (m, d) in enumerate(zip(phi.edge_maps, deltas))]
+    cells += [("edge", e, m, s) for e, (m, s) in enumerate(zip(phi.edge_maps, index))]
     seen = set()
-    for kind, i, stored, d in cells:
-        if (id(stored), d) in seen:
+    for kind, i, stored, s in cells:
+        if (id(stored), s) in seen:
             continue
-        seen.add((id(stored), d))
-        want, scale = (pad, 1) if d is None else ([[0]] * w + [[x * pd] for x in d], den)
+        seen.add((id(stored), s))
+        want, scale = (pad, 1) if s is None else ([[0]] * w + [[x * pd] for x in table[s]], den)
         if (stored * scale).tolist() != want:  # stored / pd: [0; I] or (0; d) / den
             raise ValueError(f"phi's stalk map of {kind} {i} is not the embedding of its forces")
     h0 = sum(math.comb(n - a, 2) for a in f.affine_dims)

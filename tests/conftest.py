@@ -6,6 +6,7 @@ import pytest
 from framehom import linalg, make_desargues, make_named, verify_les
 from framehom import make_grid as grid, make_lattice as lattice  # noqa: F401
 from framehom.cosheaf import CosheafMap
+from framehom.framework import affine_dim
 from framehom.linalg import from_integer_form, subspace_contains
 from framehom.les import _LesContext
 
@@ -27,6 +28,28 @@ def float_matrix(rows, cols=None):
 def same_span(a, b):
     """Whether the bases ``a`` and ``b`` span one subspace."""
     return len(a) == len(b) and subspace_contains(a, b)
+
+
+def affine_dims_of_positions(f):
+    """``framework.affine_dim`` of each component's positions, components in
+    order of their first vertex, found by a search of their own: the oracle of
+    ``Framework.affine_dims``, which ranks the bar directions instead."""
+    adjacent = [set() for _ in f.positions]
+    for t, h in f.edges:
+        adjacent[t].add(h)
+        adjacent[h].add(t)
+    seen, dims = set(), []
+    for v in range(f.num_vertices):
+        if v in seen:
+            continue
+        seen.add(v)
+        stack, component = [v], []
+        while stack:
+            component.append(u := stack.pop())
+            stack += adjacent[u] - seen
+            seen |= adjacent[u]
+        dims.append(affine_dim(f.dim, [f.positions[u] for u in sorted(component)], f.mode))
+    return tuple(dims)
 
 
 def block_boundary(k):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_corpus, grid, lattice
+from conftest import affine_dims_of_positions, build_corpus, grid, lattice
 from framehom import (
     CosheafMap,
     Framework,
@@ -284,6 +284,20 @@ def test_anchored_dims_of_degenerate_frames(label, mode):
     assert _anchored_dims(f if mode == MODE_EXACT else f.as_float()) == (want, want)
 
 
+AFFINE_FRAMES = ORACLE_FRAMES | {f"degenerate-{k}": f for k, (f, _) in DEGENERATE_FRAMES.items()}
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+@pytest.mark.parametrize("label", AFFINE_FRAMES)
+def test_affine_dims_off_the_bar_directions_match_the_positions(label, mode):
+    # the make_corpus set (its top level is the conftest corpus), the frames
+    # in R^4 and R^5, and the degenerate ones: the rank of each component's
+    # distinct bar directions is the affine dimension of its points
+    f = AFFINE_FRAMES[label]
+    f = f if mode == MODE_EXACT else f.as_float()
+    assert f.affine_dims == affine_dims_of_positions(f)
+
+
 @st.composite
 def flat_frames(draw):
     """Small integer frames in R^2 - R^5 with one to three components, each
@@ -312,4 +326,6 @@ def flat_frames(draw):
 def test_anchored_dims_from_the_gauge_match_the_elimination_on_flat_frames(f):
     got, want = _anchored_dims(f)
     assert got == want
+    assert f.affine_dims == affine_dims_of_positions(f)
+    assert f.as_float().affine_dims == affine_dims_of_positions(f.as_float())
     assert got[1] == sum(math.comb(f.dim - a, 2) for a in f.affine_dims)

@@ -150,8 +150,26 @@ def test_analyze_invalid_file(tmp_path, capsys):
     ("dim 2\nq 1\n", "line 2: unknown record 'q'"),
     ("e 0 1\n", "missing dim header"),
     ("dim 2\n# no vertices\n", "no vertices"),
+    # each fault the parser's per-record dispatch could reorder
+    ("e 0 1\nv 0 0 0\n", "line 2: vertex before dim header"),
+    ("e 0 1\ne 1\ndim 2\n", "line 2: edge needs exactly two vertex ids"),
+    ("dim 3\nv 0 1 1/2 x\n", "line 2: bad number literal 'x'"),
+    ("dim 3\nv 0 7 -0 0.5 1e-3\n", "line 2: vertex needs an id and 3 coordinates"),
+    ("dim 2\nv 0 0 0\nv 0 x 0\n", "line 3: duplicate vertex id 0"),
+    ("dim 2\nv x y 0\n", "line 2: bad vertex id 'x'"),
+    ("dim 2 # two\nv 0 0#0\n", "line 2: vertex needs an id and 2 coordinates"),
+    ("e 0 1\ndim 2\nv 0 0 0\nv 1 1e99999 0\n", "line 4: bad number literal '1e99999'"),
+    ("dim 2\nv 0 0 0\nv 2 1 0\n", "vertex ids must be dense 0-based integers"),
+    ("e 0 5\ndim 2\nv 0 0 0\nv 1 1 0\n", "edge 0 references unknown vertex id (0, 5)"),
+    ("dim 2\nv 0 0 0\nv 1 1 0\ne 1 1\n", "edge 0 is a self-loop at vertex 1"),
+    ("dim 2\nv 0 0 0\nv 1 1 0\ne 0 1\ne 1 0\n", "duplicate edge 1: (1, 0)"),
+    ("dim 2\nv 0 0 0\nv 1 1/2 0\nv 2 2/4 0\ne 0 1\ne 1 2\n", "zero-length edge 1: (1, 2)"),
 ], ids=["dim-twice", "vertex-arity", "vertex-id", "vertex-twice", "edge-arity",
-        "edge-endpoint", "record", "no-dim", "no-vertices"])
+        "edge-endpoint", "record", "no-dim", "no-vertices", "vertex-before-dim",
+        "edge-before-dim", "literal-after-good-ones", "arity-before-literals",
+        "vertex-twice-before-literal", "vertex-id-before-literal", "comment-cuts-a-record",
+        "exponent-bound", "sparse-ids", "unknown-vertex", "self-loop", "edge-twice",
+        "zero-length"])
 def test_analyze_names_the_fault_of_a_malformed_file(tmp_path, capsys, text, err):
     path = tmp_path / "bad.fw"
     path.write_text(text)
@@ -982,6 +1000,34 @@ def test_dims_and_counting_rules_build_neither_pi_nor_the_section(tmp_path, caps
     # the vertex projection onto the 1-dim anchored stalk, one edge projection per line
     assert solves == [(1, 1)] + [(2, 2)] * 3
     assert quotients == [1]
+
+
+def test_a_full_analyze_checks_the_anchored_rules_against_the_anchored_rank(tmp_path, capsys,
+                                                                           monkeypatch):
+    # the dims and counting_rules read H1(N) off M's gauge; a full analyze
+    # tests the anchored rules against B_N's elimination, which theta runs
+    # anyway, so an anchored rank off by one fails both rules and exits 2
+    path = _saved(tmp_path, "grid3", grid(3))
+    quotient = les.quotient_cosheaf
+
+    def off_by_one(m):
+        q, pi, section = quotient(m)
+        q._reduction.rank -= 1
+        return q, pi, section
+    monkeypatch.setattr(les, "quotient_cosheaf", off_by_one)
+    assert all(c.passed for c in counting_rules(grid(3)))
+    assert main(["analyze", str(path), "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    rules = {c["name"]: c for c in doc["counting"]}
+    for name in ("anchored_stress_count", "anchored_decomposition"):
+        assert not rules[name]["passed"]
+        assert rules[name]["computed"] == rules[name]["expected"] + 1
+        assert rules[name]["expected"] == doc["dims"]["anchored"]["h1"] == 2 * 16 - 9
+    assert [c["name"] for c in doc["counting"] if not c["passed"]] == [
+        "anchored_stress_count", "anchored_decomposition"]
+    assert all(c["passed"] for c in doc["les_checks"])
+    assert main(["analyze", str(path)]) == 2
+    assert "[FAIL ] anchored_stress_count" in capsys.readouterr().out
 
 
 def test_exact_analyze_of_grid4_runs_26_eliminations(tmp_path, capsys, monkeypatch):

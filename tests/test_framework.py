@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import affine_dims_of_positions
 from framehom import (
     Framework,
     FrameworkError,
@@ -151,6 +152,52 @@ def test_affine_dim(mode):
         assert affine_dim(3, [(0, 0, 0), (s, 0, 0), (0, s, 0), (s, s, 0)], mode) == 2
 
 
+K4_IN_R4 = ((0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 2), (2, 3, 2, 6))
+
+AFFINE_FRAMES = {
+    "isolated vertices": (Framework(3, ((1, 2, 3), (4, 5, 6), (0, 0, 0)), ()), (0, 0, 0)),
+    "collinear path in space": (Framework(3, ((0, 0, 0), (1, 2, 3), (3, 6, 9), (4, 8, 12)),
+                                          ((0, 1), (2, 1), (2, 3))), (1,)),
+    "planar K4 in R^4": (Framework(4, K4_IN_R4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                                  (2, 3))), (2,)),
+    # a triangle, an isolated point, a bar and a tetrahedron, vertices interleaved
+    "disconnected mixture": (Framework(3, ((0, 0, 0), (9, 9, 9), (1, 0, 0), (5, 5, 5),
+                                           (0, 1, 0), (6, 5, 5), (2, 2, 2), (3, 2, 2),
+                                           (2, 3, 2), (2, 2, 3)),
+                                       ((0, 2), (4, 2), (0, 4), (3, 5), (6, 7), (6, 8),
+                                        (9, 6), (7, 8), (8, 9), (7, 9))), (2, 0, 1, 3)),
+    "square": (make_named("square"), (2,)),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("label", AFFINE_FRAMES)
+def test_affine_dims_read_off_the_bar_directions(label, mode):
+    f, want = AFFINE_FRAMES[label]
+    f = f if mode == "exact" else f.as_float()
+    assert f.affine_dims == affine_dims_of_positions(f) == want
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-11], ids=["1e155", "1e-11"])
+@pytest.mark.parametrize("label", ["collinear path in space", "planar K4 in R^4",
+                                   "disconnected mixture", "square"])
+def test_float_affine_dims_are_scale_free(label, scale):
+    f, want = AFFINE_FRAMES[label]
+    f = f.as_float()
+    g = f.transformed([[scale * (i == j) for j in range(f.dim)] for i in range(f.dim)],
+                      [0.0] * f.dim)
+    assert g.affine_dims == affine_dims_of_positions(g) == want
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_affine_dims_of_a_bar_of_length_1e_100(mode):
+    tiny = Fraction(1, 10 ** 100) if mode == "exact" else 1e-100
+    bar = Framework(2, ((0, 0), (tiny, 0)), ((0, 1),), mode)
+    path = Framework(3, ((0, 0, 0), (tiny, 0, 0), (tiny, tiny, 0)), ((0, 1), (1, 2)), mode)
+    assert bar.affine_dims == affine_dims_of_positions(bar) == (1,)
+    assert path.affine_dims == affine_dims_of_positions(path) == (2,)
+
+
 @pytest.mark.parametrize("tok", ["3", "-3", "+3", "007", "1_000", "\u0663", "-0", "3/4", "1.5",
                                  "1e3", "0x10", "1__0", "_1", "\u00b3", "1/0"])
 def test_exact_scalars_read_as_fraction_reads_them(tok):
@@ -169,6 +216,51 @@ def test_exact_scalars_read_as_fraction_reads_them(tok):
 def test_bad_literal_reports_line():
     with pytest.raises(FrameworkError, match="line 2"):
         parse_framework("dim 2\nv 0 zero 0\nv 1 1 0\ne 0 1\n")
+
+
+@pytest.mark.parametrize("mode, tok, err", [
+    ("exact", "x", "line 3: bad number literal 'x'"),
+    ("float", "x", "line 3: bad number literal 'x'"),
+    ("exact", "1/0", "line 3: bad number literal '1/0'"),
+    ("float", "1/0", "line 3: bad number literal '1/0'"),
+    ("exact", "inf", "line 3: bad number literal 'inf'"),
+    ("float", "inf", "vertex 1 has a non-finite coordinate"),
+    ("float", "1/x", "line 3: bad number literal '1/x'"),
+])
+def test_a_bad_literal_after_good_ones_is_named_in_both_modes(mode, tok, err):
+    # the good literals of the line are read before the bad one is met
+    text = f"dim 3\nv 0 0 0 0\nv 1 1/2 0.5 {tok}\ne 0 1\n"
+    with pytest.raises(FrameworkError, match=f"^{re.escape(err)}$"):
+        parse_framework(text, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_mixed_literals_read_as_each_one_alone(mode):
+    # a line of int literals, a line of mixed ones, and an edge before the
+    # dim header, against frames built from each literal read on its own
+    text = "e 0 1\n# mixed\ndim 6\nv 0 1 2 3 4 5 6\nv 1 3 -0 1/2 0.5 1e-3 7E+2  # tail\n"
+    toks = [["1", "2", "3", "4", "5", "6"], ["3", "-0", "1/2", "0.5", "1e-3", "7E+2"]]
+    f = parse_framework(text, mode)
+    want = tuple(tuple(_parse_scalar(t, mode, "") for t in row) for row in toks)
+    assert f == Framework(6, want, ((0, 1),), mode)
+    assert [[type(x) for x in p] for p in f.positions] == [[type(x) for x in p] for p in want]
+    if mode == "exact":
+        assert f.positions[1] == (3, 0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 1000), 700)
+        assert [type(x) for x in f.positions[1]] == [int, int] + [Fraction] * 3 + [int]
+    else:
+        assert f.positions[1] == (3.0, -0.0, 0.5, 0.5, 1e-3, 700.0)
+        assert all(type(x) is float for p in f.positions for x in p)
+
+
+def test_framework_checks_every_vertex_before_it_converts_one():
+    # a coordinate exact mode cannot convert does not hide a later vertex's fault
+    with pytest.raises(FrameworkError, match=r"^vertex 1 has 3 coordinates, expected 2$"):
+        Framework(2, (("a", 0), (1, 0, 0)), ())
+    with pytest.raises(FrameworkError, match=r"^vertex 1 has a non-finite coordinate$"):
+        Framework(2, (("a", 0), (math.inf, 0)), ())
+    f = Framework(2, [[0, 0], [Fraction(1), True]], [(0, 1)])
+    assert f.positions == ((0, 0), (1, 1)) and type(f.positions) is tuple
+    assert all(type(p) is tuple and all(type(x) is int for x in p) for p in f.positions)
 
 
 def test_disconnected_accepted_but_flagged():

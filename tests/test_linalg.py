@@ -320,16 +320,18 @@ def _as_matrix(rows, ncols):
     return exact_matrix(rows, ncols) if rows else linalg.zeros(0, ncols, "exact")
 
 
-@pytest.mark.parametrize("label, rows, ncols", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-def test_exact_reduction_matches_sympy_domain_matrix(label, rows, ncols):
+def _check_reduction(rows, ncols):
+    """Rank, pivots, RREF, image and kernel of the rows against sympy's."""
     m, dm = _as_matrix(rows, ncols), domain_matrix(rows, ncols)
     red = linalg.Reduction(m)
     rref, pivots = dm.rref()
     assert red.rank == rank(m) == dm.rank() == len(pivots)
     assert red.pivots == list(pivots)
-    # RREF: the row basis scaled to leading entries of 1
+    # RREF: the row basis scaled to leading entries of 1, and rref_rows its nonzeros
     ours = [[Fraction(x, r[p]) for x in r] for r, p in zip(red.row_basis().tolist(), pivots)]
     assert ours == fractions_of(rref)[:len(pivots)]
+    assert red.rref_rows() == tuple(tuple((j, x) for j, x in enumerate(r) if x)
+                                    for r in red.row_basis().tolist())
     # image: the pivot columns of the matrix cleared to integers, whatever its rows'
     # denominators
     ints = integer_form(m)[0].tolist()
@@ -348,8 +350,13 @@ def test_exact_reduction_matches_sympy_domain_matrix(label, rows, ncols):
 
 
 @pytest.mark.parametrize("label, rows, ncols", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-def test_exact_solve_matches_sympy_domain_matrix(label, rows, ncols):
-    rng = random.Random(label)
+def test_exact_reduction_matches_sympy_domain_matrix(label, rows, ncols):
+    _check_reduction(rows, ncols)
+
+
+def _check_solve(rng, rows, ncols):
+    """Solves of A x = b, b in the column space, and refusals of b outside it,
+    against the RREF of [A | b] and the left nullspace from sympy."""
     m = _as_matrix(rows, ncols)
     nrows = m.shape[0]
     x0 = exact_matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
@@ -375,6 +382,49 @@ def test_exact_solve_matches_sympy_domain_matrix(label, rows, ncols):
         bad[:, 1] = bad[:, 1] + np.array(off, dtype=object)
         with pytest.raises(ValueError, match="not in the column space"):
             solve_in_image(m, bad)
+
+
+@pytest.mark.parametrize("label, rows, ncols", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_exact_solve_matches_sympy_domain_matrix(label, rows, ncols):
+    _check_solve(random.Random(label), rows, ncols)
+
+
+@st.composite
+def tall_int_matrices(draw):
+    """More rows than columns, mostly of full column rank: the shape where
+    the elimination stops once every column holds a pivot."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=ncols + 1, max_size=3 * ncols + 2)), ncols
+
+
+@settings(max_examples=80, deadline=None)
+@given(tall_int_matrices())
+def test_tall_reductions_and_solves_match_sympy_domain_matrix(shaped):
+    rows, ncols = shaped
+    _check_reduction(rows, ncols)
+    _check_solve(random.Random(repr(rows)), rows, ncols)
+
+
+def test_elimination_stops_once_every_column_holds_a_pivot(monkeypatch):
+    # rows enter by decreasing leading column: after the three unit rows each
+    # column holds a pivot, so the 20 rows (1, 1, 1) are never cleared; with
+    # a zero fourth column no stop comes, and each of them takes 3 clears
+    calls = []
+    clear = linalg._clear
+    monkeypatch.setattr(linalg, "_clear", lambda *args: calls.append(1) or clear(*args))
+    rows = [[0, 0, 1], [0, 1, 0], [1, 0, 0]] + [[1, 1, 1]] * 20
+    red = linalg.Reduction(exact_matrix(rows))
+    assert calls == []
+    assert (red.rank, red.pivots, red.free_columns) == (3, [0, 1, 2], [])
+    assert red.kernel().shape == (0, 3)
+    assert red.row_basis().tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    # the image still reads every row held
+    assert red.image().tolist() == [[0, 0, 1] + [1] * 20, [0, 1, 0] + [1] * 20,
+                                    [1, 0, 0] + [1] * 20]
+    assert calls == []
+    padded = linalg.Reduction(exact_matrix([r + [0] for r in rows]))
+    assert padded.rank == 3 and len(calls) == 3 * 20
 
 
 def test_integer_form_of_an_integral_matrix():
