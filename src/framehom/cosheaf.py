@@ -25,10 +25,10 @@ image as a form, and ``Cosheaf.h1_coordinates_form`` reads the H1
 coordinates of such cycles at the free columns of the boundary's
 reduction and returns a form.  ``apply_c0`` and ``apply_c1`` wrap
 ``apply_form`` for callers holding matrices.  A stalk
-quotient is read off its map's integers: the section is an integer
-kernel basis, one solve per distinct section returns the projection as a form,
-and each quotient stalk map is an integer product of the vertex
-projection, the target's stalk map and the section.
+quotient is read off its map's integers, once per distinct stalk-map
+object: the section is an integer kernel basis, one solve returns the
+projection as a form, and each quotient stalk map is an integer product
+of the vertex projection, the target's stalk map and the section.
 """
 
 from __future__ import annotations
@@ -378,50 +378,34 @@ def quotient_cosheaf(m: CosheafMap) -> tuple:
     holds by construction: proj . m = 0 on every cell and [m | section]
     spans each target stalk.
 
-    The section S is the kernel of phi^T, so exact mode eliminates phi^T
-    once per key of phi's shape and RREF, which fix im phi and injectivity:
-    once for all vertices of the structural phi and once per bar line.
-    Float mode keys on the stalk-map object.  A non-injective stalk raises
-    at its first cell.  The projection P = (S^T S)^-1 S^T is one solve per
-    distinct S, all brought over one d_P.  Each distinct triple of factors
-    of a quotient stalk map is one integer product P T S of the vertex
-    projection, the target's stalk map and the section, over d_P d_T.
+    The section S is the kernel of phi^T, and each distinct stalk-map
+    object of m is eliminated once: once for all vertices of the structural
+    phi and once per bar direction.  A non-injective stalk raises at its
+    first cell.  The same object's projection P = (S^T S)^-1 S^T is one
+    solve, and each P is brought over one common d_P once.  Each quotient
+    stalk map is the integer product P T S of its vertex's projection, the
+    target's stalk map and its edge's section, over d_P d_T, formed per
+    cell.  The kernel basis is the canonical RREF one, so bars on one line,
+    of any length and either way round, get equal sections and projections.
     """
     tgt, f = m.target, m.target.base
-    keys, sections, solved, products = {}, {}, {}, {}
-
-    # every matrix keyed by id stays referenced while its key is read, so no id is reused
-    def stalk_sections(maps, kind: str) -> tuple:
-        for i, phi in enumerate(maps):
-            if id(phi) not in keys:
-                red = Reduction(phi.T)
-                key = keys[id(phi)] = (red.shape, red.rref_rows() if red.exact else id(phi))
-                if key not in sections:
-                    sections[key] = _stalk_section(red, f"{kind} {i}")
-        return tuple(sections[keys[id(phi)]] for phi in maps)
-
-    vs, es = stalk_sections(m.vertex_maps, "vertex"), stalk_sections(m.edge_maps, "edge")
-    for key, s in dict(zip(map(id, vs + es), vs + es)).items():
-        st = s.T.copy()
-        solved[key] = solve_in_image(st @ s, st)
-    d = math.lcm(*(pd for _, pd in solved.values()))
-    over_d = {key: p if pd == d else p * (d // pd) for key, (p, pd) in solved.items()}
-    vp, ep = (tuple(over_d[id(s)] for s in secs) for secs in (vs, es))
-
-    def stalk_map(p, transport, s):
-        key = (id(p), id(transport), id(s))
-        if key not in products:
-            products[key] = p @ transport @ s
-        return products[key]
-
+    memo = {}  # id of a stalk map of m -> (S, P, d of P)
+    for kind, maps in (("vertex", m.vertex_maps), ("edge", m.edge_maps)):
+        for i, phi in enumerate(maps):  # m keeps each map referenced, so no id is reused
+            if id(phi) not in memo:
+                s = _stalk_section(Reduction(phi.T), f"{kind} {i}")
+                st = s.T.copy()
+                memo[id(phi)] = (s, *solve_in_image(st @ s, st))
+    d = math.lcm(*(pd for _, _, pd in memo.values()))
+    memo = {key: (s, p if pd == d else p * (d // pd)) for key, (s, p, pd) in memo.items()}
+    vs, vp, es, ep = (tuple(memo[id(phi)][j] for phi in maps)
+                      for maps in (m.vertex_maps, m.edge_maps) for j in (0, 1))
     q = Cosheaf(
         base=f,
         vertex_dims=tuple(s.shape[1] for s in vs),
         edge_dims=tuple(s.shape[1] for s in es),
-        tail_maps=tuple(stalk_map(vp[t], tgt.tail_maps[e], es[e])
-                        for e, (t, h) in enumerate(f.edges)),
-        head_maps=tuple(stalk_map(vp[h], tgt.head_maps[e], es[e])
-                        for e, (t, h) in enumerate(f.edges)),
+        tail_maps=tuple(vp[t] @ tm @ s for (t, _), tm, s in zip(f.edges, tgt.tail_maps, es)),
+        head_maps=tuple(vp[h] @ hm @ s for (_, h), hm, s in zip(f.edges, tgt.head_maps, es)),
         den=d * tgt.den,
     )
     return (q, CosheafMap(source=tgt, target=q, vertex_maps=vp, edge_maps=ep, den=d),

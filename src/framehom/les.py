@@ -20,10 +20,12 @@ cycles in ``resultants``, which dominates theta on big frames (ROADMAP
 item 2 waits on the benchmark, item 1).  The moment and anchored dims come
 from M's certified gauge (``moment_rank``, ``anchored_dims``), so the dims
 eliminate no B_M and build no N; the tests check both by elimination,
-which the H1 bases still need.  A full report's anchored counting rules
-compare the gauge's formula with B_N's rank, which theta's H1(N) basis
-has already paid for.  Exact mode
-reads checks (b), (c) and (h) off ranks (``_exact_at``), with no kernel.
+which the H1 bases still need.  A full report's circuit-rank and anchored
+counting rules compare the gauge's formulas with the ranks of B_M and B_N,
+which the H1 bases of phi1* and theta have already paid for; a perturbation
+scan reads its rows' dims off those same eliminations, with no gauge.
+Exact mode reads checks (b), (c) and (h) off ranks (``_exact_at``), with no
+kernel.
 
 This module computes the induced maps and the connecting homomorphism,
 verifies exactness at every node, evaluates the counting rules
@@ -190,10 +192,11 @@ class _LesContext:
 
     @cached_property
     def counting(self) -> tuple:
-        """The counting rules, N-free: the anchored rules read H1(N) off M's
-        gauge, so they hold whenever phi's certificate does.  A full report
-        checks them on B_N's elimination instead (``_report_from_context``)."""
-        return _counting_checks(self, self.dims[2][0])
+        """The counting rules, N-free: the circuit-rank and anchored rules read
+        H1(M) and H1(N) off M's gauge, so they hold whenever the certificates
+        of M and phi do.  A full report checks them on the eliminations of B_M
+        and B_N instead (``_report_from_context``)."""
+        return _counting_checks(self, self.dims[1][0], self.dims[2][0])
 
     @property
     def alternating_sum(self) -> int:
@@ -274,9 +277,9 @@ def _not_applicable(name: str, why: str) -> CountCheck:
     return CountCheck(name, False, None, None, True, f"not applicable: {why}")
 
 
-def _counting_checks(ctx: _LesContext, h1n: int) -> tuple:
-    """The counting rules of ``ctx``'s framework; the anchored ones test the
-    computed dim H1(N) ``h1n``."""
+def _counting_checks(ctx: _LesContext, h1m: int, h1n: int) -> tuple:
+    """The counting rules of ``ctx``'s framework; the circuit-rank rule tests
+    the computed dim H1(M) ``h1m``, the anchored ones dim H1(N) ``h1n``."""
     f = ctx.f
     if not f.connected():
         why = "framework is disconnected"
@@ -287,7 +290,7 @@ def _counting_checks(ctx: _LesContext, h1n: int) -> tuple:
                 _not_applicable("les_alternating_sum", why))
     n, nv, ne = f.dim, f.num_vertices, f.num_edges
     w, k = moment_dim(n), couple_dim(n)
-    (h1f, _), (h1m, _), _ = ctx.dims
+    (h1f, _), _, _ = ctx.dims
     mech = len(ctx.mech)
     checks = [
         _rule("maxwell_calladine", n * nv - ne, len(ctx.rigid) + mech - h1f,
@@ -442,7 +445,8 @@ def _report_from_context(ctx: _LesContext) -> LesReport:
         rank_theta=ctx.theta.rank,
         rank_phi0=ctx.phi0.rank,
         checks=tuple(checks),
-        counting=_counting_checks(ctx, ctx.anch.dims[0]),  # B_N's rank, which theta ran
+        # B_M's and B_N's ranks, which phi1* and theta ran
+        counting=_counting_checks(ctx, ctx.moment.dims[0], ctx.anch.dims[0]),
         mechanism_basis=tuple(mech_ambient),
     )
 
@@ -483,9 +487,8 @@ def perturbation_scan(f: Framework, magnitudes, seeds) -> tuple:
                 rows.append(ScanRow(magnitude=mag, seed=seed, valid=False, error=str(exc)))
                 continue
             ctx = _LesContext(g)
-            dims_f, dims_m, dims_n = ctx.dims
-            rows.append(ScanRow(magnitude=mag, seed=seed, valid=True,
-                                dims_force=dims_f, dims_moment=dims_m, dims_anchored=dims_n,
+            rows.append(ScanRow(magnitude=mag, seed=seed, valid=True, dims_force=ctx.force.dims,
+                                dims_moment=ctx.moment.dims, dims_anchored=ctx.anch.dims,
                                 rank_phi1=ctx.phi1.rank, rank_pi1=ctx.pi1.rank,
                                 rank_theta=ctx.theta.rank))
     return tuple(rows)

@@ -276,12 +276,6 @@ class Reduction:
                     cols[j][i] = x
         return list(cols.values())
 
-    def rref_rows(self) -> tuple:
-        """Exact mode: the nonzero RREF rows, primitive with positive leading
-        entries, as sorted (column, entry) tuples; a hashable canonical
-        name for the row space."""
-        return tuple(tuple(sorted(self._reduced[c].items())) for c in self.pivots)
-
     def row_basis(self) -> np.ndarray:
         """Canonical independent rows spanning the row space: the nonzero
         RREF rows, primitive with positive leading entries, written by

@@ -933,9 +933,9 @@ def test_dims_only_reads_ranks_without_back_substitution(tmp_path, capsys, monke
 
 def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch):
     # --dims-only reads the anchored dims off the gauge and builds no quotient;
-    # in a full analyze all vertices share one stalk map and the edges lie on
-    # three lines; with every other edge reversed, a line's bars run both ways
-    # and still share one quotient (1 vertex + 3 lines, not 1 + 6 directions)
+    # in a full analyze all vertices share one stalk map of phi and each bar
+    # direction has its own: grid3's bars run three ways, and with every other
+    # edge reversed six (1 vertex + 6 directions, not 1 + 3 lines)
     calls = []
     original = cosheaf._stalk_section
 
@@ -944,27 +944,29 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
         return original(red, where)
 
     monkeypatch.setattr(cosheaf, "_stalk_section", counting)
-    for f in (grid(3), _every_other_edge_flipped(grid(3))):
+    for f, sections in (
+            (grid(3), ["vertex 0", "edge 0", "edge 6", "edge 12"]),
+            (_every_other_edge_flipped(grid(3)),
+             ["vertex 0", "edge 0", "edge 1", "edge 6", "edge 7", "edge 12", "edge 13"])):
         path = _saved(tmp_path, "grid3", f)
         calls.clear()
         assert main(["analyze", str(path), "--dims-only"]) == 0
         assert calls == []
         assert main(["analyze", str(path)]) == 0
         capsys.readouterr()
-        assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12"]
-        # one anchored stalk map per line and edge end, not one per incidence:
-        # each product P T S is made once and its matrix shared by the cells
+        assert calls == sections
+        # one anchored stalk map per incidence: each product P T S is formed per cell
         anch = build_anchored_cosheaf(f)
-        assert len({id(m) for m in anch.tail_maps + anch.head_maps}) == 6
+        assert len({id(m) for m in anch.tail_maps + anch.head_maps}) == 2 * f.num_edges
     # with the last column moved from x = 2 to x = 3, the horizontal bars have
-    # lengths 1 and 2 and still share a quotient; the diagonals now lie on two
-    # lines, (1, 1) from edge 12 and (2, 1) from edge 13
+    # lengths 1 and 2, two directions with a section each, and the diagonals
+    # run (1, 1) from edge 12 and (2, 1) from edge 13
     f = grid(3)
     f = dataclasses.replace(f, positions=tuple((3 if x == 2 else x, y) for x, y in f.positions))
     calls.clear()
     assert main(["analyze", str(_saved(tmp_path, "grid3-stretched", f))]) == 0
     capsys.readouterr()
-    assert calls == ["vertex 0", "edge 0", "edge 6", "edge 12", "edge 13"]
+    assert calls == ["vertex 0", "edge 0", "edge 1", "edge 6", "edge 12", "edge 13"]
 
 
 def test_dims_and_counting_rules_build_neither_pi_nor_the_section(tmp_path, capsys,
@@ -997,7 +999,7 @@ def test_dims_and_counting_rules_build_neither_pi_nor_the_section(tmp_path, caps
     capsys.readouterr()
     # phi, then pi: M -> N and the section N -> M once each, in the order read
     assert edge_dims() == [(1, 3), (3, 2), (2, 3)]
-    # the vertex projection onto the 1-dim anchored stalk, one edge projection per line
+    # the vertex projection onto the 1-dim anchored stalk, one edge projection per bar direction
     assert solves == [(1, 1)] + [(2, 2)] * 3
     assert quotients == [1]
 
@@ -1028,6 +1030,34 @@ def test_a_full_analyze_checks_the_anchored_rules_against_the_anchored_rank(tmp_
     assert all(c["passed"] for c in doc["les_checks"])
     assert main(["analyze", str(path)]) == 2
     assert "[FAIL ] anchored_stress_count" in capsys.readouterr().out
+
+
+def test_a_full_analyze_checks_the_circuit_rank_rule_against_the_moment_rank(tmp_path, capsys,
+                                                                             monkeypatch):
+    # the dims and counting_rules read H1(M) off M's gauge; a full analyze
+    # tests the circuit-rank rule against B_M's elimination, which phi1* runs
+    # anyway, so a moment rank off by one fails that rule alone and exits 2
+    path = _saved(tmp_path, "grid3", grid(3))
+    assert main(["analyze", str(path), "--json"]) == 0
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    build = les.build_phi
+
+    def off_by_one(f):
+        phi = build(f)
+        phi.target._reduction.rank -= 1
+        return phi
+    monkeypatch.setattr(les, "build_phi", off_by_one)
+    assert all(c.passed for c in counting_rules(grid(3)))
+    assert main(["analyze", str(path), "--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dims"] == dims
+    assert [c["name"] for c in doc["counting"] if not c["passed"]] == ["moment_circuit_rank"]
+    rule = next(c for c in doc["counting"] if c["name"] == "moment_circuit_rank")
+    assert rule["computed"] == rule["expected"] + 1
+    assert rule["expected"] == dims["moment"]["h1"] == 3 * (16 - 9 + 1)
+    assert all(c["passed"] for c in doc["les_checks"])
+    assert main(["analyze", str(path)]) == 2
+    assert "[FAIL ] moment_circuit_rank" in capsys.readouterr().out
 
 
 def test_exact_analyze_of_grid4_runs_26_eliminations(tmp_path, capsys, monkeypatch):

@@ -707,6 +707,26 @@ def test_quotient_stalks_match_per_stalk_quotients(f):
         assert _same(pi.target.stalk_map(e, h), vertex[h][1] @ moment.stalk_map(e, h) @ s)
 
 
+def test_reversed_and_parallel_bars_get_equal_quotient_stalks():
+    # each stalk map of phi gets its own quotient, but the kernel basis is the
+    # canonical RREF one: on the flipped grid3 with its last column moved to
+    # x = 3, the horizontal bars run -(1, 0) and (2, 0), two stalk maps of phi
+    # with equal sections and projections; the vertical bars 6 and 7 run
+    # -(0, 1) and (0, 1), so each one's tail map is the other's head map
+    g = _flipped_grid(3, range(0, 16, 2))
+    f = dataclasses.replace(g, positions=tuple((3 if x == 2 else x, y) for x, y in g.positions))
+    phi = build_phi(f)
+    anch, pi, section = quotient_cosheaf(phi)
+    for line in ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11)):
+        assert len({id(phi.edge_maps[e]) for e in line}) == 2
+        for maps in (section.edge_maps, pi.edge_maps):
+            assert all(_same(maps[e], maps[line[0]]) for e in line)
+    assert [d for d, _ in (f.direction_form[0][e] for e in (0, 1))] == [-1, 2]
+    assert [d for _, d in (f.direction_form[0][e] for e in (6, 7))] == [-1, 1]
+    assert _same(anch.tail_maps[6], anch.head_maps[7])
+    assert _same(anch.head_maps[6], anch.tail_maps[7])
+
+
 def test_quotient_projection_commutes():
     f = make_named("box3d")
     pi = quotient_cosheaf(build_phi(f))[1]

@@ -643,6 +643,28 @@ def test_scan_desargues_baseline_and_migration():
         assert (r.rank_phi1, r.rank_pi1, r.rank_theta) == (0, 12, 0)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_scan_rows_read_their_dims_off_the_eliminations(monkeypatch, mode):
+    # phi1*, pi1* and theta eliminate B_F, B_M and B_N, so a scan row reads its
+    # dims off them and pays for neither gauge: with both patched to raise, a
+    # Desargues scan returns the rows that the gauge's dims give
+    f = make_desargues(Fraction(1, 2))
+    f = f if mode == "exact" else f.as_float()
+    mags, seeds = [Fraction(0), Fraction(1, 100), Fraction(1, 1000)], [1, 2, 3]
+    expected = []
+    for mag in mags:
+        for seed in seeds:
+            ctx = _LesContext(perturb(f, mag, seed))
+            expected.append(les.ScanRow(mag, seed, True, *ctx.dims, ctx.phi1.rank,
+                                        ctx.pi1.rank, ctx.theta.rank))
+
+    def refuse(*args):
+        raise AssertionError("a scan row read the gauge")
+    monkeypatch.setattr(les, "moment_rank", refuse)
+    monkeypatch.setattr(les, "anchored_dims", refuse)
+    assert list(perturbation_scan(f, mags, seeds)) == expected
+
+
 def test_scan_square_dims_are_perturbation_stable():
     f = make_named("square")
     rows = perturbation_scan(f, [Fraction(0), Fraction(1, 100)], [2, 5])

@@ -327,11 +327,9 @@ def _check_reduction(rows, ncols):
     rref, pivots = dm.rref()
     assert red.rank == rank(m) == dm.rank() == len(pivots)
     assert red.pivots == list(pivots)
-    # RREF: the row basis scaled to leading entries of 1, and rref_rows its nonzeros
+    # RREF: the row basis scaled to leading entries of 1
     ours = [[Fraction(x, r[p]) for x in r] for r, p in zip(red.row_basis().tolist(), pivots)]
     assert ours == fractions_of(rref)[:len(pivots)]
-    assert red.rref_rows() == tuple(tuple((j, x) for j, x in enumerate(r) if x)
-                                    for r in red.row_basis().tolist())
     # image: the pivot columns of the matrix cleared to integers, whatever its rows'
     # denominators
     ints = integer_form(m)[0].tolist()
