@@ -12,10 +12,15 @@ integer rows built edge block by edge block, once per cosheaf; the dense
 block matrix is those rows written out, for the connecting map and for
 the float-mode SVDs.
 
-Each cosheaf and each cosheaf map stores its matrices once, as integers
-in lowest terms over one denominator ``den`` (float matrices over 1).
-The structural ``build_*`` functions and ``quotient_cosheaf`` hand in
-integers and their denominator, other callers rational matrices over 1;
+Each cosheaf and each cosheaf map stores its stalk maps as a table: each
+distinct map once, in ``maps``, and one slot into it per cell
+(``tail_slots``/``head_slots``, ``vertex_slots``/``edge_slots``);
+``tail_maps``, ``head_maps``, ``vertex_maps`` and ``edge_maps`` are the
+per-cell views.  The table holds integers in lowest terms over one
+denominator ``den`` (float matrices over 1).  The structural ``build_*``
+functions pass the framework's ``direction_index`` through as the slots
+and, like ``quotient_cosheaf``, hand in integers and their denominator;
+other callers hand in rational matrices over 1.
 ``Cosheaf.stalk_map`` is the rational view.  The eliminations read the
 integer rows of den B, which has the rank, pivots and kernel of B; maps
 are checked to commute on the stored integers.  Chains travel between
@@ -25,10 +30,10 @@ image as a form, and ``Cosheaf.h1_coordinates_form`` reads the H1
 coordinates of such cycles at the free columns of the boundary's
 reduction and returns a form.  ``apply_c0`` and ``apply_c1`` wrap
 ``apply_form`` for callers holding matrices.  A stalk
-quotient is read off its map's integers, once per distinct stalk-map
-object: the section is an integer kernel basis, one solve returns the
-projection as a form, and each quotient stalk map is an integer product
-of the vertex projection, the target's stalk map and the section.
+quotient is read off the map's table, once per map: the section is an
+integer kernel basis, one solve returns the projection as a form, and
+the quotient's table holds one integer product of a vertex projection,
+a stalk map of the target and a section per distinct triple of slots.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,13 +57,20 @@ from .linalg import (
 )
 
 
+def _per_cell(slots: str) -> cached_property:
+    """The read-only view of a table that lists each cell's map, in cell
+    order, for the readers that work cell by cell; made on first read."""
+    return cached_property(lambda obj: tuple(map(obj.maps.__getitem__, getattr(obj, slots))))
+
+
 @dataclass(frozen=True)
 class Cosheaf:
     """Stalk dimensions and stalk maps over a framework's graph, and the
     homology read off the boundary B on first use.
 
-    ``tail_maps[k]`` / ``head_maps[k]`` are the two stalk maps of edge k,
-    each of shape (vertex stalk dim, edge stalk dim).  ``h1`` = ker B
+    Edge k's two stalk maps are ``maps[tail_slots[k]]`` and
+    ``maps[head_slots[k]]``, each of shape (vertex stalk dim, edge stalk
+    dim); ``tail_maps`` / ``head_maps`` are those per edge.  ``h1`` = ker B
     (cycles in C_1) and the rank of B come from one reduction of B, ``h0``
     (representatives in C_0 spanning ker B^T = (im B)^perp) from one of
     B^T: in exact mode of B's sparse integer rows, and of only B's columns
@@ -68,34 +81,36 @@ class Cosheaf:
     neither writes to it.  The dimensions need only the rank.
     ``h1_coordinates_form`` reads cycles in the ``h1`` basis off B's reduction.
 
-    The stalk maps handed in are read over ``den`` and stored as integers
-    in lowest terms over one ``den`` (``_lowest_terms``; float maps over
-    1); ``stalk_map`` is the rational view.
+    The table handed in is read over ``den`` and stored as integers in
+    lowest terms over one ``den`` (``_lowest_terms``; float maps over 1);
+    ``stalk_map`` is the rational view.
     """
 
     base: Framework
     vertex_dims: tuple
     edge_dims: tuple
-    tail_maps: tuple
-    head_maps: tuple
+    maps: tuple
+    tail_slots: tuple
+    head_slots: tuple
     den: int = 1
 
     def __post_init__(self):
-        f = self.base
-        if len(self.vertex_dims) != f.num_vertices or len(self.edge_dims) != f.num_edges:
+        f, vd, ed = self.base, self.vertex_dims, self.edge_dims
+        if len(vd) != f.num_vertices or len(ed) != f.num_edges:
             raise ValueError("stalk dimension lists do not match the framework")
-        if len(self.tail_maps) != f.num_edges or len(self.head_maps) != f.num_edges:
-            raise ValueError("need exactly two stalk maps per edge")
-        vdims, cells = self.vertex_dims, self.tail_maps + self.head_maps
-        distinct = dict(zip(map(id, cells), cells))
-        if not _one_shape(distinct, vdims, self.edge_dims):
-            for k, ((t, h), tm, hm, ed) in enumerate(zip(f.edges, self.tail_maps,
-                                                          self.head_maps, self.edge_dims)):
-                if tm.shape != (vdims[t], ed) or hm.shape != (vdims[h], ed):
-                    v, m = (t, tm) if tm.shape != (vdims[t], ed) else (h, hm)
-                    raise ValueError(f"stalk map of edge {k} at vertex {v} has shape "
-                                     f"{m.shape}, expected {(vdims[v], ed)}")
-        _lowest_terms(self, ("tail_maps", "head_maps"), distinct)
+        if len(self.tail_slots) != f.num_edges or len(self.head_slots) != f.num_edges:
+            raise ValueError("need a tail and a head slot per edge")
+        need = set()
+        for end, slots in enumerate((self.tail_slots, self.head_slots)):
+            need.update(zip(slots, map(vd.__getitem__, map(itemgetter(end), f.edges)), ed))
+        _check_slots(self.maps, need, lambda: (
+            (f"stalk map of edge {k} at vertex {v}", s, vd[v], ed[k])
+            for k, ((t, h), ts, hs) in enumerate(zip(f.edges, self.tail_slots, self.head_slots))
+            for v, s in ((t, ts), (h, hs))))
+        _lowest_terms(self)
+
+    tail_maps = _per_cell("tail_slots")
+    head_maps = _per_cell("head_slots")
 
     @property
     def mode(self) -> str:
@@ -189,16 +204,15 @@ def boundary_rows(k: Cosheaf) -> list[dict]:
     stored integer stalk maps (float maps in float mode).  The block in the rows
     of vertex v and columns of edge e is +(stalk map) when v is the head of
     e and -(stalk map) when v is the tail; cells are in list order, stalk
-    coordinates within each cell.  Each distinct stalk map's signed nonzeros
-    are listed once."""
-    maps = k.tail_maps + k.head_maps
-    plus = {key: [(i, j, x) for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
-            for key, mi in dict(zip(map(id, maps), maps)).items()}
-    minus = {key: [(i, j, -x) for i, j, x in ent] for key, ent in plus.items()}
+    coordinates within each cell.  Each map of the table has its signed
+    nonzeros listed once."""
+    plus = [[(i, j, x) for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
+            for mi in k.maps]
+    minus = [[(i, j, -x) for i, j, x in ent] for ent in plus]
     voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
     rows = [{} for _ in range(k.c0_dim)]
-    for (t, h), hm, tm, eo in zip(k.base.edges, k.head_maps, k.tail_maps, eoff):
-        for vo, entries in ((voff[h], plus[id(hm)]), (voff[t], minus[id(tm)])):
+    for (t, h), hs, ts, eo in zip(k.base.edges, k.head_slots, k.tail_slots, eoff):
+        for vo, entries in ((voff[h], plus[hs]), (voff[t], minus[ts])):
             for i, j, x in entries:
                 rows[vo + i][eo + j] = x
     return rows
@@ -211,8 +225,9 @@ def constant_cosheaf(f: Framework, dim: int = 1) -> Cosheaf:
         base=f,
         vertex_dims=(dim,) * f.num_vertices,
         edge_dims=(dim,) * f.num_edges,
-        tail_maps=(ident,) * f.num_edges,
-        head_maps=(ident,) * f.num_edges,
+        maps=(ident,),
+        tail_slots=(0,) * f.num_edges,
+        head_slots=(0,) * f.num_edges,
     )
 
 
@@ -226,34 +241,35 @@ class CosheafMap:
 
     Valid maps commute with the stalk maps at every incidence; call
     check_cosheaf_map to verify, or read ``check`` for that verdict
-    computed once per map.  The vertex and edge maps are stored as for
-    ``Cosheaf``: integers over one ``den``, in lowest terms.
+    computed once per map.  Vertex v's map is ``maps[vertex_slots[v]]``
+    and edge k's ``maps[edge_slots[k]]``; ``vertex_maps`` / ``edge_maps``
+    are those per cell.  The table is stored as for ``Cosheaf``: integers
+    over one ``den``, in lowest terms.
     """
 
     source: Cosheaf
     target: Cosheaf
-    vertex_maps: tuple
-    edge_maps: tuple
+    maps: tuple
+    vertex_slots: tuple
+    edge_slots: tuple
     den: int = 1
 
     def __post_init__(self):
         if self.source.base is not self.target.base and \
                 self.source.base != self.target.base:
             raise ValueError("source and target live over different frameworks")
-        f = self.source.base
-        if len(self.vertex_maps) != f.num_vertices or len(self.edge_maps) != f.num_edges:
-            raise ValueError("need one matrix per vertex and per edge")
-        distinct = {}
-        for kind, maps, rows, cols in (
-                ("vertex", self.vertex_maps, self.target.vertex_dims, self.source.vertex_dims),
-                ("edge", self.edge_maps, self.target.edge_dims, self.source.edge_dims)):
-            group = dict(zip(map(id, maps), maps))
-            distinct.update(group)
-            for i, (m, want) in enumerate(() if _one_shape(group, rows, cols) else
-                                          zip(maps, zip(rows, cols))):
-                if m.shape != want:
-                    raise ValueError(f"{kind} map {i} has shape {m.shape}, expected {want}")
-        _lowest_terms(self, ("vertex_maps", "edge_maps"), distinct)
+        f, src, tgt = self.source.base, self.source, self.target
+        if len(self.vertex_slots) != f.num_vertices or len(self.edge_slots) != f.num_edges:
+            raise ValueError("need one slot per vertex and per edge")
+        cells = {"vertex": (self.vertex_slots, tgt.vertex_dims, src.vertex_dims),
+                 "edge": (self.edge_slots, tgt.edge_dims, src.edge_dims)}
+        _check_slots(self.maps, set(zip(*cells["vertex"])) | set(zip(*cells["edge"])), lambda: (
+            (f"{kind} map {i}", *cell) for kind, table in cells.items()
+            for i, cell in enumerate(zip(*table))))
+        _lowest_terms(self)
+
+    vertex_maps = _per_cell("vertex_slots")
+    edge_maps = _per_cell("edge_slots")
 
     @cached_property
     def check(self) -> MapCheck:
@@ -285,39 +301,44 @@ class CosheafMap:
         return out, self.den * den
 
 
-def _one_shape(distinct: dict, rows, cols) -> bool:
-    """Whether all cells need one shape (one value in ``rows`` and one in
-    ``cols``) and each ``distinct`` matrix has it; if not, the caller's
-    per-cell check runs and names the offender."""
-    r, c = set(rows), set(cols)
-    return len(r) == len(c) == 1 and all(a.shape == (*r, *c) for a in distinct.values())
+def _check_slots(maps, need: set, cells) -> None:
+    """Check that each cell's slot picks a map of the table ``maps`` of the
+    shape the cell needs.  ``need`` holds each distinct (slot, rows, cols)
+    the cells ask for, checked once; only if one fails does ``cells()``
+    list (name, slot, rows, cols) cell by cell, and ValueError names the
+    first failing cell.  A slot outside range(len(maps)) fails: a negative
+    one would silently pick a map from the end."""
+    n = len(maps)
+    if all(0 <= s < n and maps[s].shape == (r, c) for s, r, c in need):
+        return
+    for name, s, r, c in cells():
+        if not 0 <= s < n:
+            raise ValueError(f"{name} reads slot {s}, not one of the {n} maps")
+        if maps[s].shape != (r, c):
+            raise ValueError(f"{name} has shape {maps[s].shape}, expected {(r, c)}")
 
 
-def _lowest_terms(obj, names, distinct: dict) -> None:
-    """Store the matrices of ``obj``'s fields ``names``, read over
-    ``obj.den``, as integers in lowest terms over their least common
-    denominator, and that denominator as ``obj.den``; a float matrix is
-    divided by ``den`` and stored over 1.  The fields' ``distinct`` matrices,
-    by id, are cleared once over one D0 and divided by G = gcd(D0, every
-    entry), so shared matrices stay shared and D0 / G is the least common
-    denominator; fields whose matrices are all kept are not rebuilt."""
-    den = obj.den
+def _lowest_terms(obj) -> None:
+    """Store ``obj.maps``, read over ``obj.den``, as integers in lowest
+    terms over their least common denominator, and that denominator as
+    ``obj.den``; a float table is divided by ``den`` and stored over 1.
+    The maps are cleared once over one D0 and divided by G = gcd(D0, every
+    entry), so D0 / G is the least common denominator; an int map that
+    needs no scaling is kept as it is."""
+    den, maps = obj.den, obj.maps
     if type(den) is not int or den < 1:
         raise ValueError(f"den must be a positive int, got {den!r}")
-    if any(linalg.mode_of(a) != MODE_EXACT for a in distinct.values()):
-        lowest, d = {key: a / den if den != 1 else a for key, a in distinct.items()}, 1
+    if any(linalg.mode_of(a) != MODE_EXACT for a in maps):
+        lowest, d = [a / den if den != 1 else a for a in maps], 1
     else:
-        forms = {key: integer_form(a) for key, a in distinct.items()}
-        m = math.lcm(*(md for _, md in forms.values()))
-        lowest = {key: a if md == m else a * (m // md) for key, (a, md) in forms.items()}
+        forms = [integer_form(a) for a in maps]
+        m = math.lcm(*(md for _, md in forms))
+        lowest = [a if md == m else a * (m // md) for a, md in forms]
         d = den * m
-        g = math.gcd(d, *chain.from_iterable(a.ravel().tolist() for a in lowest.values()))
+        g = math.gcd(d, *chain.from_iterable(a.ravel().tolist() for a in lowest))
         if g > 1:
-            lowest, d = {key: a // g for key, a in lowest.items()}, d // g
-    if any(lowest[key] is not a for key, a in distinct.items()):
-        for name in names:
-            object.__setattr__(obj, name, tuple(map(lowest.__getitem__,
-                                                    map(id, getattr(obj, name)))))
+            lowest, d = [a // g for a in lowest], d // g
+    object.__setattr__(obj, "maps", tuple(lowest))
     object.__setattr__(obj, "den", d)
 
 
@@ -378,35 +399,46 @@ def quotient_cosheaf(m: CosheafMap) -> tuple:
     holds by construction: proj . m = 0 on every cell and [m | section]
     spans each target stalk.
 
-    The section S is the kernel of phi^T, and each distinct stalk-map
-    object of m is eliminated once: once for all vertices of the structural
-    phi and once per bar direction.  A non-injective stalk raises at its
-    first cell.  The same object's projection P = (S^T S)^-1 S^T is one
-    solve, and each P is brought over one common d_P once.  Each quotient
+    The section S is the kernel of phi^T, and each map of m's table is
+    eliminated once, in table order: once for all vertices of the
+    structural phi and once per bar direction.  A non-injective stalk
+    raises at the first cell that reads its map.  The same map's projection
+    P = (S^T S)^-1 S^T is one solve, and each P is brought over one common
+    d_P once; the projection and the section keep m's slots.  Each quotient
     stalk map is the integer product P T S of its vertex's projection, the
-    target's stalk map and its edge's section, over d_P d_T, formed per
-    cell.  The kernel basis is the canonical RREF one, so bars on one line,
-    of any length and either way round, get equal sections and projections.
+    target's stalk map and its edge's section, over d_P d_T, formed once
+    per distinct triple of their slots.  The kernel basis is the canonical
+    RREF one, so bars on one line, of any length and either way round, get
+    equal sections and projections.
     """
-    tgt, f = m.target, m.target.base
-    memo = {}  # id of a stalk map of m -> (S, P, d of P)
-    for kind, maps in (("vertex", m.vertex_maps), ("edge", m.edge_maps)):
-        for i, phi in enumerate(maps):  # m keeps each map referenced, so no id is reused
-            if id(phi) not in memo:
-                s = _stalk_section(Reduction(phi.T), f"{kind} {i}")
-                st = s.T.copy()
-                memo[id(phi)] = (s, *solve_in_image(st @ s, st))
-    d = math.lcm(*(pd for _, _, pd in memo.values()))
-    memo = {key: (s, p if pd == d else p * (d // pd)) for key, (s, p, pd) in memo.items()}
-    vs, vp, es, ep = (tuple(memo[id(phi)][j] for phi in maps)
-                      for maps in (m.vertex_maps, m.edge_maps) for j in (0, 1))
+    tgt, f, vslots, eslots = m.target, m.target.base, m.vertex_slots, m.edge_slots
+    first = {}  # slot of m -> (kind, index) of the first cell reading it
+    for kind, slots in (("edge", eslots), ("vertex", vslots)):
+        first.update(zip(reversed(slots), zip(repeat(kind), range(len(slots) - 1, -1, -1))))
+    sections, solved = [], []
+    for j, phi in enumerate(m.maps):
+        s = _stalk_section(Reduction(phi.T), "%s %d" % first.get(j, ("map", j)))
+        st = s.T.copy()
+        sections.append(s)
+        solved.append(solve_in_image(st @ s, st))
+    d = math.lcm(*(pd for _, pd in solved))
+    proj = tuple(p if pd == d else p * (d // pd) for p, pd in solved)
+    triples = {}  # (P slot, T slot, S slot) -> slot of q
+    tail_slots, head_slots = (
+        tuple(triples.setdefault(key, len(triples)) for key in zip(
+            map(vslots.__getitem__, map(itemgetter(end), f.edges)), tslots, eslots))
+        for end, tslots in enumerate((tgt.tail_slots, tgt.head_slots)))
+    dims = [s.shape[1] for s in sections]
     q = Cosheaf(
         base=f,
-        vertex_dims=tuple(s.shape[1] for s in vs),
-        edge_dims=tuple(s.shape[1] for s in es),
-        tail_maps=tuple(vp[t] @ tm @ s for (t, _), tm, s in zip(f.edges, tgt.tail_maps, es)),
-        head_maps=tuple(vp[h] @ hm @ s for (_, h), hm, s in zip(f.edges, tgt.head_maps, es)),
+        vertex_dims=tuple(map(dims.__getitem__, vslots)),
+        edge_dims=tuple(map(dims.__getitem__, eslots)),
+        maps=tuple(proj[a] @ tgt.maps[b] @ sections[c] for a, b, c in triples),
+        tail_slots=tail_slots,
+        head_slots=head_slots,
         den=d * tgt.den,
     )
-    return (q, CosheafMap(source=tgt, target=q, vertex_maps=vp, edge_maps=ep, den=d),
-            CosheafMap(source=q, target=tgt, vertex_maps=vs, edge_maps=es))
+    return (q, CosheafMap(source=tgt, target=q, maps=proj, vertex_slots=vslots,
+                          edge_slots=eslots, den=d),
+            CosheafMap(source=q, target=tgt, maps=tuple(sections), vertex_slots=vslots,
+                       edge_slots=eslots))

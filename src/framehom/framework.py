@@ -172,7 +172,8 @@ class Framework:
     def direction_index(self) -> tuple[dict, tuple]:
         """(slots, index): the distinct rows of ``direction_form``, each mapped
         to its slot in first-seen order, and each edge's slot.  The structural
-        builders make one matrix per slot and fan it out to the edges."""
+        builders make one matrix per slot and hand the index through as the
+        edges' slots into that table."""
         slots = {}
         return slots, tuple(slots.setdefault(d, len(slots)) for d in self.direction_form[0])
 

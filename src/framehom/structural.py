@@ -27,11 +27,12 @@ The stalk maps are made from the framework's ``direction_form``, the
 directions as integers over one common denominator D: a force column is
 (P_h - P_t) over D, a couple transport (2D I + lever entries) over 2D, a
 ``phi`` edge map the force column under zero moment rows and its vertex
-map D [0; I], both over D.  Each is made once per distinct direction of
-the framework's ``direction_index`` and fanned out to the edges.  Each
-cosheaf and map is handed these integers and their denominator, and
-stores them in lowest terms; in float mode it divides the float matrices
-by the denominator once, and halving is exact.
+map D [0; I], both over D.  Each is made once per slot of the framework's
+``direction_index`` (once per signed lever for M), and the index is
+handed through as the cells' slots into that table.  Each cosheaf and
+map is handed these integers and their denominator, and stores them in
+lowest terms; in float mode it divides the float matrices by the
+denominator once, and halving is exact.
 """
 
 from __future__ import annotations
@@ -109,16 +110,16 @@ def build_force_cosheaf(f: Framework) -> Cosheaf:
 
     Both stalk maps of an edge are the single column spanned by the bar
     direction head - tail, so an axial scalar becomes a force along the
-    bar.  Edges with equal directions share one matrix.
+    bar.  The table holds one column per slot of ``direction_index``.
     """
     slots, index = f.direction_index
-    maps = tuple(map([_padded_direction(0, d, f.mode) for d in slots].__getitem__, index))
     return Cosheaf(
         base=f,
         vertex_dims=(f.dim,) * f.num_vertices,
         edge_dims=(1,) * f.num_edges,
-        tail_maps=maps,
-        head_maps=maps,
+        maps=tuple(_padded_direction(0, d, f.mode) for d in slots),
+        tail_slots=index,
+        head_slots=index,
         den=f.direction_form[1],
     )
 
@@ -128,25 +129,26 @@ def build_moment_cosheaf(f: Framework) -> Cosheaf:
 
     The stalk map into an endpoint transports the couple from the edge
     center: the lever is +half the direction into the head and -half into
-    the tail.  One matrix is made per distinct signed lever and fanned out
-    to the edges, so the head map of direction delta is the tail map of
-    direction -delta.
+    the tail.  The table holds one matrix per distinct signed lever: the
+    head map of direction delta is the tail map of direction -delta.
     """
     (slots, index), den = f.direction_index, f.direction_form[1]
-    tails, heads = [], []
+    maps, tails, heads = [], [], []
     for i, d in enumerate(slots):  # an earlier slot -d made this slot's pair, swapped
         if slots.get(m := tuple(-x for x in d), i) < i:
             tails.append(heads[slots[m]])
             heads.append(tails[slots[m]])
         else:
-            tails.append(_transport(m, den, f.mode))
-            heads.append(_transport(d, den, f.mode))
+            tails.append(len(maps))
+            heads.append(len(maps) + 1)
+            maps += [_transport(m, den, f.mode), _transport(d, den, f.mode)]
     return Cosheaf(
         base=f,
         vertex_dims=(couple_dim(f.dim),) * f.num_vertices,
         edge_dims=(couple_dim(f.dim),) * f.num_edges,
-        tail_maps=tuple(map(tails.__getitem__, index)),
-        head_maps=tuple(map(heads.__getitem__, index)),
+        maps=tuple(maps),
+        tail_slots=tuple(map(tails.__getitem__, index)),
+        head_slots=tuple(map(heads.__getitem__, index)),
         den=2 * den,
     )
 
@@ -157,28 +159,25 @@ def moment_rank(m: Cosheaf) -> int:
     Couple transports compose, T(a) T(b) = T(a + b), so T(p_v) on vertices
     and T(c_e), c_e the bar midpoint, on edges carry the constant cosheaf R^k
     onto m once each stalk map is certified as the transport along its lever
-    p_v - c_e, +-delta / 2.  Each distinct (stored map, signed lever) is
-    checked once, with no matrix made: the stored ints x 2 den against the
-    int rows of ``_transport_rows`` x m.den.  If one fails, the edges are
-    rescanned in order, head before tail, and ValueError names the first
-    failing edge and endpoint."""
+    p_v - c_e, +-delta / 2.  Each distinct (slot, signed lever) is checked
+    once, with no matrix made: the stored ints x 2 den against the int rows
+    of ``_transport_rows`` x m.den.  If one fails, the edges are rescanned
+    in order, head before tail, and ValueError names the first failing
+    edge and endpoint."""
     f = m.base
-    (deltas, den), (slots, index) = f.direction_form, f.direction_index
-    table, verdicts = list(slots), {}
+    (slots, index), den = f.direction_index, f.direction_form[1]
+    heads = list(slots)
+    tails = [tuple(-x for x in d) for d in heads]
 
-    def fits(stored, lever) -> bool:
-        key = (id(stored), lever)
-        if key not in verdicts:  # the rows are linear in (lever, den): formula x m.den
-            verdicts[key] = ([[x * 2 * den for x in row] for row in stored.tolist()]
-                             == _transport_rows(tuple(x * m.den for x in lever), den * m.den))
-        return verdicts[key]
+    def fits(slot, lever) -> bool:  # the rows are linear in (lever, den): formula x m.den
+        return ([[x * 2 * den for x in row] for row in m.maps[slot].tolist()]
+                == _transport_rows(tuple(x * m.den for x in lever), den * m.den))
 
-    ends = dict(zip(zip(map(id, m.head_maps), map(id, m.tail_maps), index),
-                    zip(m.head_maps, m.tail_maps, map(table.__getitem__, index))))
-    if not all(fits(h, d) and fits(t, tuple(-x for x in d)) for h, t, d in ends.values()):
-        for e, ((t, h), d, hm, tm) in enumerate(zip(f.edges, deltas, m.head_maps, m.tail_maps)):
-            for v, stored, lever in ((h, hm, d), (t, tm, tuple(-x for x in d))):
-                if not fits(stored, lever):
+    if not (all(fits(s, heads[i]) for s, i in set(zip(m.head_slots, index)))
+            and all(fits(s, tails[i]) for s, i in set(zip(m.tail_slots, index)))):
+        for e, ((t, h), i, hs, ts) in enumerate(zip(f.edges, index, m.head_slots, m.tail_slots)):
+            for v, slot, lever in ((h, hs, heads[i]), (t, ts, tails[i])):
+                if not fits(slot, lever):
                     raise ValueError(f"moment stalk map of edge {e} at vertex {v} is not "
                                      "the couple transport along its lever")
     return couple_dim(f.dim) * (f.num_vertices - f.components)
@@ -190,7 +189,8 @@ def build_phi(f: Framework) -> CosheafMap:
     Edge maps send an axial scalar t to the zero-moment couple
     (0, t * direction); vertex maps pad nodal forces with a zero moment.
     The commuting condition holds because the bar direction wedged with
-    its own half lever vanishes.  Equal directions share one edge map.
+    its own half lever vanishes.  The table holds the vertex map, then one
+    edge map per slot of ``direction_index``.
     """
     n = f.dim
     w = moment_dim(n)
@@ -200,8 +200,9 @@ def build_phi(f: Framework) -> CosheafMap:
     return CosheafMap(
         source=build_force_cosheaf(f),
         target=build_moment_cosheaf(f),
-        vertex_maps=(vmap,) * f.num_vertices,
-        edge_maps=tuple(map([_padded_direction(w, d, f.mode) for d in slots].__getitem__, index)),
+        maps=(vmap, *(_padded_direction(w, d, f.mode) for d in slots)),
+        vertex_slots=(0,) * f.num_vertices,
+        edge_slots=tuple(s + 1 for s in index),
         den=den,
     )
 
@@ -210,23 +211,27 @@ def anchored_dims(phi: CosheafMap) -> tuple[int, int]:
     """(dim H1, dim H0) of N = M / phi(F) off M's gauge, once ``moment_rank``
     has certified M: phi(F_v) is then the forces through p_v, so H0 = sum_c
     C(n - a_c, 2) over the components' ``Framework.affine_dims`` and H1 = H0 +
-    c1 - c0.  Each distinct stored map of phi is first certified as den [0; I]
-    or the padded direction, over den; ValueError names the first failing cell."""
+    c1 - c0.  Each distinct (slot, cell kind) of phi, an edge's kind being
+    its direction slot, is first certified as den [0; I] or the padded
+    direction, over den; ValueError names the first failing cell."""
     f, pd = phi.source.base, phi.den
     n, w = f.dim, moment_dim(f.dim)
-    (slots, index), den = f.direction_index, f.direction_form[1]
-    table = list(slots)  # edge cells carry their direction's slot
+    (dirs, index), den = f.direction_index, f.direction_form[1]
+    table = list(dirs)
     pad = [[0] * n] * w + [[pd * (i == j) for j in range(n)] for i in range(n)]
-    cells = [("vertex", v, m, None) for v, m in enumerate(phi.vertex_maps)]
-    cells += [("edge", e, m, s) for e, (m, s) in enumerate(zip(phi.edge_maps, index))]
-    seen = set()
-    for kind, i, stored, s in cells:
-        if (id(stored), s) in seen:
-            continue
-        seen.add((id(stored), s))
-        want, scale = (pad, 1) if s is None else ([[0]] * w + [[x * pd] for x in table[s]], den)
-        if (stored * scale).tolist() != want:  # stored / pd: [0; I] or (0; d) / den
-            raise ValueError(f"phi's stalk map of {kind} {i} is not the embedding of its forces")
+
+    def fits(slot, i) -> bool:  # stored / pd: [0; I] at a vertex (i None), (0; d_i) / den
+        want, scale = (pad, 1) if i is None else ([[0]] * w + [[x * pd] for x in table[i]], den)
+        return (phi.maps[slot] * scale).tolist() == want
+
+    cells = (("vertex", phi.vertex_slots, (None,) * f.num_vertices),
+             ("edge", phi.edge_slots, index))
+    if not all(fits(*key) for _, slots, kinds in cells for key in set(zip(slots, kinds))):
+        for kind, slots, kinds in cells:
+            for c, key in enumerate(zip(slots, kinds)):
+                if not fits(*key):
+                    raise ValueError(f"phi's stalk map of {kind} {c} is not the embedding "
+                                     "of its forces")
     h0 = sum(math.comb(n - a, 2) for a in f.affine_dims)
     return (couple_dim(n) - 1) * f.num_edges - w * f.num_vertices + h0, h0
 

@@ -5,7 +5,7 @@ import pytest
 
 from framehom import linalg, make_desargues, make_named, verify_les
 from framehom import make_grid as grid, make_lattice as lattice  # noqa: F401
-from framehom.cosheaf import CosheafMap
+from framehom.cosheaf import Cosheaf, CosheafMap
 from framehom.framework import affine_dim
 from framehom.linalg import from_integer_form, subspace_contains
 from framehom.les import _LesContext
@@ -23,6 +23,32 @@ def exact_matrix(rows, cols=None):
 def float_matrix(rows, cols=None):
     """Nested rows as a float-mode matrix; ``cols`` as for ``exact_matrix``."""
     return np.array(rows, dtype=float).reshape(len(rows), -1 if cols is None else cols)
+
+
+def stalk_table(*cells):
+    """Per-cell tuples of matrices as one table: ``(maps, slots, ...)`` with
+    each distinct matrix object once in ``maps``, in first-seen order, and
+    one tuple of slots into ``maps`` per tuple of cells."""
+    table = {}  # id of a matrix -> (slot, matrix); the cells keep every id alive
+    slots = tuple(tuple(table.setdefault(id(m), (len(table), m))[0] for m in group)
+                  for group in cells)
+    return (tuple(m for _, m in table.values()), *slots)
+
+
+def per_cell_cosheaf(f, vertex_dims, edge_dims, tail_maps, head_maps, den=1):
+    """The ``Cosheaf`` whose edge k has the stalk maps ``tail_maps[k]`` and
+    ``head_maps[k]``, cells handed the same object sharing its slot."""
+    maps, tails, heads = stalk_table(tail_maps, head_maps)
+    return Cosheaf(base=f, vertex_dims=vertex_dims, edge_dims=edge_dims, maps=maps,
+                   tail_slots=tails, head_slots=heads, den=den)
+
+
+def per_cell_map(source, target, vertex_maps, edge_maps, den=1):
+    """The ``CosheafMap`` with the maps ``vertex_maps[v]`` and ``edge_maps[k]``,
+    cells handed the same object sharing its slot."""
+    maps, vertex_slots, edge_slots = stalk_table(vertex_maps, edge_maps)
+    return CosheafMap(source=source, target=target, maps=maps, vertex_slots=vertex_slots,
+                      edge_slots=edge_slots, den=den)
 
 
 def same_span(a, b):
@@ -125,8 +151,7 @@ def random_section(ctx, rng):
                 r[i, j] = rng.randint(-3, 3)
         edge_maps.append(from_integer_form(sec, section.den)
                          + from_integer_form(phi.edge_maps[e], phi.den) @ r)
-    return CosheafMap(source=ctx.anch, target=ctx.moment,
-                      vertex_maps=vertex_maps, edge_maps=tuple(edge_maps))
+    return per_cell_map(ctx.anch, ctx.moment, vertex_maps, tuple(edge_maps))
 
 
 def theta_with_random_section(f, rng):

@@ -18,9 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_dims_of_positions, build_corpus, grid, lattice
+from conftest import affine_dims_of_positions, build_corpus, grid, lattice, per_cell_map
 from framehom import (
-    CosheafMap,
     Framework,
     build_anchored_cosheaf,
     build_moment_cosheaf,
@@ -207,7 +206,7 @@ def test_moment_cosheaf_stores_one_matrix_per_signed_lever(f):
         stored.setdefault(d, set()).add(id(head))
         stored.setdefault(tuple(-x for x in d), set()).add(id(tail))
     assert all(len(ids) == 1 for ids in stored.values())
-    assert len({id(a) for a in m.tail_maps + m.head_maps}) == len(stored)
+    assert len(m.maps) == len({id(a) for a in m.tail_maps + m.head_maps}) == len(stored)
 
 
 def moment_gauge(f):
@@ -215,11 +214,11 @@ def moment_gauge(f):
     the couple transports T(p_v) on vertices and T(c_e), c_e the bar
     midpoint, on edges, as ``_transport`` of twice the lever over 2."""
     pos = f.positions
-    return CosheafMap(
-        source=constant_cosheaf(f, couple_dim(f.dim)), target=build_moment_cosheaf(f),
-        vertex_maps=tuple(_transport(tuple(2 * x for x in p), 1, f.mode) for p in pos),
-        edge_maps=tuple(_transport(tuple(map(operator.add, pos[t], pos[h])), 1, f.mode)
-                        for t, h in f.edges),
+    return per_cell_map(
+        constant_cosheaf(f, couple_dim(f.dim)), build_moment_cosheaf(f),
+        tuple(_transport(tuple(2 * x for x in p), 1, f.mode) for p in pos),
+        tuple(_transport(tuple(map(operator.add, pos[t], pos[h])), 1, f.mode)
+              for t, h in f.edges),
         den=2)
 
 

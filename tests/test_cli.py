@@ -944,10 +944,10 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
         return original(red, where)
 
     monkeypatch.setattr(cosheaf, "_stalk_section", counting)
-    for f, sections in (
-            (grid(3), ["vertex 0", "edge 0", "edge 6", "edge 12"]),
+    for f, sections, products in (
+            (grid(3), ["vertex 0", "edge 0", "edge 6", "edge 12"], 6),
             (_every_other_edge_flipped(grid(3)),
-             ["vertex 0", "edge 0", "edge 1", "edge 6", "edge 7", "edge 12", "edge 13"])):
+             ["vertex 0", "edge 0", "edge 1", "edge 6", "edge 7", "edge 12", "edge 13"], 12)):
         path = _saved(tmp_path, "grid3", f)
         calls.clear()
         assert main(["analyze", str(path), "--dims-only"]) == 0
@@ -955,9 +955,10 @@ def test_quotient_runs_once_per_distinct_stalk_map(tmp_path, capsys, monkeypatch
         assert main(["analyze", str(path)]) == 0
         capsys.readouterr()
         assert calls == sections
-        # one anchored stalk map per incidence: each product P T S is formed per cell
+        # one anchored stalk map per distinct (P, T, S) slot triple: a tail and
+        # a head map per bar direction, formed once each
         anch = build_anchored_cosheaf(f)
-        assert len({id(m) for m in anch.tail_maps + anch.head_maps}) == 2 * f.num_edges
+        assert len(anch.maps) == len({id(m) for m in anch.tail_maps + anch.head_maps}) == products
     # with the last column moved from x = 2 to x = 3, the horizontal bars have
     # lengths 1 and 2, two directions with a section each, and the diagonals
     # run (1, 1) from edge 12 and (2, 1) from edge 13

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_boundary, exact_matrix, grid
+from conftest import block_boundary, exact_matrix, grid, per_cell_cosheaf, per_cell_map
 from framehom import (
     CosheafMap,
     Framework,
@@ -182,21 +182,19 @@ def test_integer_forms_put_every_stalk_map_over_one_denominator():
     # handed in as rationals over 1, they are stored as integers over their lcm
     f = perturb(make_desargues(Fraction(1, 2)), Fraction(1, 100), 4)
     anch = build_anchored_cosheaf(f)
-    views = {id(m): from_integer_form(m, anch.den) for m in anch.tail_maps + anch.head_maps}
-    tails = tuple(views[id(m)] for m in anch.tail_maps)
-    heads = tuple(views[id(m)] for m in anch.head_maps)
-    maps = tails + heads
-    dens = {math.lcm(*(x.denominator for x in m.ravel().tolist())) for m in maps}
+    table = tuple(from_integer_form(m, anch.den) for m in anch.maps)
+    dens = {math.lcm(*(x.denominator for x in m.ravel().tolist())) for m in table}
     assert len(dens) > 1
     k = Cosheaf(base=f, vertex_dims=anch.vertex_dims, edge_dims=anch.edge_dims,
-                tail_maps=tails, head_maps=heads)
+                maps=table, tail_slots=anch.tail_slots, head_slots=anch.head_slots)
     d = k.den
     assert d == math.lcm(*dens)
-    stored = k.tail_maps + k.head_maps
-    assert len({id(m) for m in stored}) == len({id(m) for m in maps})
-    for m, ints in zip(maps, stored):
+    assert len(k.maps) == len(table)
+    slots, stored = k.tail_slots + k.head_slots, k.tail_maps + k.head_maps
+    for s, ints in zip(slots, stored, strict=True):
         assert all(type(x) is int for x in ints.ravel().tolist())
-        assert np.array_equal(ints, m * d)
+        assert np.array_equal(ints, table[s] * d)
+    assert [[a is b for b in stored] for a in stored] == [[s == t for t in slots] for s in slots]
 
 
 def _stalk_maps_as_before(f):
@@ -318,21 +316,21 @@ def test_unit_chain_boundary_matches_column():
 def test_identity_map_commutes():
     f = make_named("square")
     k = build_force_cosheaf(f)
-    ident = CosheafMap(
-        source=k, target=k,
-        vertex_maps=tuple(identity(d, f.mode) for d in k.vertex_dims),
-        edge_maps=tuple(identity(d, f.mode) for d in k.edge_dims))
+    ident = per_cell_map(k, k, tuple(identity(d, f.mode) for d in k.vertex_dims),
+                         tuple(identity(d, f.mode) for d in k.edge_dims))
     assert check_cosheaf_map(ident).passed
 
 
 def _lever_sign_flipped(moment, *edges, side="head_maps"):
     """``moment`` with the lever sign flipped in the ``side`` ("head_maps" or
     "tail_maps") stalk map of each of ``edges``, each flipped map a new object."""
-    maps = list(getattr(moment, side))
+    cells = {"tail_maps": list(moment.tail_maps), "head_maps": list(moment.head_maps)}
+    maps = cells[side]
     for e in edges:
         maps[e] = maps[e].copy()
         maps[e][0, 1:3] = -maps[e][0, 1:3]
-    return dataclasses.replace(moment, **{side: tuple(maps)})
+    return per_cell_cosheaf(moment.base, moment.vertex_dims, moment.edge_dims,
+                            cells["tail_maps"], cells["head_maps"], den=moment.den)
 
 
 def test_corrupted_lever_sign_fails_at_that_incidence():
@@ -345,11 +343,9 @@ def test_corrupted_lever_sign_fails_at_that_incidence():
     assert check_cosheaf_map(phi).passed
     pi = quotient_cosheaf(phi)[1]
     corrupted = _lever_sign_flipped(phi.target, 2)
-    bad_phi = CosheafMap(source=phi.source, target=corrupted,
-                         vertex_maps=phi.vertex_maps, edge_maps=phi.edge_maps, den=phi.den)
+    bad_phi = dataclasses.replace(phi, target=corrupted)
     assert check_cosheaf_map(bad_phi).passed  # axial forces cannot see it
-    bad_pi = CosheafMap(source=corrupted, target=pi.target,
-                        vertex_maps=pi.vertex_maps, edge_maps=pi.edge_maps, den=pi.den)
+    bad_pi = dataclasses.replace(pi, source=corrupted)
     chk = check_cosheaf_map(bad_pi)
     assert not chk.passed
     assert [(e, v) for e, v, _ in chk.failures] == [(2, f.edges[2][1])]
@@ -386,22 +382,22 @@ def test_moment_rank_names_the_lowest_failing_edge_head_first():
 
 @pytest.mark.parametrize("kept, shared", [(0, 2), (2, 0), (0, 1)])
 def test_moment_rank_refuses_a_shared_map_where_its_lever_differs(kept, shared):
-    # one stored object serves as the head map of two edges with different
+    # one slot serves as the head map of two edges with different
     # directions: it is checked per signed lever, and refused where it is wrong
     f = make_named("square")
     moment = build_moment_cosheaf(f)
-    heads = list(moment.head_maps)
+    heads = list(moment.head_slots)
     heads[shared] = heads[kept]
-    bad = dataclasses.replace(moment, head_maps=tuple(heads))
+    bad = dataclasses.replace(moment, head_slots=tuple(heads))
     assert bad.head_maps[shared] is bad.head_maps[kept]
     with pytest.raises(ValueError, match=f"edge {shared} at vertex {f.edges[shared][1]} is not"):
         structural.moment_rank(bad)
 
 
 def _tampered(phi, kind, cell, matrix):
-    maps = list(getattr(phi, f"{kind}_maps"))
-    maps[cell] = matrix
-    return dataclasses.replace(phi, **{f"{kind}_maps": tuple(maps)})
+    cells = {"vertex": list(phi.vertex_maps), "edge": list(phi.edge_maps)}
+    cells[kind][cell] = matrix
+    return per_cell_map(phi.source, phi.target, cells["vertex"], cells["edge"], den=phi.den)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -413,7 +409,7 @@ def test_anchored_dims_names_a_tampered_phi_map(mode):
     assert structural.anchored_dims(phi) == (4, 0)
     with pytest.raises(ValueError, match="map of edge 2 is not"):
         structural.anchored_dims(_tampered(phi, "edge", 2, 2 * phi.edge_maps[2]))
-    # one stored object shared by edges of different directions fails where it is wrong
+    # one slot shared by edges of different directions fails where it is wrong
     with pytest.raises(ValueError, match="map of edge 1 is not"):
         structural.anchored_dims(_tampered(phi, "edge", 1, phi.edge_maps[0]))
     moment_row = phi.vertex_maps[3].copy()
@@ -428,8 +424,7 @@ def test_exact_map_check_decides_on_exact_entries(defect):
     f = make_named("bar")
     k = constant_cosheaf(f)
     one = identity(1, f.mode)
-    bent = CosheafMap(source=k, target=k, vertex_maps=(one, exact_matrix([[1 + defect]])),
-                      edge_maps=(one,))
+    bent = per_cell_map(k, k, (one, exact_matrix([[1 + defect]])), (one,))
     chk = check_cosheaf_map(bent)
     assert not chk.passed
     assert chk.failures == ((0, 1, defect),)
@@ -469,8 +464,7 @@ def test_exact_map_check_reports_the_product_difference(monkeypatch):
     vertex_maps[3] = vertex_maps[3].copy()
     vertex_maps[3][0, 2] += Fraction(1, 7)
     edge_maps[5] = edge_maps[5] * 2
-    broken = CosheafMap(source=pi.source, target=pi.target,
-                        vertex_maps=tuple(vertex_maps), edge_maps=tuple(edge_maps))
+    broken = per_cell_map(pi.source, pi.target, tuple(vertex_maps), tuple(edge_maps))
     want = _product_failures(broken)
     assert len(want) >= 3
     chk = check_cosheaf_map(broken)
@@ -484,30 +478,48 @@ def test_map_shape_validation():
     f = make_named("bar")
     k = build_force_cosheaf(f)
     with pytest.raises(ValueError):
-        CosheafMap(source=k, target=k,
-                   vertex_maps=(identity(2, f.mode),) * 2,
-                   edge_maps=(identity(2, f.mode),))
+        per_cell_map(k, k, (identity(2, f.mode),) * 2, (identity(2, f.mode),))
 
 
 @pytest.mark.parametrize("vdims", [(2, 2, 2), (2, 3, 2)], ids=["uniform", "mixed"])
 def test_a_misshapen_stalk_map_is_named_by_its_cell(vdims):
-    # with uniform stalk dims the shapes are checked once per distinct matrix,
-    # otherwise cell by cell; either way the first offending cell is named
+    # the shapes are checked once per distinct (slot, shape), with uniform
+    # stalk dims or mixed ones, and the first offending cell is named
     f = make_named("triangle")  # edges (0, 1), (1, 2), (2, 0)
     col = {d: zeros(d, 1, f.mode) for d in set(vdims)}
     good = tuple(col[vdims[t]] for t, _ in f.edges), tuple(col[vdims[h]] for _, h in f.edges)
     heads = good[1][:1] + (zeros(4, 1, f.mode),) + good[1][2:]
     with pytest.raises(ValueError, match=re.escape(
             f"stalk map of edge 1 at vertex 2 has shape (4, 1), expected ({vdims[2]}, 1)")):
-        Cosheaf(base=f, vertex_dims=vdims, edge_dims=(1,) * 3,
-                tail_maps=good[0], head_maps=heads)
-    k = Cosheaf(base=f, vertex_dims=vdims, edge_dims=(1,) * 3,
-                tail_maps=good[0], head_maps=good[1])
+        per_cell_cosheaf(f, vdims, (1,) * 3, good[0], heads)
+    k = per_cell_cosheaf(f, vdims, (1,) * 3, good[0], good[1])
     vmaps = tuple(col[d] for d in vdims[:2]) + (zeros(2, 2, f.mode),)
     with pytest.raises(ValueError, match=re.escape(
             f"vertex map 2 has shape (2, 2), expected ({vdims[2]}, 1)")):
-        CosheafMap(source=constant_cosheaf(f), target=k, vertex_maps=vmaps,
-                   edge_maps=(identity(1, f.mode),) * 3)
+        per_cell_map(constant_cosheaf(f), k, vmaps, (identity(1, f.mode),) * 3)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_a_slot_outside_the_table_is_named_by_its_cell(bad):
+    # a slot must index the table: -1 would silently read its last map, which
+    # has the shape the cell needs
+    f = make_named("triangle")  # edges (0, 1), (1, 2), (2, 0)
+    maps = (zeros(2, 1, f.mode), zeros(2, 1, f.mode))
+    with pytest.raises(ValueError, match=re.escape(
+            f"stalk map of edge 1 at vertex 2 reads slot {bad}, not one of the 2 maps")):
+        Cosheaf(base=f, vertex_dims=(2,) * 3, edge_dims=(1,) * 3, maps=maps,
+                tail_slots=(0, 0, 0), head_slots=(1, bad, 1))
+    k = Cosheaf(base=f, vertex_dims=(2,) * 3, edge_dims=(1,) * 3, maps=maps,
+                tail_slots=(0, 0, 0), head_slots=(1, 1, 1))
+    maps = (identity(2, f.mode), identity(1, f.mode))
+    with pytest.raises(ValueError, match=re.escape(
+            f"edge map 2 reads slot {bad}, not one of the 2 maps")):
+        CosheafMap(source=k, target=k, maps=maps, vertex_slots=(0, 0, 0),
+                   edge_slots=(1, 1, bad))
+    with pytest.raises(ValueError, match=re.escape(
+            f"vertex map 1 reads slot {bad}, not one of the 2 maps")):
+        CosheafMap(source=k, target=k, maps=maps[::-1], vertex_slots=(1, bad, 1),
+                   edge_slots=(0, 0, 0))
 
 
 @pytest.mark.parametrize("den", [0, -2, 2.0, Fraction(2)])
@@ -516,8 +528,7 @@ def test_cosheaf_den_must_be_a_positive_int(den):
     f = make_named("bar")
     k = constant_cosheaf(f, 2)
     with pytest.raises(ValueError, match="den must be a positive int"):
-        Cosheaf(base=f, vertex_dims=k.vertex_dims, edge_dims=k.edge_dims,
-                tail_maps=k.tail_maps, head_maps=k.head_maps, den=den)
+        dataclasses.replace(k, den=den)
 
 
 @pytest.mark.parametrize("den", [0, -2, 2.0, Fraction(2)])
@@ -525,46 +536,50 @@ def test_cosheaf_map_den_must_be_a_positive_int(den):
     f = make_named("bar")
     k = constant_cosheaf(f, 2)
     with pytest.raises(ValueError, match="den must be a positive int"):
-        CosheafMap(source=k, target=k, vertex_maps=(identity(2, f.mode),) * 2,
-                   edge_maps=(identity(2, f.mode),), den=den)
+        per_cell_map(k, k, (identity(2, f.mode),) * 2, (identity(2, f.mode),), den=den)
 
 
 @st.composite
-def _shared_matrices(draw, shape, cells):
-    """``cells`` matrices of ``shape`` drawn from a pool of 1-3 distinct
-    Fraction or int matrices, so some cells share one object."""
+def _stalk_tables(draw, shape, cells):
+    """A table of 1-3 distinct Fraction or int matrices of ``shape`` and
+    ``cells`` slots into it, so some cells share one slot."""
     entry = st.one_of(st.integers(-60, 60), st.fractions(max_denominator=12, min_value=-5,
                                                          max_value=5))
-    pool = [exact_matrix(draw(st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
-                                       min_size=shape[0], max_size=shape[0])), shape[1])
-            for _ in range(draw(st.integers(1, 3)))]
-    return tuple(pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
-                                                min_size=cells, max_size=cells)))
+    pool = tuple(exact_matrix(draw(st.lists(st.lists(entry, min_size=shape[1],
+                                                     max_size=shape[1]),
+                                            min_size=shape[0], max_size=shape[0])), shape[1])
+                 for _ in range(draw(st.integers(1, 3))))
+    return pool, tuple(draw(st.lists(st.integers(0, len(pool) - 1),
+                                     min_size=cells, max_size=cells)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 720))
 def test_lowest_terms_keeps_the_values_and_the_sharing(data, rows, cols, den):
-    # the one-gcd normalizer stores each map as ints over one den with no
-    # common factor, equal entry by entry to what was handed in over den, and
-    # keeps cells that shared a matrix sharing one
+    # the one-gcd normalizer stores each map of the table as ints over one den
+    # with no common factor, keeps the table's length, reads every cell equal
+    # entry by entry to what was handed in over den, and keeps cells that
+    # shared a slot sharing one matrix
     f = make_named("triangle")
-    cells = data.draw(_shared_matrices((rows, cols), 6)) + \
-        data.draw(_shared_matrices((rows, cols), 6))
-    cos = Cosheaf(base=f, vertex_dims=(rows,) * 3, edge_dims=(cols,) * 3,
-                  tail_maps=cells[:3], head_maps=cells[3:6], den=den)
+    (cos_maps, cos_slots), (map_maps, map_slots) = (
+        data.draw(_stalk_tables((rows, cols), 6)) for _ in range(2))
+    cos = Cosheaf(base=f, vertex_dims=(rows,) * 3, edge_dims=(cols,) * 3, maps=cos_maps,
+                  tail_slots=cos_slots[:3], head_slots=cos_slots[3:], den=den)
     m = CosheafMap(source=constant_cosheaf(f, cols), target=constant_cosheaf(f, rows),
-                   vertex_maps=cells[6:9], edge_maps=cells[9:], den=den)
-    for obj, handed, stored in ((cos, cells[:6], cos.tail_maps + cos.head_maps),
-                                (m, cells[6:], m.vertex_maps + m.edge_maps)):
-        entries = [x for a in stored for x in a.ravel().tolist()]
+                   maps=map_maps, vertex_slots=map_slots[:3], edge_slots=map_slots[3:],
+                   den=den)
+    for obj, handed, slots, stored in (
+            (cos, cos_maps, cos_slots, cos.tail_maps + cos.head_maps),
+            (m, map_maps, map_slots, m.vertex_maps + m.edge_maps)):
+        assert len(obj.maps) == len(handed)
+        entries = [x for a in obj.maps for x in a.ravel().tolist()]
         assert all(type(x) is int for x in entries)
         assert math.gcd(obj.den, *entries) == 1
-        for a, b in zip(handed, stored, strict=True):
+        for s, b in zip(slots, stored, strict=True):
             assert [Fraction(x, obj.den) for x in b.ravel().tolist()] == \
-                [Fraction(x) / den for x in a.ravel().tolist()]
-        assert [[a is b for b in handed] for a in handed] == \
-            [[a is b for b in stored] for a in stored]
+                [Fraction(x) / den for x in handed[s].ravel().tolist()]
+        assert [[a is b for b in stored] for a in stored] == \
+            [[s == t for t in slots] for s in slots]
 
 
 @pytest.mark.parametrize("ncols", [0, 1, 3])
@@ -602,18 +617,17 @@ def zero_cosheaf(f):
         base=f,
         vertex_dims=(0,) * f.num_vertices,
         edge_dims=(0,) * f.num_edges,
-        tail_maps=tuple(zeros(0, 0, f.mode) for _ in f.edges),
-        head_maps=tuple(zeros(0, 0, f.mode) for _ in f.edges))
+        maps=(zeros(0, 0, f.mode),),
+        tail_slots=(0,) * f.num_edges,
+        head_slots=(0,) * f.num_edges)
 
 
 def test_quotient_by_zero_is_identity():
     f = make_named("square")
     moment = build_moment_cosheaf(f)
     z = zero_cosheaf(f)
-    emb = CosheafMap(
-        source=z, target=moment,
-        vertex_maps=tuple(zeros(d, 0, f.mode) for d in moment.vertex_dims),
-        edge_maps=tuple(zeros(d, 0, f.mode) for d in moment.edge_dims))
+    emb = per_cell_map(z, moment, tuple(zeros(d, 0, f.mode) for d in moment.vertex_dims),
+                       tuple(zeros(d, 0, f.mode) for d in moment.edge_dims))
     pi = quotient_cosheaf(emb)[1]
     assert pi.target.vertex_dims == moment.vertex_dims
     assert pi.target.edge_dims == moment.edge_dims
@@ -718,7 +732,7 @@ def test_reversed_and_parallel_bars_get_equal_quotient_stalks():
     phi = build_phi(f)
     anch, pi, section = quotient_cosheaf(phi)
     for line in ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11)):
-        assert len({id(phi.edge_maps[e]) for e in line}) == 2
+        assert len({phi.edge_slots[e] for e in line}) == 2
         for maps in (section.edge_maps, pi.edge_maps):
             assert all(_same(maps[e], maps[line[0]]) for e in line)
     assert [d for d, _ in (f.direction_form[0][e] for e in (0, 1))] == [-1, 2]
@@ -736,12 +750,21 @@ def test_quotient_projection_commutes():
 def test_quotient_rejects_non_injective_map():
     f = make_named("bar")
     k = build_force_cosheaf(f)
-    collapse = CosheafMap(
-        source=k, target=k,
-        vertex_maps=tuple(zeros(2, 2, f.mode) for _ in range(2)),
-        edge_maps=tuple(zeros(1, 1, f.mode) for _ in range(1)))
+    collapse = per_cell_map(k, k, tuple(zeros(2, 2, f.mode) for _ in range(2)),
+                            tuple(zeros(1, 1, f.mode) for _ in range(1)))
     with pytest.raises(ValueError, match="not injective on the vertex 0 stalk"):
         quotient_cosheaf(collapse)
+
+
+def test_quotient_eliminates_every_map_of_the_table():
+    # a map no cell reads is still eliminated, and named by its slot
+    f = make_named("bar")
+    k = build_force_cosheaf(f)
+    m = CosheafMap(source=k, target=k, maps=(identity(2, f.mode), identity(1, f.mode),
+                                             zeros(1, 1, f.mode)),
+                   vertex_slots=(0, 0), edge_slots=(1,))
+    with pytest.raises(ValueError, match="not injective on the map 2 stalk"):
+        quotient_cosheaf(m)
 
 
 def test_stalk_quotient_eliminates_twice(monkeypatch):
@@ -783,11 +806,10 @@ def test_quotient_homology_invariant_under_stalk_change_of_basis():
                   for e, (t, h) in enumerate(f.edges))
     heads = tuple(t_v[h] @ moment.stalk_map(e, h) @ inv_e[e]
                   for e, (t, h) in enumerate(f.edges))
-    twisted = Cosheaf(base=f, vertex_dims=moment.vertex_dims,
-                      edge_dims=moment.edge_dims, tail_maps=tails, head_maps=heads)
-    twisted_phi = CosheafMap(
-        source=phi.source, target=twisted,
-        vertex_maps=tuple(t_v[v] @ phi.vertex_maps[v] for v in range(f.num_vertices)),
-        edge_maps=tuple(t_e[e] @ phi.edge_maps[e] for e in range(f.num_edges)), den=phi.den)
+    twisted = per_cell_cosheaf(f, moment.vertex_dims, moment.edge_dims, tails, heads)
+    twisted_phi = per_cell_map(
+        phi.source, twisted,
+        tuple(t_v[v] @ phi.vertex_maps[v] for v in range(f.num_vertices)),
+        tuple(t_e[e] @ phi.edge_maps[e] for e in range(f.num_edges)), den=phi.den)
     assert check_cosheaf_map(twisted_phi).passed
     assert quotient_cosheaf(phi)[0].dims == quotient_cosheaf(twisted_phi)[0].dims

@@ -112,3 +112,23 @@ def test_every_private_function_is_used_in_the_package():
 def test_every_public_function_is_exported_or_used_in_the_package():
     # a public function that is neither API nor called by the package is dead code
     assert unreferenced_public_definitions(_package_sources()) == []
+
+
+def identity_keys(source: str) -> list[int]:
+    """Line of each read of the builtin ``id`` in ``source``: a call
+    ``id(x)`` or the function handed on, as in ``map(id, xs)``."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Name) and n.id == "id" and isinstance(n.ctx, ast.Load))
+
+
+def test_the_check_sees_calls_of_id():
+    source = ("key = id(a)\nkeys = dict(zip(map(id, b), b))\nc.id = 1\n"
+              "print(c.id, 'id(d)')\n")
+    assert identity_keys(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_keys_on_object_identity(path):
+    # a stalk map's sharing is stored in its table's slots, so no reader
+    # rediscovers it by object identity
+    assert identity_keys((SRC / path).read_text(encoding="utf-8")) == []

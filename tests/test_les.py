@@ -17,6 +17,7 @@ from conftest import (
     fractions_of,
     grid,
     lattice,
+    per_cell_map,
     random_section,
     same_span,
     theta_with_random_section,
@@ -80,10 +81,8 @@ def test_induced_map_requires_commuting():
     force = build_force_cosheaf(f)
     moment = build_moment_cosheaf(f)
     phi = build_phi(f)
-    from framehom.cosheaf import CosheafMap
-    bad = CosheafMap(source=force, target=moment,
-                     vertex_maps=tuple(m.copy() for m in phi.vertex_maps),
-                     edge_maps=tuple(-m for m in phi.edge_maps), den=phi.den)
+    bad = per_cell_map(force, moment, tuple(m.copy() for m in phi.vertex_maps),
+                       tuple(-m for m in phi.edge_maps), den=phi.den)
     bad.vertex_maps[0][1, 0] = 5  # break commuting at vertex 0
     with pytest.raises(ValueError, match="commute"):
         induced_map(bad, 1)
