@@ -1,12 +1,13 @@
 """Cellular cosheaves over a framework's graph, their boundary and homology.
 
-A cosheaf assigns a vector-space stalk to every vertex and edge and a
-linear stalk map from each edge stalk into the stalks of its two
-endpoints.  The boundary operator stacks the stalk maps into one block
-matrix with orientation signs (+ into the head, - out of the tail); its
-kernel is degree-1 homology (self-stresses for the structural cosheaves)
-and the orthogonal complement of its image represents degree-0 homology
-(degrees of freedom).  Each cosheaf carries its own homology, computed
+A cosheaf assigns the stalk R^vertex_dim to every vertex and R^edge_dim to
+every edge, and a linear stalk map from each edge stalk into the stalks of
+its two endpoints; a chain is one block per cell, in cell order.  The
+boundary operator stacks the stalk maps into one block matrix with
+orientation signs (+ into the head, - out of the tail); its kernel is
+degree-1 homology (self-stresses for the structural cosheaves) and the
+orthogonal complement of its image represents degree-0 homology (degrees
+of freedom).  Each cosheaf carries its own homology, computed
 on first read and kept.  Exact eliminations read the boundary as sparse
 integer rows built edge block by edge block, once per cosheaf; the dense
 block matrix is those rows written out, for the connecting map and for
@@ -31,9 +32,10 @@ coordinates of such cycles at the free columns of the boundary's
 reduction and returns a form.  ``apply_c0`` and ``apply_c1`` wrap
 ``apply_form`` for callers holding matrices.  A stalk
 quotient is read off the map's table, once per map: the section is an
-integer kernel basis, one solve returns the projection as a form, and
-the quotient's table holds one integer product of a vertex projection,
-a stalk map of the target and a section per distinct triple of slots.
+integer kernel basis, one solve returns the projection as a form, the
+quotient's stalk dims are the target's minus the source's, and its table
+holds one integer product of a vertex projection, a stalk map of the
+target and a section per distinct triple of slots.
 """
 
 from __future__ import annotations
@@ -65,12 +67,14 @@ def _per_cell(slots: str) -> cached_property:
 
 @dataclass(frozen=True)
 class Cosheaf:
-    """Stalk dimensions and stalk maps over a framework's graph, and the
-    homology read off the boundary B on first use.
+    """Stalks R^vertex_dim on vertices and R^edge_dim on edges, the stalk
+    maps over a framework's graph, and the homology of the boundary B.
 
     Edge k's two stalk maps are ``maps[tail_slots[k]]`` and
-    ``maps[head_slots[k]]``, each of shape (vertex stalk dim, edge stalk
-    dim); ``tail_maps`` / ``head_maps`` are those per edge.  ``h1`` = ker B
+    ``maps[head_slots[k]]``; each map of the table is checked once to have
+    shape (vertex_dim, edge_dim), and a failure names the first cell that
+    reads a bad slot or map (a map no cell reads as ``map j``).
+    ``tail_maps`` / ``head_maps`` are the maps per edge.  ``h1`` = ker B
     (cycles in C_1) and the rank of B come from one reduction of B, ``h0``
     (representatives in C_0 spanning ker B^T = (im B)^perp) from one of
     B^T: in exact mode of B's sparse integer rows, and of only B's columns
@@ -87,26 +91,24 @@ class Cosheaf:
     """
 
     base: Framework
-    vertex_dims: tuple
-    edge_dims: tuple
+    vertex_dim: int
+    edge_dim: int
     maps: tuple
     tail_slots: tuple
     head_slots: tuple
     den: int = 1
 
     def __post_init__(self):
-        f, vd, ed = self.base, self.vertex_dims, self.edge_dims
-        if len(vd) != f.num_vertices or len(ed) != f.num_edges:
-            raise ValueError("stalk dimension lists do not match the framework")
+        f, maps, shape = self.base, self.maps, (self.vertex_dim, self.edge_dim)
         if len(self.tail_slots) != f.num_edges or len(self.head_slots) != f.num_edges:
             raise ValueError("need a tail and a head slot per edge")
-        need = set()
-        for end, slots in enumerate((self.tail_slots, self.head_slots)):
-            need.update(zip(slots, map(vd.__getitem__, map(itemgetter(end), f.edges)), ed))
-        _check_slots(self.maps, need, lambda: (
-            (f"stalk map of edge {k} at vertex {v}", s, vd[v], ed[k])
-            for k, ((t, h), ts, hs) in enumerate(zip(f.edges, self.tail_slots, self.head_slots))
-            for v, s in ((t, ts), (h, hs))))
+        if not (_in_range(self.tail_slots + self.head_slots, maps)
+                and all(m.shape == shape for m in maps)):
+            _check_slots(maps, chain(
+                ((f"stalk map of edge {k} at vertex {v}", s, shape) for k, ((t, h), ts, hs)
+                 in enumerate(zip(f.edges, self.tail_slots, self.head_slots))
+                 for v, s in ((t, ts), (h, hs))),
+                ((f"map {j}", j, shape) for j in range(len(maps)))))
         _lowest_terms(self)
 
     tail_maps = _per_cell("tail_slots")
@@ -118,11 +120,11 @@ class Cosheaf:
 
     @property
     def c0_dim(self) -> int:
-        return sum(self.vertex_dims)
+        return self.vertex_dim * self.base.num_vertices
 
     @property
     def c1_dim(self) -> int:
-        return sum(self.edge_dims)
+        return self.edge_dim * self.base.num_edges
 
     def stalk_map(self, k: int, v: int) -> np.ndarray:
         """Stalk map of edge k into endpoint vertex v, as a rational matrix."""
@@ -184,15 +186,6 @@ class Cosheaf:
         return (self.c1_dim - r, self.c0_dim - r)
 
 
-def _offsets(dims) -> list[int]:
-    """Start of each cell's block in a flat chain whose stalks have ``dims``."""
-    offs, total = [], 0
-    for d in dims:
-        offs.append(total)
-        total += d
-    return offs
-
-
 def assemble_boundary(k: Cosheaf) -> np.ndarray:
     """Block boundary matrix C_1 -> C_0: the rows of den B that the exact
     elimination reads, written by ``linalg.from_rows``, over den."""
@@ -201,20 +194,20 @@ def assemble_boundary(k: Cosheaf) -> np.ndarray:
 
 def boundary_rows(k: Cosheaf) -> list[dict]:
     """The rows of den B as sparse {column: nonzero entry} maps of the
-    stored integer stalk maps (float maps in float mode).  The block in the rows
-    of vertex v and columns of edge e is +(stalk map) when v is the head of
-    e and -(stalk map) when v is the tail; cells are in list order, stalk
-    coordinates within each cell.  Each map of the table has its signed
-    nonzeros listed once."""
+    stored integer stalk maps (float maps in float mode).  The block in the
+    vertex_dim rows from v vertex_dim and the edge_dim columns from
+    e edge_dim is +(stalk map) when v is the head of e and -(stalk map) when
+    v is the tail.  Each map of the table has its signed nonzeros listed
+    once."""
     plus = [[(i, j, x) for i, mrow in enumerate(mi.tolist()) for j, x in enumerate(mrow) if x]
             for mi in k.maps]
     minus = [[(i, j, -x) for i, j, x in ent] for ent in plus]
-    voff, eoff = _offsets(k.vertex_dims), _offsets(k.edge_dims)
+    vd, ed = k.vertex_dim, k.edge_dim
     rows = [{} for _ in range(k.c0_dim)]
-    for (t, h), hs, ts, eo in zip(k.base.edges, k.head_slots, k.tail_slots, eoff):
-        for vo, entries in ((voff[h], plus[hs]), (voff[t], minus[ts])):
+    for e, ((t, h), hs, ts) in enumerate(zip(k.base.edges, k.head_slots, k.tail_slots)):
+        for vo, entries in ((h * vd, plus[hs]), (t * vd, minus[ts])):
             for i, j, x in entries:
-                rows[vo + i][eo + j] = x
+                rows[vo + i][e * ed + j] = x
     return rows
 
 
@@ -223,8 +216,8 @@ def constant_cosheaf(f: Framework, dim: int = 1) -> Cosheaf:
     ident = linalg.identity(dim, f.mode)
     return Cosheaf(
         base=f,
-        vertex_dims=(dim,) * f.num_vertices,
-        edge_dims=(dim,) * f.num_edges,
+        vertex_dim=dim,
+        edge_dim=dim,
         maps=(ident,),
         tail_slots=(0,) * f.num_edges,
         head_slots=(0,) * f.num_edges,
@@ -242,9 +235,11 @@ class CosheafMap:
     Valid maps commute with the stalk maps at every incidence; call
     check_cosheaf_map to verify, or read ``check`` for that verdict
     computed once per map.  Vertex v's map is ``maps[vertex_slots[v]]``
-    and edge k's ``maps[edge_slots[k]]``; ``vertex_maps`` / ``edge_maps``
-    are those per cell.  The table is stored as for ``Cosheaf``: integers
-    over one ``den``, in lowest terms.
+    and edge k's ``maps[edge_slots[k]]``; each map a slot reads is checked
+    once against (target dim, source dim) of its cell kind, and a failure
+    names the first failing cell.  ``vertex_maps`` / ``edge_maps`` are the
+    maps per cell.  The table is stored as for ``Cosheaf``: integers over
+    one ``den``, in lowest terms.
     """
 
     source: Cosheaf
@@ -261,11 +256,13 @@ class CosheafMap:
         f, src, tgt = self.source.base, self.source, self.target
         if len(self.vertex_slots) != f.num_vertices or len(self.edge_slots) != f.num_edges:
             raise ValueError("need one slot per vertex and per edge")
-        cells = {"vertex": (self.vertex_slots, tgt.vertex_dims, src.vertex_dims),
-                 "edge": (self.edge_slots, tgt.edge_dims, src.edge_dims)}
-        _check_slots(self.maps, set(zip(*cells["vertex"])) | set(zip(*cells["edge"])), lambda: (
-            (f"{kind} map {i}", *cell) for kind, table in cells.items()
-            for i, cell in enumerate(zip(*table))))
+        maps = self.maps
+        cells = (("vertex", self.vertex_slots, (tgt.vertex_dim, src.vertex_dim)),
+                 ("edge", self.edge_slots, (tgt.edge_dim, src.edge_dim)))
+        if not all(_in_range(slots, maps) and all(maps[s].shape == shape for s in set(slots))
+                   for _, slots, shape in cells):
+            _check_slots(maps, ((f"{kind} map {i}", s, shape) for kind, slots, shape in cells
+                                for i, s in enumerate(slots)))
         _lowest_terms(self)
 
     vertex_maps = _per_cell("vertex_slots")
@@ -288,34 +285,35 @@ class CosheafMap:
         chains ints / den, one flat chain or one chain per column, and return
         the image as a form (ints, d).
 
-        Each block's rows of the result are its stored integer map times the
-        block's rows of ``ints``, over the map's ``den`` times ``den``; in
+        Cell i's r rows of the result, from i r, are its stored integer map
+        times the c rows of ``ints`` from i c, r and c being the target's and
+        the source's stalk dim, over the map's ``den`` times ``den``; in
         float mode both are float matrices, over 1.
         """
-        maps = self.edge_maps if degree == 1 else self.vertex_maps
-        rows = [m.shape[0] for m in maps]
-        cols = [m.shape[1] for m in maps]
-        out = np.zeros((sum(rows),) + ints.shape[1:], dtype=np.result_type(ints, *maps))
-        for m, r, c in zip(maps, _offsets(rows), _offsets(cols)):
-            out[r:r + m.shape[0]] = m @ ints[c:c + m.shape[1]]
+        maps, r, c = ((self.vertex_maps, self.target.vertex_dim, self.source.vertex_dim),
+                      (self.edge_maps, self.target.edge_dim, self.source.edge_dim))[degree]
+        out = np.zeros((r * len(maps),) + ints.shape[1:], dtype=np.result_type(ints, *maps))
+        for i, m in enumerate(maps):
+            out[i * r:(i + 1) * r] = m @ ints[i * c:(i + 1) * c]
         return out, self.den * den
 
 
-def _check_slots(maps, need: set, cells) -> None:
-    """Check that each cell's slot picks a map of the table ``maps`` of the
-    shape the cell needs.  ``need`` holds each distinct (slot, rows, cols)
-    the cells ask for, checked once; only if one fails does ``cells()``
-    list (name, slot, rows, cols) cell by cell, and ValueError names the
-    first failing cell.  A slot outside range(len(maps)) fails: a negative
-    one would silently pick a map from the end."""
+def _in_range(slots, maps) -> bool:
+    """Whether every slot indexes the table ``maps``: a negative one would
+    silently pick a map from the end."""
+    return 0 <= min(slots, default=0) and max(slots, default=0) < len(maps)
+
+
+def _check_slots(maps, cells) -> None:
+    """Raise ValueError naming the first of ``cells``, (name, slot, shape)
+    each, whose slot is outside range(len(maps)) or picks a map of another
+    shape; read only once a check of the whole table has failed."""
     n = len(maps)
-    if all(0 <= s < n and maps[s].shape == (r, c) for s, r, c in need):
-        return
-    for name, s, r, c in cells():
+    for name, s, shape in cells:
         if not 0 <= s < n:
             raise ValueError(f"{name} reads slot {s}, not one of the {n} maps")
-        if maps[s].shape != (r, c):
-            raise ValueError(f"{name} has shape {maps[s].shape}, expected {(r, c)}")
+        if maps[s].shape != shape:
+            raise ValueError(f"{name} has shape {maps[s].shape}, expected {shape}")
 
 
 def _lowest_terms(obj) -> None:
@@ -428,11 +426,10 @@ def quotient_cosheaf(m: CosheafMap) -> tuple:
         tuple(triples.setdefault(key, len(triples)) for key in zip(
             map(vslots.__getitem__, map(itemgetter(end), f.edges)), tslots, eslots))
         for end, tslots in enumerate((tgt.tail_slots, tgt.head_slots)))
-    dims = [s.shape[1] for s in sections]
     q = Cosheaf(
         base=f,
-        vertex_dims=tuple(map(dims.__getitem__, vslots)),
-        edge_dims=tuple(map(dims.__getitem__, eslots)),
+        vertex_dim=tgt.vertex_dim - m.source.vertex_dim,
+        edge_dim=tgt.edge_dim - m.source.edge_dim,
         maps=tuple(proj[a] @ tgt.maps[b] @ sections[c] for a, b, c in triples),
         tail_slots=tail_slots,
         head_slots=head_slots,

@@ -16,11 +16,11 @@ In R^n a moment has one coordinate M_ij per pair of ``bivector_pairs(n)``:
 lexicographic i < j, except the cross-product order (yz, zx, xy) in space.
 Moment stalks list those n(n-1)/2 moments, then the force (F_0, ..., F_n-1):
 (M, Fx, Fy) in the plane, (Myz, Mzx, Mxy, Fx, Fy, Fz) in space,
-(M01, M02, M03, M12, M13, M23, F0, F1, F2, F3) in R^4.  Force vertex stalks
-are the n force components and force edge stalks the axial scalar t.
-Anchored stalks are coordinates in a basis of the complement of the axial
-forces: the moments at a vertex, the moments and the n - 1 transverse
-shears on an edge.  Bar directions are used unnormalized (head - tail) so
+(M01, M02, M03, M12, M13, M23, F0, F1, F2, F3) in R^4.  Each cosheaf has
+one stalk dim on vertices and one on edges: F has n (the force) and 1 (the
+axial scalar t), M n(n+1)/2 on both, and N M's minus F's.  Anchored stalks
+are coordinates in a basis of the complement of the axial forces: the
+moments at a vertex, the moments and the n - 1 transverse shears on an edge.  Bar directions are used unnormalized (head - tail) so
 exact rational arithmetic survives.
 
 The stalk maps are made from the framework's ``direction_form``, the
@@ -115,8 +115,8 @@ def build_force_cosheaf(f: Framework) -> Cosheaf:
     slots, index = f.direction_index
     return Cosheaf(
         base=f,
-        vertex_dims=(f.dim,) * f.num_vertices,
-        edge_dims=(1,) * f.num_edges,
+        vertex_dim=f.dim,
+        edge_dim=1,
         maps=tuple(_padded_direction(0, d, f.mode) for d in slots),
         tail_slots=index,
         head_slots=index,
@@ -144,8 +144,8 @@ def build_moment_cosheaf(f: Framework) -> Cosheaf:
             maps += [_transport(m, den, f.mode), _transport(d, den, f.mode)]
     return Cosheaf(
         base=f,
-        vertex_dims=(couple_dim(f.dim),) * f.num_vertices,
-        edge_dims=(couple_dim(f.dim),) * f.num_edges,
+        vertex_dim=couple_dim(f.dim),
+        edge_dim=couple_dim(f.dim),
         maps=tuple(maps),
         tail_slots=tuple(map(tails.__getitem__, index)),
         head_slots=tuple(map(heads.__getitem__, index)),

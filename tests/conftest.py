@@ -35,11 +35,11 @@ def stalk_table(*cells):
     return (tuple(m for _, m in table.values()), *slots)
 
 
-def per_cell_cosheaf(f, vertex_dims, edge_dims, tail_maps, head_maps, den=1):
+def per_cell_cosheaf(f, vertex_dim, edge_dim, tail_maps, head_maps, den=1):
     """The ``Cosheaf`` whose edge k has the stalk maps ``tail_maps[k]`` and
     ``head_maps[k]``, cells handed the same object sharing its slot."""
     maps, tails, heads = stalk_table(tail_maps, head_maps)
-    return Cosheaf(base=f, vertex_dims=vertex_dims, edge_dims=edge_dims, maps=maps,
+    return Cosheaf(base=f, vertex_dim=vertex_dim, edge_dim=edge_dim, maps=maps,
                    tail_slots=tails, head_slots=heads, den=den)
 
 
@@ -82,11 +82,11 @@ def block_boundary(k):
     """B written block by block: +head map in the head vertex's rows, -tail map
     in the tail's, in the edge's columns; cells in list order."""
     b = linalg.zeros(k.c0_dim, k.c1_dim, k.mode)
-    voff = [sum(k.vertex_dims[:v]) for v in range(len(k.vertex_dims))]
+    vd, ed = k.vertex_dim, k.edge_dim
     for e, (t, h) in enumerate(k.base.edges):
-        cols = slice(sum(k.edge_dims[:e]), sum(k.edge_dims[:e + 1]))
-        b[voff[h]:voff[h] + k.vertex_dims[h], cols] += k.stalk_map(e, h)
-        b[voff[t]:voff[t] + k.vertex_dims[t], cols] -= k.stalk_map(e, t)
+        cols = slice(e * ed, (e + 1) * ed)
+        b[h * vd:(h + 1) * vd, cols] += k.stalk_map(e, h)
+        b[t * vd:(t + 1) * vd, cols] -= k.stalk_map(e, t)
     return b
 
 
@@ -145,7 +145,7 @@ def random_section(ctx, rng):
     vertex_maps = tuple(from_integer_form(m, section.den) for m in section.vertex_maps)
     edge_maps = []
     for e, sec in enumerate(section.edge_maps):
-        r = linalg.zeros(ctx.force.edge_dims[e], sec.shape[1], ctx.f.mode)
+        r = linalg.zeros(ctx.force.edge_dim, sec.shape[1], ctx.f.mode)
         for i in range(r.shape[0]):
             for j in range(r.shape[1]):
                 r[i, j] = rng.randint(-3, 3)

@@ -985,7 +985,7 @@ def test_dims_and_counting_rules_build_neither_pi_nor_the_section(tmp_path, caps
                         lambda a, *rest: solves.append(a.shape) or solve(a, *rest))
 
     def edge_dims():  # (source, target) edge stalk dims of each map built
-        return [(m.source.edge_dims[0], m.target.edge_dims[0]) for m in maps]
+        return [(m.source.edge_dim, m.target.edge_dim) for m in maps]
 
     assert main(["analyze", str(path), "--dims-only"]) == 0
     capsys.readouterr()

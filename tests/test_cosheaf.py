@@ -185,7 +185,7 @@ def test_integer_forms_put_every_stalk_map_over_one_denominator():
     table = tuple(from_integer_form(m, anch.den) for m in anch.maps)
     dens = {math.lcm(*(x.denominator for x in m.ravel().tolist())) for m in table}
     assert len(dens) > 1
-    k = Cosheaf(base=f, vertex_dims=anch.vertex_dims, edge_dims=anch.edge_dims,
+    k = Cosheaf(base=f, vertex_dim=anch.vertex_dim, edge_dim=anch.edge_dim,
                 maps=table, tail_slots=anch.tail_slots, head_slots=anch.head_slots)
     d = k.den
     assert d == math.lcm(*dens)
@@ -304,8 +304,8 @@ def test_unit_chain_boundary_matches_column():
     t, h = f.edges[0]
     want = [0] * k.c0_dim
     for v, m, sign in ((h, k.stalk_map(0, h), 1), (t, k.stalk_map(0, t), -1)):
-        for i in range(k.vertex_dims[v]):
-            want[sum(k.vertex_dims[:v]) + i] = sign * m[i, 0]
+        for i in range(k.vertex_dim):
+            want[v * k.vertex_dim + i] = sign * m[i, 0]
     assert list(b @ unit) == want
 
 
@@ -316,8 +316,8 @@ def test_unit_chain_boundary_matches_column():
 def test_identity_map_commutes():
     f = make_named("square")
     k = build_force_cosheaf(f)
-    ident = per_cell_map(k, k, tuple(identity(d, f.mode) for d in k.vertex_dims),
-                         tuple(identity(d, f.mode) for d in k.edge_dims))
+    ident = per_cell_map(k, k, tuple(identity(k.vertex_dim, f.mode) for _ in f.positions),
+                         tuple(identity(k.edge_dim, f.mode) for _ in f.edges))
     assert check_cosheaf_map(ident).passed
 
 
@@ -329,7 +329,7 @@ def _lever_sign_flipped(moment, *edges, side="head_maps"):
     for e in edges:
         maps[e] = maps[e].copy()
         maps[e][0, 1:3] = -maps[e][0, 1:3]
-    return per_cell_cosheaf(moment.base, moment.vertex_dims, moment.edge_dims,
+    return per_cell_cosheaf(moment.base, moment.vertex_dim, moment.edge_dim,
                             cells["tail_maps"], cells["head_maps"], den=moment.den)
 
 
@@ -481,22 +481,25 @@ def test_map_shape_validation():
         per_cell_map(k, k, (identity(2, f.mode),) * 2, (identity(2, f.mode),))
 
 
-@pytest.mark.parametrize("vdims", [(2, 2, 2), (2, 3, 2)], ids=["uniform", "mixed"])
-def test_a_misshapen_stalk_map_is_named_by_its_cell(vdims):
-    # the shapes are checked once per distinct (slot, shape), with uniform
-    # stalk dims or mixed ones, and the first offending cell is named
+def test_a_misshapen_stalk_map_is_named_by_its_cell():
+    # the maps are checked against the two stalk dims, and the first
+    # offending cell is named; a cosheaf's map that no cell reads is
+    # checked too, and named by its slot once every cell has passed
     f = make_named("triangle")  # edges (0, 1), (1, 2), (2, 0)
-    col = {d: zeros(d, 1, f.mode) for d in set(vdims)}
-    good = tuple(col[vdims[t]] for t, _ in f.edges), tuple(col[vdims[h]] for _, h in f.edges)
-    heads = good[1][:1] + (zeros(4, 1, f.mode),) + good[1][2:]
+    col = zeros(2, 1, f.mode)
+    good = (col,) * 3
+    heads = (col, zeros(4, 1, f.mode), col)
     with pytest.raises(ValueError, match=re.escape(
-            f"stalk map of edge 1 at vertex 2 has shape (4, 1), expected ({vdims[2]}, 1)")):
-        per_cell_cosheaf(f, vdims, (1,) * 3, good[0], heads)
-    k = per_cell_cosheaf(f, vdims, (1,) * 3, good[0], good[1])
-    vmaps = tuple(col[d] for d in vdims[:2]) + (zeros(2, 2, f.mode),)
+            "stalk map of edge 1 at vertex 2 has shape (4, 1), expected (2, 1)")):
+        per_cell_cosheaf(f, 2, 1, good, heads)
+    k = per_cell_cosheaf(f, 2, 1, good, good)
+    vmaps = (col, col, zeros(2, 2, f.mode))
     with pytest.raises(ValueError, match=re.escape(
-            f"vertex map 2 has shape (2, 2), expected ({vdims[2]}, 1)")):
+            "vertex map 2 has shape (2, 2), expected (2, 1)")):
         per_cell_map(constant_cosheaf(f), k, vmaps, (identity(1, f.mode),) * 3)
+    with pytest.raises(ValueError, match=r"^map 1 has shape \(3, 1\), expected \(2, 1\)$"):
+        Cosheaf(base=f, vertex_dim=2, edge_dim=1, maps=(col, zeros(3, 1, f.mode)),
+                tail_slots=(0, 0, 0), head_slots=(0, 0, 0))
 
 
 @pytest.mark.parametrize("bad", [-1, 2])
@@ -507,9 +510,9 @@ def test_a_slot_outside_the_table_is_named_by_its_cell(bad):
     maps = (zeros(2, 1, f.mode), zeros(2, 1, f.mode))
     with pytest.raises(ValueError, match=re.escape(
             f"stalk map of edge 1 at vertex 2 reads slot {bad}, not one of the 2 maps")):
-        Cosheaf(base=f, vertex_dims=(2,) * 3, edge_dims=(1,) * 3, maps=maps,
+        Cosheaf(base=f, vertex_dim=2, edge_dim=1, maps=maps,
                 tail_slots=(0, 0, 0), head_slots=(1, bad, 1))
-    k = Cosheaf(base=f, vertex_dims=(2,) * 3, edge_dims=(1,) * 3, maps=maps,
+    k = Cosheaf(base=f, vertex_dim=2, edge_dim=1, maps=maps,
                 tail_slots=(0, 0, 0), head_slots=(1, 1, 1))
     maps = (identity(2, f.mode), identity(1, f.mode))
     with pytest.raises(ValueError, match=re.escape(
@@ -563,7 +566,7 @@ def test_lowest_terms_keeps_the_values_and_the_sharing(data, rows, cols, den):
     f = make_named("triangle")
     (cos_maps, cos_slots), (map_maps, map_slots) = (
         data.draw(_stalk_tables((rows, cols), 6)) for _ in range(2))
-    cos = Cosheaf(base=f, vertex_dims=(rows,) * 3, edge_dims=(cols,) * 3, maps=cos_maps,
+    cos = Cosheaf(base=f, vertex_dim=rows, edge_dim=cols, maps=cos_maps,
                   tail_slots=cos_slots[:3], head_slots=cos_slots[3:], den=den)
     m = CosheafMap(source=constant_cosheaf(f, cols), target=constant_cosheaf(f, rows),
                    maps=map_maps, vertex_slots=map_slots[:3], edge_slots=map_slots[3:],
@@ -615,8 +618,8 @@ def test_apply_on_stacked_chains_matches_block_products(ncols):
 def zero_cosheaf(f):
     return Cosheaf(
         base=f,
-        vertex_dims=(0,) * f.num_vertices,
-        edge_dims=(0,) * f.num_edges,
+        vertex_dim=0,
+        edge_dim=0,
         maps=(zeros(0, 0, f.mode),),
         tail_slots=(0,) * f.num_edges,
         head_slots=(0,) * f.num_edges)
@@ -626,11 +629,12 @@ def test_quotient_by_zero_is_identity():
     f = make_named("square")
     moment = build_moment_cosheaf(f)
     z = zero_cosheaf(f)
-    emb = per_cell_map(z, moment, tuple(zeros(d, 0, f.mode) for d in moment.vertex_dims),
-                       tuple(zeros(d, 0, f.mode) for d in moment.edge_dims))
+    emb = per_cell_map(z, moment,
+                       tuple(zeros(moment.vertex_dim, 0, f.mode) for _ in f.positions),
+                       tuple(zeros(moment.edge_dim, 0, f.mode) for _ in f.edges))
     pi = quotient_cosheaf(emb)[1]
-    assert pi.target.vertex_dims == moment.vertex_dims
-    assert pi.target.edge_dims == moment.edge_dims
+    assert pi.target.vertex_dim == moment.vertex_dim
+    assert pi.target.edge_dim == moment.edge_dim
     for pm in pi.vertex_maps + pi.edge_maps:
         assert (pm == identity(pm.shape[0], f.mode)).all()
     assert pi.target.dims == moment.dims
@@ -640,8 +644,8 @@ def test_quotient_by_zero_is_identity():
 def test_anchored_quotient_stalk_dims(name, edims, vdims):
     f = make_named(name)
     anch = quotient_cosheaf(build_phi(f))[0]
-    assert set(anch.edge_dims) == {edims}
-    assert set(anch.vertex_dims) == {vdims}
+    assert anch.edge_dim == edims
+    assert anch.vertex_dim == vdims
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -667,12 +671,12 @@ def test_quotient_stalkwise_exactness():
     _, pi, section = quotient_cosheaf(phi)
     for v in range(f.num_vertices):
         stacked = np.hstack([phi.vertex_maps[v], section.vertex_maps[v]])
-        assert rank(stacked) == phi.target.vertex_dims[v]
+        assert rank(stacked) == phi.target.vertex_dim
         prod = pi.vertex_maps[v] @ phi.vertex_maps[v]
         assert all(x == 0 for x in prod.flat)
     for e in range(f.num_edges):
         stacked = np.hstack([phi.edge_maps[e], section.edge_maps[e]])
-        assert rank(stacked) == phi.target.edge_dims[e]
+        assert rank(stacked) == phi.target.edge_dim
         prod = pi.edge_maps[e] @ phi.edge_maps[e]
         assert all(x == 0 for x in prod.flat)
 
@@ -799,14 +803,14 @@ def test_quotient_homology_invariant_under_stalk_change_of_basis():
     phi = build_phi(f)
     rng = random.Random(99)
     moment = phi.target
-    t_v = [_random_invertible(d, rng) for d in moment.vertex_dims]
-    t_e = [_random_invertible(d, rng) for d in moment.edge_dims]
+    t_v = [_random_invertible(moment.vertex_dim, rng) for _ in f.positions]
+    t_e = [_random_invertible(moment.edge_dim, rng) for _ in f.edges]
     inv_e = [from_integer_form(*solve_in_image(t, identity(t.shape[0], f.mode))) for t in t_e]
     tails = tuple(t_v[t] @ moment.stalk_map(e, t) @ inv_e[e]
                   for e, (t, h) in enumerate(f.edges))
     heads = tuple(t_v[h] @ moment.stalk_map(e, h) @ inv_e[e]
                   for e, (t, h) in enumerate(f.edges))
-    twisted = per_cell_cosheaf(f, moment.vertex_dims, moment.edge_dims, tails, heads)
+    twisted = per_cell_cosheaf(f, moment.vertex_dim, moment.edge_dim, tails, heads)
     twisted_phi = per_cell_map(
         phi.source, twisted,
         tuple(t_v[v] @ phi.vertex_maps[v] for v in range(f.num_vertices)),

@@ -314,13 +314,12 @@ def test_section_lifts_edge_by_edge(seed):
     for e, sec in enumerate(sections):
         proj = from_integer_form(ctx.pi.edge_maps[e], ctx.pi.den)
         assert (proj @ sec == identity(sec.shape[1], f.mode)).all()
-    dims = ctx.anch.edge_dims
+    d = ctx.anch.edge_dim
     for w in ctx.anch.h1[:4]:
         # reference: lift each edge's component through its own section
-        want, pos = [], 0
-        for e, d in enumerate(dims):
-            want.extend(sections[e] @ w[pos:pos + d])
-            pos += d
+        want = []
+        for e in range(f.num_edges):
+            want.extend(sections[e] @ w[e * d:(e + 1) * d])
         assert list(ctx.section.apply_c1(w)) == want
 
 

@@ -64,8 +64,8 @@ def test_force_stalk_map_is_bar_direction():
     k = build_force_cosheaf(f)
     assert [x for x in k.stalk_map(0, 0)[:, 0]] == [1, 0]
     assert [x for x in k.stalk_map(0, 1)[:, 0]] == [1, 0]
-    assert k.vertex_dims == (2, 2)
-    assert k.edge_dims == (1,)
+    assert (k.vertex_dim, k.edge_dim) == (2, 1)
+    assert (k.c0_dim, k.c1_dim) == (4, 1)
 
 
 def test_moment_transport_shear_on_horizontal_edge():
@@ -105,8 +105,8 @@ def test_moment_transport_endpoint_matrix_form():
 
 def test_moment_stalk_dims_3d():
     k = build_moment_cosheaf(make_named("box3d"))
-    assert set(k.vertex_dims) == {6}
-    assert set(k.edge_dims) == {6}
+    assert k.vertex_dim == 6
+    assert k.edge_dim == 6
 
 
 def test_moment_transport_3d_shear():
@@ -155,10 +155,10 @@ def test_stalk_dimension_decomposition(name):
     force = build_force_cosheaf(f)
     moment = build_moment_cosheaf(f)
     anch = build_anchored_cosheaf(f)
-    for v in range(f.num_vertices):
-        assert moment.vertex_dims[v] == force.vertex_dims[v] + anch.vertex_dims[v]
-    for e in range(f.num_edges):
-        assert moment.edge_dims[e] == force.edge_dims[e] + anch.edge_dims[e]
+    assert moment.vertex_dim == force.vertex_dim + anch.vertex_dim
+    assert moment.edge_dim == force.edge_dim + anch.edge_dim
+    assert moment.c0_dim == force.c0_dim + anch.c0_dim
+    assert moment.c1_dim == force.c1_dim + anch.c1_dim
 
 
 # ---------------------------------------------------------------------------
